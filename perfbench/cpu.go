@@ -1,0 +1,15 @@
+package main
+
+import (
+	"syscall"
+	"time"
+)
+
+// cpuTime is the CPU time the process has used so far, user and system.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
