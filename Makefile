@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-report test race bench bench-full bench-serve bench-serve-smoke serve-smoke serve-fleet-smoke smoke-scale soak-smoke verify
+.PHONY: build vet lint lint-report test race bench bench-full bench-serve bench-serve-smoke smoke verify
 
 build:
 	$(GO) build ./...
@@ -57,42 +57,25 @@ bench-serve:
 bench-serve-smoke:
 	$(GO) run ./cmd/benchserve -smoke
 
-# Serving smoke: boot cmd/outaged on an ephemeral port with one fast
-# shard, round-trip a detect request over real HTTP (via the client
-# package), check it against the direct library answer, hot-reload the
-# shard through POST /v1/reload (generation must bump, fingerprint must
-# match, answers must stay byte-identical), and require a clean
-# graceful shutdown.
-serve-smoke:
-	$(GO) run ./cmd/outaged -smoke
-
-# Scale smoke: the serve-smoke flow on the 300-bus synthetic grid —
-# trains synth300 over the sparse power-flow path (short DC window),
-# serves it over real HTTP, and hot-reloads it. This is the check that
-# the sparse numerics stack works end to end at scale, not just in
-# unit tests.
-smoke-scale:
-	$(GO) run ./cmd/outaged -smoke -smoke-case synth300 -smoke-steps 8
-
-# Fleet smoke: an in-process fleet — model registry, two primary
-# backends booted by fingerprint, one canary backend, the router in
-# full-shadow mode — driven over real HTTP. Asserts byte-identical
-# proxying, fail-over with one backend killed mid-stream (zero dropped
-# detects), shadow responses byte-identical to the primary's, a 304
-# conditional registry pull, and a gated canary promotion.
-serve-fleet-smoke:
-	$(GO) run ./cmd/outagerouter -smoke
-
-# Churn soak smoke: an in-process fleet (registry, two traced backends,
-# the traced router) under mixed detect + binary-ingest load while the
-# harness injects churn — rolling reloads, a patch broadcast, an abrupt
-# backend kill and restart. Writes SOAK_report.json (per-tick isolation
-# accuracy, false-alarm rate, per-stage p50/p95/p99, availability, the
-# slowest retained traces and one merged multi-hop trace) and asserts
-# zero client-visible errors and >= 0.9 isolation accuracy throughout.
-soak-smoke:
-	$(GO) run ./cmd/outagesoak -smoke
+# Smoke harness: cmd/outagesoak runs the scenario table of
+# internal/harness. Every row boots an in-process fleet, drives it over
+# real HTTP, and checks its own assertions:
+#   serve  ieee14 on one backend: detect byte-identical to the library,
+#          retrain reload (generation +1, same fingerprint), binary
+#          ingest, X-Trace-Id echo, /metrics counters and monotone
+#          buckets, clean graceful shutdown;
+#   scale  the serve checks on synth300, over the sparse power flow;
+#   fleet  registry, two primaries booted by fingerprint, a full-shadow
+#          canary, a primary killed mid-stream with zero dropped
+#          detects, and a gated promotion exercising a 304 pull;
+#   soak   a traced two-primary fleet under labelled detect and binary
+#          ingest traffic through rolling reloads, a patch broadcast, a
+#          kill and a same-address restart. Writes SOAK_report.json and
+#          asserts zero errors, >= 0.9 isolation accuracy, and a merged
+#          multi-hop trace.
+smoke:
+	$(GO) run ./cmd/outagesoak
 
 # The tier-1 gate (see ROADMAP.md): build, vet, gridlint, race tests,
-# benchmark smoke.
-verify: build vet lint race bench bench-serve-smoke serve-smoke smoke-scale serve-fleet-smoke soak-smoke
+# benchmark smoke, smoke harness.
+verify: build vet lint race bench bench-serve-smoke smoke

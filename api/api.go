@@ -284,39 +284,6 @@ type PromoteResponse struct {
 	Failed  bool            `json:"failed,omitempty"`
 }
 
-// ExperimentRequest is the body of POST /v1/experiments on an
-// experiments worker (cmd/experiments -serve): run one figure over the
-// given scope and return its rows. The fields mirror cmd/experiments'
-// flags; zero values take the package defaults.
-type ExperimentRequest struct {
-	Figure     string   `json:"figure"`
-	Systems    []string `json:"systems,omitempty"`
-	TrainSteps int      `json:"train_steps,omitempty"`
-	TestSteps  int      `json:"test_steps,omitempty"`
-	Seed       int64    `json:"seed,omitempty"`
-	UseDC      bool     `json:"use_dc,omitempty"`
-	Clusters   int      `json:"clusters,omitempty"`
-	Workers    int      `json:"workers,omitempty"`
-}
-
-// ExperimentRow is one measured figure point, mirroring
-// internal/experiments.Row.
-type ExperimentRow struct {
-	Figure string  `json:"figure"`
-	System string  `json:"system"`
-	Method string  `json:"method"`
-	X      float64 `json:"x"`
-	IA     float64 `json:"ia"`
-	FA     float64 `json:"fa"`
-	N      int     `json:"n"`
-}
-
-// ExperimentResponse is the worker's reply: rows in the figure's
-// deterministic order.
-type ExperimentResponse struct {
-	Rows []ExperimentRow `json:"rows"`
-}
-
 // Evaluation headers: a caller driving labelled traffic through the
 // router tags each request so the canary differ can attribute responses
 // to scenarios and score IA/FA against the truth. Backends ignore both.

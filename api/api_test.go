@@ -63,16 +63,6 @@ func TestWireFieldNames(t *testing.T) {
 			ModelInfo{Fingerprint: "abc", Case: "ieee14", FormatVersion: 1, Bytes: 42},
 			`{"fingerprint":"abc","case":"ieee14","format_version":1,"bytes":42}`,
 		},
-		{
-			"ExperimentRequest",
-			ExperimentRequest{Figure: "fig5", Systems: []string{"ieee14"}, TestSteps: 2, Seed: 1, UseDC: true},
-			`{"figure":"fig5","systems":["ieee14"],"test_steps":2,"seed":1,"use_dc":true}`,
-		},
-		{
-			"ExperimentRow",
-			ExperimentRow{Figure: "fig5", System: "ieee14", Method: "subspace", X: 0.5, IA: 1, FA: 0, N: 3},
-			`{"figure":"fig5","system":"ieee14","method":"subspace","x":0.5,"ia":1,"fa":0,"n":3}`,
-		},
 	}
 	for _, c := range cases {
 		got, err := json.Marshal(c.v)

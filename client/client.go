@@ -447,8 +447,11 @@ func (c *Client) roundTrip(ctx context.Context, method, pathAndQuery, contentTyp
 		req.Header.Set(obs.TraceHeader, id)
 		// Traceparent adds the parent span ID (the caller's active
 		// span, or one relayed from its own ingress) so the server's
-		// root span links into the distributed trace.
-		req.Header.Set(obs.TraceParentHeader, obs.FormatTraceParent(id, obs.ParentSpanID(ctx)))
+		// root span links into the distributed trace. A caller ID that
+		// is not 16 hex chars gets no Traceparent.
+		if tp := obs.FormatTraceParent(id, obs.ParentSpanID(ctx)); tp != "" {
+			req.Header.Set(obs.TraceParentHeader, tp)
+		}
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {

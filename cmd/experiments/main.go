@@ -11,13 +11,6 @@
 // to scope things down, or -workers to bound the parallelism (0 uses
 // every CPU; results are identical for any worker count). Ctrl-C
 // cancels the run cleanly mid-figure.
-//
-// Runs also distribute across processes: `experiments -serve :9001`
-// turns the binary into a fleet worker answering POST /v1/experiments,
-// and `experiments -fleet http://host1:9001,http://host2:9001 fig5`
-// splits the run into (figure, system) jobs, spreads them over the
-// workers with the router's least-loaded fail-over machinery, and
-// prints the same rows in the same order a local run would.
 package main
 
 import (
@@ -25,17 +18,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"pmuoutage/api"
 	"pmuoutage/internal/experiments"
-	"pmuoutage/internal/expserve"
-	"pmuoutage/internal/router"
 )
 
 func main() {
@@ -46,20 +35,11 @@ func main() {
 	useDC := flag.Bool("dc", false, "DC power-flow approximation (fast)")
 	clusters := flag.Int("clusters", 0, "PDC clusters (default max(3, N/10))")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; output is worker-count independent)")
-	serveAddr := flag.String("serve", "", "run as a fleet worker: serve POST /v1/experiments on this address instead of running a figure")
-	fleet := flag.String("fleet", "", "comma-separated worker base URLs: distribute the run across them instead of computing locally")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: experiments [flags] fig4|fig5|fig7|fig8|fig9|fig10|ablation|recovery|multi|all")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *serveAddr != "" {
-		if err := serveWorker(*serveAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -89,13 +69,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	var rows []experiments.Row
-	var err error
-	if *fleet != "" {
-		rows, err = runFleet(ctx, strings.Split(*fleet, ","), name, cfg)
-	} else {
-		rows, err = fn(ctx, cfg)
-	}
+	rows, err := fn(ctx, cfg)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "experiments: interrupted")
@@ -108,55 +82,4 @@ func main() {
 		fmt.Println(r.String())
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %s done in %s (%d rows)\n", name, time.Since(start).Round(time.Millisecond), len(rows))
-}
-
-// serveWorker runs the binary as a fleet worker until interrupted.
-func serveWorker(addr string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	httpSrv := &http.Server{Addr: addr, Handler: expserve.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "experiments: worker listening on %s\n", addr)
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return httpSrv.Shutdown(sdCtx)
-}
-
-// runFleet distributes the figure over the worker URLs using the
-// router's pool machinery and converts the wire rows back to table
-// rows. Job order is deterministic, so the printed output matches a
-// local run.
-func runFleet(ctx context.Context, workerURLs []string, figure string, cfg experiments.Config) ([]experiments.Row, error) {
-	rt, err := router.New(ctx, router.Config{Backends: workerURLs})
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	wireRows, err := rt.Experiments(ctx, api.ExperimentRequest{
-		Figure:     figure,
-		Systems:    cfg.Systems,
-		TrainSteps: cfg.TrainSteps,
-		TestSteps:  cfg.TestSteps,
-		Seed:       cfg.Seed,
-		UseDC:      cfg.UseDC,
-		Clusters:   cfg.Clusters,
-		Workers:    cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]experiments.Row, len(wireRows))
-	for i, r := range wireRows {
-		rows[i] = experiments.Row{
-			Figure: r.Figure, System: r.System, Method: r.Method,
-			X: r.X, IA: r.IA, FA: r.FA, N: r.N,
-		}
-	}
-	return rows, nil
 }

@@ -21,31 +21,23 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"pmuoutage"
-	"pmuoutage/client"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/obs"
 	"pmuoutage/internal/registry"
 	"pmuoutage/internal/service"
-	"pmuoutage/internal/wire"
 )
 
 func main() {
@@ -68,9 +60,6 @@ func main() {
 		traceCap   = flag.Int("trace-capacity", 256, "retained-trace ring size for GET /debug/traces (0 disables tracing)")
 		traceSlow  = flag.Duration("trace-slow", 100*time.Millisecond, "tail sampling keeps traces at least this slow (negative disables the latency rule)")
 		traceEvery = flag.Int("trace-sample", 0, "tail sampling also keeps every Nth trace regardless of latency (0 disables)")
-		smoke      = flag.Bool("smoke", false, "self-test: serve on an ephemeral port, round-trip one detect, exit")
-		smokeCase  = flag.String("smoke-case", "ieee14", "grid case the -smoke shard trains on (e.g. synth300 for the scale smoke)")
-		smokeSteps = flag.Int("smoke-steps", 12, "training window length of the -smoke shard")
 	)
 	flag.Parse()
 
@@ -79,14 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	logger := obs.NewTextLogger(os.Stderr, level)
-
-	if *smoke {
-		if err := runSmoke(*smokeCase, *smokeSteps); err != nil {
-			log.Fatalf("serve-smoke: %v", err)
-		}
-		fmt.Println("serve-smoke ok")
-		return
-	}
 
 	cfg, err := buildConfig(*shards, *trainSteps, *seed, *dc, *workers, *maxBatch, *queue, *confirm)
 	if err != nil {
@@ -191,25 +172,7 @@ func applyModels(ctx context.Context, cfg *service.Config, modelFlag string, reg
 // isFingerprint reports whether ref looks like a hex SHA-256 content
 // fingerprint (64 hex chars) rather than a file path.
 func isFingerprint(ref string) bool {
-	if len(ref) != 64 {
-		return false
-	}
-	for _, c := range ref {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// shardGeneration reads one shard's incarnation counter (0 if absent).
-func shardGeneration(svc *service.Service, name string) uint64 {
-	for _, st := range svc.Shards() {
-		if st.Name == name {
-			return st.Generation
-		}
-	}
-	return 0
+	return len(ref) == 64 && strings.Trim(ref, "0123456789abcdef") == ""
 }
 
 // run starts the service, serves HTTP (plus the optional pprof/expvar
@@ -252,278 +215,4 @@ func run(ctx context.Context, addr, debugAddr string, cfg service.Config, timeou
 		}
 	}
 	return nil
-}
-
-// runSmoke is the -smoke self-test wired to `make serve-smoke` (and,
-// with -smoke-case synth300, `make smoke-scale`): bring a one-shard
-// service up on an ephemeral port, round-trip one detect request over
-// real HTTP, check it against the library answer, and shut down
-// cleanly.
-func runSmoke(caseName string, trainSteps int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	// Debug-level logging to a discard sink: the smoke run exercises the
-	// full span/access-log path without polluting its own output.
-	smokeLog := obs.NewTextLogger(io.Discard, slog.LevelDebug)
-	cfg := service.Config{
-		Shards: []service.ShardSpec{{Name: "smoke", Opts: pmuoutage.Options{
-			Case: caseName, TrainSteps: trainSteps, UseDC: true, Seed: 7,
-		}}},
-		Logger: smokeLog,
-	}
-	svc, err := service.New(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: httpserve.New(svc, 30*time.Second, smokeLog).Routes()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	// Wait for the shard to train, then build a known-outage sample.
-	var sys *pmuoutage.System
-	for sys == nil {
-		if sys, err = svc.System("smoke"); err != nil {
-			if !service.Retryable(err) {
-				return err
-			}
-			if !sleepCtx(ctx, 20*time.Millisecond) {
-				return ctx.Err()
-			}
-		}
-	}
-	line := sys.ValidLines()[0]
-	samples, err := sys.SimulateOutageContext(ctx, []int{line}, 2)
-	if err != nil {
-		return err
-	}
-	want, err := sys.DetectBatchContext(ctx, samples)
-	if err != nil {
-		return err
-	}
-
-	cl, err := client.New(client.Config{BaseURL: base})
-	if err != nil {
-		return err
-	}
-	got, err := cl.Detect(ctx, "smoke", samples)
-	if err != nil {
-		return err
-	}
-	if err := httpserve.CompareReports(got, want); err != nil {
-		return err
-	}
-	if !got[0].Outage {
-		return fmt.Errorf("smoke detect on line %d reported no outage", line)
-	}
-
-	// Hot reload: retrain with the same options (yielding an identical
-	// model), swap it in, and verify the daemon answers byte-identically
-	// with a bumped generation — the train-once/serve-many path end to
-	// end over real HTTP.
-	genBefore := shardGeneration(svc, "smoke")
-	res, err := cl.Reload(ctx, "smoke", "")
-	if err != nil {
-		return err
-	}
-	if res.Generation != genBefore+1 {
-		return fmt.Errorf("reload generation = %d, want %d", res.Generation, genBefore+1)
-	}
-	if res.Model != sys.Model().Fingerprint() {
-		return fmt.Errorf("reloaded model fingerprint %s differs from the original %s", res.Model, sys.Model().Fingerprint())
-	}
-	got2, err := cl.Detect(ctx, "smoke", samples)
-	if err != nil {
-		return err
-	}
-	if err := httpserve.CompareReports(got2, want); err != nil {
-		return fmt.Errorf("after reload: %w", err)
-	}
-
-	// Binary ingest: one wire-frame round-trip over real HTTP must land
-	// on the same monitor path and answer with the JSON response shape.
-	if err := checkBinaryIngest(ctx, base, samples[0]); err != nil {
-		return err
-	}
-
-	// Telemetry end-to-end: a caller-supplied trace ID must be echoed on
-	// the response, and /metrics must show the traffic just served with
-	// internally consistent histograms.
-	if err := checkTraceEcho(ctx, base); err != nil {
-		return err
-	}
-	if err := checkMetrics(ctx, base); err != nil {
-		return err
-	}
-
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer sdCancel()
-	if err := httpSrv.Shutdown(sdCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
-
-// checkBinaryIngest encodes one sample with the wire codec, posts it as
-// application/x-pmu-frame, and asserts the daemon accepts and scores
-// it.
-func checkBinaryIngest(ctx context.Context, base string, sample pmuoutage.Sample) error {
-	f := wire.GetFrame()
-	defer wire.PutFrame(f)
-	if err := f.Pack(1, sample.Vm, sample.Va, nil); err != nil {
-		return err
-	}
-	enc, err := wire.AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest?shard=smoke", bytes.NewReader(enc))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", httpserve.FrameContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("binary ingest: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var out httpserve.IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return fmt.Errorf("binary ingest response: %w", err)
-	}
-	if out.Shard != "smoke" {
-		return fmt.Errorf("binary ingest answered for shard %q", out.Shard)
-	}
-	return nil
-}
-
-// checkTraceEcho round-trips a raw request with a caller-supplied
-// X-Trace-Id and asserts the daemon echoes it back verbatim.
-func checkTraceEcho(ctx context.Context, base string) error {
-	const want = "feedfacecafe0001"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(obs.TraceHeader, want)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if got := resp.Header.Get(obs.TraceHeader); got != want {
-		return fmt.Errorf("trace echo: sent %q, got %q back", want, got)
-	}
-	return nil
-}
-
-// checkMetrics scrapes /metrics and asserts the smoke traffic is
-// visible there: non-zero detect counters for the smoke shard and
-// cumulative stage-histogram buckets that never decrease with le.
-func checkMetrics(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return verifyMetricsBody(string(body))
-}
-
-// verifyMetricsBody is the pure assertion half of checkMetrics.
-func verifyMetricsBody(body string) error {
-	counterAtLeast := func(series string, min float64) error {
-		for _, line := range strings.Split(body, "\n") {
-			if !strings.HasPrefix(line, series+" ") {
-				continue
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(line[len(series)+1:]), 64)
-			if err != nil {
-				return fmt.Errorf("parsing %q: %v", line, err)
-			}
-			if v < min {
-				return fmt.Errorf("%s = %v, want at least %v", series, v, min)
-			}
-			return nil
-		}
-		return fmt.Errorf("/metrics lacks series %s", series)
-	}
-	for _, series := range []string{
-		`pmu_requests_total{shard="smoke"}`,
-		`pmu_batches_total{shard="smoke"}`,
-		`pmu_samples_total{shard="smoke"}`,
-		`pmu_reloads_total{shard="smoke"}`,
-		`pmu_ingest_frames_total{shard="smoke",mode="binary"}`,
-		`pmu_http_requests_total{path="/v1/detect"}`,
-		`pmu_http_requests_total{path="/v1/ingest"}`,
-	} {
-		if err := counterAtLeast(series, 1); err != nil {
-			return err
-		}
-	}
-	// Rendered bucket counts are cumulative, so within one series (the
-	// labels before the le pair) they must never decrease.
-	last := map[string]float64{}
-	found := false
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, "pmu_stage_seconds_bucket{") &&
-			!strings.HasPrefix(line, "pmu_http_seconds_bucket{") {
-			continue
-		}
-		cut := strings.Index(line, `le="`)
-		sp := strings.LastIndexByte(line, ' ')
-		if cut < 0 || sp < cut {
-			return fmt.Errorf("malformed bucket line %q", line)
-		}
-		key := line[:cut]
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			return fmt.Errorf("parsing %q: %v", line, err)
-		}
-		if prev, ok := last[key]; ok && v < prev {
-			return fmt.Errorf("bucket counts decreased within %s: %v after %v", key, v, prev)
-		}
-		last[key] = v
-		found = true
-	}
-	if !found {
-		return errors.New("/metrics has no stage histogram buckets")
-	}
-	return nil
-}
-
-// sleepCtx waits d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

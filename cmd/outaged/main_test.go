@@ -340,11 +340,3 @@ func TestBuildConfig(t *testing.T) {
 		t.Fatal("empty shard list accepted")
 	}
 }
-
-// TestServeSmoke runs the -smoke self-test end to end: real listener,
-// real HTTP round trip, graceful shutdown.
-func TestServeSmoke(t *testing.T) {
-	if err := runSmoke("ieee14", 12); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -51,8 +51,7 @@ func TestTraceIDOnErrorsAndMetrics(t *testing.T) {
 		t.Fatalf("minted trace id %q is not 16 hex chars", id)
 	}
 
-	// The traffic above shows up on /metrics, and the body passes the
-	// same consistency checks the smoke run applies.
+	// The traffic above shows up in the metrics registry.
 	reg := svc.Metrics()
 	if reg.CounterValue("pmu_http_requests_total", "path", "/v1/detect") == 0 ||
 		reg.CounterValue("pmu_http_errors_total", "path", "/v1/detect") == 0 {

@@ -1,897 +1,43 @@
-// Command outagesoak is the churn soak harness: it boots a full
-// in-process fleet — model registry, N traced outaged backends, the
-// router front-end — drives labelled detect and binary-frame ingest
-// traffic at it, and injects churn mid-stream: rolling reloads, an
-// incremental patch apply, an abrupt backend kill, a restart, and (with
-// -canary) a gated canary promotion. Throughout, it samples per-stage
-// latency quantiles and SLO signals from GET /v1/fleet and classifies
-// every detect answer against locally computed truth.
+// Command outagesoak runs the smoke harness: the scenario table of
+// internal/harness, every row booting its in-process fleet, driving it
+// over real HTTP, and checking its own assertions. The soak row writes
+// SOAK_report.json (churn events, per-tick accuracy and per-stage
+// latency, the slowest traces and one merged multi-hop trace).
 //
-// The run emits a structured report (default SOAK_report.json):
-// the churn event log, a time series of isolation accuracy,
-// false-alarm rate, per-hop p50/p95/p99 latencies, shed/error counts
-// and availability, plus the slowest traces the router's tail sampler
-// retained. In -smoke mode (wired to `make soak-smoke`) the run is
-// short and the harness asserts its own acceptance: no dropped
-// detects across a kill, accuracy held, and at least one retained
-// multi-hop trace stitching route → proxy → backend stages.
+// Examples:
 //
-// Example:
-//
-//	outagesoak -duration 60s -backends 3 -canary -out SOAK_report.json
+//	outagesoak                        # every row, as `make smoke` runs it
+//	outagesoak -scenario soak -duration 60s -out SOAK_report.json
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"log/slog"
-	"math"
-	"net"
-	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
-	"pmuoutage"
-	"pmuoutage/api"
-	"pmuoutage/client"
-	"pmuoutage/internal/httpserve"
-	"pmuoutage/internal/obs"
-	"pmuoutage/internal/registry"
-	"pmuoutage/internal/router"
-	"pmuoutage/internal/service"
-	"pmuoutage/internal/wire"
+	"pmuoutage/internal/harness"
 )
 
 func main() {
 	var (
-		duration = flag.Duration("duration", 30*time.Second, "traffic phase length")
-		tick     = flag.Duration("tick", 2*time.Second, "report time-series resolution")
-		nback    = flag.Int("backends", 2, "primary backend count (at least 2: one gets killed)")
-		canary   = flag.Bool("canary", false, "add a canary backend and promote the candidate near the end")
-		caseName = flag.String("case", "ieee14", "grid case every shard trains on")
-		steps    = flag.Int("train-steps", 12, "training window length")
-		seed     = flag.Int64("seed", 7, "training seed")
-		out      = flag.String("out", "SOAK_report.json", "report output path")
-		smoke    = flag.Bool("smoke", false, "short self-asserting run wired to `make soak-smoke`")
+		scenario = flag.String("scenario", "all", "row to run: serve, scale, fleet, soak, or all")
+		duration = flag.Duration("duration", 6*time.Second, "soak row traffic length")
+		out      = flag.String("out", "SOAK_report.json", "soak row report path")
 	)
 	flag.Parse()
-	cfg := soakConfig{
-		Case:       *caseName,
-		Backends:   *nback,
-		Canary:     *canary,
-		DurationMS: duration.Milliseconds(),
-		TickMS:     tick.Milliseconds(),
-		TrainSteps: *steps,
-		Seed:       *seed,
-		Smoke:      *smoke,
-	}
-	if *smoke {
-		cfg.DurationMS = (6 * time.Second).Milliseconds()
-		cfg.TickMS = time.Second.Milliseconds()
-		cfg.Backends = 2
-	}
-	if cfg.Backends < 2 {
-		log.Fatal("outagesoak: -backends must be at least 2 (the churn schedule kills one)")
-	}
-	rep, err := run(cfg)
-	if rep != nil {
-		if werr := writeReport(*out, rep); werr != nil {
-			log.Fatalf("outagesoak: writing report: %v", werr)
-		}
-		fmt.Printf("outagesoak: report written to %s (%d ticks, %d events)\n", *out, len(rep.Series), len(rep.Events))
-	}
+	rows, err := harness.Select(*scenario)
 	if err != nil {
-		log.Fatalf("outagesoak: %v", err)
+		log.Fatal(err)
 	}
-	if *smoke {
-		if err := assertSmoke(rep); err != nil {
-			log.Fatalf("soak-smoke: %v", err)
-		}
-		fmt.Println("soak-smoke ok")
-	}
-}
-
-// soakConfig is the run's shape, echoed into the report so a stored
-// SOAK_report.json is self-describing.
-type soakConfig struct {
-	Case       string `json:"case"`
-	Backends   int    `json:"backends"`
-	Canary     bool   `json:"canary"`
-	DurationMS int64  `json:"duration_ms"`
-	TickMS     int64  `json:"tick_ms"`
-	TrainSteps int    `json:"train_steps"`
-	Seed       int64  `json:"seed"`
-	Smoke      bool   `json:"smoke"`
-}
-
-// soakEvent is one churn action and its outcome.
-type soakEvent struct {
-	AtMS   int64  `json:"at_ms"`
-	Kind   string `json:"kind"` // reload | patch | kill | restart | promote
-	Detail string `json:"detail,omitempty"`
-	Err    string `json:"error,omitempty"`
-}
-
-// stageRow is one hop's latency quantiles over the SLO window at a
-// tick, read from the router's /v1/fleet stage histograms.
-type stageRow struct {
-	Count uint64  `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// tickRow is one time-series sample of the soak.
-type tickRow struct {
-	AtMS              int64               `json:"at_ms"`
-	Detects           uint64              `json:"detects"`
-	Errors            uint64              `json:"errors"`
-	Shed              uint64              `json:"shed"`
-	IngestFrames      uint64              `json:"ingest_frames"`
-	IsolationAccuracy float64             `json:"isolation_accuracy"`
-	FalseAlarmRate    float64             `json:"false_alarm_rate"`
-	P50MS             float64             `json:"p50_ms"`
-	P95MS             float64             `json:"p95_ms"`
-	P99MS             float64             `json:"p99_ms"`
-	Availability      float64             `json:"availability"`
-	Stages            map[string]stageRow `json:"stages,omitempty"`
-}
-
-// soakTotals summarizes the whole run.
-type soakTotals struct {
-	Detects           uint64  `json:"detects"`
-	Errors            uint64  `json:"errors"`
-	Shed              uint64  `json:"shed"`
-	IngestFrames      uint64  `json:"ingest_frames"`
-	OutageRequests    uint64  `json:"outage_requests"`
-	CorrectIsolations uint64  `json:"correct_isolations"`
-	NormalRequests    uint64  `json:"normal_requests"`
-	FalseAlarms       uint64  `json:"false_alarms"`
-	IsolationAccuracy float64 `json:"isolation_accuracy"`
-	FalseAlarmRate    float64 `json:"false_alarm_rate"`
-	TracesKept        uint64  `json:"traces_kept"`
-	TracesDropped     uint64  `json:"traces_dropped"`
-}
-
-// soakReport is the SOAK_report.json document.
-type soakReport struct {
-	Config        soakConfig  `json:"config"`
-	StartMS       int64       `json:"start_ms"`
-	DurationMS    int64       `json:"duration_ms"`
-	Events        []soakEvent `json:"events"`
-	Series        []tickRow   `json:"series"`
-	Totals        soakTotals  `json:"totals"`
-	SlowestTraces []api.Trace `json:"slowest_traces"`
-	MultiHopTrace *api.Trace  `json:"multi_hop_trace,omitempty"`
-}
-
-// bucket accumulates one tick's observations.
-type bucket struct {
-	detects, errors, shed, frames uint64
-	outage, outageOK              uint64
-	normal, falseAlarm            uint64
-	latMS                         []float64
-	fleet                         *api.FleetHealth
-}
-
-// stats is the run-wide collector the traffic goroutines feed.
-type stats struct {
-	mu    sync.Mutex
-	start time.Time
-	tick  time.Duration
-	ticks []*bucket
-}
-
-func (s *stats) at(now time.Time) *bucket {
-	i := int(now.Sub(s.start) / s.tick)
-	if i < 0 {
-		i = 0
-	}
-	for len(s.ticks) <= i {
-		s.ticks = append(s.ticks, &bucket{})
-	}
-	return s.ticks[i]
-}
-
-func (s *stats) detect(now time.Time, latency time.Duration, status int, outage, correct, alarmed bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.at(now)
-	b.detects++
-	b.latMS = append(b.latMS, float64(latency)/float64(time.Millisecond))
-	switch {
-	case err != nil || status >= http.StatusInternalServerError:
-		b.errors++
-		return
-	case status == http.StatusTooManyRequests:
-		b.shed++
-		return
-	}
-	if outage {
-		b.outage++
-		if correct {
-			b.outageOK++
-		}
-	} else {
-		b.normal++
-		if alarmed {
-			b.falseAlarm++
-		}
-	}
-}
-
-func (s *stats) frame(now time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.at(now)
-	if ok {
-		b.frames++
-	} else {
-		b.errors++
-	}
-}
-
-func (s *stats) fleetSnapshot(now time.Time, fh *api.FleetHealth) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.at(now).fleet = fh
-}
-
-func run(cfg soakConfig) (*soakReport, error) {
-	soakDur := time.Duration(cfg.DurationMS) * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), soakDur+4*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), *duration+10*time.Minute)
 	defer cancel()
-	quiet := obs.NewTextLogger(io.Discard, slog.LevelDebug)
-
-	// One trained artifact published once; every backend boots from the
-	// registry by fingerprint. Reload and patch churn resolve to the
-	// same weights (the patch is trained under the base seed, so it
-	// reproduces the original signatures), keeping the local truth
-	// valid across every churn event.
-	fmt.Printf("outagesoak: training %s (%d steps)...\n", cfg.Case, cfg.TrainSteps)
-	opts := pmuoutage.Options{Case: cfg.Case, TrainSteps: cfg.TrainSteps, UseDC: true, Seed: cfg.Seed, Workers: 2}
-	model, err := pmuoutage.TrainModelContext(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	fp := model.Fingerprint()
-
-	regDir, err := os.MkdirTemp("", "outagesoak-registry-")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = os.RemoveAll(regDir) }()
-	store, err := registry.NewStore(regDir)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := store.Publish(model); err != nil {
-		return nil, err
-	}
-	regSrv, err := newSoakServer("", registry.NewServer(store, quiet).Routes())
-	if err != nil {
-		return nil, err
-	}
-	defer regSrv.stop()
-
-	patchPath, err := buildPatch(ctx, model, regDir, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Backends, every one traced: tail sampling keeps slow and
-	// erroneous traces plus a deterministic 1-in-1 sample so the
-	// post-run trace assertions never race the sampler.
-	total := cfg.Backends
-	if cfg.Canary {
-		total++
-	}
-	backends := make([]*soakBackend, 0, total)
-	defer func() {
-		for _, b := range backends {
-			b.stop()
+	for _, row := range rows {
+		start := time.Now()
+		if err := row.Run(ctx, harness.Options{SoakDuration: *duration, ReportPath: *out}); err != nil {
+			log.Fatalf("outagesoak: %s: %v", row.Name, err)
 		}
-	}()
-	for i := 0; i < total; i++ {
-		b, err := newSoakBackend(ctx, "", regSrv.base, fp, opts, quiet)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, b)
-	}
-	primaries := backends[:cfg.Backends]
-	primaryURLs := make([]string, len(primaries))
-	for i, b := range primaries {
-		primaryURLs[i] = b.srv.base
-	}
-	rcfg := router.Config{
-		Backends:    primaryURLs,
-		ProbeEvery:  20 * time.Millisecond,
-		FleetWindow: 3 * time.Duration(cfg.TickMS) * time.Millisecond,
-		Logger:      quiet,
-		Tracer:      obs.NewTracer(obs.TracerConfig{Capacity: 512, SlowThreshold: 50 * time.Millisecond, SampleEvery: 1}),
-	}
-	if cfg.Canary {
-		rcfg.CanaryBackends = []string{backends[total-1].srv.base}
-		rcfg.Candidate = fp
-		rcfg.CanaryPercent = 50
-		rcfg.MinPairs = 1
-	}
-	rt, err := router.New(ctx, rcfg)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	rtSrv, err := newSoakServer("", rt.Routes())
-	if err != nil {
-		return nil, err
-	}
-	defer rtSrv.stop()
-
-	// Known-truth traffic: one outage scenario and one normal-operation
-	// scenario against the same model the fleet serves.
-	sys, err := pmuoutage.NewSystemFromModel(model)
-	if err != nil {
-		return nil, err
-	}
-	line := sys.ValidLines()[0]
-	outageSamples, err := sys.SimulateOutageContext(ctx, []int{line}, 2)
-	if err != nil {
-		return nil, err
-	}
-	normalSamples, err := sys.SimulateOutageContext(ctx, nil, 2)
-	if err != nil {
-		return nil, err
-	}
-	outageBody, err := json.Marshal(api.DetectRequest{Shard: "soak", Samples: outageSamples})
-	if err != nil {
-		return nil, err
-	}
-	normalBody, err := json.Marshal(api.DetectRequest{Shard: "soak", Samples: normalSamples})
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	st := &stats{start: start, tick: time.Duration(cfg.TickMS) * time.Millisecond}
-	rep := &soakReport{Config: cfg, StartMS: start.UnixMilli()}
-	tctx, tcancel := context.WithDeadline(ctx, start.Add(soakDur))
-	defer tcancel()
-
-	var wg sync.WaitGroup
-	// Two detect drivers alternating outage/normal scenarios, one
-	// binary-frame ingest streamer — all through the router.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; tctx.Err() == nil; i += 2 {
-				outage := i%4 < 2 // alternate scenario pairs per driver
-				body, scenario := normalBody, "normal"
-				if outage {
-					body, scenario = outageBody, "outage-line-"+strconv.Itoa(line)
-				}
-				t0 := time.Now()
-				status, correct, alarmed, err := detectOnce(tctx, rtSrv.base, body, scenario, line, outage)
-				if tctx.Err() != nil {
-					return
-				}
-				st.detect(t0, time.Since(t0), status, outage, correct, alarmed, err)
-				sleepCtx(tctx, 5*time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		streamFrames(tctx, rtSrv.base, outageSamples[0], st)
-	}()
-
-	// The fleet sampler: one /v1/fleet snapshot per tick feeds the
-	// per-hop latency series.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk := time.NewTicker(st.tick)
-		defer tk.Stop()
-		for {
-			select {
-			case <-tctx.Done():
-				return
-			case now := <-tk.C:
-				var fh api.FleetHealth
-				if err := getJSON(tctx, rtSrv.base+"/v1/fleet", &fh); err == nil {
-					st.fleetSnapshot(now.Add(-st.tick/2), &fh)
-				}
-			}
-		}
-	}()
-
-	// The churn schedule, as fractions of the traffic phase.
-	note := func(kind, detail string, err error) {
-		ev := soakEvent{AtMS: time.Since(start).Milliseconds(), Kind: kind, Detail: detail}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		rep.Events = append(rep.Events, ev)
-		fmt.Printf("outagesoak: %6dms %-8s %s err=%v\n", ev.AtMS, kind, detail, err)
-	}
-	churn := func() {
-		frac := func(f float64) bool {
-			return sleepCtx(tctx, time.Duration(f*float64(soakDur))-time.Since(start))
-		}
-		// Rolling reload: one backend at a time, by fingerprint, via the
-		// backend's own control plane (the router's /v1/reload is a
-		// broadcast — rolling is the operator's safer cadence).
-		if !frac(0.25) {
-			return
-		}
-		for i, b := range primaries {
-			_, err := b.cli.ReloadModel(tctx, "soak", fp)
-			note("reload", fmt.Sprintf("backend %d by fingerprint", i), err)
-		}
-		// Patch apply, broadcast through the router.
-		if !frac(0.45) {
-			return
-		}
-		var fr api.FleetReload
-		err := postJSON(tctx, rtSrv.base+"/v1/reload", api.ReloadRequest{Shard: "soak", PatchPath: patchPath}, &fr)
-		if err == nil && fr.Failed {
-			err = errors.New("patch reload incomplete on some backend")
-		}
-		note("patch", filepath.Base(patchPath), err)
-		// Abrupt kill mid-traffic; the router must fail in-flight
-		// requests over.
-		if !frac(0.6) {
-			return
-		}
-		addr := primaries[0].srv.addr
-		note("kill", "backend 0 "+addr, primaries[0].kill())
-		// Restart on the same address; the prober readmits it.
-		if !frac(0.8) {
-			return
-		}
-		nb, err := newSoakBackend(tctx, addr, regSrv.base, fp, opts, quiet)
-		if err == nil {
-			backends = append(backends, nb)
-		}
-		note("restart", "backend 0 "+addr, err)
-		if cfg.Canary {
-			if !frac(0.9) {
-				return
-			}
-			var pr api.PromoteResponse
-			err := postJSON(tctx, rtSrv.base+"/v1/canary/promote", api.PromoteRequest{}, &pr)
-			if err == nil && pr.Failed {
-				err = errors.New("promotion incomplete on some backend")
-			}
-			note("promote", fp[:12], err)
-		}
-	}
-	churn()
-	<-tctx.Done()
-	wg.Wait()
-	rep.DurationMS = time.Since(start).Milliseconds()
-
-	buildSeries(st, rep)
-	kept, dropped := rcfg.Tracer.KeptCounter().Load(), rcfg.Tracer.DroppedCounter().Load()
-	rep.Totals.TracesKept, rep.Totals.TracesDropped = kept, dropped
-	rep.SlowestTraces = slowestTraces(rcfg.Tracer.Traces(), 5)
-	rep.MultiHopTrace = findMultiHop(ctx, rtSrv.base, rcfg.Tracer.Traces())
-	return rep, nil
-}
-
-// detectOnce posts one labelled detect through the router and
-// classifies the answer: for outage traffic, correct means the
-// response confirms an outage naming the true line; for normal
-// traffic, alarmed means any report claims an outage.
-func detectOnce(ctx context.Context, base string, body []byte, scenario string, line int, outage bool) (status int, correct, alarmed bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/detect", bytes.NewReader(body))
-	if err != nil {
-		return 0, false, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.EvalScenarioHeader, scenario)
-	if outage {
-		req.Header.Set(api.EvalTruthHeader, strconv.Itoa(line))
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, false, false, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, false, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, false, false, nil
-	}
-	var out api.DetectResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return resp.StatusCode, false, false, err
-	}
-	for _, r := range out.Reports {
-		if r == nil || !r.Outage {
-			continue
-		}
-		alarmed = true
-		for _, l := range r.Lines {
-			if l.Index == line {
-				correct = true
-			}
-		}
-	}
-	return resp.StatusCode, correct, alarmed, nil
-}
-
-// streamFrames pushes binary wire frames through the router's ingest
-// route at a steady cadence — the collector-stream side of the soak.
-func streamFrames(ctx context.Context, base string, sample pmuoutage.Sample, st *stats) {
-	seq := uint32(1)
-	for ctx.Err() == nil {
-		f := wire.GetFrame()
-		err := f.Pack(seq, sample.Vm, sample.Va, nil)
-		var enc []byte
-		if err == nil {
-			enc, err = wire.AppendFrame(nil, f)
-		}
-		wire.PutFrame(f)
-		if err != nil {
-			st.frame(time.Now(), false)
-			return
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest?shard=soak", bytes.NewReader(enc))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", httpserve.FrameContentType)
-		t0 := time.Now()
-		resp, err := http.DefaultClient.Do(req)
-		if ctx.Err() != nil {
-			return
-		}
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-		}
-		st.frame(t0, ok)
-		seq++
-		sleepCtx(ctx, 10*time.Millisecond)
-	}
-}
-
-// buildPatch trains an identity patch (base seed reproduces the
-// original signatures) for the first valid line and encodes it next to
-// the registry dir, so the patch-apply churn exercises the real reload
-// path without changing the model the truth was computed against.
-func buildPatch(ctx context.Context, model *pmuoutage.Model, dir string, seed int64) (string, error) {
-	sys, err := pmuoutage.NewSystemFromModel(model)
-	if err != nil {
-		return "", err
-	}
-	p, err := pmuoutage.TrainModelPatchContext(ctx, model, pmuoutage.PatchSpec{
-		Lines: []int{sys.ValidLines()[0]},
-		Seed:  seed,
-	})
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "soak-patch.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := p.Encode(f); err != nil {
-		_ = f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
-// buildSeries folds the tick buckets into the report's time series and
-// totals.
-func buildSeries(st *stats, rep *soakReport) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	tot := &rep.Totals
-	for i, b := range st.ticks {
-		row := tickRow{
-			AtMS:         int64(i+1) * rep.Config.TickMS,
-			Detects:      b.detects,
-			Errors:       b.errors,
-			Shed:         b.shed,
-			IngestFrames: b.frames,
-		}
-		if b.outage > 0 {
-			row.IsolationAccuracy = float64(b.outageOK) / float64(b.outage)
-		}
-		if b.normal > 0 {
-			row.FalseAlarmRate = float64(b.falseAlarm) / float64(b.normal)
-		}
-		row.P50MS, row.P95MS, row.P99MS = quantiles(b.latMS)
-		if b.fleet != nil {
-			row.Availability = b.fleet.Availability
-			row.Stages = map[string]stageRow{}
-			for stage, h := range b.fleet.Stages {
-				row.Stages[stage] = stageRow{
-					Count: h.Count,
-					P50MS: h.Quantile(0.50) * 1e3,
-					P95MS: h.Quantile(0.95) * 1e3,
-					P99MS: h.Quantile(0.99) * 1e3,
-				}
-			}
-		}
-		rep.Series = append(rep.Series, row)
-		tot.Detects += b.detects
-		tot.Errors += b.errors
-		tot.Shed += b.shed
-		tot.IngestFrames += b.frames
-		tot.OutageRequests += b.outage
-		tot.CorrectIsolations += b.outageOK
-		tot.NormalRequests += b.normal
-		tot.FalseAlarms += b.falseAlarm
-	}
-	if tot.OutageRequests > 0 {
-		tot.IsolationAccuracy = float64(tot.CorrectIsolations) / float64(tot.OutageRequests)
-	}
-	if tot.NormalRequests > 0 {
-		tot.FalseAlarmRate = float64(tot.FalseAlarms) / float64(tot.NormalRequests)
-	}
-}
-
-// quantiles returns p50/p95/p99 of the sample set in place.
-func quantiles(xs []float64) (p50, p95, p99 float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(xs)
-	at := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(xs)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return xs[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
-// slowestTraces returns the n longest retained traces.
-func slowestTraces(traces []api.Trace, n int) []api.Trace {
-	sort.Slice(traces, func(i, j int) bool { return traces[i].DurationNS > traces[j].DurationNS })
-	if len(traces) > n {
-		traces = traces[:n]
-	}
-	return traces
-}
-
-// findMultiHop hunts the router's retained ring for a trace whose
-// merged view (GET /debug/traces?id=) spans the route, proxy, and
-// backend stages — the cross-process acceptance artifact.
-func findMultiHop(ctx context.Context, base string, traces []api.Trace) *api.Trace {
-	for i, tr := range traces {
-		if i >= 25 {
-			break
-		}
-		var merged api.Trace
-		if err := getJSON(ctx, base+"/debug/traces?id="+tr.TraceID, &merged); err != nil {
-			continue
-		}
-		stages := map[string]bool{}
-		for _, s := range merged.Spans {
-			stages[s.Stage] = true
-		}
-		if stages["route"] && stages["proxy"] && stages["http"] && stages["detect"] {
-			return &merged
-		}
-	}
-	return nil
-}
-
-// assertSmoke is the acceptance gate `make soak-smoke` runs.
-func assertSmoke(rep *soakReport) error {
-	kinds := map[string]int{}
-	for _, ev := range rep.Events {
-		if ev.Err == "" {
-			kinds[ev.Kind]++
-		}
-	}
-	if kinds["reload"] == 0 {
-		return errors.New("no successful reload event")
-	}
-	if kinds["kill"] == 0 {
-		return errors.New("no backend kill event")
-	}
-	if len(rep.Series) < 3 {
-		return fmt.Errorf("only %d time-series ticks", len(rep.Series))
-	}
-	staged := 0
-	for _, row := range rep.Series {
-		if len(row.Stages) > 0 {
-			staged++
-		}
-	}
-	if staged == 0 {
-		return errors.New("no tick carries per-stage latency quantiles")
-	}
-	if rep.Totals.OutageRequests == 0 || rep.Totals.NormalRequests == 0 {
-		return errors.New("labelled traffic missing an arm (outage or normal)")
-	}
-	if rep.Totals.IsolationAccuracy < 0.9 {
-		return fmt.Errorf("isolation accuracy %.3f under churn, want >= 0.9", rep.Totals.IsolationAccuracy)
-	}
-	if rep.Totals.Errors > 0 {
-		return fmt.Errorf("%d detect/ingest errors; a kill mid-traffic must not drop requests", rep.Totals.Errors)
-	}
-	if rep.Totals.IngestFrames == 0 {
-		return errors.New("no binary ingest frames made it through")
-	}
-	if rep.MultiHopTrace == nil {
-		return errors.New("no retained multi-hop trace stitching route, proxy, and backend stages")
-	}
-	return nil
-}
-
-func writeReport(path string, rep *soakReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// soakBackend is one in-process outaged with its shard booted from the
-// registry by fingerprint and span tracing on.
-type soakBackend struct {
-	svc *service.Service
-	cli *client.Client
-	srv *soakServer
-}
-
-func newSoakBackend(ctx context.Context, addr, regURL, fp string, opts pmuoutage.Options, logger *slog.Logger) (*soakBackend, error) {
-	reg, err := registry.NewClient(regURL, nil)
-	if err != nil {
-		return nil, err
-	}
-	model, err := reg.Model(ctx, fp)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := service.New(ctx, service.Config{
-		Shards: []service.ShardSpec{{Name: "soak", Opts: opts, Model: model}},
-		Tracer: obs.NewTracer(obs.TracerConfig{Capacity: 1024, SlowThreshold: 50 * time.Millisecond, SampleEvery: 1}),
-		Logger: logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	hs := httpserve.New(svc, 30*time.Second, logger)
-	hs.SetModelSource(reg)
-	srv, err := newSoakServer(addr, hs.Routes())
-	if err != nil {
-		svc.Close()
-		return nil, err
-	}
-	cli, err := client.New(client.Config{BaseURL: srv.base})
-	if err != nil {
-		srv.stop()
-		svc.Close()
-		return nil, err
-	}
-	return &soakBackend{svc: svc, cli: cli, srv: srv}, nil
-}
-
-// kill tears the backend down abruptly: in-flight proxied requests see
-// transport errors — the fail-over case the soak is probing.
-func (b *soakBackend) kill() error {
-	err := b.srv.httpSrv.Close()
-	b.svc.Close()
-	return err
-}
-
-func (b *soakBackend) stop() {
-	b.srv.stop()
-	b.svc.Close()
-}
-
-// soakServer serves a handler on a localhost port — ephemeral when addr
-// is empty, or a specific freed address on restart (retried briefly
-// while the OS releases it).
-type soakServer struct {
-	base    string
-	addr    string
-	httpSrv *http.Server
-	done    chan error
-}
-
-func newSoakServer(addr string, h http.Handler) (*soakServer, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	var err error
-	for i := 0; i < 40; i++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s := &soakServer{
-		base:    "http://" + ln.Addr().String(),
-		addr:    ln.Addr().String(),
-		httpSrv: &http.Server{Handler: h},
-		done:    make(chan error, 1),
-	}
-	go func() { s.done <- s.httpSrv.Serve(ln) }()
-	return s, nil
-}
-
-func (s *soakServer) stop() {
-	_ = s.httpSrv.Close()
-	<-s.done
-}
-
-func getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	return doJSON(req, out)
-}
-
-func postJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return doJSON(req, out)
-}
-
-func doJSON(req *http.Request, out any) error {
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s: HTTP %d: %s", req.Method, req.URL.Path, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, out)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
+		fmt.Printf("outagesoak: %s ok (%s)\n", row.Name, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -305,9 +305,18 @@ func TestEndToEndWithRealGridTopology(t *testing.T) {
 // incomplete emissions, and the live pending gauge.
 func TestCollectorStats(t *testing.T) {
 	nw := buildNetwork(t, 8, smallClusters(), 0)
+	// The collector counts an emission just after handing the sample
+	// over, so the receiver can read Stats first: wait for the count.
+	statsAfter := func(emitted uint64) CollectorStats {
+		deadline := time.Now().Add(2 * time.Second)
+		for nw.col.Stats().Emitted < emitted && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return nw.col.Stats()
+	}
 	nw.broadcast(t, 1)
 	collect(t, nw.col, 2*time.Second)
-	st := nw.col.Stats()
+	st := statsAfter(1)
 	if st.Emitted != 1 || st.Incomplete != 0 || st.DroppedFull != 0 {
 		t.Fatalf("after complete step: %+v", st)
 	}
@@ -333,7 +342,7 @@ func TestCollectorStats(t *testing.T) {
 	if a.Sample.Complete() {
 		t.Fatal("partial step emitted without missing entries")
 	}
-	st = nw.col.Stats()
+	st = statsAfter(2)
 	if st.Emitted != 2 || st.Incomplete != 1 {
 		t.Fatalf("after partial step: %+v", st)
 	}

@@ -1,13 +1,9 @@
 package experiments
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
-// Figures is the figure registry shared by cmd/experiments and the
-// fleet-worker handler (internal/expserve): every runnable figure of
-// the paper's evaluation, by its table name.
+// Figures is the figure registry cmd/experiments dispatches on: every
+// runnable figure of the paper's evaluation, by its table name.
 var Figures = map[string]func(context.Context, Config) ([]Row, error){
 	"fig4":     Fig4,
 	"fig5":     Fig5,
@@ -20,6 +16,3 @@ var Figures = map[string]func(context.Context, Config) ([]Row, error){
 	"multi":    MultiOutage,
 	"all":      All,
 }
-
-// ErrUnknownFigure reports a figure name outside the Figures registry.
-var ErrUnknownFigure = errors.New("experiments: unknown figure")

@@ -37,8 +37,12 @@ const SpanHeader = "X-Span-Id"
 // FormatTraceParent renders the wire header for a trace ID (16 hex
 // chars, as minted by NewTraceID) and a parent span ID. A zero span ID
 // means "no parent span": the receiver's root span becomes a child of
-// the trace only.
+// the trace only. Any other trace ID cannot ride the header, so the
+// result is "" and the ID travels in X-Trace-Id alone.
 func FormatTraceParent(traceID string, span uint64) string {
+	if _, ok := parseID(traceID); !ok {
+		return ""
+	}
 	var buf [39]byte
 	buf[0], buf[1], buf[2] = '0', '0', '-'
 	copy(buf[3:19], traceID)

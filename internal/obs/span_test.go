@@ -38,6 +38,36 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzTraceParent: ParseTraceParent never panics and accepts only the
+// headers FormatTraceParent renders (up to the flags byte); every
+// well-formed trace ID round-trips with its span, and any other ID
+// renders no header at all.
+func FuzzTraceParent(f *testing.F) {
+	f.Add("00-aaaaaaaaaaaaaaaa bbbbbbbbbbbbbbbb-01", uint64(1), uint64(2)) // missing dash
+	f.Add("abc", uint64(0), uint64(0))
+	f.Add("0123456789abcdef0123", uint64(0xdeadbeef), uint64(7))
+	f.Add("00-0123456789abcdef-00000000000000ff-01", uint64(42), uint64(0))
+	f.Fuzz(func(t *testing.T, s string, id, span uint64) {
+		if tid, parent, ok := ParseTraceParent(s); ok {
+			if h := FormatTraceParent(tid, parent); h[:37] != s[:37] {
+				t.Fatalf("ParseTraceParent(%q) accepted a header FormatTraceParent renders as %q", s, h)
+			}
+		}
+		h := FormatTraceParent(s, span)
+		if _, ok := parseID(s); !ok {
+			if h != "" {
+				t.Fatalf("FormatTraceParent(%q) = %q, want no header for a malformed ID", s, h)
+			}
+		} else if tid, parent, ok := ParseTraceParent(h); !ok || tid != s || parent != span {
+			t.Fatalf("round trip of %q: got (%q, %x, %v)", s, tid, parent, ok)
+		}
+		tid := formatID(id)
+		if got, parent, ok := ParseTraceParent(FormatTraceParent(tid, span)); !ok || got != tid || parent != span {
+			t.Fatalf("round trip of %q/%x: got (%q, %x, %v)", tid, span, got, parent, ok)
+		}
+	})
+}
+
 func TestParentSpanIDPrecedence(t *testing.T) {
 	ctx := context.Background()
 	if got := ParentSpanID(ctx); got != 0 {

@@ -46,9 +46,6 @@ var (
 	// ErrPromotionBlocked reports a promotion whose canary report gates
 	// failed.
 	ErrPromotionBlocked = errors.New("router: promotion blocked")
-	// ErrWorker reports an experiments-fleet job a worker answered with
-	// an error or an undecodable reply.
-	ErrWorker = errors.New("router: experiment worker failed")
 )
 
 // Metric names of the router's registry.

@@ -30,6 +30,7 @@ type stubBackend struct {
 	mu          sync.Mutex
 	reloads     []api.ReloadRequest // every /v1/reload body, in order
 	traceparent string              // Traceparent header of the last detect
+	traceID     string              // trace ID the last detect is filed under
 }
 
 // reloadLog snapshots the reload requests the backend has served.
@@ -71,6 +72,12 @@ func newStubBackend(t *testing.T, reply func() (int, []byte)) *stubBackend {
 		b.detects.Add(1)
 		b.mu.Lock()
 		b.traceparent = r.Header.Get(obs.TraceParentHeader)
+		// A real backend files the request under Traceparent's ID when
+		// it parses, else under X-Trace-Id.
+		b.traceID = r.Header.Get(obs.TraceHeader)
+		if id, _, ok := obs.ParseTraceParent(b.traceparent); ok {
+			b.traceID = id
+		}
 		b.mu.Unlock()
 		status, body := http.StatusOK, stubReports(1.5)
 		if b.reply != nil {
@@ -594,6 +601,37 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 	if code := bodyCode(err); code != api.CodeTooLarge {
 		t.Fatalf("bodyCode = %q, want too_large", code)
+	}
+}
+
+// TestCallerTraceIDVerbatim: a caller X-Trace-Id that is not 16 hex
+// chars cannot ride Traceparent. It must still route (no backend is
+// ejected over it) and reach the backend unchanged, not truncated.
+func TestCallerTraceIDVerbatim(t *testing.T) {
+	b1 := newStubBackend(t, nil)
+	b2 := newStubBackend(t, nil)
+	rt, ts := newTestRouter(t, Config{Backends: []string{b1.ts.URL, b2.ts.URL}})
+	seen := func(b *stubBackend) string {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.traceID
+	}
+	for _, id := range []string{"abc", "0123456789abcdef0123"} {
+		resp, body := postDetect(t, ts.URL, map[string]string{obs.TraceHeader: id})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("X-Trace-Id %q: status %d: %s", id, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(obs.TraceHeader); got != id {
+			t.Errorf("router echoed trace %q, want %q", got, id)
+		}
+		if seen(b1) != id && seen(b2) != id {
+			t.Errorf("no backend filed the detect under %q: saw %q and %q", id, seen(b1), seen(b2))
+		}
+	}
+	for _, b := range rt.primary.backends {
+		if n := b.ejections.Load(); n != 0 {
+			t.Errorf("backend %s ejected %d times", b.url, n)
+		}
 	}
 }
 
