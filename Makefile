@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build vet lint lint-report test race bench bench-full bench-serve bench-serve-smoke smoke verify
+.PHONY: build vet fmt lint lint-report test race bench bench-full bench-serve bench-serve-smoke smoke verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails, listing the files, when any tracked .go file
+# (testdata fixtures included) is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # gridlint: the repo's own analyzers (cmd/gridlint, internal/analysis).
 # Suppress an intentional finding with
@@ -76,6 +82,6 @@ bench-serve-smoke:
 smoke:
 	$(GO) run ./cmd/outagesoak
 
-# The tier-1 gate (see ROADMAP.md): build, vet, gridlint, race tests,
-# benchmark smoke, smoke harness.
-verify: build vet lint race bench bench-serve-smoke smoke
+# The tier-1 gate (see ROADMAP.md): build, vet, gofmt, gridlint, race
+# tests, benchmark smoke, smoke harness.
+verify: build vet fmt lint race bench bench-serve-smoke smoke

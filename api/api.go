@@ -16,6 +16,12 @@ package api
 
 import "pmuoutage"
 
+// MaxBodyBytes bounds every request body the serving tier reads. The
+// router refuses a larger proxied body and a backend a larger JSON
+// body, both with CodeTooLarge, so a backend accepts anything the
+// router forwards.
+const MaxBodyBytes = 64 << 20
+
 // DetectRequest is the body of POST /v1/detect.
 type DetectRequest struct {
 	Shard   string             `json:"shard"`
@@ -79,8 +85,6 @@ type ShardStatus struct {
 	Lines      int    `json:"lines,omitempty"`
 	Restarts   uint64 `json:"restarts"`
 	QueueDepth int    `json:"queue_depth"`
-	// Replicas is the number of serve loops sharing the shard's model.
-	Replicas int `json:"replicas"`
 	// Generation counts model activations (initial training, rebuilds,
 	// hot reloads); it bumps exactly when Model may have changed.
 	Generation uint64 `json:"generation"`
@@ -102,7 +106,6 @@ type ShardSnapshot struct {
 	Reloads      uint64  `json:"reloads"`
 	FramesJSON   uint64  `json:"frames_json"`
 	FramesBinary uint64  `json:"frames_binary"`
-	FramesStream uint64  `json:"frames_stream"`
 	MaxBatch     int     `json:"max_batch"`
 	AvgBatch     float64 `json:"avg_batch"`
 	AvgLatencyMS float64 `json:"avg_latency_ms"`

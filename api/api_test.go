@@ -55,8 +55,8 @@ func TestWireFieldNames(t *testing.T) {
 		},
 		{
 			"ShardStatus",
-			ShardStatus{Name: "east", Case: "ieee14", State: "ready", Restarts: 1, Replicas: 2, Generation: 3, Model: "abc"},
-			`{"name":"east","case":"ieee14","state":"ready","restarts":1,"queue_depth":0,"replicas":2,"generation":3,"model":"abc"}`,
+			ShardStatus{Name: "east", Case: "ieee14", State: "ready", Restarts: 1, Generation: 3, Model: "abc"},
+			`{"name":"east","case":"ieee14","state":"ready","restarts":1,"queue_depth":0,"generation":3,"model":"abc"}`,
 		},
 		{
 			"ModelInfo",
@@ -84,7 +84,7 @@ func TestShardSnapshotFields(t *testing.T) {
 	}
 	for _, key := range []string{
 		"requests", "ingests", "samples", "batches", "shed", "unavailable",
-		"restarts", "reloads", "frames_json", "frames_binary", "frames_stream",
+		"restarts", "reloads", "frames_json", "frames_binary",
 		"max_batch", "avg_batch", "avg_latency_ms", "p50_latency_ms",
 		"p95_latency_ms", "p99_latency_ms", "queue_depth",
 	} {

@@ -44,11 +44,10 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional listen address for pprof and expvar (e.g. localhost:6060); empty disables")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug (per-request spans), info, warn, error")
+		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		shards     = flag.String("shards", "main=ieee14", "comma-separated name=case shard list")
 		models     = flag.String("models", "", "comma-separated name=ref list of model artifacts to boot shards from (skips training); a ref is a file path or, with -registry, a hex SHA-256 fingerprint")
 		regURL     = flag.String("registry", "", "model registry base URL (e.g. http://localhost:8090); enables boot and hot reload by fingerprint")
-		replicas   = flag.Int("replicas", 0, "serve loops per shard sharing one model (0 = 1)")
 		trainSteps = flag.Int("train-steps", 0, "training window length per scenario (0 = library default)")
 		seed       = flag.Int64("seed", 1, "base seed; shard i trains with seed+i")
 		dc         = flag.Bool("dc", false, "use the linear DC power-flow substrate (faster training)")
@@ -83,9 +82,6 @@ func main() {
 	defer stop()
 	if err := applyModels(ctx, &cfg, *models, reg); err != nil {
 		log.Fatal(err)
-	}
-	for i := range cfg.Shards {
-		cfg.Shards[i].Replicas = *replicas
 	}
 	cfg.Logger = logger
 	if *traceCap > 0 {

@@ -7,9 +7,9 @@ type Counter struct{}
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, help string, labels ...string) *Counter   { return nil }
-func (r *Registry) Gauge(name, help string, labels ...string) *Counter     { return nil }
-func (r *Registry) Histogram(name, help string, labels ...string) *Counter { return nil }
+func (r *Registry) Counter(name, help string, labels ...string) *Counter             { return nil }
+func (r *Registry) Gauge(name, help string, labels ...string) *Counter               { return nil }
+func (r *Registry) Histogram(name, help string, labels ...string) *Counter           { return nil }
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {}
 func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...string)    {}
 
@@ -44,7 +44,7 @@ func register(r *Registry, c *Counter, labels []string) {
 	r.Counter(dupName, "first registration is fine", labelShard, "east")
 	r.Counter(dupName, "second call site is the smell") // want `metric "pmu_dup_total" is registered at more than one call site`
 
-	r.Gauge(goodGauge, "label keys must be consts too", "shard", "east") // want `label key must be a package-level named constant, not a string literal`
+	r.Gauge(goodGauge, "label keys must be consts too", "shard", "east")        // want `label key must be a package-level named constant, not a string literal`
 	r.Histogram(goodHist2, "label keys must be snake_case", labelCamel, "east") // want `label key "shardName" \(const labelCamel\) is not snake_case`
 }
 
@@ -69,7 +69,7 @@ func spans(tr *Tracer, ctx any) {
 	tr.RecordSpan(ctx, stageGood, 0, 0) // fine: stages may repeat across call sites
 	tr.RecordSpan(ctx, stageGood, 0, 0)
 
-	_, _ = tr.StartSpan(ctx, "queue") // want `span stage must be a package-level named constant, not a string literal`
+	_, _ = tr.StartSpan(ctx, "queue")    // want `span stage must be a package-level named constant, not a string literal`
 	tr.RecordSpan(ctx, stageCamel, 0, 0) // want `span stage "proxyHop" \(const stageCamel\) is not snake_case`
 }
 

@@ -12,9 +12,9 @@ import "time"
 // Extra's own fields are still checked.
 type Model struct {
 	Extra
-	Version int    `json:"format_version"`
-	Name    string // want `exported field Model\.Name is serialized via modelio\.Model but has no json tag`
-	Ignored string `json:"-"`
+	Version int           `json:"format_version"`
+	Name    string        // want `exported field Model\.Name is serialized via modelio\.Model but has no json tag`
+	Ignored string        `json:"-"`
 	Grid    *Topology     `json:"grid"`
 	Bases   []Basis       `json:"bases"`
 	ByLine  map[int]Basis `json:"by_line"`

@@ -144,19 +144,17 @@ func TestSinkReceivesSynchronously(t *testing.T) {
 	}
 	defer closeWithin(t, 2*time.Second, "collector close", c.Close)
 
-	var got []Assembled
-	c.SetSink(func(a Assembled) { got = append(got, a) })
 	c.ingest(ClusterFrame{PDC: 0, Seq: 3, Buses: []int{0, 1}, Vm: []float64{1, 2}, Va: []float64{0, 0}})
-	if len(got) != 1 || got[0].Seq != 3 || got[0].Sample.Vm[1] != 2 {
-		t.Fatalf("sink not invoked before ingest returned: %+v", got)
-	}
 	select {
-	case a := <-c.Samples():
-		t.Fatalf("sample leaked onto the channel with a sink attached: %+v", a)
+	case got := <-c.Samples():
+		if got.Seq != 3 || got.Sample.Vm[1] != 2 {
+			t.Fatalf("emitted %+v, want seq 3 with vm[1] = 2", got)
+		}
 	default:
+		t.Fatal("completed sample not on Samples() before ingest returned")
 	}
 	if st := c.Stats(); st.Emitted != 1 {
-		t.Fatalf("sink delivery not counted: %+v", st)
+		t.Fatalf("delivery not counted: %+v", st)
 	}
 }
 
@@ -170,13 +168,14 @@ func TestNoDuplicateEmissionUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
 	counts := map[int]int{}
-	c.SetSink(func(a Assembled) {
-		mu.Lock()
-		counts[a.Seq]++
-		mu.Unlock()
-	})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for a := range c.Samples() {
+			counts[a.Seq]++
+		}
+	}()
 
 	// Two PDCs per bus: the second pair's frames often land after the
 	// first pair completed the sequence.
@@ -193,6 +192,7 @@ func TestNoDuplicateEmissionUnderRace(t *testing.T) {
 	wg.Wait()
 	c.Flush()
 	closeWithin(t, 2*time.Second, "collector close", c.Close)
+	<-drained // Close closed Samples() after its last delivery
 
 	var total uint64
 	for seq, n := range counts {
@@ -202,6 +202,6 @@ func TestNoDuplicateEmissionUnderRace(t *testing.T) {
 		total += uint64(n)
 	}
 	if st := c.Stats(); st.Emitted != total {
-		t.Fatalf("Emitted = %d but sink saw %d samples", st.Emitted, total)
+		t.Fatalf("Emitted = %d but Samples() carried %d samples", st.Emitted, total)
 	}
 }

@@ -104,19 +104,13 @@ func deadlineFor(ewmaSeconds float64, lo, hi time.Duration) time.Duration {
 // once complete or past the adaptive deadline — late or lost data become
 // missing entries rather than blocking the application, matching the
 // paper's online-detection requirement. Emissions go to the Samples
-// channel, or straight into a consumer attached with SetSink (the
-// device→detector stream the service layer uses).
+// channel.
 type Collector struct {
 	n           int
 	maxDeadline time.Duration
 	minDeadline time.Duration
 	out         chan Assembled
 	wake        chan struct{}
-
-	// sink, when set, replaces the Samples channel; sinkMu serializes
-	// its invocations across the delivery goroutines.
-	sink   atomic.Pointer[func(Assembled)]
-	sinkMu sync.Mutex
 
 	ln net.Listener
 
@@ -145,8 +139,7 @@ type Collector struct {
 // observability hook the serving layer's dashboards read alongside the
 // detection service's shard counters.
 type CollectorStats struct {
-	// Emitted counts samples delivered (on Samples or into the sink),
-	// complete or not.
+	// Emitted counts samples delivered on Samples, complete or not.
 	Emitted uint64
 	// Incomplete counts emitted samples that carried missing entries.
 	Incomplete uint64
@@ -259,19 +252,6 @@ func (c *Collector) SetLogger(lg *slog.Logger) {
 	c.logger = lg
 }
 
-// SetSink routes assembled samples to fn instead of the Samples
-// channel — the typed emission stream the detection service attaches
-// via Service.CollectorSink. Set it before PDC traffic flows. fn is
-// invoked one sample at a time (never concurrently) and must not
-// block: the network readers and the deadline loop wait on it.
-func (c *Collector) SetSink(fn func(Assembled)) {
-	if fn == nil {
-		c.sink.Store(nil)
-		return
-	}
-	c.sink.Store(&fn)
-}
-
 type assembly struct {
 	vm, va  []float64
 	have    pmunet.Mask // true = received
@@ -302,7 +282,7 @@ const maxPending = 256
 // time step waits for stragglers before being emitted with missing
 // entries (default 100ms); once PDC latencies have been observed the
 // effective deadline adapts below it (see AdaptiveDeadline). Assembled
-// samples arrive on Samples(), or in the SetSink callback.
+// samples arrive on Samples().
 func NewCollector(n int, listenAddr string, deadline time.Duration) (*Collector, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("comm: collector needs positive bus count, got %d", n)
@@ -343,7 +323,7 @@ func NewCollector(n int, listenAddr string, deadline time.Duration) (*Collector,
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
 // Samples returns the stream of assembled samples. The channel closes
-// when the collector is closed. Unused when a sink is attached.
+// when the collector is closed.
 func (c *Collector) Samples() <-chan Assembled { return c.out }
 
 func (c *Collector) acceptLoop() {
@@ -533,18 +513,11 @@ func (c *Collector) markEmittedLocked(seq int) {
 }
 
 // deliver hands one emission to the consumer with no collector lock
-// held, so a slow sink or a full channel can never stall the network
-// path. Delivery happens before the triggering call (ingest, Flush,
-// Close) returns.
+// held, so a full channel can never stall the network path. Delivery
+// happens before the triggering call (ingest, Flush, Close) returns.
 func (c *Collector) deliver(em emission) {
-	asm := Assembled{Seq: em.seq, Sample: em.sample}
-	if p := c.sink.Load(); p != nil {
-		c.callSink(*p, asm)
-		c.noteEmitted(em)
-		return
-	}
 	select {
-	case c.out <- asm:
+	case c.out <- Assembled{Seq: em.seq, Sample: em.sample}:
 		c.noteEmitted(em)
 	default:
 		// A stalled consumer must not deadlock the network path; the
@@ -555,15 +528,6 @@ func (c *Collector) deliver(em emission) {
 				slog.Int("seq", em.seq))
 		}
 	}
-}
-
-// callSink serializes sink invocations: emissions can originate from
-// any PDC reader or the deadline loop concurrently, but the sink sees
-// one sample at a time.
-func (c *Collector) callSink(fn func(Assembled), a Assembled) {
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	fn(a)
 }
 
 func (c *Collector) noteEmitted(em emission) {

@@ -32,7 +32,7 @@ import (
 const Shard = "smoke"
 
 // quiet logs at debug level into a discard sink: rows exercise the
-// full span and access-log path without printing it.
+// full access and lifecycle log path without printing it.
 var quiet = obs.NewTextLogger(io.Discard, slog.LevelDebug)
 
 // recipe is the training recipe of every row: DC power flow, seed 7.

@@ -234,7 +234,7 @@ type (
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req DetectRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -247,9 +247,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	encStart := time.Now()
 	writeJSON(w, http.StatusOK, DetectResponse{Shard: req.Shard, Reports: reports})
-	encEnd := time.Now()
-	s.svc.Counters(req.Shard).StageSeconds(service.StageEncode).Observe(encEnd.Sub(encStart))
-	s.svc.Tracer().RecordSpan(r.Context(), stageEncode, encStart, encEnd, nil)
+	s.svc.Tracer().RecordSpan(r.Context(), stageEncode, s.svc.Counters(req.Shard).StageSeconds(service.StageEncode), encStart, time.Now())
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -258,7 +256,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -327,7 +325,7 @@ func (s *Server) SetModelSource(f ModelFetcher) { s.models = f }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -436,10 +434,17 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // with facade sample validation.
 var ErrBadRequest = errors.New("bad request")
 
-func decodeJSON(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
+// decodeJSON decodes one request body of at most api.MaxBodyBytes —
+// the router's bound, so a backend accepts anything the router
+// forwards. Reading past the bound fails with *http.MaxBytesError,
+// which CodeOf maps to 413 too_large.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return err
+		}
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return nil
@@ -477,6 +482,8 @@ func CodeOf(err error) api.Code {
 		return api.CodeConfig
 	case errors.Is(err, ErrBadRequest):
 		return api.CodeBadRequest
+	case errors.As(err, new(*http.MaxBytesError)):
+		return api.CodeTooLarge
 	case errors.Is(err, service.ErrOverloaded):
 		return api.CodeOverloaded
 	case errors.Is(err, service.ErrUnavailable):

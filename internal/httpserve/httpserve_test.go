@@ -7,11 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"pmuoutage"
+	"pmuoutage/api"
 	"pmuoutage/internal/comm"
 	"pmuoutage/internal/service"
 	"pmuoutage/internal/wire"
@@ -222,6 +223,44 @@ func TestBinaryIngestErrors(t *testing.T) {
 	}
 }
 
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+var spaceBlock = bytes.Repeat([]byte(" "), 32<<10)
+
+func (spaces) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], spaceBlock)
+	}
+	return n, nil
+}
+
+// TestOversizedJSONBodyRejected: a detect body past api.MaxBodyBytes
+// sent straight to a backend — a valid request padded with whitespace —
+// is refused with 413 too_large, the router's answer for the same body,
+// instead of being buffered and served.
+func TestOversizedJSONBodyRejected(t *testing.T) {
+	svc, err := service.New(context.Background(), service.Config{Shards: []service.ShardSpec{{Name: "east", Opts: trainOpts(3)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	body := io.MultiReader(
+		strings.NewReader(`{"shard":"east","samples":[]`),
+		io.LimitReader(spaces{}, api.MaxBodyBytes),
+		strings.NewReader(`}`),
+	)
+	rec := httptest.NewRecorder()
+	New(svc, time.Second, nil).Routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body.Bytes())
+	}
+	if env, ok := api.DecodeError(rec.Body.Bytes()); !ok || env.Code != api.CodeTooLarge {
+		t.Fatalf("error envelope = %+v (decoded %v), want code too_large", env, ok)
+	}
+}
+
 // maskIndices converts an assembled sample's missing mask into the
 // facade's index form.
 func maskIndices(mask []bool) []int {
@@ -241,49 +280,27 @@ type seqEvent struct {
 }
 
 // TestFleetToDetectorE2E wires the whole streaming pipeline: a PMU/PDC
-// fleet over real TCP feeds a collector whose sink is the service's
-// StreamIngest adapter; every confirmed event must be byte-identical to
-// replaying the exact assembled samples — missing measurements included
-// — through the JSON /v1/ingest endpoint of a twin service booted from
-// the same artifact.
+// fleet over real TCP feeds a collector, and every assembled sample it
+// emits on Samples() — missing measurements included — is posted as a
+// binary frame to one backend and as a JSON body to a twin booted from
+// the same artifact. The two event streams must be byte-identical.
 func TestFleetToDetectorE2E(t *testing.T) {
 	m, err := pmuoutage.TrainModel(trainOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var streamed []seqEvent
-	svcStream, _ := newModelServer(t, m, func(cfg *service.Config) {
-		cfg.OnEvent = func(shard string, seq uint32, ev *pmuoutage.Event) {
-			mu.Lock()
-			streamed = append(streamed, seqEvent{Seq: seq, Event: ev})
-			mu.Unlock()
-		}
-	})
-	_, tsReplay := newModelServer(t, m, nil)
-	sys := waitShardReady(t, svcStream, "east")
+	svcBin, tsBin := newModelServer(t, m, nil)
+	_, tsJSON := newModelServer(t, m, nil)
+	sys := waitShardReady(t, svcBin, "east")
 	n := sys.Buses()
 	samples, err := sys.SimulateOutage([]int{sys.ValidLines()[0]}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Collector → service: record every assembled sample in emission
-	// order, then forward it down the stream-ingest path. The tee and
-	// the sink run on the same goroutine, so the recorded order is
-	// exactly what the detector saw.
 	col, err := comm.NewCollector(n, "127.0.0.1:0", 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []comm.Assembled
-	sink := svcStream.CollectorSink("east")
-	col.SetSink(func(a comm.Assembled) {
-		mu.Lock()
-		order = append(order, a)
-		mu.Unlock()
-		sink(a)
-	})
 
 	// Two PDCs splitting the grid, one PMU per bus, lossless transport;
 	// bus 0's PMU goes silent on every third step so the deadline sweep
@@ -327,79 +344,68 @@ func TestFleetToDetectorE2E(t *testing.T) {
 
 	// Every step is eventually emitted: complete ones on assembly,
 	// partial ones by the deadline sweep.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		mu.Lock()
-		got := len(order)
-		mu.Unlock()
-		if got >= len(samples) {
-			break
+	var order []comm.Assembled
+	timeout := time.After(30 * time.Second)
+	for len(order) < len(samples) {
+		select {
+		case a := <-col.Samples():
+			order = append(order, a)
+		case <-timeout:
+			t.Fatalf("collector emitted %d of %d steps", len(order), len(samples))
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("collector emitted %d of %d steps", got, len(samples))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Wait for the stream consumer to drain, then replay the recorded
-	// assemblies — same order, same masks — over JSON HTTP.
-	for {
-		if svcStream.Stats()["east"].Ingests >= uint64(len(order)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stream path scored %d of %d samples", svcStream.Stats()["east"].Ingests, len(order))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if shed := svcStream.Stats()["east"].Shed; shed != 0 {
-		t.Fatalf("stream path shed %d frames; equivalence would be vacuous", shed)
-	}
-
-	var replayed []seqEvent
-	sawMissing := false
-	for _, a := range order {
-		miss := maskIndices(a.Sample.Mask)
-		if len(miss) > 0 {
-			sawMissing = true
-		}
-		status, body := postIngestJSON(t, tsReplay.URL, "east", pmuoutage.Sample{Vm: a.Sample.Vm, Va: a.Sample.Va, Missing: miss})
+	// Post the assemblies in emission order, same masks, over both
+	// transports.
+	record := func(events []seqEvent, seq, status int, body []byte) []seqEvent {
+		t.Helper()
 		if status != http.StatusOK {
-			t.Fatalf("replaying seq %d: HTTP %d: %s", a.Seq, status, body)
+			t.Fatalf("posting seq %d: HTTP %d: %s", seq, status, body)
 		}
 		var out IngestResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Event != nil {
-			replayed = append(replayed, seqEvent{Seq: uint32(a.Seq), Event: out.Event})
+			events = append(events, seqEvent{Seq: uint32(seq), Event: out.Event})
 		}
+		return events
 	}
-	if len(replayed) == 0 {
-		t.Fatal("replay confirmed no events; the equivalence check is vacuous")
+	var binary, viaJSON []seqEvent
+	sawMissing := false
+	for _, a := range order {
+		s := pmuoutage.Sample{Vm: a.Sample.Vm, Va: a.Sample.Va, Missing: maskIndices(a.Sample.Mask)}
+		if len(s.Missing) > 0 {
+			sawMissing = true
+		}
+		status, body := postIngestFrame(t, tsBin.URL, "east", uint32(a.Seq), s)
+		binary = record(binary, a.Seq, status, body)
+		status, body = postIngestJSON(t, tsJSON.URL, "east", s)
+		viaJSON = record(viaJSON, a.Seq, status, body)
+	}
+	if len(viaJSON) == 0 {
+		t.Fatal("fleet trace confirmed no events; the equivalence check is vacuous")
 	}
 	if !sawMissing {
 		t.Fatal("no assembled sample carried a missing-data mask; injection failed")
 	}
 
-	wantJSON, err := json.Marshal(replayed)
+	wantJSON, err := json.Marshal(viaJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	gotJSON, err := json.Marshal(streamed)
-	mu.Unlock()
+	gotJSON, err := json.Marshal(binary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("stream events diverge from JSON replay:\nstream: %s\nreplay: %s", gotJSON, wantJSON)
+		t.Fatalf("binary-frame events diverge from JSON:\nbinary: %s\njson:   %s", gotJSON, wantJSON)
 	}
-	if got := svcStream.Stats()["east"].FramesStream; got != uint64(len(order)) {
-		t.Fatalf("stream admissions = %d, want %d", got, len(order))
+	if got := svcBin.Stats()["east"].FramesBinary; got != uint64(len(order)) {
+		t.Fatalf("binary admissions = %d, want %d", got, len(order))
 	}
 }
 

@@ -12,8 +12,8 @@ func TestNearZeroBoundary(t *testing.T) {
 		want bool
 	}{
 		{0, true},
-		{eps, true},          // boundary is inclusive
-		{-eps, true},         // symmetric
+		{eps, true},  // boundary is inclusive
+		{-eps, true}, // symmetric
 		{math.Nextafter(eps, 1), false},
 		{-math.Nextafter(eps, 1), false},
 		{1e-12, true},

@@ -49,8 +49,9 @@ func TestHotPathAllocations(t *testing.T) {
 		{"span end disabled", 0, func() { nilSpan.End() }},
 		{"span attr disabled", 0, func() { nilSpan.SetAttr("k", "v") }},
 		{"span error string disabled", 0, func() { nilSpan.SetErrorString("boom") }},
-		{"record span disabled", 0, func() { nilT.RecordSpan(ctx, "stage", now, now, nil) }},
-		{"record span untraced", 0, func() { tr.RecordSpan(context.Background(), "stage", now, now, nil) }},
+		{"record span disabled", 0, func() { nilT.RecordSpan(ctx, "stage", nilH, now, now) }},
+		{"record span disabled observes", 0, func() { nilT.RecordSpan(ctx, "stage", h, now, now) }},
+		{"record span untraced", 0, func() { tr.RecordSpan(context.Background(), "stage", h, now, now) }},
 		{"span from context", 0, func() { _ = SpanFromContext(ctx) }},
 		{"parent span id read", 0, func() { _ = ParentSpanID(ctx) }},
 	}

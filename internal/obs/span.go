@@ -19,9 +19,10 @@ import (
 // fixed-size ring served at GET /debug/traces; everything else is
 // dropped with no per-trace allocation beyond the pending entry.
 //
-// A nil *Tracer is the disabled state: StartSpan, End, and RecordSpan
-// are allocation-free no-ops (AllocsPerRun-pinned), so tracing can be
-// compiled into every hot path unconditionally.
+// A nil *Tracer is the disabled state: StartSpan and End are
+// allocation-free no-ops, and RecordSpan only observes its histogram
+// (AllocsPerRun-pinned), so tracing can be compiled into every hot path
+// unconditionally.
 
 // TraceParentHeader carries trace ID plus parent span ID across the
 // wire, traceparent-style: "00-<trace 16 hex>-<span 16 hex>-01".
@@ -312,29 +313,28 @@ func (t *Tracer) start(ctx context.Context, stage string) (context.Context, *Spa
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// RecordSpan records an already-measured child span in one call — the
-// form the shard pipeline uses, where stage timings exist as plain
-// time.Times on the batch path. It is a no-op (and allocation-free)
-// when the tracer is nil or ctx carries no trace ID: the untraced hot
-// path pays two pointer lookups.
+// RecordSpan records one already-measured stage in one call — the form
+// the shard pipeline and the HTTP encode step use, where stage timings
+// exist as plain time.Times. It observes end-start on h (nil h: no
+// histogram) and files a child span for stage under ctx's trace. The
+// histogram is observed even on a nil tracer; the span is skipped,
+// allocation-free, when the tracer is nil or ctx carries no trace ID.
 //
 //gridlint:zeroalloc
-func (t *Tracer) RecordSpan(ctx context.Context, stage string, start, end time.Time, err error) {
+func (t *Tracer) RecordSpan(ctx context.Context, stage string, h *Histogram, start, end time.Time) {
+	h.Observe(end.Sub(start))
 	if t == nil {
 		return
 	}
-	t.recordCtx(ctx, stage, start, end, err)
+	t.recordCtx(ctx, stage, start, end)
 }
 
-func (t *Tracer) recordCtx(ctx context.Context, stage string, start, end time.Time, err error) {
+func (t *Tracer) recordCtx(ctx context.Context, stage string, start, end time.Time) {
 	traceID := TraceID(ctx)
 	if traceID == "" {
 		return
 	}
 	d := spanData{id: mintID(), parent: ParentSpanID(ctx), stage: stage, start: start, end: end}
-	if err != nil {
-		d.err = err.Error()
-	}
 	t.record(traceID, &d)
 }
 

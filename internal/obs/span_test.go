@@ -100,13 +100,36 @@ func drive(tr *Tracer, rootDur time.Duration, spanErr error) string {
 	child.SetError(spanErr)
 	child.End()
 	now := time.Now()
-	tr.RecordSpan(cctx, "detect", now.Add(-time.Millisecond), now, nil)
+	tr.RecordSpan(cctx, "detect", nil, now.Add(-time.Millisecond), now)
 	if rootDur > 0 {
 		root.start = root.start.Add(-rootDur) // age the root instead of sleeping
 	}
 	id := TraceID(ctx)
 	root.End()
 	return id
+}
+
+// TestRecordSpanObservesHistogram: RecordSpan observes its stage
+// histogram whether or not it files a span — on a nil tracer, on an
+// untraced context, and under a traced one, where the span also lands.
+func TestRecordSpanObservesHistogram(t *testing.T) {
+	h := NewRegistry().Histogram("stage_seconds", "x")
+	start := time.Now()
+	end := start.Add(2 * time.Millisecond)
+	var off *Tracer
+	off.RecordSpan(WithTraceID(context.Background(), NewTraceID()), "detect", h, start, end)
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	tr.RecordSpan(context.Background(), "detect", h, start, end)
+	ctx, root := tr.StartSpan(context.Background(), "http")
+	tr.RecordSpan(ctx, "detect", h, start, end)
+	root.End()
+	if n := h.Count(); n != 3 {
+		t.Fatalf("histogram count = %d, want 3 (one per RecordSpan)", n)
+	}
+	got, ok := tr.TraceByID(TraceID(ctx))
+	if !ok || len(got.Spans) != 2 {
+		t.Fatalf("traced RecordSpan: kept=%v spans=%d, want the root and one detect span", ok, len(got.Spans))
+	}
 }
 
 func TestTailSamplingKeepRules(t *testing.T) {
@@ -217,7 +240,7 @@ func TestSpanCapAndPendingBound(t *testing.T) {
 	ctx, root := tr.StartSpan(context.Background(), "http")
 	for i := 0; i < 4; i++ {
 		now := time.Now()
-		tr.RecordSpan(ctx, "detect", now, now, nil)
+		tr.RecordSpan(ctx, "detect", nil, now, now)
 	}
 	id := TraceID(ctx)
 	root.End()
@@ -234,9 +257,9 @@ func TestSpanCapAndPendingBound(t *testing.T) {
 	small := NewTracer(TracerConfig{MaxPending: 1, SampleEvery: 1})
 	orphanCtx := WithTraceID(context.Background(), NewTraceID())
 	now := time.Now()
-	small.RecordSpan(orphanCtx, "detect", now, now, nil) // root never arrives: occupies the slot
+	small.RecordSpan(orphanCtx, "detect", nil, now, now) // root never arrives: occupies the slot
 	ctx2 := WithTraceID(context.Background(), NewTraceID())
-	small.RecordSpan(ctx2, "detect", now, now, nil) // shed: table full
+	small.RecordSpan(ctx2, "detect", nil, now, now) // shed: table full
 	_, lateRoot := small.StartSpan(ctx2, "http")
 	lateRoot.End()
 	got, ok = small.TraceByID(TraceID(ctx2))

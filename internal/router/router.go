@@ -64,7 +64,6 @@ const (
 	routeIngest          = "ingest"
 	poolNamePrimary      = "primary"
 	poolNameCanary       = "canary"
-	defaultMaxBody       = 64 << 20
 	defaultProbeEvery    = 250 * time.Millisecond
 	defaultShadowTimeout = 30 * time.Second
 	defaultFleetWindow   = time.Minute
@@ -718,12 +717,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // would surface as a confusing decode error on the backend (or worse,
 // silently dropped trailing data).
 func readBody(req *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(req.Body, defaultMaxBody+1))
+	data, err := io.ReadAll(io.LimitReader(req.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
 	}
-	if len(data) > defaultMaxBody {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, defaultMaxBody)
+	if len(data) > api.MaxBodyBytes {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, api.MaxBodyBytes)
 	}
 	return data, nil
 }

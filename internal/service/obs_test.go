@@ -42,15 +42,10 @@ func TestStatsMetricsParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One sample per ingest transport: a real frame through StreamIngest,
-	// and the admission counters the HTTP layer would bump for its json
-	// and binary bodies.
-	if err := svc.StreamIngest("east", sampleFrame(t, 1, samples[0])); err != nil {
-		t.Fatal(err)
-	}
+	// The admission counters the HTTP layer bumps for its json and
+	// binary bodies.
 	svc.Counters("east").Frames(IngestJSON).Add(2)
 	svc.Counters("east").Frames(IngestBinary).Inc()
-	waitIngests(t, svc, "east", 5) // the streamed frame scores asynchronously
 
 	snap := svc.Stats()["east"]
 	reg := svc.Metrics()
@@ -77,16 +72,15 @@ func TestStatsMetricsParity(t *testing.T) {
 	}{
 		{"json", snap.FramesJSON},
 		{"binary", snap.FramesBinary},
-		{"stream", snap.FramesStream},
 	} {
 		if got := reg.CounterValue("pmu_ingest_frames_total", "shard", "east", "mode", tc.mode); got != tc.want {
 			t.Errorf("pmu_ingest_frames_total{mode=%q} = %d, registry says %d", tc.mode, tc.want, got)
 		}
 	}
-	if snap.Requests != 7 || snap.Ingests != 5 || snap.Samples != 21 {
+	if snap.Requests != 7 || snap.Ingests != 4 || snap.Samples != 21 {
 		t.Fatalf("unexpected traffic totals: %+v", snap)
 	}
-	if snap.FramesJSON != 2 || snap.FramesBinary != 1 || snap.FramesStream != 1 {
+	if snap.FramesJSON != 2 || snap.FramesBinary != 1 {
 		t.Fatalf("unexpected per-mode admissions: %+v", snap)
 	}
 	det, ok := reg.HistogramSnapshot("pmu_stage_seconds", "shard", "east", "stage", "detect")
@@ -114,11 +108,10 @@ func TestStatsMetricsParity(t *testing.T) {
 	}
 	for _, want := range []string{
 		`pmu_requests_total{shard="east"} 7`,
-		`pmu_ingests_total{shard="east"} 5`,
+		`pmu_ingests_total{shard="east"} 4`,
 		`pmu_samples_total{shard="east"} 21`,
 		`pmu_ingest_frames_total{shard="east",mode="json"} 2`,
 		`pmu_ingest_frames_total{shard="east",mode="binary"} 1`,
-		`pmu_ingest_frames_total{shard="east",mode="stream"} 1`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
@@ -128,20 +121,22 @@ func TestStatsMetricsParity(t *testing.T) {
 
 // TestTelemetryEquivalence pins the instrumentation-is-observational
 // guarantee: two services booted from the same model artifact — one
-// silent, one with debug logging and traced contexts — produce byte-
-// identical detection responses.
+// silent, one with debug logging and a tracer — produce byte-identical
+// detection responses, and the traced request's retained trace holds
+// its queue, coalesce and detect stage spans under the root span.
 func TestTelemetryEquivalence(t *testing.T) {
 	m, err := pmuoutage.TrainModel(quickOpts(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logBuf bytes.Buffer
-	newSvc := func(lg *slog.Logger) *Service {
+	newSvc := func(lg *slog.Logger, tr *obs.Tracer) *Service {
 		svc, err := New(context.Background(), Config{
 			Shards:            []ShardSpec{{Name: "east", Opts: quickOpts(11), Model: m}},
 			RestartBackoff:    time.Millisecond,
 			MaxRestartBackoff: 10 * time.Millisecond,
 			Logger:            lg,
+			Tracer:            tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -149,9 +144,10 @@ func TestTelemetryEquivalence(t *testing.T) {
 		waitState(t, svc, "east", "ready")
 		return svc
 	}
-	plain := newSvc(nil)
+	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	plain := newSvc(nil, nil)
 	defer plain.Close()
-	traced := newSvc(obs.NewTextLogger(&logBuf, slog.LevelDebug))
+	traced := newSvc(obs.NewTextLogger(&logBuf, slog.LevelDebug), tracer)
 	defer traced.Close()
 
 	ref, err := pmuoutage.NewSystemFromModel(m)
@@ -159,7 +155,9 @@ func TestTelemetryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := testSamples(t, ref, 4)
-	ctx := obs.WithTraceID(context.Background(), "feedface12345678")
+	const traceID = "feedface12345678"
+	ctx, root := tracer.StartSpan(obs.WithTraceID(context.Background(), traceID), "http")
+	rootID := root.ID()
 
 	a, err := plain.DetectBatch(context.Background(), "east", samples)
 	if err != nil {
@@ -169,6 +167,7 @@ func TestTelemetryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 	aj, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
@@ -181,47 +180,59 @@ func TestTelemetryEquivalence(t *testing.T) {
 		t.Fatalf("telemetry changed detector output:\nsilent: %s\ntraced: %s", aj, bj)
 	}
 
-	// The traced request's span line carries its trace ID, shard, and
-	// stage durations.
+	// The traced request's retained trace carries one span per shard
+	// stage, each a child of the root.
+	trace, ok := tracer.TraceByID(traceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", traceID)
+	}
+	stages := map[string]int{}
+	for _, sp := range trace.Spans {
+		if sp.Root {
+			continue
+		}
+		stages[sp.Stage]++
+		if sp.Parent != rootID {
+			t.Errorf("%s span parent = %q, want root %q", sp.Stage, sp.Parent, rootID)
+		}
+	}
+	for _, stage := range []string{stageNameQueue, stageNameCoalesce, stageNameDetect} {
+		if stages[stage] != 1 {
+			t.Fatalf("trace has %d %s spans, want 1: %+v", stages[stage], stage, trace.Spans)
+		}
+	}
+	// Lifecycle lines carry the shard's logger attributes.
 	logs := logBuf.String()
-	if !strings.Contains(logs, "detect span") ||
-		!strings.Contains(logs, "trace_id=feedface12345678") ||
-		!strings.Contains(logs, "shard=east") ||
-		!strings.Contains(logs, "component=service") {
-		t.Fatalf("span log missing fields:\n%s", logs)
+	if !strings.Contains(logs, "shard=east") || !strings.Contains(logs, "component=service") {
+		t.Fatalf("shard log missing fields:\n%s", logs)
 	}
 }
 
-// TestInstrumentationAllocs pins the hot-path overhead of the service's
-// telemetry: recording a batch's counters and spans allocates nothing
-// with logging disabled, and only a bounded constant with debug logging
-// enabled.
+// TestInstrumentationAllocs pins the hot-path overhead of the shard's
+// telemetry: with tracing off, recording a batch — counters, the detect
+// histogram, and the coalesce and queue histograms through RecordSpan —
+// allocates nothing, for traced contexts and with debug logging on.
 func TestInstrumentationAllocs(t *testing.T) {
-	newTestShard := func(lg *slog.Logger) *shard {
-		svc := &Service{cfg: Config{Logger: lg}.withDefaults(), stats: newStats(obs.NewRegistry())}
-		return newShard(svc, ShardSpec{Name: "alloc"})
-	}
+	svc := &Service{cfg: Config{Logger: obs.NewTextLogger(io.Discard, slog.LevelDebug)}.withDefaults(), stats: newStats(obs.NewRegistry())}
+	sh := newShard(svc, ShardSpec{Name: "alloc"})
 	ctx := obs.WithTraceID(context.Background(), "deadbeef00000000")
 	live := []*request{
 		{ctx: ctx, samples: make([]pmuoutage.Sample, 2), enqueued: time.Now()},
 		{ctx: ctx, samples: make([]pmuoutage.Sample, 1), enqueued: time.Now()},
 	}
 	popped := time.Now()
-
-	silent := newTestShard(nil)
-	counters := silent.counters()
-	if got := testing.AllocsPerRun(200, func() {
-		counters.observeBatch(3, time.Millisecond)
-		silent.observeSpans(live, popped, popped, time.Millisecond, 3)
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, func() {
+		svc.cfg.Tracer.RecordSpan(ctx, stageNameCoalesce, sh.st.stage[StageCoalesce], popped, popped)
+		sh.observeBatch(live, 3, popped, popped, popped.Add(time.Millisecond))
 	}); got > 0 {
-		t.Fatalf("disabled-telemetry batch instrumentation allocates %v per op, want 0", got)
+		t.Fatalf("untraced batch instrumentation allocates %v per op, want 0", got)
 	}
-
-	noisy := newTestShard(obs.NewTextLogger(io.Discard, slog.LevelDebug))
-	if got := testing.AllocsPerRun(200, func() {
-		noisy.counters().observeBatch(3, time.Millisecond)
-		noisy.observeSpans(live, popped, popped, time.Millisecond, 3)
-	}); got > 64 {
-		t.Fatalf("enabled-telemetry batch instrumentation allocates %v per op, want a bounded constant", got)
+	// AllocsPerRun makes one warm-up call on top of runs; queue counts
+	// requests, coalesce and detect count batches.
+	for st, want := range map[Stage]uint64{StageQueue: 2 * (runs + 1), StageCoalesce: runs + 1, StageDetect: runs + 1} {
+		if n := sh.st.stage[st].Count(); n != want {
+			t.Errorf("%s histogram count = %d, want %d", st, n, want)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // -race this also proves the swap itself is data-race free.
 func TestReloadUnderTraffic(t *testing.T) {
 	svc, err := New(context.Background(), Config{
-		Shards:            []ShardSpec{{Name: "east", Opts: quickOpts(3), Replicas: 2}},
+		Shards:            []ShardSpec{{Name: "east", Opts: quickOpts(3)}},
 		RestartBackoff:    time.Millisecond,
 		MaxRestartBackoff: 10 * time.Millisecond,
 	})
@@ -178,73 +178,6 @@ func TestReloadValidation(t *testing.T) {
 	}
 	if err := svc.Reload(context.Background(), "east", m); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("reload of killed shard: got %v", err)
-	}
-}
-
-// TestReplicasMatchSingleShard: the same traffic answered by a
-// replicated shard and by a single-replica shard (and by the library
-// directly) yields identical reports — replicas change throughput,
-// never results.
-func TestReplicasMatchSingleShard(t *testing.T) {
-	svc, err := New(context.Background(), Config{
-		Shards: []ShardSpec{
-			{Name: "single", Opts: quickOpts(3)},
-			{Name: "wide", Opts: quickOpts(3), Replicas: 4},
-		},
-		RestartBackoff:    time.Millisecond,
-		MaxRestartBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	waitState(t, svc, "single", "ready")
-	waitState(t, svc, "wide", "ready")
-
-	if st := svc.Shards(); st[0].Replicas != 1 || st[1].Replicas != 4 {
-		t.Fatalf("replica counts = %d/%d, want 1/4", st[0].Replicas, st[1].Replicas)
-	}
-
-	ref, err := pmuoutage.NewSystem(quickOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	batches := make([][]pmuoutage.Sample, len(errs))
-	wants := make([][]*pmuoutage.Report, len(errs))
-	for g := range errs {
-		batches[g] = testSamples(t, ref, 1+g%3)
-		want, err := ref.DetectBatch(batches[g])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[g] = want
-	}
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			samples, want := batches[g], wants[g]
-			for _, shard := range []string{"single", "wide"} {
-				got, err := svc.DetectBatch(ctx, shard, samples)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					errs[g] = errors.New("shard " + shard + " diverged from direct DetectBatch")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"pmuoutage"
 	"pmuoutage/api"
 	"pmuoutage/internal/obs"
-	"pmuoutage/internal/wire"
 )
 
 // Typed errors of the service layer. Everything the service itself
@@ -74,11 +73,6 @@ type ShardSpec struct {
 	// from instead of training — the serve-from-artifact path. Rebuilds
 	// after Kill reuse it.
 	Model *pmuoutage.Model
-	// Replicas is the number of concurrent serve loops (queues +
-	// batchers) sharing the shard's model; 0 means 1. Replicas change
-	// throughput, never results: each request is routed whole to the
-	// least-loaded replica and scored by the same immutable model.
-	Replicas int
 }
 
 // Config configures New.
@@ -109,30 +103,16 @@ type Config struct {
 	// identical either way.
 	Tracer *obs.Tracer
 
-	// Logger, when non-nil, receives structured span and lifecycle logs
-	// (per-request detect spans at debug, shard state changes at info).
-	// Logging is observational only: a nil Logger disables it entirely —
-	// zero allocations on the hot path — and detector outputs are byte-
-	// identical either way. Metrics are always recorded; they are lock-
-	// free atomics with no logger dependency.
+	// Logger, when non-nil, receives structured lifecycle logs (shard
+	// state changes and model swaps at info). Logging is observational
+	// only: a nil Logger disables it entirely, and detector outputs are
+	// byte-identical either way. Metrics are always recorded; they are
+	// lock-free atomics with no logger dependency.
 	Logger *slog.Logger
-
-	// OnEvent, when non-nil, receives every confirmed outage event the
-	// stream-ingest path emits, tagged with the shard and the wire
-	// sequence number of the confirming frame. It is called from the
-	// shard's stream consumer goroutine: keep it fast and do not call
-	// back into the service from it. Events from Ingest (the synchronous
-	// API) are returned to the caller instead and never pass through
-	// here.
-	OnEvent func(shard string, seq uint32, ev *pmuoutage.Event)
 
 	// batchHook, when set, observes every coalesced batch right before
 	// it runs (test seam for deterministic queue-pressure tests).
 	batchHook func(shard string, samples int)
-	// streamHook, when set, intercepts frames popped by the stream
-	// consumer instead of scoring them (test seam for alloc-pin tests;
-	// the hook owns each frame it receives).
-	streamHook func(shard string, f *wire.Frame)
 }
 
 func (c Config) withDefaults() Config {
@@ -182,9 +162,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		}
 		if names[spec.Name] {
 			return nil, fmt.Errorf("%w: duplicate shard %q", ErrConfig, spec.Name)
-		}
-		if spec.Replicas < 0 {
-			return nil, fmt.Errorf("%w: shard %q has negative replica count %d", ErrConfig, spec.Name, spec.Replicas)
 		}
 		names[spec.Name] = true
 	}
@@ -421,9 +398,9 @@ func (s *Service) Stats() map[string]ShardSnapshot {
 	return out
 }
 
-// Close stops every supervisor and batcher, answers queued requests
-// with ErrClosed, and waits for all service goroutines to exit. It is
-// idempotent.
+// Close stops every shard supervisor (each runs its shard's batch
+// loop), answers queued requests with ErrClosed, and waits for all
+// service goroutines to exit. It is idempotent.
 func (s *Service) Close() {
 	s.markClosed()
 	s.cancel()

@@ -362,9 +362,91 @@ func TestDeadlines(t *testing.T) {
 	}
 }
 
-// TestIngestStream drives the streaming path: persistent outage samples
-// confirm an event, and an unready shard refuses ingestion.
-func TestIngestStream(t *testing.T) {
+// TestKillDrainsQueue: killing a shard while its batch loop is parked
+// inside a batch lets that batch finish with its reports, answers the
+// request queued behind it with a retryable error instead of leaving it
+// waiting, and settles the queue depth.
+func TestKillDrainsQueue(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once, releaseOnce sync.Once
+	cfg := Config{
+		Shards:         []ShardSpec{{Name: "east", Opts: quickOpts(3)}},
+		RestartBackoff: time.Minute, // no rebuild while the test looks
+		batchHook: func(string, int) {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		},
+	}
+	svc, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark()
+	waitState(t, svc, "east", "ready")
+	sys := mustSystem(t, svc, "east")
+	samples := testSamples(t, sys, 2)
+	want, err := sys.DetectBatch(samples[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		reports []*pmuoutage.Report
+		err     error
+	}
+	parked := make(chan result, 1)
+	go func() {
+		r, err := svc.DetectBatch(context.Background(), "east", samples[:1])
+		parked <- result{r, err}
+	}()
+	<-entered
+	queued := make(chan error, 1)
+	go func() {
+		_, err := svc.DetectBatch(context.Background(), "east", samples[1:])
+		queued <- err
+	}()
+	sh := svc.peek("east")
+	deadline := time.Now().Add(10 * time.Second)
+	for len(sh.reqs) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := svc.Kill("east"); err != nil {
+		t.Fatal(err)
+	}
+	unpark()
+	got := <-parked
+	if got.err != nil {
+		t.Fatalf("parked request failed: %v", got.err)
+	}
+	if !reflect.DeepEqual(got.reports, want) {
+		t.Fatal("parked request's reports differ from direct DetectBatch")
+	}
+	select {
+	case err := <-queued:
+		if !Retryable(err) {
+			t.Fatalf("queued request error = %v, want retryable", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("queued request still waiting after the kill")
+	}
+	if d := svc.Shards()[0].QueueDepth; d != 0 {
+		t.Fatalf("queue depth = %d after every request was answered, want 0", d)
+	}
+}
+
+// TestIngestConfirmsOutage drives the streaming monitor through Ingest:
+// persistent outage samples confirm an event, and an unready shard
+// refuses ingestion.
+func TestIngestConfirmsOutage(t *testing.T) {
 	cfg := twoShardConfig()
 	cfg.Confirm = 2
 	svc, err := New(context.Background(), cfg)

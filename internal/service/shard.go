@@ -10,7 +10,6 @@ import (
 
 	"pmuoutage"
 	"pmuoutage/internal/obs"
-	"pmuoutage/internal/wire"
 )
 
 // State is a shard's lifecycle position.
@@ -42,7 +41,7 @@ func (s State) String() string {
 	}
 }
 
-// queueCap is the hard capacity of every per-replica request queue. The
+// queueCap is the hard capacity of every shard's request queue. The
 // soft, sample-counted shed bound is Config.QueueDepth; this constant
 // only backstops it so the channel's make site stays auditable.
 const queueCap = 256
@@ -51,7 +50,6 @@ const queueCap = 256
 type request struct {
 	ctx      context.Context
 	samples  []pmuoutage.Sample
-	rep      *replica      // the replica the request was routed to
 	done     chan response // buffered(1): the batcher never blocks on delivery
 	enqueued time.Time     // admission instant; queue-wait = batch pop - enqueued
 }
@@ -61,42 +59,23 @@ type response struct {
 	err     error
 }
 
-// replica is one serve loop of a shard. Replicas share the shard's
-// current system (an immutable model behind an atomic pointer) but own
-// independent queues and batch loops, so K replicas coalesce and score
-// up to K batches of one shard's traffic concurrently. The inflight
-// gauge drives least-loaded routing.
-type replica struct {
-	id       int
-	reqs     chan *request
-	inflight atomic.Int64 // samples routed here and not yet answered
-}
-
-// shard is one trained system plus its replicas, supervisor state, and
-// hot-reload machinery.
+// shard is one trained system plus its request queue, supervisor
+// state, and hot-reload machinery.
 type shard struct {
 	svc    *Service
 	spec   ShardSpec
-	logger *slog.Logger // nil when Config.Logger is unset; spans/lifecycle off
+	st     *ShardCounters
+	logger *slog.Logger // nil when Config.Logger is unset; lifecycle logs off
 
-	replicas []*replica
-	depth    atomic.Int64 // samples admitted but not yet answered (all replicas)
-
-	// streamq carries decoded wire frames from StreamIngest to the
-	// shard's stream consumer. Enqueue transfers frame ownership; the
-	// consumer recycles each frame after scoring it. Frames queued
-	// across a reload or restart are scored by whichever monitor is
-	// current when they are popped — same contract as detect requests.
-	streamq chan *wire.Frame
-	buses   atomic.Int32 // serving grid size; 0 until first activation
-	missBuf []int        // stream-consumer-only scratch for missing indices
+	reqs  chan *request
+	depth atomic.Int64 // samples admitted but not yet answered
 
 	// cur is the serving system, swapped atomically by activate, reload,
-	// and kill. Batch loops load it exactly once per batch: every sample
-	// of a batch is scored by one coherent model even while a reload
-	// swaps the pointer mid-flight, and queued requests survive swaps —
-	// they simply run on whichever model is current when their batch
-	// executes.
+	// and kill. The batch loop loads it exactly once per batch: every
+	// sample of a batch is scored by one coherent model even while a
+	// reload swaps the pointer mid-flight, and queued requests survive
+	// swaps — they simply run on whichever model is current when their
+	// batch executes.
 	cur atomic.Pointer[pmuoutage.System]
 	gen atomic.Uint64 // incarnation counter: bumped per activate and reload
 
@@ -106,27 +85,21 @@ type shard struct {
 	sys   *pmuoutage.System
 	mon   *pmuoutage.Monitor
 	boot  *pmuoutage.Model // artifact to serve on (re)build; nil = retrain
-	killc chan struct{}    // closed by kill to stop the current serve loops
+	killc chan struct{}    // closed by kill to stop the current batch loop
 }
 
 func newShard(svc *Service, spec ShardSpec) *shard {
 	sh := &shard{
-		svc:     svc,
-		spec:    spec,
-		boot:    spec.Model,
-		streamq: make(chan *wire.Frame, queueCap),
+		svc:  svc,
+		spec: spec,
+		st:   svc.stats.shard(spec.Name),
+		boot: spec.Model,
+		reqs: make(chan *request, queueCap),
 	}
 	if lg := svc.cfg.Logger; lg != nil {
 		sh.logger = lg.With(slog.String(obs.AttrComponent, "service"), slog.String(obs.AttrShard, spec.Name))
 	}
 	svc.stats.reg.GaugeFunc(metricQueueDepth, "samples admitted and not yet answered", func() float64 { return float64(sh.depth.Load()) }, labelShard, spec.Name)
-	n := spec.Replicas
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		sh.replicas = append(sh.replicas, &replica{id: i, reqs: make(chan *request, queueCap)})
-	}
 	return sh
 }
 
@@ -162,7 +135,7 @@ func (sh *shard) supervise(ctx context.Context) {
 		if err != nil {
 			sh.fail(fmt.Errorf("%w: %q training failed: %v", ErrUnavailable, sh.spec.Name, err))
 		}
-		sh.counters().Restarts.Add(1)
+		sh.st.Restarts.Add(1)
 		sh.logState(ctx, slog.LevelWarn, "restarting", sh.availErr())
 		if !sleep(ctx, backoff) {
 			return
@@ -204,48 +177,27 @@ func (sh *shard) bootModel() *pmuoutage.Model {
 	return sh.boot
 }
 
-// serve runs one shard incarnation: one batch loop per replica, all
-// sharing the current system, until the incarnation is killed or the
-// service closes. Queued requests left behind by the exit are drained
-// with a retryable error.
+// serve is the batch loop of one shard incarnation, run by the
+// supervisor itself: pop the next request, coalesce whatever else is
+// already queued behind it up to MaxBatch samples, run one detector
+// batch, and deliver each request its slice. It returns when the
+// service closes, or when the incarnation is killed — after answering
+// everything still queued with the kill's retryable error.
 func (sh *shard) serve(ctx context.Context, killc chan struct{}) {
-	var wg sync.WaitGroup
-	for _, rep := range sh.replicas {
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			sh.serveReplica(ctx, killc, rep)
-		}(rep)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sh.serveStream(ctx, killc)
-	}()
-	wg.Wait()
-	if ctx.Err() == nil {
-		sh.drainQueue(sh.availErr())
-	}
-}
-
-// serveReplica is one replica's batch loop: pop the next request,
-// coalesce whatever else is already queued behind it up to MaxBatch
-// samples, run one detector batch, and deliver each request its slice.
-func (sh *shard) serveReplica(ctx context.Context, killc chan struct{}, rep *replica) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-killc:
+			sh.drainQueue(sh.availErr())
 			return
-		case req := <-rep.reqs:
+		case req := <-sh.reqs:
 			t0 := time.Now()
-			batch := sh.coalesce(rep, req)
+			batch := sh.coalesce(req)
 			popped := time.Now()
-			sh.counters().StageSeconds(StageCoalesce).Observe(popped.Sub(t0))
 			// The coalesce span is per batch; it hangs off the first
 			// request's trace (the one that opened the batch window).
-			sh.svc.cfg.Tracer.RecordSpan(req.ctx, stageNameCoalesce, t0, popped, nil)
+			sh.svc.cfg.Tracer.RecordSpan(req.ctx, stageNameCoalesce, sh.st.stage[StageCoalesce], t0, popped)
 			sh.runBatch(ctx, batch, popped)
 		}
 	}
@@ -254,12 +206,12 @@ func (sh *shard) serveReplica(ctx context.Context, killc chan struct{}, rep *rep
 // coalesce greedily drains already-queued requests behind first until
 // the batch reaches MaxBatch samples. It never waits: latency of the
 // first request is never spent fishing for company.
-func (sh *shard) coalesce(rep *replica, first *request) []*request {
+func (sh *shard) coalesce(first *request) []*request {
 	batch := []*request{first}
 	total := len(first.samples)
 	for total < sh.svc.cfg.MaxBatch {
 		select {
-		case req := <-rep.reqs:
+		case req := <-sh.reqs:
 			batch = append(batch, req)
 			total += len(req.samples)
 		default:
@@ -303,9 +255,7 @@ func (sh *shard) runBatch(ctx context.Context, batch []*request, popped time.Tim
 	}
 	start := time.Now()
 	reports, err := sys.DetectBatchContext(ctx, samples)
-	detectDur := time.Since(start)
-	sh.counters().observeBatch(len(samples), detectDur)
-	sh.observeSpans(live, popped, start, detectDur, len(samples))
+	sh.observeBatch(live, len(samples), popped, start, time.Now())
 	if err != nil {
 		for _, req := range live {
 			r, rerr := sys.DetectBatchContext(req.ctx, req.samples)
@@ -321,69 +271,53 @@ func (sh *shard) runBatch(ctx context.Context, batch []*request, popped time.Tim
 	}
 }
 
-// observeSpans records each batched request's queue-wait into the
-// queue-stage histogram, files queue/detect child spans on the tracer
-// (per request — a batch's detector call appears in every member's
-// trace), and, when a logger is attached with debug enabled, emits one
-// span line per request carrying its trace ID. Purely observational:
-// with logging and tracing off it is two atomic adds plus two nil-
-// receiver calls per request and allocates nothing (pinned by
+// observeBatch records one detector call: the batch counters and the
+// detect histogram once per batch, then each member's queue wait
+// (histogram and span) and a detect span per member — a batch's
+// detector call appears in every member's trace. Purely observational;
+// with tracing off it allocates nothing (pinned by
 // TestInstrumentationAllocs).
-func (sh *shard) observeSpans(live []*request, popped, detectStart time.Time, detectDur time.Duration, batchSamples int) {
-	st := sh.counters()
-	queue := st.StageSeconds(StageQueue)
-	tr := sh.svc.cfg.Tracer
-	detectEnd := detectStart.Add(detectDur)
-	for _, req := range live {
-		queue.Observe(popped.Sub(req.enqueued))
-		tr.RecordSpan(req.ctx, stageNameQueue, req.enqueued, popped, nil)
-		tr.RecordSpan(req.ctx, stageNameDetect, detectStart, detectEnd, nil)
-	}
-	lg := sh.logger
-	if lg == nil {
-		return
-	}
-	for _, req := range live {
-		if !lg.Enabled(req.ctx, slog.LevelDebug) {
-			return
+//
+//gridlint:zeroalloc
+func (sh *shard) observeBatch(live []*request, samples int, popped, start, end time.Time) {
+	c := sh.st
+	c.Batches.Inc()
+	c.Samples.Add(uint64(samples))
+	c.stage[StageDetect].Observe(end.Sub(start))
+	for {
+		cur := c.maxBatch.Load()
+		if int64(samples) <= cur || c.maxBatch.CompareAndSwap(cur, int64(samples)) {
+			break
 		}
-		lg.LogAttrs(req.ctx, slog.LevelDebug, "detect span",
-			slog.String(obs.AttrTraceID, obs.TraceID(req.ctx)),
-			slog.Uint64(obs.AttrGeneration, sh.gen.Load()),
-			slog.Int("request_samples", len(req.samples)),
-			slog.Int("batch_samples", batchSamples),
-			slog.Duration("queue_wait", popped.Sub(req.enqueued)),
-			slog.Duration("detect", detectDur),
-		)
+	}
+	tr := sh.svc.cfg.Tracer
+	for _, req := range live {
+		tr.RecordSpan(req.ctx, stageNameQueue, c.stage[StageQueue], req.enqueued, popped)
+		tr.RecordSpan(req.ctx, stageNameDetect, nil, start, end)
 	}
 }
 
-// detect admits one request: shed if over the queue bound, route to the
-// least-loaded replica, then wait for the batcher's response or the
-// caller's deadline.
+// detect admits one request: shed if over the queue bound, enqueue it,
+// then wait for the batcher's response or the caller's deadline.
 func (sh *shard) detect(ctx context.Context, samples []pmuoutage.Sample) ([]*pmuoutage.Report, error) {
-	st := sh.counters()
-	st.Requests.Add(1)
+	sh.st.Requests.Add(1)
 	if err := sh.availErr(); err != nil {
-		st.Unavailable.Add(1)
+		sh.st.Unavailable.Add(1)
 		return nil, err
 	}
 	n := int64(len(samples))
 	if d := sh.depth.Add(n); d > int64(sh.svc.cfg.QueueDepth) {
 		sh.depth.Add(-n)
-		st.Shed.Add(1)
+		sh.st.Shed.Add(1)
 		return nil, fmt.Errorf("%w: shard %q has %d samples pending (bound %d); retry later",
 			ErrOverloaded, sh.spec.Name, d-n, sh.svc.cfg.QueueDepth)
 	}
-	rep := sh.pickReplica()
-	rep.inflight.Add(n)
-	req := &request{ctx: ctx, samples: samples, rep: rep, done: make(chan response, 1), enqueued: time.Now()}
+	req := &request{ctx: ctx, samples: samples, done: make(chan response, 1), enqueued: time.Now()}
 	select {
-	case rep.reqs <- req:
+	case sh.reqs <- req:
 	default:
-		rep.inflight.Add(-n)
 		sh.depth.Add(-n)
-		st.Shed.Add(1)
+		sh.st.Shed.Add(1)
 		return nil, fmt.Errorf("%w: shard %q request queue is full; retry later", ErrOverloaded, sh.spec.Name)
 	}
 	select {
@@ -401,137 +335,41 @@ func (sh *shard) detect(ctx context.Context, samples []pmuoutage.Sample) ([]*pmu
 // ingest scores one sample on the shard's streaming monitor; the mutex
 // serialises the monitor's streak state.
 func (sh *shard) ingest(ctx context.Context, sample pmuoutage.Sample) (*pmuoutage.Event, error) {
-	sh.counters().Ingests.Add(1)
+	sh.st.Ingests.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.state != StateReady {
-		sh.counters().Unavailable.Add(1)
+		sh.st.Unavailable.Add(1)
 		return nil, sh.availErrLocked()
 	}
 	return sh.mon.Ingest(sample)
 }
 
-// serveStream is the shard's single stream consumer: it pops decoded
-// wire frames off streamq and scores them on the shared monitor path.
-// One consumer per incarnation keeps the emitted event order identical
-// to the frame arrival order — the equivalence tests depend on that.
-func (sh *shard) serveStream(ctx context.Context, killc chan struct{}) {
+// respond settles the request's depth accounting, then delivers its
+// response: by the time a caller holds its answer, its samples no
+// longer count against the queue bound.
+func (sh *shard) respond(req *request, resp response) {
+	sh.depth.Add(-int64(len(req.samples)))
+	req.done <- resp
+}
+
+// drainQueue answers everything currently queued with err.
+func (sh *shard) drainQueue(err error) {
 	for {
 		select {
-		case <-ctx.Done():
-			return
-		case <-killc:
-			return
-		case f := <-sh.streamq:
-			if hook := sh.svc.cfg.streamHook; hook != nil {
-				// Test seam: the hook owns the frame (it is not recycled
-				// here), so alloc-pin tests can reuse pre-built frames.
-				hook(sh.spec.Name, f)
-				continue
-			}
-			sh.streamFrame(ctx, f)
-		}
-	}
-}
-
-// streamFrame scores one decoded frame through the same ingest path the
-// JSON transport uses — detection events are byte-identical across
-// transports. The frame is recycled once ingest returns: the detector
-// copies the channel vectors it needs, never retaining the pooled
-// slices.
-func (sh *shard) streamFrame(ctx context.Context, f *wire.Frame) {
-	seq := f.Seq
-	sample := pmuoutage.Sample{Vm: f.Vm, Va: f.Va, Missing: sh.frameMissing(f)}
-	ev, err := sh.ingest(ctx, sample)
-	wire.PutFrame(f)
-	if err != nil {
-		if lg := sh.logger; lg != nil {
-			lg.LogAttrs(ctx, slog.LevelWarn, "stream sample rejected",
-				slog.Uint64("seq", uint64(seq)), slog.String("cause", err.Error()))
-		}
-		return
-	}
-	if ev != nil {
-		if cb := sh.svc.cfg.OnEvent; cb != nil {
-			cb(sh.spec.Name, seq, ev)
-		}
-	}
-}
-
-// frameMissing converts a frame's missing bitmap into the facade's
-// index form, reusing the consumer's scratch slice.
-func (sh *shard) frameMissing(f *wire.Frame) []int {
-	miss := sh.missBuf[:0]
-	if f.Flags&wire.FlagMissing != 0 {
-		for i := 0; i < f.N(); i++ {
-			if f.IsMissing(i) {
-				miss = append(miss, i)
-			}
-		}
-	}
-	sh.missBuf = miss
-	return miss
-}
-
-// drainStream recycles every frame still queued on streamq; runs when
-// the shard stops for good.
-func (sh *shard) drainStream() {
-	for {
-		select {
-		case f := <-sh.streamq:
-			wire.PutFrame(f)
+		case req := <-sh.reqs:
+			sh.respond(req, response{err: err})
 		default:
 			return
 		}
 	}
 }
 
-// pickReplica returns the replica with the fewest inflight samples
-// (ties break to the lowest id, so a single-replica shard routes
-// exactly as before replicas existed).
-func (sh *shard) pickReplica() *replica {
-	best := sh.replicas[0]
-	bestLoad := best.inflight.Load()
-	for _, rep := range sh.replicas[1:] {
-		if l := rep.inflight.Load(); l < bestLoad {
-			best, bestLoad = rep, l
-		}
-	}
-	return best
-}
-
-// respond delivers one response and settles the depth and inflight
-// gauges.
-func (sh *shard) respond(req *request, resp response) {
-	req.done <- resp
-	n := int64(len(req.samples))
-	if req.rep != nil {
-		req.rep.inflight.Add(-n)
-	}
-	sh.depth.Add(-n)
-}
-
-// drainQueue answers everything currently queued on any replica with
-// err.
-func (sh *shard) drainQueue(err error) {
-	for _, rep := range sh.replicas {
-	drain:
-		for {
-			select {
-			case req := <-rep.reqs:
-				sh.respond(req, response{err: err})
-			default:
-				break drain
-			}
-		}
-	}
-}
-
-// kill fails the current incarnation: the serve loop exits, queued
-// requests are answered with a retryable error, and the supervisor
+// kill fails the current incarnation: the batch loop answers queued
+// requests with a retryable error and exits, and the supervisor
 // rebuilds the shard after its backoff. No-op unless the shard is
 // ready.
 func (sh *shard) kill(cause error) {
@@ -556,7 +394,7 @@ func (sh *shard) takeKill(cause error) chan struct{} {
 }
 
 // reload swaps the shard onto a new model without dropping queued
-// requests: the serve loops keep running, and the atomic store below is
+// requests: the batch loop keeps running, and the atomic store below is
 // the entire cutover — batches popped before it score on the old model,
 // batches popped after it on the new one, never a mixture. The
 // streaming monitor is rebuilt on the new system (its streak state does
@@ -584,9 +422,8 @@ func (sh *shard) reload(m *pmuoutage.Model) error {
 	}
 	sh.sys, sh.mon, sh.boot = sys, mon, m
 	sh.cur.Store(sys)
-	sh.buses.Store(int32(sys.Buses()))
 	sh.gen.Add(1)
-	sh.counters().Reloads.Add(1)
+	sh.st.Reloads.Add(1)
 	return nil
 }
 
@@ -604,7 +441,6 @@ func (sh *shard) activate(sys *pmuoutage.System, mon *pmuoutage.Monitor, killc c
 	sh.err = nil
 	sh.sys, sh.mon, sh.killc = sys, mon, killc
 	sh.cur.Store(sys)
-	sh.buses.Store(int32(sys.Buses()))
 	sh.gen.Add(1)
 }
 
@@ -622,7 +458,6 @@ func (sh *shard) fail(err error) {
 func (sh *shard) stop() {
 	sh.setStopped()
 	sh.drainQueue(ErrClosed)
-	sh.drainStream()
 }
 
 func (sh *shard) setStopped() {
@@ -675,9 +510,8 @@ func (sh *shard) status() ShardStatus {
 		Name:       sh.spec.Name,
 		Case:       sh.spec.Opts.Case,
 		State:      sh.state.String(),
-		Restarts:   sh.counters().Restarts.Load(),
+		Restarts:   sh.st.Restarts.Load(),
 		QueueDepth: int(sh.depth.Load()),
-		Replicas:   len(sh.replicas),
 		Generation: sh.gen.Load(),
 	}
 	if st.Case == "" {
@@ -695,11 +529,6 @@ func (sh *shard) status() ShardStatus {
 		}
 	}
 	return st
-}
-
-// counters returns the shard's stats cell.
-func (sh *shard) counters() *ShardCounters {
-	return sh.svc.stats.shard(sh.spec.Name)
 }
 
 // sleep waits d or until ctx cancels, reporting whether the full wait

@@ -3,7 +3,6 @@ package service
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pmuoutage/api"
 	"pmuoutage/internal/obs"
@@ -86,22 +85,15 @@ const (
 	// IngestBinary: the sample arrived as a binary wire frame on
 	// /v1/ingest.
 	IngestBinary
-	// IngestStream: the sample arrived as a decoded frame through
-	// StreamIngest (the collector path — no HTTP, no JSON).
-	IngestStream
 	numModes
 )
 
 // String renders the mode label value.
 func (m IngestMode) String() string {
-	switch m {
-	case IngestJSON:
+	if m == IngestJSON {
 		return "json"
-	case IngestBinary:
-		return "binary"
-	default:
-		return "stream"
 	}
+	return "binary"
 }
 
 // Stats owns the service's metrics: one cell set per shard, every cell
@@ -196,21 +188,6 @@ func (c *ShardCounters) StageSeconds(st Stage) *obs.Histogram {
 	return c.stage[st]
 }
 
-// observeBatch records one detector call.
-//
-//gridlint:zeroalloc
-func (c *ShardCounters) observeBatch(samples int, d time.Duration) {
-	c.Batches.Inc()
-	c.Samples.Add(uint64(samples))
-	c.stage[StageDetect].Observe(d)
-	for {
-		cur := c.maxBatch.Load()
-		if int64(samples) <= cur || c.maxBatch.CompareAndSwap(cur, int64(samples)) {
-			return
-		}
-	}
-}
-
 // ShardSnapshot is a point-in-time copy of one shard's counters, shaped
 // for JSON. Latency fields derive from the detect-stage histogram —
 // the same cells /metrics renders. The definition lives in the shared
@@ -230,7 +207,6 @@ func (c *ShardCounters) snapshot() ShardSnapshot {
 		Reloads:      c.Reloads.Load(),
 		FramesJSON:   c.frames[IngestJSON].Load(),
 		FramesBinary: c.frames[IngestBinary].Load(),
-		FramesStream: c.frames[IngestStream].Load(),
 		MaxBatch:     int(c.maxBatch.Load()),
 	}
 	det := c.stage[StageDetect]
