@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-report test race bench bench-full bench-serve bench-serve-smoke smoke verify
+.PHONY: build vet fmt lint lint-report test race fuzz bench bench-full bench-serve bench-serve-smoke smoke verify
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Fuzz the decode surfaces for FUZZTIME each: model artifacts (a forged
+# artifact is re-sealed so the structural checks, not the fingerprint,
+# must stop it), binary wire frames, and trace headers. Go fuzzes one
+# target per invocation. Not part of verify; CI runs it after verify.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModel$$' -fuzztime=$(FUZZTIME) ./internal/detect
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzTraceParent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 
 # One-iteration benchmark smoke: catches benchmarks that panic or no
 # longer compile without paying for stable timings. The pipeline benches

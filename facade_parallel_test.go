@@ -89,7 +89,10 @@ func TestDetectBatchMatchesLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Masked copies send every worker through per-sample plans for
+		// the clusters they touch while others read the cached ones.
 		samples = append(samples, s...)
+		samples = append(samples, s[0].WithMissing(e%14), s[1].WithMissing(sys.Clusters()[0]...))
 	}
 	batch, err := sys.DetectBatch(samples)
 	if err != nil {

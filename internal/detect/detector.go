@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pmuoutage/internal/dataset"
@@ -128,6 +129,16 @@ type Detector struct {
 	noOutageThresh float64
 
 	validLines []grid.Line
+
+	// Scoring state derived by prepare from the fields above and never
+	// serialised: each cluster's Eq. (10) working set as buses, its plan
+	// for a sample with nothing missing, S⁰ restricted to every feature
+	// (the energy gate of a complete sample), and the grid adjacency the
+	// proximity rule walks.
+	groupBuses [][]int
+	plans      []*clusterPlan
+	fullNormal *subspace.Restricted
+	adj        [][]int
 }
 
 // Train learns the detector from generated data and a PMU network.
@@ -330,13 +341,16 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 		return nil, err
 	}
 	det.groups = groups
+	if err := det.prepare(); err != nil {
+		return nil, err
+	}
 
 	// Calibrate the no-outage threshold: the largest per-feature
 	// deviation energy seen across normal training samples. Each
 	// sample's energy is independent and the maximum is order-free, so
 	// the fan-out cannot change the calibrated value.
 	energies, err := par.Map(ctx, cfg.Workers, d.Normal.T(), func(_ context.Context, t int) (float64, error) {
-		return det.deviationEnergy(d.Normal.Samples[t]), nil
+		return det.deviationEnergy(det.deviation(d.Normal.Samples[t])), nil
 	})
 	if err != nil {
 		return nil, err
@@ -398,11 +412,10 @@ func (det *Detector) deviation(s dataset.Sample) ([]float64, pmunet.Mask) {
 // deviationEnergy is the mean squared S⁰-filtered deviation over the
 // available features: the part of the deviation that ordinary load
 // variation cannot explain.
-func (det *Detector) deviationEnergy(s dataset.Sample) float64 {
-	v, m := det.deviation(s)
+func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float64 {
 	var avail []int
-	for i := range v {
-		if !m[i] {
+	for i := range dev {
+		if !featMask[i] {
 			avail = append(avail, i)
 		}
 	}
@@ -411,9 +424,16 @@ func (det *Detector) deviationEnergy(s dataset.Sample) float64 {
 	}
 	xd := make([]float64, len(avail))
 	for k, i := range avail {
-		xd[k] = v[i]
+		xd[k] = dev[i]
 	}
-	r0, err := det.normalSub.ResidualD(xd, avail)
+	normal := det.fullNormal
+	if len(avail) < len(dev) {
+		var err error
+		if normal, err = det.normalSub.Restrict(avail); err != nil {
+			return 0
+		}
+	}
+	r0, err := normal.Residual(xd)
 	if err != nil {
 		return 0
 	}
@@ -422,6 +442,108 @@ func (det *Detector) deviationEnergy(s dataset.Sample) float64 {
 		e += x * x
 	}
 	return e / float64(len(avail))
+}
+
+// clusterPlan is one PDC cluster's share of Eq. (9)–(11) under one
+// missing pattern: the cluster's detection group as feature indices,
+// and the restrictions to that group of S⁰, of every valid line with an
+// endpoint in the cluster, and of the intersection subspace S_i^∩ of
+// each cluster node (aligned with the cluster's member list). Every
+// node of the cluster scores against the same rows, so these factors —
+// the pseudo-inverses that dominate detection — are taken once per
+// cluster rather than once per node.
+type clusterPlan struct {
+	group  []int
+	normal *subspace.Restricted
+	lines  map[grid.Line]*subspace.Restricted
+	inter  []*subspace.Restricted
+}
+
+// prepare derives the scoring state Detect reuses across samples: each
+// cluster's working set and its plan for a sample with nothing missing,
+// S⁰ restricted to every feature, and the grid adjacency. TrainContext
+// and FromModel both run it once the learned state is in place; it is
+// deterministic, so a decoded model detects byte-identically to the
+// trained one.
+func (det *Detector) prepare() error {
+	n := det.g.N()
+	det.adj = adjacency(det.g)
+	var err error
+	if det.fullNormal, err = det.normalSub.Restrict(allBuses(det.cfg.Channel.Dim(n))); err != nil {
+		return err
+	}
+	complete := pmunet.NoneMissing(n)
+	det.groupBuses = make([][]int, len(det.groups))
+	det.plans = make([]*clusterPlan, len(det.groups))
+	for c, g := range det.groups {
+		seen := make([]bool, n)
+		for _, b := range slices.Concat(g.InCluster, g.OutCluster) {
+			if !seen[b] {
+				seen[b] = true
+				det.groupBuses[c] = append(det.groupBuses[c], b)
+			}
+		}
+		if det.plans[c], err = det.plan(c, det.group(c, complete)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// adjacency lists each bus's neighbours over in-service lines.
+func adjacency(g *grid.Grid) [][]int {
+	adj := make([][]int, g.N())
+	for i := range adj {
+		adj[i] = g.Neighbors(i)
+	}
+	return adj
+}
+
+// group realises Eq. (10) for cluster c. The detection group "can use
+// data from nodes inside and outside the missing data cluster" (§IV-B,
+// Fig. 2), so the working set is the union of the in-cluster members
+// D_C(C) and the out-of-cluster alternates D_C(C̄), with masked members
+// dropped. When the whole cluster is dark this leaves exactly D_C(C̄) —
+// the literal Eq. (10) switch — while partial missing keeps every
+// surviving member contributing. If the group still collapses, it falls
+// back to every available bus. The result is feature indices.
+func (det *Detector) group(c int, busMask pmunet.Mask) []int {
+	if feat := det.featureIndices(det.groupBuses[c], busMask); len(feat) >= 2 {
+		return feat
+	}
+	return det.featureIndices(allBuses(det.g.N()), busMask)
+}
+
+// plan restricts S⁰, the cluster's incident line subspaces and its
+// nodes' intersection subspaces to the given group. An empty group
+// gets an empty plan: its nodes cannot be scored.
+func (det *Detector) plan(c int, group []int) (*clusterPlan, error) {
+	p := &clusterPlan{group: group}
+	if len(group) == 0 {
+		return p, nil
+	}
+	var err error
+	if p.normal, err = det.normalSub.Restrict(group); err != nil {
+		return nil, err
+	}
+	p.lines = map[grid.Line]*subspace.Restricted{}
+	for _, e := range det.validLines {
+		a, b := det.g.Endpoints(e)
+		if det.nw.ClusterOf(a) != c && det.nw.ClusterOf(b) != c {
+			continue
+		}
+		if p.lines[e], err = det.lineSubs[e].Restrict(group); err != nil {
+			return nil, err
+		}
+	}
+	members := det.nw.Clusters[c]
+	p.inter = make([]*subspace.Restricted, len(members))
+	for k, i := range members {
+		if p.inter[k], err = det.interSubs[i].Restrict(group); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // featureIndices maps bus members to channel feature indices, dropping
@@ -442,34 +564,6 @@ func (det *Detector) featureIndices(members []int, m pmunet.Mask) []int {
 		}
 	}
 	return out
-}
-
-// groupFor realises Eq. (10) for the cluster of node i. The detection
-// group "can use data from nodes inside and outside the missing data
-// cluster" (§IV-B, Fig. 2), so the working set is the union of the
-// in-cluster members D_C(C) and the out-of-cluster alternates D_C(C̄),
-// with masked members dropped. When the whole cluster is dark this
-// leaves exactly D_C(C̄) — the literal Eq. (10) switch — while partial
-// missing keeps every surviving member contributing. If the group still
-// collapses, it falls back to every available bus.
-func (det *Detector) groupFor(i int, busMask pmunet.Mask) []int {
-	c := det.nw.ClusterOf(i)
-	g := det.groups[c]
-	members := make([]int, 0, len(g.InCluster)+len(g.OutCluster))
-	seen := map[int]bool{}
-	for _, lists := range [][]int{g.InCluster, g.OutCluster} {
-		for _, b := range lists {
-			if !seen[b] {
-				seen[b] = true
-				members = append(members, b)
-			}
-		}
-	}
-	feat := det.featureIndices(members, det.busMaskFor(busMask))
-	if len(feat) >= 2 {
-		return feat
-	}
-	return det.featureIndices(allBuses(det.g.N()), det.busMaskFor(busMask))
 }
 
 // busMaskFor normalises a possibly-nil bus mask.
@@ -515,7 +609,7 @@ func (det *Detector) Detect(s dataset.Sample) (*Result, error) {
 	busMask := det.busMaskFor(s.Mask)
 	dev, featMask := det.deviation(s)
 
-	res := &Result{DeviationEnergy: det.deviationEnergy(s)}
+	res := &Result{DeviationEnergy: det.deviationEnergy(dev, featMask)}
 
 	// Outage / no-outage gate: with only normal-level deviation energy
 	// on the available features, declare normal operation. This is what
@@ -527,116 +621,137 @@ func (det *Detector) Detect(s dataset.Sample) (*Result, error) {
 	}
 	res.Outage = true
 
-	n := det.g.N()
-	res.NodeScores = make([]float64, n)
-	for i := 0; i < n; i++ {
-		group := det.groupFor(i, busMask)
-		group = dropMasked(group, featMask)
-		if len(group) == 0 {
-			res.NodeScores[i] = math.Inf(1)
-			continue
-		}
-		r0, p0, xe, err := det.normalResidual(dev, group)
-		if err != nil {
+	clusters := make([]clusterScore, len(det.plans))
+	for c := range clusters {
+		if err := det.scoreCluster(&clusters[c], c, dev, busMask); err != nil {
 			return nil, err
 		}
-		// Proximity to S_i^∪: Eq. (3) defines it as the set union of the
-		// node's line subspaces, and the distance of a point to a union
-		// of subspaces is the minimum of the member distances. Scoring
-		// with the minimum (rather than the linear span) keeps every
-		// node's fit at the same rank, so high-degree hubs cannot absorb
-		// arbitrary deviations into a large spanning basis.
-		pu := math.Inf(1)
-		for _, e := range det.nodeLines[i] {
-			p, err := det.subProx(det.lineSubs[e], r0, group)
+	}
+	res.NodeScores = make([]float64, det.g.N())
+	for c, members := range det.nw.Clusters {
+		for k, i := range members {
+			score, err := det.nodeScore(&clusters[c], k, i)
 			if err != nil {
 				return nil, err
 			}
-			if p < pu {
-				pu = p
-			}
+			res.NodeScores[i] = score
 		}
-		if math.IsInf(pu, 1) {
-			res.NodeScores[i] = pu
-			continue
-		}
-		if det.cfg.DisableScaling {
-			res.NodeScores[i] = pu / xe
-			continue
-		}
-		pi, err := det.subProx(det.interSubs[i], r0, group)
-		if err != nil {
-			return nil, err
-		}
-		// Normalising the three proximities by the restricted sample
-		// energy makes the Eq. (11) score dimensionless, so rankings
-		// stay comparable when Eq. (10) assigns different detection
-		// groups to different nodes under missing data.
-		res.NodeScores[i] = subspace.ScaledProximity(pu/xe, pi/xe, p0/xe)
 	}
 
 	res.Candidates = det.proximityRule(res.NodeScores)
-	res.Lines = det.decodeLines(res.Candidates, dev, featMask, busMask)
+	res.Lines = det.decodeLines(res.Candidates, clusters)
 	if len(res.Lines) == 0 {
 		// The proximity rule found no line-consistent candidate set;
 		// report the outage with the best-scoring node's incident lines
 		// as a conservative fallback.
 		best := argmin(res.NodeScores)
 		if best >= 0 {
-			res.Lines = det.bestIncidentLine(best, dev, featMask, busMask)
+			res.Lines = det.bestIncidentLine(best, clusters)
 		}
 	}
 	return res, nil
 }
 
-// normalResidual extracts the group-restricted deviation, removes the
-// S⁰ (load-variation) component, and returns the residual vector, its
-// squared norm p0 = prox_{S⁰}, and the restricted sample energy ‖x_D‖²
-// used to normalise proximities across detection groups.
-func (det *Detector) normalResidual(dev []float64, group []int) ([]float64, float64, float64, error) {
-	xd := make([]float64, len(group))
-	for k, i := range group {
+// clusterScore is one cluster's share of a scored sample: the plan for
+// the sample's missing pattern, the group-restricted deviation with its
+// S⁰ (load-variation) component removed, that residual's energy
+// p0 = prox_{S⁰}, and the restricted sample energy ‖x_D‖² used to
+// normalise proximities across detection groups.
+type clusterScore struct {
+	*clusterPlan
+	r0     []float64
+	p0, xe float64
+}
+
+// scoreCluster fills cluster c's share of a sample. It reuses the
+// cluster's cached plan when the mask leaves the detection group
+// unchanged and builds one for this sample otherwise.
+func (det *Detector) scoreCluster(cs *clusterScore, c int, dev []float64, busMask pmunet.Mask) error {
+	cs.clusterPlan = det.plans[c]
+	if group := det.group(c, busMask); !slices.Equal(group, cs.group) {
+		p, err := det.plan(c, group)
+		if err != nil {
+			return err
+		}
+		cs.clusterPlan = p
+	}
+	if len(cs.group) == 0 {
+		return nil
+	}
+	xd := make([]float64, len(cs.group))
+	for k, i := range cs.group {
 		xd[k] = dev[i]
 	}
 	xe := mat.Norm2(xd)
-	xe = xe * xe
-	xe = metrics.PositiveFloor(xe, math.SmallestNonzeroFloat64)
-	r0, err := det.normalSub.ResidualD(xd, group)
+	cs.xe = metrics.PositiveFloor(xe*xe, math.SmallestNonzeroFloat64)
+	r0, err := cs.normal.Residual(xd)
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	n := mat.Norm2(r0)
-	return r0, n * n, xe, nil
+	p0 := mat.Norm2(r0)
+	cs.r0, cs.p0 = r0, p0*p0
+	return nil
 }
 
-// subProx measures the residual energy of the S⁰-filtered restricted
-// deviation against a subspace's row-restricted basis.
-func (det *Detector) subProx(s *subspace.Subspace, r0 []float64, group []int) (float64, error) {
+// nodeScore is the scaled proximity p̂rox of Eq. (11) of node i, member
+// k of the cluster cs belongs to: +Inf when its cluster's group is empty
+// or it has no valid line.
+func (det *Detector) nodeScore(cs *clusterScore, k, i int) (float64, error) {
+	if len(cs.group) == 0 {
+		return math.Inf(1), nil
+	}
+	// Proximity to S_i^∪: Eq. (3) defines it as the set union of the
+	// node's line subspaces, and the distance of a point to a union of
+	// subspaces is the minimum of the member distances. Scoring with the
+	// minimum (rather than the linear span) keeps every node's fit at the
+	// same rank, so high-degree hubs cannot absorb arbitrary deviations
+	// into a large spanning basis.
+	pu := math.Inf(1)
+	for _, e := range det.nodeLines[i] {
+		p, err := det.prox(det.lineSubs[e], cs.lines[e], cs)
+		if err != nil {
+			return 0, err
+		}
+		if p < pu {
+			pu = p
+		}
+	}
+	if math.IsInf(pu, 1) {
+		return pu, nil
+	}
+	if det.cfg.DisableScaling {
+		return pu / cs.xe, nil
+	}
+	pi, err := det.prox(det.interSubs[i], cs.inter[k], cs)
+	if err != nil {
+		return 0, err
+	}
+	// Normalising the three proximities by the restricted sample energy
+	// makes the Eq. (11) score dimensionless, so rankings stay comparable
+	// when Eq. (10) assigns different detection groups to different
+	// clusters under missing data.
+	return subspace.ScaledProximity(pu/cs.xe, pi/cs.xe, cs.p0/cs.xe), nil
+}
+
+// prox measures the residual energy of a cluster's S⁰-filtered
+// restricted deviation against subspace s, whose restriction to the
+// cluster's group is f.
+func (det *Detector) prox(s *subspace.Subspace, f *subspace.Restricted, cs *clusterScore) (float64, error) {
 	if det.cfg.UseRegressorProximity && s.Rank() > 0 {
 		// Ablation: scatter the filtered residual back to full dimension
 		// and use the literal Eq. (9) regressor formulation.
 		full := make([]float64, s.Dim())
-		for k, i := range group {
-			full[i] = r0[k]
+		for k, i := range cs.group {
+			full[i] = cs.r0[k]
 		}
-		return s.RegressorProximity(full, group)
+		return s.RegressorProximity(full, cs.group)
 	}
-	r, err := s.ResidualD(r0, group)
+	r, err := f.Residual(cs.r0)
 	if err != nil {
 		return 0, err
 	}
 	n := mat.Norm2(r)
 	return n * n, nil
-}
-
-func dropMasked(group []int, featMask pmunet.Mask) []int {
-	var out []int
-	for _, i := range group {
-		if !featMask[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // proximityRule implements the decoder of §IV-C: sort nodes by scaled
@@ -664,26 +779,34 @@ func (det *Detector) proximityRule(scores []float64) []int {
 		if scores[i] > best*det.cfg.GapFactor {
 			break
 		}
-		next := append(append([]int(nil), cand...), i)
-		if det.g.SubgraphConnected(next) {
-			cand = next
+		// The candidates are connected, so adding i keeps them connected
+		// exactly when i neighbours one of them. Nodes that would break
+		// connectivity are skipped but do not end the scan: electrically
+		// close, topologically distant nodes can interleave in the
+		// ranking.
+		if det.neighbours(i, cand) {
+			cand = append(cand, i)
 		}
-		// Nodes that break connectivity are skipped but do not end the
-		// scan: electrically-close, topologically-distant nodes can
-		// interleave in the ranking.
 	}
 	sort.Ints(cand)
 	return cand
 }
 
+// neighbours reports whether node i shares a line with any of nodes.
+func (det *Detector) neighbours(i int, nodes []int) bool {
+	for _, v := range det.adj[i] {
+		if slices.Contains(nodes, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // decodeLines turns the candidate node set into F̂: lines whose both
 // endpoints are candidates, filtered by their per-line subspace
 // proximity (only lines within LineKeepFactor of the best survive).
-func (det *Detector) decodeLines(cand []int, dev []float64, featMask pmunet.Mask, busMask pmunet.Mask) []grid.Line {
-	in := map[int]bool{}
-	for _, v := range cand {
-		in[v] = true
-	}
+// Each line is scored in the cluster of its from-bus.
+func (det *Detector) decodeLines(cand []int, clusters []clusterScore) []grid.Line {
 	type scored struct {
 		e grid.Line
 		p float64
@@ -696,23 +819,18 @@ func (det *Detector) decodeLines(cand []int, dev []float64, featMask pmunet.Mask
 		// to fall back to a remote detection group — so lines with at
 		// least one candidate endpoint stay in the running; the per-line
 		// subspace filter below does the final discrimination.
-		if !in[a] && !in[b] {
+		if !slices.Contains(cand, a) && !slices.Contains(cand, b) {
 			continue
 		}
-		group := det.groupFor(a, busMask)
-		group = dropMasked(group, featMask)
-		if len(group) == 0 {
+		cs := &clusters[det.nw.ClusterOf(a)]
+		if len(cs.group) == 0 {
 			continue
 		}
-		r0, _, xe, err := det.normalResidual(dev, group)
+		p, err := det.prox(det.lineSubs[e], cs.lines[e], cs)
 		if err != nil {
 			continue
 		}
-		p, err := det.subProx(det.lineSubs[e], r0, group)
-		if err != nil {
-			continue
-		}
-		ls = append(ls, scored{e, p / xe})
+		ls = append(ls, scored{e, p / cs.xe})
 	}
 	if len(ls) == 0 {
 		return nil
@@ -735,9 +853,13 @@ func (det *Detector) decodeLines(cand []int, dev []float64, featMask pmunet.Mask
 	return out
 }
 
-// bestIncidentLine scores the valid lines of one node and returns the
-// closest, as a last-resort localisation.
-func (det *Detector) bestIncidentLine(node int, dev []float64, featMask, busMask pmunet.Mask) []grid.Line {
+// bestIncidentLine scores the valid lines of one node in the node's
+// cluster and returns the closest, as a last-resort localisation.
+func (det *Detector) bestIncidentLine(node int, clusters []clusterScore) []grid.Line {
+	cs := &clusters[det.nw.ClusterOf(node)]
+	if len(cs.group) == 0 {
+		return nil
+	}
 	bestLine := grid.Line(-1)
 	bestP := math.Inf(1)
 	for _, e := range det.validLines {
@@ -745,20 +867,12 @@ func (det *Detector) bestIncidentLine(node int, dev []float64, featMask, busMask
 		if a != node && b != node {
 			continue
 		}
-		group := dropMasked(det.groupFor(node, busMask), featMask)
-		if len(group) == 0 {
-			continue
-		}
-		r0, _, xe, err := det.normalResidual(dev, group)
+		p, err := det.prox(det.lineSubs[e], cs.lines[e], cs)
 		if err != nil {
 			continue
 		}
-		p, err := det.subProx(det.lineSubs[e], r0, group)
-		if err != nil {
-			continue
-		}
-		if p/xe < bestP {
-			bestP, bestLine = p/xe, e
+		if p/cs.xe < bestP {
+			bestP, bestLine = p/cs.xe, e
 		}
 	}
 	if bestLine < 0 {

@@ -77,7 +77,7 @@ func TestDetectNormalSampleIsQuiet(t *testing.T) {
 func TestDetectThresholdBoundary(t *testing.T) {
 	det, test := trainIEEE14(t, Config{})
 	base := test.OutageSet(test.ValidLines[0]).Samples[0]
-	e1 := det.deviationEnergy(base)
+	e1 := det.deviationEnergy(det.deviation(base))
 	if e1 <= 0 {
 		t.Fatalf("outage sample has no deviation energy (%v)", e1)
 	}
@@ -90,7 +90,7 @@ func TestDetectThresholdBoundary(t *testing.T) {
 		return dataset.Sample{Vm: base.Vm, Va: va}
 	}
 	// Sanity: the quadratic scaling law the boundary construction relies on.
-	if e4 := det.deviationEnergy(mk(2)); !metrics.NearEqual(e4, 4*e1, 1e-9) {
+	if e4 := det.deviationEnergy(det.deviation(mk(2))); !metrics.NearEqual(e4, 4*e1, 1e-9) {
 		t.Fatalf("energy not quadratic in scale: E(2)=%v, 4*E(1)=%v", e4, 4*e1)
 	}
 	alpha := math.Sqrt(det.NoOutageThreshold() / e1)

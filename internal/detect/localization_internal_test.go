@@ -7,6 +7,7 @@ import (
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/grid"
+	"pmuoutage/internal/mat"
 	"pmuoutage/internal/pmunet"
 )
 
@@ -39,7 +40,11 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 					avail = append(avail, i)
 				}
 			}
-			r0, _, _, err := det.normalResidual(dev, avail)
+			xd := make([]float64, len(avail))
+			for k, i := range avail {
+				xd[k] = dev[i]
+			}
+			r0, err := det.normalSub.ResidualD(xd, avail)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,11 +54,12 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 			}
 			var scores []ls
 			for _, f := range det.validLines {
-				p, err := det.subProx(det.lineSubs[f], r0, avail)
+				r, err := det.lineSubs[f].ResidualD(r0, avail)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scores = append(scores, ls{f, p})
+				n := mat.Norm2(r)
+				scores = append(scores, ls{f, n * n})
 			}
 			sort.Slice(scores, func(a, b int) bool { return scores[a].p < scores[b].p })
 			n++

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
+	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/ellipse"
 	"pmuoutage/internal/grid"
 	"pmuoutage/internal/mat"
@@ -242,6 +244,19 @@ func (m *Model) validate() error {
 		return bad("no grid")
 	}
 	n := m.Grid.N()
+	for e, br := range m.Grid.Branches {
+		if br.From < 0 || br.From >= n || br.To < 0 || br.To >= n {
+			return bad("branch %d endpoints (%d,%d) out of range %d", e, br.From, br.To, n)
+		}
+	}
+	if _, err := pmunet.FromClusters(m.Grid, m.Clusters); err != nil {
+		return bad("%v", err)
+	}
+	switch m.Config.Channel {
+	case dataset.Angle, dataset.Magnitude, dataset.Stacked:
+	default:
+		return bad("unknown channel %d", m.Config.Channel)
+	}
 	dim := m.Config.Channel.Dim(n)
 	if len(m.Mean) != dim {
 		return bad("mean has %d entries, channel dimension is %d", len(m.Mean), dim)
@@ -257,6 +272,16 @@ func (m *Model) validate() error {
 	if len(m.UnionBases) != n || len(m.InterBases) != n || len(m.NodeLines) != n {
 		return bad("per-node tables sized %d/%d/%d, grid has %d buses",
 			len(m.UnionBases), len(m.InterBases), len(m.NodeLines), n)
+	}
+	for i, lines := range m.NodeLines {
+		for _, e := range lines {
+			if !slices.Contains(m.ValidLines, e) {
+				return bad("node %d lists line %d, not a valid line", i, e)
+			}
+			if a, b := m.Grid.Endpoints(e); a != i && b != i {
+				return bad("node %d lists line %d, which does not end at it", i, e)
+			}
+		}
 	}
 	if len(m.Ellipses) != n {
 		return bad("%d ellipses for %d buses", len(m.Ellipses), n)
@@ -279,6 +304,13 @@ func (m *Model) validate() error {
 	}
 	if len(m.Groups) != len(m.Clusters) {
 		return bad("%d detection groups for %d clusters", len(m.Groups), len(m.Clusters))
+	}
+	for c, g := range m.Groups {
+		for _, b := range slices.Concat(g.InCluster, g.OutCluster) {
+			if b < 0 || b >= n {
+				return bad("detection group %d member %d out of range %d", c, b, n)
+			}
+		}
 	}
 	check := func(what string, b Basis) error {
 		if b.Rows != dim {
@@ -308,10 +340,15 @@ func (m *Model) validate() error {
 	return nil
 }
 
-// FromModel wraps a model into a ready-to-serve Detector. No numeric
-// work happens here — bases, tables, and thresholds are used as stored
-// — which is what makes hot model swaps cheap. The detector behaves
-// byte-identically to the one Train produced the model from.
+// FromModel wraps a model into a ready-to-serve Detector. Bases,
+// tables, and thresholds are used as stored; the only numeric work is
+// the per-cluster scoring state, derived exactly as Train derives it
+// and never serialised: for a sample with nothing missing, each
+// detection group's restricted bases of S⁰, of the cluster's incident
+// lines and of its nodes' intersection subspaces, with their
+// pseudo-inverses. That is small next to training, so hot model swaps
+// stay cheap. The detector behaves byte-identically to the one Train
+// produced the model from.
 func FromModel(m *Model) (*Detector, error) {
 	if m.FormatVersion != ModelVersion {
 		return nil, fmt.Errorf("%w: model has format version %d, this build reads %d",
@@ -352,6 +389,9 @@ func FromModel(m *Model) (*Detector, error) {
 		det.unionSubs[i] = m.UnionBases[i].subspace()
 		det.interSubs[i] = m.InterBases[i].subspace()
 		det.caps.Ellipses[i] = &ellipse.Ellipse{C: m.Ellipses[i].C, A: m.Ellipses[i].A}
+	}
+	if err := det.prepare(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrModelCorrupt, err)
 	}
 	return det, nil
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"pmuoutage/internal/dataset"
+	"pmuoutage/internal/grid"
 )
 
 // snapshotFixture trains the golden fixture and snapshots it.
@@ -199,4 +201,139 @@ func TestModelValidateRejectsInconsistency(t *testing.T) {
 	if _, err := FromModel(m); !errors.Is(err, ErrModelCorrupt) {
 		t.Fatalf("got %v, want ErrModelCorrupt", err)
 	}
+}
+
+// tamperedArtifacts encodes copies of m with one structural defect each,
+// re-sealed so the fingerprint matches the hostile content and only the
+// structural checks stand between it and Detect.
+func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
+	t.Helper()
+	invalid := grid.Line(-1)
+	for e := range m.Grid.Branches {
+		if !slices.Contains(m.ValidLines, grid.Line(e)) {
+			invalid = grid.Line(e)
+			break
+		}
+	}
+	if invalid < 0 {
+		t.Fatal("fixture has no line without a learned subspace")
+	}
+	remote := m.ValidLines[0]
+	a, b := m.Grid.Endpoints(remote)
+	far := 0
+	for far == a || far == b {
+		far++
+	}
+	tamper := map[string]func(m *Model){
+		"group member out of range": func(m *Model) {
+			m.Groups = slices.Clone(m.Groups)
+			m.Groups[0].InCluster = append(slices.Clone(m.Groups[0].InCluster), 999)
+		},
+		"node line not a valid line": func(m *Model) {
+			a, _ := m.Grid.Endpoints(invalid)
+			m.NodeLines = slices.Clone(m.NodeLines)
+			m.NodeLines[a] = append(slices.Clone(m.NodeLines[a]), invalid)
+		},
+		"node line not incident": func(m *Model) {
+			m.NodeLines = slices.Clone(m.NodeLines)
+			m.NodeLines[far] = append(slices.Clone(m.NodeLines[far]), remote)
+		},
+		"unknown channel": func(m *Model) { m.Config.Channel = 7 },
+		"branch endpoint out of range": func(m *Model) {
+			m.Grid = m.Grid.Clone()
+			m.Grid.Branches[0].To = 99
+		},
+		"bus in two clusters": func(m *Model) {
+			m.Clusters = slices.Clone(m.Clusters)
+			m.Clusters[1] = append(slices.Clone(m.Clusters[1]), m.Clusters[0][0])
+		},
+	}
+	out := map[string][]byte{}
+	for name, fn := range tamper {
+		c := *m
+		fn(&c)
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestDecodeModelRejectsHostileTables: artifacts whose detection groups,
+// node line lists, channel, grid or partition point outside the model
+// are refused at decode with ErrModelCorrupt. Without these checks the
+// out-of-range group member, the invalid node line, the unknown channel
+// and the out-of-range branch decoded, booted, and then panicked inside
+// Detect; the two-cluster bus decoded and only FromModel refused it.
+func TestDecodeModelRejectsHostileTables(t *testing.T) {
+	_, m, _ := snapshotFixture(t)
+	for name, artifact := range tamperedArtifacts(t, m) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeModel(bytes.NewReader(artifact)); !errors.Is(err, ErrModelCorrupt) {
+				t.Fatalf("got %v, want ErrModelCorrupt", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeModel feeds hostile artifacts to the model codec. Decoding
+// must never panic, and a model it accepts must boot through FromModel
+// and detect a normal, an outage and a cluster-dark sample without
+// panicking. Nearly every mutation breaks the fingerprint, so an input
+// that parses is also re-sealed and decoded again: that is how a forged
+// artifact arrives, and it takes the fuzzer past the hash to the
+// structural checks.
+func FuzzDecodeModel(f *testing.F) {
+	det, d := trainFixture(f, 1)
+	m, err := det.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	for _, artifact := range tamperedArtifacts(f, m) {
+		f.Add(artifact)
+	}
+	normal := d.Normal.Samples[0]
+	outage := d.Outages[d.ValidLines[0]].Samples[0]
+	// sized stretches a fixture sample to a model's bus count.
+	sized := func(s dataset.Sample, n int) dataset.Sample {
+		out := dataset.Sample{Vm: make([]float64, n), Va: make([]float64, n)}
+		for i := range out.Vm {
+			out.Vm[i], out.Va[i] = s.Vm[i%len(s.Vm)], s.Va[i%len(s.Va)]
+		}
+		return out
+	}
+	boot := func(t *testing.T, artifact []byte) {
+		m, err := DecodeModel(bytes.NewReader(artifact))
+		if err != nil {
+			return
+		}
+		det, err := FromModel(m)
+		if err != nil {
+			t.Fatalf("decoded model does not boot: %v", err)
+		}
+		n := det.Grid().N()
+		out := sized(outage, n)
+		for _, s := range []dataset.Sample{sized(normal, n), out, out.WithMask(det.Network().ClusterMask(0))} {
+			_, _ = det.Detect(s) // an error is an answer; only a panic fails
+		}
+	}
+	f.Fuzz(func(t *testing.T, artifact []byte) {
+		boot(t, artifact)
+		var m Model
+		if json.Unmarshal(artifact, &m) != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if m.Encode(&buf) == nil {
+			boot(t, buf.Bytes())
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // trainFixture regenerates the exact configuration the pre-refactor
 // golden values below were captured on: IEEE-14, DC, 20 steps, seed 1,
 // 3 PDC clusters, default detector config.
-func trainFixture(t *testing.T, workers int) (*Detector, *dataset.Data) {
+func trainFixture(t testing.TB, workers int) (*Detector, *dataset.Data) {
 	t.Helper()
 	g := cases.IEEE14()
 	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
@@ -63,18 +64,56 @@ func TestTrainGoldenFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, l := range r.Lines {
-				binary.Write(h, binary.LittleEndian, int64(l))
-			}
-			for _, s := range r.NodeScores {
-				binary.Write(h, binary.LittleEndian, math.Float64bits(s))
-			}
-			binary.Write(h, binary.LittleEndian, math.Float64bits(r.DeviationEnergy))
+			hashResult(h, r)
 		}
 		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != "59484bc947acc56a" {
 			t.Errorf("workers=%d: detection fingerprint %s, want pre-refactor 59484bc947acc56a", workers, got)
 		}
 	}
+}
+
+// TestMaskedDetectGoldenFingerprint pins detection under missing data,
+// which TestTrainGoldenFingerprint (complete samples only) leaves
+// unpinned: every valid line's first outage sample under each
+// single-bus mask and each whole-cluster-dark mask. The pinned hash was
+// captured before detection groups were factored per PDC cluster.
+func TestMaskedDetectGoldenFingerprint(t *testing.T) {
+	det, d := trainFixture(t, 1)
+	nw := det.Network()
+	var masks []pmunet.Mask
+	for b := 0; b < det.Grid().N(); b++ {
+		m := pmunet.NoneMissing(det.Grid().N())
+		m[b] = true
+		masks = append(masks, m)
+	}
+	for c := 0; c < nw.NumClusters(); c++ {
+		masks = append(masks, nw.ClusterMask(c))
+	}
+	h := sha256.New()
+	for _, e := range d.ValidLines {
+		for _, m := range masks {
+			r, err := det.Detect(d.Outages[e].Samples[0].WithMask(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashResult(h, r)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != "af9f6411ccfe7cb0" {
+		t.Errorf("masked detection fingerprint %s, want af9f6411ccfe7cb0", got)
+	}
+}
+
+// hashResult feeds the bits of a result's lines, node scores and
+// deviation energy to h.
+func hashResult(h io.Writer, r *Result) {
+	for _, l := range r.Lines {
+		binary.Write(h, binary.LittleEndian, int64(l))
+	}
+	for _, s := range r.NodeScores {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(s))
+	}
+	binary.Write(h, binary.LittleEndian, math.Float64bits(r.DeviationEnergy))
 }
 
 func TestTrainContextCancelled(t *testing.T) {

@@ -237,8 +237,9 @@ func (g *Grid) adjacency() [][]int {
 
 // SubgraphConnected reports whether the given bus set induces a connected
 // subgraph of the in-service grid. An empty or single-node set is
-// connected. Used by the detector's proximity rule: candidate outage
-// nodes must form a connected sub-component.
+// connected. The detector's proximity rule requires its candidate
+// outage nodes to be connected; its tests use this as the oracle for
+// the rule's incremental neighbour check.
 func (g *Grid) SubgraphConnected(nodes []int) bool {
 	if len(nodes) <= 1 {
 		return true

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"pmuoutage"
+	"pmuoutage/api"
 	"pmuoutage/client"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/obs"
@@ -164,6 +165,28 @@ func (t *truth) classify(reps []*pmuoutage.Report) (correct, alarmed bool) {
 		}
 	}
 	return correct, alarmed
+}
+
+// waitProbed polls the router's backend table, for at most five
+// seconds, until a probe has listed a shard on the primary backend at
+// url.
+func waitProbed(ctx context.Context, cl *client.Client, url string) error {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	for {
+		var fleet api.FleetStatus
+		if err := call(ctx, cl, "/v1/backends", nil, &fleet); err != nil {
+			return err
+		}
+		for _, b := range fleet.Primary {
+			if b.URL == url && len(b.Shards) > 0 {
+				return nil
+			}
+		}
+		if !sleepCtx(ctx, 5*time.Millisecond) {
+			return fmt.Errorf("router never listed the shards of %s: %w", url, ctx.Err())
+		}
+	}
 }
 
 // sleepCtx waits d unless ctx ends first, and reports whether ctx is

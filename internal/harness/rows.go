@@ -157,6 +157,11 @@ func fleetRow(ctx context.Context) error {
 		if bs[i], err = f.AddBackend(ctx, opts, fp); err != nil {
 			return err
 		}
+		// A shard loads its model after AddBackend returns; a shadow copy
+		// reaching the canary before then would count as a canary error.
+		if _, err := bs[i].System(ctx); err != nil {
+			return err
+		}
 	}
 	primA, primB, canary := bs[0], bs[1], bs[2]
 	if err := f.StartRouter(ctx, router.Config{
@@ -197,6 +202,11 @@ func fleetRow(ctx context.Context) error {
 		return fmt.Errorf("canary report not promotable: %v", report.Reasons)
 	}
 
+	// Promotion reloads the shards the router's probes have listed, and
+	// the detects above can finish before its first probe pass.
+	if err := waitProbed(ctx, f.Cli, primB.URL); err != nil {
+		return err
+	}
 	var promoted api.PromoteResponse
 	if err := call(ctx, f.Cli, "/v1/canary/promote", api.PromoteRequest{}, &promoted); err != nil {
 		return err

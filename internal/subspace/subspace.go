@@ -194,24 +194,56 @@ func Intersection(minShare float64, subs ...*Subspace) (*Subspace, error) {
 // residual xd − U_D (U_D)⁺ xd. For the zero subspace it returns a copy
 // of xd. This is the building block detectors chain: first remove the
 // normal-operation (load-variation) component, then measure the residual
-// against an outage subspace.
+// against an outage subspace. It is Restrict followed by Residual;
+// callers that score many vectors against one group keep the Restricted.
 func (s *Subspace) ResidualD(xd []float64, group []int) ([]float64, error) {
-	if len(xd) != len(group) {
-		return nil, fmt.Errorf("subspace: restricted vector length %d != group %d", len(xd), len(group))
+	r, err := s.Restrict(group)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(xd))
-	copy(out, xd)
+	return r.Residual(xd)
+}
+
+// Restricted is a subspace's basis restricted to the rows of one
+// detection group, U_D, together with its pseudo-inverse (U_D)⁺: the
+// part of ResidualD that depends only on the group, and the only costly
+// step. It is immutable and safe for concurrent use.
+type Restricted struct {
+	rows int
+	ud   *mat.Dense // nil for the zero subspace
+	pinv *mat.Dense
+}
+
+// Restrict selects the group's rows of the basis and takes their
+// pseudo-inverse. group indexes features (not buses).
+func (s *Subspace) Restrict(group []int) (*Restricted, error) {
+	r := &Restricted{rows: len(group)}
 	if s.Rank() == 0 {
-		return out, nil
+		return r, nil
 	}
 	for _, i := range group {
 		if i < 0 || i >= s.Dim() {
 			return nil, fmt.Errorf("subspace: group index %d out of range %d", i, s.Dim())
 		}
 	}
-	ud := s.basis.SelectRows(group)
-	alpha := mat.PseudoInverse(ud).MulVec(out)
-	fit := ud.MulVec(alpha)
+	r.ud = s.basis.SelectRows(group)
+	r.pinv = mat.PseudoInverse(r.ud)
+	return r, nil
+}
+
+// Residual returns xd − U_D (U_D)⁺ xd for a vector indexed like the
+// group Restrict was given; for the zero subspace, a copy of xd.
+func (r *Restricted) Residual(xd []float64) ([]float64, error) {
+	if len(xd) != r.rows {
+		return nil, fmt.Errorf("subspace: restricted vector length %d != group %d", len(xd), r.rows)
+	}
+	out := make([]float64, len(xd))
+	copy(out, xd)
+	if r.ud == nil {
+		return out, nil
+	}
+	alpha := r.pinv.MulVec(out)
+	fit := r.ud.MulVec(alpha)
 	for i := range out {
 		out[i] -= fit[i]
 	}

@@ -3,6 +3,7 @@ package subspace
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,59 @@ func TestProximityRestrictedRows(t *testing.T) {
 	}
 	if p < 1 {
 		t.Fatalf("orthogonal restricted proximity = %v", p)
+	}
+}
+
+// TestRestrictedResidual: one restriction serves many vectors, its
+// residual energy is the Eq. (9) proximity over the same rows, the zero
+// subspace passes vectors through as copies, and wrong lengths and
+// out-of-range rows are errors.
+func TestRestrictedResidual(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s, err := Learn(dataAlong(rng, 25, unit(5, 0), unit(5, 3)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := []int{0, 2, 3}
+	r, err := s.Restrict(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		x := make([]float64, 5)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		res, err := r.Residual([]float64{x[0], x[2], x[3]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Proximity(x, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := mat.Norm2(res); math.Abs(n*n-p) > 1e-12*(1+p) {
+			t.Fatalf("restricted residual energy %v, proximity %v", n*n, p)
+		}
+	}
+	if _, err := r.Residual([]float64{1, 2}); err == nil {
+		t.Fatal("expected length error")
+	}
+	if _, err := s.Restrict([]int{0, 7}); err == nil {
+		t.Fatal("expected range error")
+	}
+	z, err := Zero(5).Restrict(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xd := []float64{1, 2, 3}
+	out, err := z.Residual(xd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out[0] = 9
+	if !slices.Equal(xd, []float64{1, 2, 3}) || !slices.Equal(out, []float64{9, 2, 3}) {
+		t.Fatalf("zero-subspace residual %v of %v is not a copy", out, xd)
 	}
 }
 
