@@ -4,21 +4,19 @@
 // configurations compute byte-identical results (see internal/par), so
 // the ratio is pure scheduling overhead vs speedup.
 //
-// It also measures the power-flow scaling ladder: one AC and one DC
-// solve per grid size (14 … 1000 buses) on both the dense and the
-// sparse solver, so BENCH_pipeline.json documents where the
-// SparseBusThreshold dispatch pays off. The 1000-bus rows sit behind
-// -full — building that grid alone takes ~30 s, which does not belong
-// in the verify budget.
+// It also measures the power-flow scaling ladder: one flat-start AC and
+// one DC solve per grid size (14 … 1000 buses), each on the linear solve
+// the grid's size picks (dense LU below powerflow.SparseBusThreshold
+// buses, sparse LU at or above it).
 //
 // Usage:
 //
-//	benchpipeline [-o BENCH_pipeline.json] [-reps 3] [-full]
+//	benchpipeline [-o BENCH_pipeline.json] [-reps 3]
 //
 // The JSON has one entry per (stage, workers) pair with the best-of-reps
-// wall time in nanoseconds, one scaling row per (grid, solver, substrate)
-// triple, plus the machine's GOMAXPROCS so single-CPU results are
-// readable for what they are.
+// wall time in nanoseconds, one scaling row per (grid, stage) pair, plus
+// the machine's GOMAXPROCS so single-CPU results are readable for what
+// they are.
 package main
 
 import (
@@ -45,13 +43,12 @@ type result struct {
 }
 
 // scalingRow is one point of the power-flow scaling ladder: the named
-// grid solved once on the named solver backend.
+// grid solved once.
 type scalingRow struct {
-	Grid   string `json:"grid"`
-	Buses  int    `json:"buses"`
-	Solver string `json:"solver"` // dense | sparse
-	Stage  string `json:"stage"`  // powerflow/ac | powerflow/dc
-	NsOp   int64  `json:"ns_op"`  // best of -reps runs
+	Grid  string `json:"grid"`
+	Buses int    `json:"buses"`
+	Stage string `json:"stage"` // powerflow/ac | powerflow/dc
+	NsOp  int64  `json:"ns_op"` // best of -reps runs
 }
 
 type report struct {
@@ -64,16 +61,15 @@ type report struct {
 func main() {
 	out := flag.String("o", "BENCH_pipeline.json", "output file")
 	reps := flag.Int("reps", 3, "repetitions per stage (best run wins)")
-	full := flag.Bool("full", false, "include the 1000-bus scaling rows (~30 s grid build)")
 	flag.Parse()
 
-	if err := run(*out, *reps, *full); err != nil {
+	if err := run(*out, *reps); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpipeline:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, reps int, full bool) error {
+func run(out string, reps int) error {
 	if reps <= 0 {
 		reps = 1
 	}
@@ -128,7 +124,7 @@ func run(out string, reps int, full bool) error {
 		}
 	}
 
-	scaling, err := scalingLadder(reps, full)
+	scaling, err := scalingLadder(reps)
 	if err != nil {
 		return err
 	}
@@ -141,57 +137,44 @@ func run(out string, reps int, full bool) error {
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
-// scalingLadder times one warm AC and one warm DC solve per grid size
-// on both solver backends. Every (grid, solver) pair computes the same
-// solution (the parity tests in internal/powerflow pin this), so the
-// dense/sparse ratio is pure linear-algebra cost.
-func scalingLadder(reps int, full bool) ([]scalingRow, error) {
-	names := []string{"ieee14", "ieee30", "ieee57", "ieee118", "synth300"}
-	if full {
-		names = append(names, "synth1000")
+// scalingLadder times one flat-start AC and one DC solve per grid size.
+// Flat start, because the built-in grids store their solved state and a
+// warm start from the exact solution converges before any
+// factorization runs, measuring nothing.
+func scalingLadder(reps int) ([]scalingRow, error) {
+	stages := []struct {
+		label string
+		fn    func(*grid.Grid) error
+	}{
+		{"powerflow/ac", func(g *grid.Grid) error {
+			_, err := powerflow.SolveAC(g, powerflow.Options{FlatStart: true})
+			return err
+		}},
+		{"powerflow/dc", func(g *grid.Grid) error {
+			_, err := powerflow.SolveDC(g)
+			return err
+		}},
 	}
 	var rows []scalingRow
-	for _, name := range names {
+	for _, name := range []string{"ieee14", "ieee30", "ieee57", "ieee118", "synth300", "synth1000"} {
 		g, err := cases.Load(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, solver := range []struct {
-			label string
-			s     powerflow.Solver
-		}{{"dense", powerflow.SolverDense}, {"sparse", powerflow.SolverSparse}} {
-			// Flat start: the built-in grids store their solved state, and
-			// a warm start from the exact solution converges before any
-			// factorization runs — measuring nothing.
-			ac := func(work *grid.Grid) error {
-				_, err := powerflow.SolveAC(work, powerflow.Options{Solver: solver.s, FlatStart: true})
-				return err
-			}
-			dc := func(work *grid.Grid) error {
-				_, err := powerflow.SolveDCWith(work, solver.s)
-				return err
-			}
-			for _, stage := range []struct {
-				label string
-				fn    func(*grid.Grid) error
-			}{{"powerflow/ac", ac}, {"powerflow/dc", dc}} {
-				best := time.Duration(-1)
-				for r := 0; r < reps; r++ {
-					work := g.Clone()
-					start := time.Now()
-					if err := stage.fn(work); err != nil {
-						return nil, fmt.Errorf("%s %s %s: %w", name, solver.label, stage.label, err)
-					}
-					if el := time.Since(start); best < 0 || el < best {
-						best = el
-					}
+		for _, stage := range stages {
+			best := time.Duration(-1)
+			for r := 0; r < reps; r++ {
+				work := g.Clone()
+				start := time.Now()
+				if err := stage.fn(work); err != nil {
+					return nil, fmt.Errorf("%s %s: %w", name, stage.label, err)
 				}
-				rows = append(rows, scalingRow{
-					Grid: name, Buses: g.N(), Solver: solver.label,
-					Stage: stage.label, NsOp: best.Nanoseconds(),
-				})
-				fmt.Printf("%-10s %-6s %-13s %12s\n", name, solver.label, stage.label, best.Round(time.Microsecond))
+				if el := time.Since(start); best < 0 || el < best {
+					best = el
+				}
 			}
+			rows = append(rows, scalingRow{Grid: name, Buses: g.N(), Stage: stage.label, NsOp: best.Nanoseconds()})
+			fmt.Printf("%-10s %-13s %12s\n", name, stage.label, best.Round(time.Microsecond))
 		}
 	}
 	return rows, nil

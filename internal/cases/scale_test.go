@@ -26,16 +26,10 @@ func TestChordGuardTrips(t *testing.T) {
 }
 
 // TestSynth300 pins the 300-bus scale grid: size, registry access,
-// clone isolation, and a warm-start solve on the sparse path (300 ≥
-// powerflow.SparseBusThreshold, so the auto dispatch goes sparse).
-// Skipped under the race detector like TestSynth1000: the builder's
-// feasibility loop is all tight numeric kernels, and instrumentation
-// stretches the ~3 s build past the race suite's budget. `make
-// smoke-scale` covers synth300 end to end without instrumentation.
+// clone isolation, and a warm-start solve on the sparse power flow (300 ≥
+// powerflow.SparseBusThreshold, so SolveAC takes the sparse LU). It runs
+// under the race detector too: the build takes about a second there.
 func TestSynth300(t *testing.T) {
-	if raceEnabled {
-		t.Skip("skipping 300-bus build under the race detector")
-	}
 	g := Synth300()
 	if g.N() != 300 || g.E() != 475 {
 		t.Fatalf("synth300: %d buses / %d branches, want 300 / 475", g.N(), g.E())
@@ -67,8 +61,8 @@ func TestSynth300(t *testing.T) {
 }
 
 // TestSynth1000 exercises the scaling target end to end. Skipped under
-// the race detector and -short: the instrumented build takes minutes
-// for identical numerics.
+// the race detector, where the build takes about ten seconds for
+// numerics TestSynth300 already covers, and under -short.
 func TestSynth1000(t *testing.T) {
 	if raceEnabled {
 		t.Skip("skipping 1000-bus build under the race detector")

@@ -3,6 +3,9 @@
 // It substitutes for MATPOWER in the paper's data-generation pipeline:
 // given a grid and a load/generation profile it produces the bus voltage
 // phasors that play the role of PMU measurements.
+//
+// Every grid runs the same Newton loop over CSR admittance data; only
+// the linear solve depends on size (see SparseBusThreshold).
 package powerflow
 
 import (
@@ -19,6 +22,17 @@ import (
 // mismatch tolerance within the iteration limit.
 var ErrNoConvergence = errors.New("powerflow: Newton-Raphson did not converge")
 
+// SparseBusThreshold is the bus count at which SolveAC and SolveDC
+// switch from dense partial-pivoting LU to the sparse direct
+// factorization, mat.SparseLU. Below it every result keeps the
+// bits of the dense solver the detector goldens (14–118 buses) were
+// pinned on.
+const SparseBusThreshold = 150
+
+// useSparse is the size rule: whether an n-bus grid takes the sparse
+// linear solve.
+func useSparse(n int) bool { return n >= SparseBusThreshold }
+
 // Options configures the AC solver.
 type Options struct {
 	Tol     float64 //gridlint:unit pu // max power mismatch in p.u.; default 1e-8
@@ -26,10 +40,6 @@ type Options struct {
 	// FlatStart forces the initial guess to Vm=1, Va=0 instead of the
 	// voltages stored in the grid (which allow warm starts).
 	FlatStart bool
-	// Solver selects the linear-algebra backend: SolverAuto (default)
-	// dispatches on grid size — dense below SparseBusThreshold buses,
-	// CSR operators with iterative solves at or above it.
-	Solver Solver
 }
 
 func (o Options) withDefaults() Options {
@@ -59,250 +69,343 @@ func (s *Solution) Phasor(i int) complex128 {
 // Injections are taken from the grid's bus records: P_i = Pg_i - Pd_i,
 // Q_i = Qg_i - Qd_i (per unit).
 func SolveAC(g *grid.Grid, opts Options) (*Solution, error) {
+	return solveAC(g, opts, useSparse(g.N()))
+}
+
+// solveAC is SolveAC with the linear solve named by sparse instead of
+// picked by size.
+func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
 	opts = opts.withDefaults()
-	if opts.Solver.sparse(g.N()) {
-		return solveACSparse(g, opts)
-	}
-	n := g.N()
-	slack, err := g.SlackIndex()
+	st, err := newACState(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	ybus := g.Ybus()
-	gm := mat.NewDense(n, n) // conductance
-	bm := mat.NewDense(n, n) // susceptance
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			y := ybus.At(i, j)
-			gm.Set(i, j, real(y))
-			bm.Set(i, j, imag(y))
-		}
-	}
-
-	// State: angles for all non-slack buses, magnitudes for PQ buses.
-	var pvpq, pq []int
-	for i := 0; i < n; i++ {
-		if i == slack {
-			continue
-		}
-		if g.Buses[i].Type == PQint {
-			pq = append(pq, i)
-		}
-		pvpq = append(pvpq, i)
-	}
-
-	vm := make([]float64, n)
-	va := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if opts.FlatStart {
-			vm[i], va[i] = 1, 0
-		} else {
-			vm[i], va[i] = g.Buses[i].Vm, g.Buses[i].Va
-			if vm[i] <= 0 {
-				vm[i] = 1
-			}
-		}
-		// PV and slack magnitudes are fixed at their set points.
-		if g.Buses[i].Type != PQint {
-			vm[i] = g.Buses[i].Vm
-			if vm[i] <= 0 {
-				vm[i] = 1
-			}
-		}
-	}
-	va[slack] = g.Buses[slack].Va
-
-	pSched := make([]float64, n)
-	qSched := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pSched[i] = g.Buses[i].Pg - g.Buses[i].Pd
-		qSched[i] = g.Buses[i].Qg - g.Buses[i].Qd
-	}
-
-	nb := len(pvpq)
-	nq := len(pq)
-	dim := nb + nq
+	nb := len(st.pvpq)
+	dim := nb + len(st.pq)
 	if dim == 0 {
-		return &Solution{Vm: vm, Va: va}, nil
+		return &Solution{Vm: st.vm, Va: st.va}, nil
 	}
-
-	pcalc := make([]float64, n)
-	qcalc := make([]float64, n)
-	calc := func() {
-		for i := 0; i < n; i++ {
-			var pi, qi float64
-			gr := gm.RawRow(i)
-			br := bm.RawRow(i)
-			for j := 0; j < n; j++ {
-				if gr[j] == 0 && br[j] == 0 { //gridlint:ignore floatcmp structural sparsity skip: admittance entries are exactly zero off the graph
-					continue
-				}
-				d := va[i] - va[j]
-				c, s := math.Cos(d), math.Sin(d)
-				pi += vm[j] * (gr[j]*c + br[j]*s)
-				qi += vm[j] * (gr[j]*s - br[j]*c)
-			}
-			pcalc[i] = vm[i] * pi
-			qcalc[i] = vm[i] * qi
-		}
-	}
-
-	mismatch := func() ([]float64, float64) {
-		f := make([]float64, dim)
-		var mx float64
-		for k, i := range pvpq {
-			f[k] = pcalc[i] - pSched[i]
-			if a := math.Abs(f[k]); a > mx {
-				mx = a
-			}
-		}
-		for k, i := range pq {
-			f[nb+k] = qcalc[i] - qSched[i]
-			if a := math.Abs(f[nb+k]); a > mx {
-				mx = a
-			}
-		}
-		return f, mx
-	}
-
-	var iter int
-	for iter = 0; iter <= opts.MaxIter; iter++ {
-		calc()
-		f, mx := mismatch()
+	f := make([]float64, dim)
+	ls := linearSolver{sparse: sparse}
+	for iter := 0; iter <= opts.MaxIter; iter++ {
+		st.calc()
+		mx := st.mismatch(f)
 		if mx < opts.Tol {
-			return &Solution{Vm: vm, Va: va, Iterations: iter, Mismatch: mx}, nil
+			return &Solution{Vm: st.vm, Va: st.va, Iterations: iter, Mismatch: mx}, nil
 		}
 		if iter == opts.MaxIter {
 			break
 		}
-		j := jacobian(n, gm, bm, vm, va, pcalc, qcalc, pvpq, pq)
-		lu, err := mat.FactorLU(j)
+		dx, err := ls.solve(st.jacobian(), f)
 		if err != nil {
 			return nil, fmt.Errorf("powerflow: singular Jacobian at iteration %d: %w", iter, err)
 		}
-		dx, err := lu.Solve(f)
-		if err != nil {
-			return nil, fmt.Errorf("powerflow: Jacobian solve failed: %w", err)
+		for k, i := range st.pvpq {
+			st.va[i] -= dx[k]
 		}
-		for k, i := range pvpq {
-			va[i] -= dx[k]
-		}
-		for k, i := range pq {
-			vm[i] -= dx[nb+k]
-			if vm[i] < 0.2 {
-				vm[i] = 0.2 // keep the iteration away from voltage collapse
+		for k, i := range st.pq {
+			st.vm[i] -= dx[nb+k]
+			if st.vm[i] < 0.2 {
+				st.vm[i] = 0.2 // keep the iteration away from voltage collapse
 			}
 		}
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter)
 }
 
-// PQint mirrors grid.PQ; aliased locally to keep call sites short.
-const PQint = grid.PQ
+// linearSolver solves the systems of one power-flow solve: by
+// mat.SparseLU when sparse is set, which orders the pattern once and
+// reuses the ordering for every Newton step, else by dense
+// partial-pivoting LU.
+type linearSolver struct {
+	sparse bool
+	lu     mat.SparseLU
+}
 
-// jacobian builds the polar Newton-Raphson Jacobian
-//
-//	[ dP/dVa  dP/dVm ]
-//	[ dQ/dVa  dQ/dVm ]
-//
-// restricted to the free variables (angles of pvpq, magnitudes of pq).
-//
-//gridlint:unit vm pu
-//gridlint:unit va rad
-func jacobian(n int, gm, bm *mat.Dense, vm, va, pcalc, qcalc []float64, pvpq, pq []int) *mat.Dense {
-	nb, nq := len(pvpq), len(pq)
-	j := mat.NewDense(nb+nq, nb+nq)
-	// Position lookups.
-	posA := make([]int, n)
-	posM := make([]int, n)
-	for i := range posA {
-		posA[i], posM[i] = -1, -1
-	}
-	for k, i := range pvpq {
-		posA[i] = k
-	}
-	for k, i := range pq {
-		posM[i] = nb + k
-	}
-	for _, i := range pvpq {
-		ri := posA[i]
-		gi := gm.RawRow(i)
-		bi := bm.RawRow(i)
-		for k := 0; k < n; k++ {
-			if gi[k] == 0 && bi[k] == 0 && k != i { //gridlint:ignore floatcmp structural sparsity skip: admittance entries are exactly zero off the graph
-				continue
-			}
-			d := va[i] - va[k]
-			c, s := math.Cos(d), math.Sin(d)
-			if k == i {
-				// dP_i/dVa_i and dQ_i/dVa_i etc. use the standard
-				// textbook identities in terms of P_calc and Q_calc.
-				j.Set(ri, ri, -qcalc[i]-bi[i]*vm[i]*vm[i])
-				if posM[i] >= 0 {
-					j.Set(ri, posM[i], pcalc[i]/vm[i]+gi[i]*vm[i])
-				}
-				if qi := posM[i]; qi >= 0 {
-					j.Set(qi, ri, pcalc[i]-gi[i]*vm[i]*vm[i])
-					j.Set(qi, qi, qcalc[i]/vm[i]-bi[i]*vm[i])
-				}
-				continue
-			}
-			// Off-diagonal terms.
-			vivk := vm[i] * vm[k]
-			dpdva := vivk * (gi[k]*s - bi[k]*c)
-			dqdva := -vivk * (gi[k]*c + bi[k]*s)
-			dpdvm := vm[i] * (gi[k]*c + bi[k]*s)
-			dqdvm := vm[i] * (gi[k]*s - bi[k]*c)
-			if ck := posA[k]; ck >= 0 {
-				j.Set(ri, ck, dpdva)
-				if qi := posM[i]; qi >= 0 {
-					j.Set(qi, ck, dqdva)
-				}
-			}
-			if ck := posM[k]; ck >= 0 {
-				j.Set(ri, ck, dpdvm)
-				if qi := posM[i]; qi >= 0 {
-					j.Set(qi, ck, dqdvm)
-				}
-			}
+func (s *linearSolver) solve(a *mat.Sparse, b []float64) ([]float64, error) {
+	if s.sparse {
+		if err := s.lu.Factor(a); err != nil {
+			return nil, err
 		}
+		return s.lu.Solve(b)
 	}
-	return j
+	lu, err := mat.FactorLU(a.ToDense())
+	if err != nil {
+		return nil, err
+	}
+	return lu.Solve(b)
 }
 
-// SolveDC computes the linear DC power-flow angles: B' * theta = P,
-// with the slack angle fixed at zero and magnitudes all 1. Used as the
-// fast approximate fallback and by baseline studies. Grids at or above
-// SparseBusThreshold buses solve on the sparse CG path; use
-// SolveDCWith to force a backend.
-func SolveDC(g *grid.Grid) (*Solution, error) {
-	return SolveDCWith(g, SolverAuto)
+// ybusAdj is the CSR adjacency view of the bus admittance matrix:
+// row i's neighbors are cols[rowPtr[i]:rowPtr[i+1]] with conductance
+// gv and susceptance bv. It is scanned once from the grid's Ybus, the
+// single source of truth for taps, shifts, and shunts.
+type ybusAdj struct {
+	rowPtr []int
+	cols   []int
+	gv     []float64 //gridlint:unit pu // conductance entries (p.u.)
+	bv     []float64 //gridlint:unit pu // susceptance entries (p.u.)
 }
 
-// SolveDCWith is SolveDC with an explicit solver backend selection.
-func SolveDCWith(g *grid.Grid, solver Solver) (*Solution, error) {
-	if solver.sparse(g.N()) {
-		return solveDCSparse(g)
+func newYbusAdj(g *grid.Grid) *ybusAdj {
+	n := g.N()
+	ybus := g.Ybus()
+	size := n + 2*len(g.Branches) // bound on the stored entries
+	a := &ybusAdj{
+		rowPtr: make([]int, n+1),
+		cols:   make([]int, 0, size),
+		gv:     make([]float64, 0, size),
+		bv:     make([]float64, 0, size),
 	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			y := ybus.At(i, j)
+			if y == 0 { //gridlint:ignore floatcmp admittance entries are exactly zero off the graph
+				continue
+			}
+			a.cols = append(a.cols, j)
+			a.gv = append(a.gv, real(y))
+			a.bv = append(a.bv, imag(y))
+		}
+		a.rowPtr[i+1] = len(a.cols)
+	}
+	return a
+}
+
+// acState is the Newton iterate: angles for all non-slack buses (pvpq),
+// magnitudes for PQ buses, and their positions in the stacked state.
+type acState struct {
+	n          int
+	adj        *ybusAdj
+	pvpq, pq   []int
+	posA, posM []int
+	vm         []float64     //gridlint:unit pu // iterate voltage magnitudes
+	va         []float64     //gridlint:unit rad // iterate voltage angles
+	pSched     []float64     //gridlint:unit pu // scheduled P injections
+	qSched     []float64     //gridlint:unit pu // scheduled Q injections
+	pcalc      []float64     //gridlint:unit pu // calculated P injections
+	qcalc      []float64     //gridlint:unit pu // calculated Q injections
+	trips      []mat.Triplet // Jacobian assembly buffer, reused per step
+}
+
+func newACState(g *grid.Grid, opts Options) (*acState, error) {
 	n := g.N()
 	slack, err := g.SlackIndex()
 	if err != nil {
 		return nil, err
 	}
-	lap := g.Laplacian()
-	// Reduce out the slack row/column.
-	idx := make([]int, 0, n-1)
+	st := &acState{n: n, adj: newYbusAdj(g)}
 	for i := 0; i < n; i++ {
-		if i != slack {
-			idx = append(idx, i)
+		if i == slack {
+			continue
+		}
+		if g.Buses[i].Type == grid.PQ {
+			st.pq = append(st.pq, i)
+		}
+		st.pvpq = append(st.pvpq, i)
+	}
+	st.vm = make([]float64, n)
+	st.va = make([]float64, n)
+	for i := 0; i < n; i++ {
+		if opts.FlatStart {
+			st.vm[i], st.va[i] = 1, 0
+		} else {
+			st.vm[i], st.va[i] = g.Buses[i].Vm, g.Buses[i].Va
+			if st.vm[i] <= 0 {
+				st.vm[i] = 1
+			}
+		}
+		// PV and slack magnitudes are fixed at their set points.
+		if g.Buses[i].Type != grid.PQ {
+			st.vm[i] = g.Buses[i].Vm
+			if st.vm[i] <= 0 {
+				st.vm[i] = 1
+			}
 		}
 	}
-	b := lap.SelectRows(idx).SelectCols(idx)
+	st.va[slack] = g.Buses[slack].Va
+
+	st.pSched = make([]float64, n)
+	st.qSched = make([]float64, n)
+	for i := 0; i < n; i++ {
+		st.pSched[i] = g.Buses[i].Pg - g.Buses[i].Pd
+		st.qSched[i] = g.Buses[i].Qg - g.Buses[i].Qd
+	}
+	st.posA = make([]int, n)
+	st.posM = make([]int, n)
+	for i := range st.posA {
+		st.posA[i], st.posM[i] = -1, -1
+	}
+	for k, i := range st.pvpq {
+		st.posA[i] = k
+	}
+	nb := len(st.pvpq)
+	for k, i := range st.pq {
+		st.posM[i] = nb + k
+	}
+	st.pcalc = make([]float64, n)
+	st.qcalc = make([]float64, n)
+	return st, nil
+}
+
+// calc computes the AC power injections at the current iterate,
+// walking only stored admittance entries.
+func (st *acState) calc() {
+	for i := 0; i < st.n; i++ {
+		var pi, qi float64
+		for k := st.adj.rowPtr[i]; k < st.adj.rowPtr[i+1]; k++ {
+			j := st.adj.cols[k]
+			gv, bv := st.adj.gv[k], st.adj.bv[k]
+			d := st.va[i] - st.va[j]
+			c, s := math.Cos(d), math.Sin(d)
+			pi += st.vm[j] * (gv*c + bv*s)
+			qi += st.vm[j] * (gv*s - bv*c)
+		}
+		st.pcalc[i] = st.vm[i] * pi
+		st.qcalc[i] = st.vm[i] * qi
+	}
+}
+
+// mismatch fills f with the stacked P (pvpq) and Q (pq) mismatches and
+// returns the max magnitude, the convergence metric.
+func (st *acState) mismatch(f []float64) float64 {
+	nb := len(st.pvpq)
+	var mx float64
+	for k, i := range st.pvpq {
+		f[k] = st.pcalc[i] - st.pSched[i]
+		if a := math.Abs(f[k]); a > mx {
+			mx = a
+		}
+	}
+	for k, i := range st.pq {
+		f[nb+k] = st.qcalc[i] - st.qSched[i]
+		if a := math.Abs(f[nb+k]); a > mx {
+			mx = a
+		}
+	}
+	return mx
+}
+
+// jacobian assembles the polar Newton-Raphson Jacobian
+//
+//	[ dP/dVa  dP/dVm ]
+//	[ dQ/dVa  dQ/dVm ]
+//
+// restricted to the free variables (angles of pvpq, magnitudes of pq).
+// Its pattern is the bus graph with each bus expanded to its variables,
+// so it is structurally symmetric and the same at every iteration.
+func (st *acState) jacobian() *mat.Sparse {
+	adj, vm, va := st.adj, st.vm, st.va
+	dim := len(st.pvpq) + len(st.pq)
+	trips := st.trips[:0]
+	for _, i := range st.pvpq {
+		ri := st.posA[i]
+		var gii, bii float64
+		for kk := adj.rowPtr[i]; kk < adj.rowPtr[i+1]; kk++ {
+			if adj.cols[kk] == i {
+				gii, bii = adj.gv[kk], adj.bv[kk]
+				break
+			}
+		}
+		// Diagonal terms in P_calc/Q_calc form.
+		trips = append(trips, mat.Triplet{Row: ri, Col: ri, Val: -st.qcalc[i] - bii*vm[i]*vm[i]})
+		if qi := st.posM[i]; qi >= 0 {
+			trips = append(trips,
+				mat.Triplet{Row: ri, Col: qi, Val: st.pcalc[i]/vm[i] + gii*vm[i]},
+				mat.Triplet{Row: qi, Col: ri, Val: st.pcalc[i] - gii*vm[i]*vm[i]},
+				mat.Triplet{Row: qi, Col: qi, Val: st.qcalc[i]/vm[i] - bii*vm[i]},
+			)
+		}
+		for kk := adj.rowPtr[i]; kk < adj.rowPtr[i+1]; kk++ {
+			k := adj.cols[kk]
+			if k == i {
+				continue
+			}
+			gik, bik := adj.gv[kk], adj.bv[kk]
+			d := va[i] - va[k]
+			c, s := math.Cos(d), math.Sin(d)
+			vivk := vm[i] * vm[k]
+			dpdva := vivk * (gik*s - bik*c)
+			dqdva := -vivk * (gik*c + bik*s)
+			dpdvm := vm[i] * (gik*c + bik*s)
+			dqdvm := vm[i] * (gik*s - bik*c)
+			if ck := st.posA[k]; ck >= 0 {
+				trips = append(trips, mat.Triplet{Row: ri, Col: ck, Val: dpdva})
+				if qi := st.posM[i]; qi >= 0 {
+					trips = append(trips, mat.Triplet{Row: qi, Col: ck, Val: dqdva})
+				}
+			}
+			if ck := st.posM[k]; ck >= 0 {
+				trips = append(trips, mat.Triplet{Row: ri, Col: ck, Val: dpdvm})
+				if qi := st.posM[i]; qi >= 0 {
+					trips = append(trips, mat.Triplet{Row: qi, Col: ck, Val: dqdvm})
+				}
+			}
+		}
+	}
+	st.trips = trips
+	return mat.NewSparse(dim, dim, trips)
+}
+
+// SolveDC computes the linear DC power-flow angles: B' * theta = P,
+// with the slack angle fixed at zero and magnitudes all 1. Used as the
+// fast approximate fallback and by baseline studies.
+func SolveDC(g *grid.Grid) (*Solution, error) {
+	return solveDC(g, useSparse(g.N()))
+}
+
+// solveDC is SolveDC with the linear solve named by sparse: the dense
+// path reduces grid.Laplacian and solves it by dense LU; the sparse
+// path stamps the reduced B' from the branches (the same 1/X weights)
+// and factors it with mat.SparseLU.
+func solveDC(g *grid.Grid, sparse bool) (*Solution, error) {
+	n := g.N()
+	slack, err := g.SlackIndex()
+	if err != nil {
+		return nil, err
+	}
+	// Reduced index map: bus i -> row red[i], slack dropped.
+	red := make([]int, n)
+	idx := make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i == slack {
+			red[i] = -1
+			continue
+		}
+		red[i] = len(idx)
+		idx = append(idx, i)
+	}
 	p := make([]float64, len(idx))
 	for k, i := range idx {
 		p[k] = g.Buses[i].Pg - g.Buses[i].Pd
 	}
-	th, err := mat.Solve(b, p)
+	var th []float64
+	if sparse {
+		trips := make([]mat.Triplet, 0, 4*len(g.Branches))
+		for _, br := range g.Branches {
+			if !br.Status || br.X == 0 { //gridlint:ignore floatcmp X==0 marks an unmodelled branch sentinel, never a computed reactance
+				continue
+			}
+			w := 1 / br.X
+			f, t := red[br.From], red[br.To]
+			if f >= 0 {
+				trips = append(trips, mat.Triplet{Row: f, Col: f, Val: w})
+			}
+			if t >= 0 {
+				trips = append(trips, mat.Triplet{Row: t, Col: t, Val: w})
+			}
+			if f >= 0 && t >= 0 {
+				trips = append(trips,
+					mat.Triplet{Row: f, Col: t, Val: -w},
+					mat.Triplet{Row: t, Col: f, Val: -w},
+				)
+			}
+		}
+		ls := linearSolver{sparse: true}
+		th, err = ls.solve(mat.NewSparse(len(idx), len(idx), trips), p)
+	} else {
+		th, err = mat.Solve(g.Laplacian().SelectRows(idx).SelectCols(idx), p)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("powerflow: DC solve failed (islanded grid?): %w", err)
 	}

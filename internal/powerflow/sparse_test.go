@@ -1,16 +1,18 @@
 package powerflow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"pmuoutage/internal/grid"
+	"pmuoutage/internal/mat"
 )
 
 // randMeshedGrid builds a feasible n-bus meshed grid with a slack, a
 // few PV buses, and lognormal-ish loads — enough structure to exercise
-// every Jacobian block (P/Q × angle/magnitude) on both solver paths.
+// every Jacobian block (P/Q × angle/magnitude) on both linear solves.
 func randMeshedGrid(rng *rand.Rand, n int) *grid.Grid {
 	g := &grid.Grid{Name: "randmesh", BaseMVA: 100}
 	for i := 0; i < n; i++ {
@@ -63,23 +65,26 @@ func randMeshedGrid(rng *rand.Rand, n int) *grid.Grid {
 	return g
 }
 
-// TestSolveACSparseDenseParity: forcing the sparse path on grids the
-// dense path also solves must agree to tight tolerance — the two paths
-// share formulas and differ only in the inner linear solver.
+// TestSolveACSparseDenseParity: the sparse and the dense linear solve
+// drive the same Newton loop, so on grids both solve they take the same
+// number of steps and agree to rounding.
 func TestSolveACSparseDenseParity(t *testing.T) {
-	for _, n := range []int{12, 35, 60} {
+	for _, n := range []int{12, 35, 60, SparseBusThreshold} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := randMeshedGrid(rng, n)
-		dense, err := SolveAC(g, Options{FlatStart: true, Solver: SolverDense})
+		dense, err := solveAC(g, Options{FlatStart: true}, false)
 		if err != nil {
 			t.Fatalf("n=%d dense: %v", n, err)
 		}
-		sparse, err := SolveAC(g, Options{FlatStart: true, Solver: SolverSparse})
+		sparse, err := solveAC(g, Options{FlatStart: true}, true)
 		if err != nil {
 			t.Fatalf("n=%d sparse: %v", n, err)
 		}
+		if dense.Iterations != sparse.Iterations {
+			t.Fatalf("n=%d: dense took %d iterations, sparse %d", n, dense.Iterations, sparse.Iterations)
+		}
 		for i := 0; i < n; i++ {
-			if math.Abs(dense.Vm[i]-sparse.Vm[i]) > 1e-7 || math.Abs(dense.Va[i]-sparse.Va[i]) > 1e-7 {
+			if math.Abs(dense.Vm[i]-sparse.Vm[i]) > 1e-10 || math.Abs(dense.Va[i]-sparse.Va[i]) > 1e-10 {
 				t.Fatalf("n=%d bus %d: dense (%.12f, %.12f) vs sparse (%.12f, %.12f)",
 					n, i, dense.Vm[i], dense.Va[i], sparse.Vm[i], sparse.Va[i])
 			}
@@ -88,71 +93,76 @@ func TestSolveACSparseDenseParity(t *testing.T) {
 }
 
 func TestSolveDCSparseDenseParity(t *testing.T) {
-	for _, n := range []int{12, 35, 60} {
+	for _, n := range []int{12, 35, 60, SparseBusThreshold} {
 		rng := rand.New(rand.NewSource(int64(n) + 100))
 		g := randMeshedGrid(rng, n)
-		dense, err := SolveDCWith(g, SolverDense)
+		dense, err := solveDC(g, false)
 		if err != nil {
 			t.Fatalf("n=%d dense: %v", n, err)
 		}
-		sparse, err := SolveDCWith(g, SolverSparse)
+		sparse, err := solveDC(g, true)
 		if err != nil {
 			t.Fatalf("n=%d sparse: %v", n, err)
 		}
 		for i := 0; i < n; i++ {
-			if math.Abs(dense.Va[i]-sparse.Va[i]) > 1e-9 {
+			if math.Abs(dense.Va[i]-sparse.Va[i]) > 1e-12 {
 				t.Fatalf("n=%d bus %d: dense angle %.15f vs sparse %.15f", n, i, dense.Va[i], sparse.Va[i])
 			}
 		}
 	}
 }
 
-// TestSolverAutoDispatch pins the dispatch rule: below the threshold
-// SolverAuto is the dense path bit for bit; at or above it, the sparse
-// path bit for bit.
+// TestSolverAutoDispatch pins the size rule: below SparseBusThreshold
+// buses SolveAC and SolveDC are the dense linear solve bit for bit; at
+// or above it, the sparse one bit for bit.
 func TestSolverAutoDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	small := randMeshedGrid(rng, 30)
-	auto, err := SolveAC(small, Options{FlatStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := SolveAC(small, Options{FlatStart: true, Solver: SolverDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range auto.Vm {
-		if auto.Vm[i] != dense.Vm[i] || auto.Va[i] != dense.Va[i] {
-			t.Fatalf("small-grid auto dispatch deviated from dense at bus %d", i)
+	for _, tc := range []struct {
+		n      int
+		sparse bool
+	}{{SparseBusThreshold - 1, false}, {SparseBusThreshold, true}} {
+		g := randMeshedGrid(rng, tc.n)
+		auto, err := SolveAC(g, Options{FlatStart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solveAC(g, Options{FlatStart: true}, tc.sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dcAuto, err := SolveDC(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dcWant, err := solveDC(g, tc.sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range auto.Vm {
+			if auto.Vm[i] != want.Vm[i] || auto.Va[i] != want.Va[i] || dcAuto.Va[i] != dcWant.Va[i] {
+				t.Fatalf("%d buses: auto dispatch deviated from sparse=%v at bus %d", tc.n, tc.sparse, i)
+			}
 		}
 	}
+}
 
-	big := randMeshedGrid(rng, SparseBusThreshold)
-	autoBig, err := SolveAC(big, Options{FlatStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparseBig, err := SolveAC(big, Options{FlatStart: true, Solver: SolverSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range autoBig.Vm {
-		if autoBig.Vm[i] != sparseBig.Vm[i] || autoBig.Va[i] != sparseBig.Va[i] {
-			t.Fatalf("large-grid auto dispatch deviated from sparse at bus %d", i)
+// TestSingularJacobian: a PQ bus with no in-service branch leaves an
+// empty Jacobian row; both linear solves report it as a singular
+// Jacobian wrapping mat.ErrSingular, not as non-convergence.
+func TestSingularJacobian(t *testing.T) {
+	g := randMeshedGrid(rand.New(rand.NewSource(3)), 20)
+	for e := range g.Branches {
+		if g.Branches[e].From == 19 || g.Branches[e].To == 19 {
+			g.Branches[e].Status = false
 		}
 	}
-
-	dcAuto, err := SolveDC(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcSparse, err := SolveDCWith(big, SolverSparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dcAuto.Va {
-		if dcAuto.Va[i] != dcSparse.Va[i] {
-			t.Fatalf("large-grid DC auto dispatch deviated from sparse at bus %d", i)
+	for _, sparse := range []bool{false, true} {
+		_, err := solveAC(g, Options{FlatStart: true}, sparse)
+		if !errors.Is(err, mat.ErrSingular) || errors.Is(err, ErrNoConvergence) {
+			t.Errorf("sparse=%v: got %v, want a singular-Jacobian error", sparse, err)
+		}
+		if _, err := solveDC(g, sparse); !errors.Is(err, mat.ErrSingular) {
+			t.Errorf("sparse=%v DC: got %v, want mat.ErrSingular", sparse, err)
 		}
 	}
 }

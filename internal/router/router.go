@@ -611,11 +611,12 @@ func (r *Router) handlePromote(w http.ResponseWriter, req *http.Request) {
 		// Every shard is attempted even after one fails: stopping early
 		// would widen the split, not contain it.
 		var errs []string
-		if len(shards) == 0 && !b.healthy.Load() {
-			// No shard set was ever probed (or given) and the backend is
-			// ejected: nothing can be promoted onto it, and counting the
-			// no-op as success would hide a fleet split behind a 200.
-			errs = append(errs, "backend unreachable, shard set unknown")
+		if len(shards) == 0 {
+			// No shard set was given or probed: nothing can be promoted
+			// onto the backend, healthy or ejected (a backend counts as
+			// healthy before its first probe), and counting the no-op as
+			// success would hide a fleet split behind a 200.
+			errs = append(errs, "shard set unknown: none requested and no probe has listed one")
 		}
 		for _, shard := range shards {
 			res, err := b.cli.ReloadModel(req.Context(), shard, fp)

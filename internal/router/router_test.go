@@ -527,6 +527,35 @@ func TestPromotePartialFailureSurfaced(t *testing.T) {
 	}
 }
 
+// TestPromoteUnprobedPrimaryFails pins that a promotion which reloads
+// nothing onto a primary is a failure for that backend even while it
+// counts as healthy: before the first probe lists its shards the router
+// has no shard set to reload, and a 200 with failed unset would hide the
+// fleet split.
+func TestPromoteUnprobedPrimaryFails(t *testing.T) {
+	b := newStubBackend(t, nil)
+	_, ts := newTestRouter(t, Config{Backends: []string{b.ts.URL}, ProbeEvery: time.Hour})
+	resp, err := http.Post(ts.URL+"/v1/canary/promote", "application/json",
+		strings.NewReader(`{"fingerprint":"cafe","force":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var out api.PromoteResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || !out.Failed {
+		t.Fatalf("unprobed promotion: HTTP %d failed=%v, want 502 with failed set", resp.StatusCode, out.Failed)
+	}
+	if len(out.Results) != 1 || out.Results[0].Backend != b.ts.URL || out.Results[0].Error == "" {
+		t.Fatalf("results = %+v, want one errored entry for %s", out.Results, b.ts.URL)
+	}
+	if calls := b.reloadLog(); len(calls) != 0 {
+		t.Fatalf("backend saw %d reload calls, want none", len(calls))
+	}
+}
+
 // TestShadowTimeoutUnwedgesDrain pins the shadow deadline: a canary
 // backend that accepts the request and never answers must resolve as a
 // canary error within Config.ShadowTimeout, not pin the shadow
