@@ -175,10 +175,8 @@ func TestSparseLUFill(t *testing.T) {
 	}
 }
 
-// TestSparseLUValidation covers the error paths: a non-square matrix,
-// a wrong-length right-hand side, zero pivots (structural and numeric)
-// and a non-finite pivot all fail; a zero right-hand side solves to
-// exactly zero.
+// TestSparseLUValidation: a non-square matrix and a wrong-length
+// right-hand side are refused.
 func TestSparseLUValidation(t *testing.T) {
 	var lu SparseLU
 	if err := lu.Factor(NewSparse(2, 3, nil)); err == nil {
@@ -190,7 +188,16 @@ func TestSparseLUValidation(t *testing.T) {
 	if _, err := lu.Solve([]float64{1}); err == nil {
 		t.Fatal("expected rhs length error")
 	}
-	x, err := lu.Solve([]float64{0, 0, 0})
+}
+
+// TestSparseLUZeroRHS: a zero right-hand side solves to exactly zero.
+func TestSparseLUZeroRHS(t *testing.T) {
+	n := 20
+	var lu SparseLU
+	if err := lu.Factor(randStructSym(rand.New(rand.NewSource(5)), n)); err != nil {
+		t.Fatal(err)
+	}
+	x, err := lu.Solve(make([]float64, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +206,13 @@ func TestSparseLUValidation(t *testing.T) {
 			t.Fatal("zero rhs must give zero solution")
 		}
 	}
+}
+
+// TestSparseLUSingular: zero pivots (structural and numeric) and
+// non-finite pivots are reported as ErrSingular, while an indefinite
+// matrix, which no positive-definite solver would take, factors and
+// solves exactly.
+func TestSparseLUSingular(t *testing.T) {
 	for name, a := range map[string]*Sparse{
 		// An isolated bus: its row and column are empty.
 		"empty row": NewSparse(2, 2, []Triplet{{0, 0, 1}}),
@@ -213,6 +227,130 @@ func TestSparseLUValidation(t *testing.T) {
 		if err := new(SparseLU).Factor(a); !errors.Is(err, ErrSingular) {
 			t.Errorf("%s: want ErrSingular, got %v", name, err)
 		}
+	}
+	// Eigenvalues 3 and -1; b lies along the negative eigendirection.
+	var lu SparseLU
+	if err := lu.Factor(NewSparse(2, 2, []Triplet{{0, 0, 1}, {0, 1, 2}, {1, 0, 2}, {1, 1, 1}})); err != nil {
+		t.Fatal(err)
+	}
+	x, err := lu.Solve([]float64{1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x[0] != -1 || x[1] != 1 {
+		t.Fatalf("x = %v, want [-1 1]", x)
+	}
+}
+
+// revalue returns a matrix with the pattern of a and new values: the
+// diagonal doubled, each off-diagonal entry scaled into (-1, 1) of
+// itself, so a dominant diagonal stays dominant.
+func revalue(rng *rand.Rand, a *Sparse) *Sparse {
+	b := &Sparse{rows: a.rows, cols: a.cols, rowPtr: a.rowPtr, colIdx: a.colIdx, vals: make([]float64, len(a.vals))}
+	for i := 0; i < a.rows; i++ {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			if a.colIdx[p] == i {
+				b.vals[p] = 2 * a.vals[p]
+			} else {
+				b.vals[p] = (2*rng.Float64() - 1) * a.vals[p]
+			}
+		}
+	}
+	return b
+}
+
+// dropUpper returns a with each entry above the diagonal dropped with
+// probability 1/2: a pattern that is no longer symmetric, with the
+// diagonal still dominant.
+func dropUpper(rng *rand.Rand, a *Sparse) *Sparse {
+	var trips []Triplet
+	for i := 0; i < a.rows; i++ {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			if j := a.colIdx[p]; j <= i || rng.Intn(2) == 0 {
+				trips = append(trips, Triplet{Row: i, Col: j, Val: a.vals[p]})
+			}
+		}
+	}
+	return NewSparse(a.rows, a.cols, trips)
+}
+
+// TestSparseLURefactorParity: a Factor that keeps the ordering chosen
+// for an earlier matrix of the same pattern — the path every Newton
+// iteration after the first takes — gives the exact bits a fresh
+// factorization gives, also after a Factor of that pattern failed
+// half-way through the ordering. The pattern is unsymmetric, so a row
+// can meet a workspace entry it does not scatter: one that failed
+// Factor left behind unless it clears the workspace.
+func TestSparseLURefactorParity(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		first := dropUpper(rng, randStructSym(rng, n))
+		next := revalue(rng, first)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		var fresh SparseLU
+		if fresh.Factor(next) != nil {
+			return false
+		}
+		want, err := fresh.Solve(b)
+		if err != nil {
+			return false
+		}
+		// The same pattern, with a NaN pivot half-way through the ordering.
+		bad := revalue(rng, first)
+		r := fresh.perm[n/2]
+		for p := bad.rowPtr[r]; p < bad.rowPtr[r+1]; p++ {
+			if bad.colIdx[p] == r {
+				bad.vals[p] = math.NaN()
+			}
+		}
+		var reused SparseLU
+		if reused.Factor(first) != nil {
+			return false
+		}
+		perm := &reused.perm[0]
+		for _, failFirst := range []bool{false, true} {
+			if failFirst && !errors.Is(reused.Factor(bad), ErrSingular) {
+				return false
+			}
+			if reused.Factor(next) != nil || &reused.perm[0] != perm {
+				return false
+			}
+			x, err := reused.Solve(b)
+			if err != nil {
+				return false
+			}
+			for i := range x {
+				if x[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSparseLUFactorAllocs: refactoring a matrix whose pattern the
+// ordering was chosen for allocates nothing.
+func TestSparseLUFactorAllocs(t *testing.T) {
+	a := randStructSym(rand.New(rand.NewSource(2)), 60)
+	var lu SparseLU
+	if err := lu.Factor(a); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(200, func() { err = lu.Factor(a) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("refactor allocated %v times per run", allocs)
 	}
 }
 
