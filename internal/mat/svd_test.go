@@ -212,9 +212,12 @@ func BenchmarkSVD118x40(b *testing.B) {
 
 // TestFactorSVDBlockedBitIdentical pins the cache-blocked tall path to
 // the row-major reference: same rotations, same tolerances, so the
-// factors must agree to the last bit, not just to a tolerance.
+// factors must agree to the last bit, not just to a tolerance. The
+// shapes cover tall deviation matrices, the per-line training shape
+// (118×40), a wide matrix that FactorSVD factors through its transpose
+// (30×40), and the small restricted bases of the detect path.
 func TestFactorSVDBlockedBitIdentical(t *testing.T) {
-	for _, dims := range [][2]int{{300, 8}, {512, 24}, {257, 3}, {300, 1}} {
+	for _, dims := range [][2]int{{300, 8}, {512, 24}, {257, 3}, {300, 1}, {118, 40}, {30, 40}, {40, 2}, {20, 1}} {
 		m, n := dims[0], dims[1]
 		rng := rand.New(rand.NewSource(int64(m + n)))
 		a := NewDense(m, n)
@@ -230,8 +233,12 @@ func TestFactorSVDBlockedBitIdentical(t *testing.T) {
 				a.Set(i, n-1, 0)
 			}
 		}
-		ref := factorSVDRef(a)
-		blk := factorSVDBlocked(a)
+		tall := a
+		if m < n {
+			tall = a.T()
+		}
+		ref := factorSVDRef(tall)
+		blk := factorSVDBlocked(tall)
 		for k := range ref.S {
 			if ref.S[k] != blk.S[k] {
 				t.Fatalf("%dx%d: S[%d] %v != %v", m, n, k, ref.S[k], blk.S[k])
@@ -241,8 +248,10 @@ func TestFactorSVDBlockedBitIdentical(t *testing.T) {
 			t.Fatalf("%dx%d: factors differ between reference and blocked path", m, n)
 		}
 		// And FactorSVD's dispatch picks the blocked path here.
-		if got := FactorSVD(a); !got.U.Equalf(blk.U, 0) {
-			t.Fatalf("%dx%d: dispatch did not match blocked path", m, n)
+		if m >= svdBlockRows {
+			if got := FactorSVD(a); !got.U.Equalf(blk.U, 0) {
+				t.Fatalf("%dx%d: dispatch did not match blocked path", m, n)
+			}
 		}
 	}
 }
