@@ -83,6 +83,14 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 		return nil, err
 	}
 	noise := loadgen.NewNoiseModel(cfg.SigmaVm, cfg.SigmaVa, seed+1)
+	// Only loads change between steps, so B′ is factored once for the
+	// scenario's topology and every step only back-substitutes.
+	var dc *powerflow.DCFactor
+	if cfg.UseDC {
+		if dc, err = powerflow.NewDCFactor(work); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrInvalidScenario, sc.Key(), err)
+		}
+	}
 
 	set := &Set{Case: sc}
 	warm := work.Clone()
@@ -99,8 +107,8 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 		step = powerflow.Dispatch(step, cfg.LossFrac)
 
 		var vm, va []float64
-		if cfg.UseDC {
-			sol, err := powerflow.SolveDC(step)
+		if dc != nil {
+			sol, err := dc.Solve(step)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
 			}

@@ -23,124 +23,23 @@ type SVD struct {
 // values to high relative accuracy — which matters here because the
 // detector keys off the *lowest* singular directions of the phasor data
 // (they encode the grid topology, see DESIGN.md).
+//
+// The working matrix is packed column-contiguously, so each rotation
+// of columns p and q streams two linear blocks instead of striding over
+// m rows. The arithmetic (rotation order, tolerances, per-element
+// operations, accumulation order over i) is that of the textbook
+// row-major sweep, so the factors are bit-identical to it
+// (TestFactorSVDBlockedBitIdentical).
 func FactorSVD(a *Dense) *SVD {
 	m, n := a.rows, a.cols
 	if m < n {
 		s := FactorSVD(a.T())
 		return &SVD{U: s.V, S: s.S, V: s.U}
 	}
-	if m >= svdBlockRows {
-		return factorSVDBlocked(a)
-	}
-	return factorSVDRef(a)
-}
-
-// factorSVDRef is the row-major reference one-sided Jacobi sweep, used
-// below svdBlockRows. factorSVDBlocked reproduces its results bit for
-// bit in a column-contiguous layout.
-func factorSVDRef(a *Dense) *SVD {
-	m, n := a.rows, a.cols
-	// Work on columns of a copy of A; rotate pairs of columns until all
-	// are mutually orthogonal. Then column norms are singular values and
-	// normalized columns are U; V accumulates the rotations.
-	w := a.Clone()
-	v := Identity(n)
-
-	const maxSweeps = 60
-	// Convergence threshold relative to the largest column norm product.
-	eps := math.Nextafter(1, 2) - 1 // machine epsilon
-	tol := math.Sqrt(float64(m)) * eps
-
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					wp := w.data[i*n+p]
-					wq := w.data[i*n+q]
-					alpha += wp * wp
-					beta += wq * wq
-					gamma += wp * wq
-				}
-				if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
-					continue
-				}
-				if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
-					continue
-				}
-				off++
-				// Jacobi rotation zeroing the (p,q) inner product.
-				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				for i := 0; i < m; i++ {
-					wp := w.data[i*n+p]
-					wq := w.data[i*n+q]
-					w.data[i*n+p] = c*wp - s*wq
-					w.data[i*n+q] = s*wp + c*wq
-				}
-				for i := 0; i < n; i++ {
-					vp := v.data[i*n+p]
-					vq := v.data[i*n+q]
-					v.data[i*n+p] = c*vp - s*vq
-					v.data[i*n+q] = s*vp + c*vq
-				}
-			}
-		}
-		if off == 0 {
-			break
-		}
-	}
-
-	// Extract singular values and left vectors.
-	sv := make([]float64, n)
-	u := NewDense(m, n)
-	for j := 0; j < n; j++ {
-		col := w.Col(j)
-		sv[j] = Norm2(col)
-		if sv[j] > 0 {
-			inv := 1 / sv[j]
-			for i := 0; i < m; i++ {
-				u.data[i*n+j] = col[i] * inv
-			}
-		}
-	}
-	// Sort by decreasing singular value.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sv[order[a]] > sv[order[b]] })
-	us := u.SelectCols(order)
-	vs := v.SelectCols(order)
-	ss := make([]float64, n)
-	for k, j := range order {
-		ss[k] = sv[j]
-	}
-	// Columns with zero singular value have undefined U columns; replace
-	// them with zeros (already zero) — callers use Rank to ignore them.
-	return &SVD{U: us, S: ss, V: vs}
-}
-
-// svdBlockRows is the row count above which FactorSVD switches to the
-// cache-blocked column-contiguous layout. Small matrices stay on the
-// row-major reference path, whose results the blocked path reproduces
-// bit for bit (see TestFactorSVDBlockedBitIdentical).
-const svdBlockRows = 256
-
-// factorSVDBlocked is the one-sided Jacobi sweep of FactorSVD restaged
-// for tall deviation matrices. The row-major reference walks columns p
-// and q with stride n, touching m cache lines per column per rotation;
-// here the working matrix is repacked so each column is one contiguous
-// block, making every rotation two linear streams. The arithmetic —
-// rotation order, tolerances, per-element operations, accumulation
-// order over i — is exactly the reference's, so the factorization is
-// bit-identical; only the memory layout changes.
-func factorSVDBlocked(a *Dense) *SVD {
-	m, n := a.rows, a.cols
-	// Repack A column-contiguously: column j occupies w[j*m : (j+1)*m].
+	// Rotate pairs of columns of a copy of A until all are mutually
+	// orthogonal. Then column norms are singular values and normalized
+	// columns are U; V accumulates the rotations. The copy is packed
+	// column-contiguously: column j occupies w[j*m : (j+1)*m].
 	w := make([]float64, m*n)
 	for i := 0; i < m; i++ {
 		row := a.data[i*n : (i+1)*n]
@@ -151,6 +50,7 @@ func factorSVDBlocked(a *Dense) *SVD {
 	v := Identity(n)
 
 	const maxSweeps = 60
+	// Convergence threshold relative to the largest column norm product.
 	eps := math.Nextafter(1, 2) - 1 // machine epsilon
 	tol := math.Sqrt(float64(m)) * eps
 
@@ -173,6 +73,7 @@ func factorSVDBlocked(a *Dense) *SVD {
 					continue
 				}
 				off++
+				// Jacobi rotation zeroing the (p,q) inner product.
 				zeta := (beta - alpha) / (2 * gamma)
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
@@ -196,6 +97,8 @@ func factorSVDBlocked(a *Dense) *SVD {
 		}
 	}
 
+	// Extract singular values and left vectors. Columns with zero
+	// singular value keep zero U columns; callers use Rank to ignore them.
 	sv := make([]float64, n)
 	u := NewDense(m, n)
 	for j := 0; j < n; j++ {
@@ -208,6 +111,7 @@ func factorSVDBlocked(a *Dense) *SVD {
 			}
 		}
 	}
+	// Sort by decreasing singular value.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

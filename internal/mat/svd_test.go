@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -210,10 +211,10 @@ func BenchmarkSVD118x40(b *testing.B) {
 	}
 }
 
-// TestFactorSVDBlockedBitIdentical pins the cache-blocked tall path to
-// the row-major reference: same rotations, same tolerances, so the
-// factors must agree to the last bit, not just to a tolerance. The
-// shapes cover tall deviation matrices, the per-line training shape
+// TestFactorSVDBlockedBitIdentical pins FactorSVD's column-contiguous
+// layout to the row-major reference: same rotations, same tolerances,
+// so the factors must agree to the last bit, not just to a tolerance.
+// The shapes cover tall deviation matrices, the per-line training shape
 // (118×40), a wide matrix that FactorSVD factors through its transpose
 // (30×40), and the small restricted bases of the detect path.
 func TestFactorSVDBlockedBitIdentical(t *testing.T) {
@@ -233,27 +234,110 @@ func TestFactorSVDBlockedBitIdentical(t *testing.T) {
 				a.Set(i, n-1, 0)
 			}
 		}
-		tall := a
+		got := FactorSVD(a)
 		if m < n {
-			tall = a.T()
+			got = &SVD{U: got.V, S: got.S, V: got.U}
+			a = a.T()
 		}
-		ref := factorSVDRef(tall)
-		blk := factorSVDBlocked(tall)
+		ref := factorSVDRef(a)
 		for k := range ref.S {
-			if ref.S[k] != blk.S[k] {
-				t.Fatalf("%dx%d: S[%d] %v != %v", m, n, k, ref.S[k], blk.S[k])
+			if ref.S[k] != got.S[k] {
+				t.Fatalf("%dx%d: S[%d] %v != %v", m, n, k, ref.S[k], got.S[k])
 			}
 		}
-		if !ref.U.Equalf(blk.U, 0) || !ref.V.Equalf(blk.V, 0) {
-			t.Fatalf("%dx%d: factors differ between reference and blocked path", m, n)
+		if !ref.U.Equalf(got.U, 0) || !ref.V.Equalf(got.V, 0) {
+			t.Fatalf("%dx%d: factors differ between reference and FactorSVD", m, n)
 		}
-		// And FactorSVD's dispatch picks the blocked path here.
-		if m >= svdBlockRows {
-			if got := FactorSVD(a); !got.U.Equalf(blk.U, 0) {
-				t.Fatalf("%dx%d: dispatch did not match blocked path", m, n)
+	}
+}
+
+// factorSVDRef is the textbook row-major one-sided Jacobi sweep, the
+// oracle FactorSVD's column-contiguous layout must reproduce bit for
+// bit.
+func factorSVDRef(a *Dense) *SVD {
+	m, n := a.rows, a.cols
+	// Work on columns of a copy of A; rotate pairs of columns until all
+	// are mutually orthogonal. Then column norms are singular values and
+	// normalized columns are U; V accumulates the rotations.
+	w := a.Clone()
+	v := Identity(n)
+
+	const maxSweeps = 60
+	// Convergence threshold relative to the largest column norm product.
+	eps := math.Nextafter(1, 2) - 1 // machine epsilon
+	tol := math.Sqrt(float64(m)) * eps
+
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		off := 0
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				var alpha, beta, gamma float64
+				for i := 0; i < m; i++ {
+					wp := w.data[i*n+p]
+					wq := w.data[i*n+q]
+					alpha += wp * wp
+					beta += wq * wq
+					gamma += wp * wq
+				}
+				if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
+					continue
+				}
+				if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
+					continue
+				}
+				off++
+				// Jacobi rotation zeroing the (p,q) inner product.
+				zeta := (beta - alpha) / (2 * gamma)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				c := 1 / math.Sqrt(1+t*t)
+				s := c * t
+				for i := 0; i < m; i++ {
+					wp := w.data[i*n+p]
+					wq := w.data[i*n+q]
+					w.data[i*n+p] = c*wp - s*wq
+					w.data[i*n+q] = s*wp + c*wq
+				}
+				for i := 0; i < n; i++ {
+					vp := v.data[i*n+p]
+					vq := v.data[i*n+q]
+					v.data[i*n+p] = c*vp - s*vq
+					v.data[i*n+q] = s*vp + c*vq
+				}
+			}
+		}
+		if off == 0 {
+			break
+		}
+	}
+
+	// Extract singular values and left vectors.
+	sv := make([]float64, n)
+	u := NewDense(m, n)
+	for j := 0; j < n; j++ {
+		col := w.Col(j)
+		sv[j] = Norm2(col)
+		if sv[j] > 0 {
+			inv := 1 / sv[j]
+			for i := 0; i < m; i++ {
+				u.data[i*n+j] = col[i] * inv
 			}
 		}
 	}
+	// Sort by decreasing singular value.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sv[order[a]] > sv[order[b]] })
+	us := u.SelectCols(order)
+	vs := v.SelectCols(order)
+	ss := make([]float64, n)
+	for k, j := range order {
+		ss[k] = sv[j]
+	}
+	// Columns with zero singular value have undefined U columns; replace
+	// them with zeros (already zero) — callers use Rank to ignore them.
+	return &SVD{U: us, S: ss, V: vs}
 }
 
 func BenchmarkFactorSVDTall(b *testing.B) {

@@ -4,8 +4,9 @@
 // given a grid and a load/generation profile it produces the bus voltage
 // phasors that play the role of PMU measurements.
 //
-// Every grid runs the same Newton loop over CSR admittance data; only
-// the linear solve depends on size (see SparseBusThreshold).
+// Every grid runs the same Newton loop over CSR admittance data, and
+// every DC solve goes through a per-topology factor of B′ (DCFactor);
+// only the linear solve depends on size (see SparseBusThreshold).
 package powerflow
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"pmuoutage/internal/grid"
 	"pmuoutage/internal/mat"
@@ -22,8 +24,8 @@ import (
 // mismatch tolerance within the iteration limit.
 var ErrNoConvergence = errors.New("powerflow: Newton-Raphson did not converge")
 
-// SparseBusThreshold is the bus count at which SolveAC and SolveDC
-// switch from dense partial-pivoting LU to the sparse direct
+// SparseBusThreshold is the bus count at which SolveAC and the DC
+// factor switch from dense partial-pivoting LU to the sparse direct
 // factorization, mat.SparseLU. Below it every result keeps the
 // bits of the dense solver the detector goldens (14–118 buses) were
 // pinned on.
@@ -96,7 +98,11 @@ func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
 		if iter == opts.MaxIter {
 			break
 		}
-		dx, err := ls.solve(st.jacobian(), f)
+		err := ls.factor(st.jacobian())
+		var dx []float64
+		if err == nil {
+			dx, err = ls.solve(f)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("powerflow: singular Jacobian at iteration %d: %w", iter, err)
 		}
@@ -113,33 +119,37 @@ func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
 	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter)
 }
 
-// linearSolver solves the systems of one power-flow solve: by
-// mat.SparseLU when sparse is set, which orders the pattern once and
-// reuses the ordering for every Newton step, else by dense
-// partial-pivoting LU.
+// linearSolver factors and solves the linear systems of one power
+// flow: by mat.SparseLU when sparse is set, which orders the pattern
+// once and reuses the ordering for every later factor of that pattern,
+// else by dense partial-pivoting LU. solve uses the last successful
+// factor and only reads it.
 type linearSolver struct {
 	sparse bool
-	lu     mat.SparseLU
+	slu    mat.SparseLU
+	dlu    *mat.LU
 }
 
-func (s *linearSolver) solve(a *mat.Sparse, b []float64) ([]float64, error) {
+func (s *linearSolver) factor(a *mat.Sparse) error {
 	if s.sparse {
-		if err := s.lu.Factor(a); err != nil {
-			return nil, err
-		}
-		return s.lu.Solve(b)
+		return s.slu.Factor(a)
 	}
-	lu, err := mat.FactorLU(a.ToDense())
-	if err != nil {
-		return nil, err
-	}
-	return lu.Solve(b)
+	var err error
+	s.dlu, err = mat.FactorLU(a.ToDense())
+	return err
 }
 
-// ybusAdj is the CSR adjacency view of the bus admittance matrix:
-// row i's neighbors are cols[rowPtr[i]:rowPtr[i+1]] with conductance
-// gv and susceptance bv. It is scanned once from the grid's Ybus, the
-// single source of truth for taps, shifts, and shunts.
+func (s *linearSolver) solve(b []float64) ([]float64, error) {
+	if s.sparse {
+		return s.slu.Solve(b)
+	}
+	return s.dlu.Solve(b)
+}
+
+// ybusAdj is the CSR view of the bus admittance matrix Ybus: row i's
+// entries are cols[rowPtr[i]:rowPtr[i+1]], columns ascending, with
+// conductance gv and susceptance bv. Entries that sum to exactly zero
+// are not stored.
 type ybusAdj struct {
 	rowPtr []int
 	cols   []int
@@ -147,25 +157,73 @@ type ybusAdj struct {
 	bv     []float64 //gridlint:unit pu // susceptance entries (p.u.)
 }
 
+// newYbusAdj stamps Ybus straight from the grid: each in-service branch
+// with its line charging, tap and phase shift, then every bus shunt.
+// Each entry starts at zero and sums its contributions in that order,
+// so it carries the bits of a dense n×n accumulation.
 func newYbusAdj(g *grid.Grid) *ybusAdj {
 	n := g.N()
-	ybus := g.Ybus()
-	size := n + 2*len(g.Branches) // bound on the stored entries
+	// Pattern: every diagonal (shunts stamp it) and both ends of every
+	// in-service branch, sorted and deduplicated per row.
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = []int{i}
+	}
+	for _, br := range g.Branches {
+		if br.Status {
+			rows[br.From] = append(rows[br.From], br.To)
+			rows[br.To] = append(rows[br.To], br.From)
+		}
+	}
+	rowPtr := make([]int, n+1)
+	var cols []int
+	for i, r := range rows {
+		slices.Sort(r)
+		cols = append(cols, slices.Compact(r)...)
+		rowPtr[i+1] = len(cols)
+	}
+	y := make([]complex128, len(cols))
+	add := func(i, j int, v complex128) {
+		k, _ := slices.BinarySearch(cols[rowPtr[i]:rowPtr[i+1]], j)
+		y[rowPtr[i]+k] += v
+	}
+	for _, br := range g.Branches {
+		if !br.Status {
+			continue
+		}
+		ys := br.Admittance()
+		bc := complex(0, br.B/2)
+		tap := br.Tap
+		if tap == 0 { //gridlint:ignore floatcmp tap==0 is the case-file sentinel for unity ratio
+			tap = 1
+		}
+		// Complex tap ratio a = tap * e^{j*shift}.
+		a := complex(tap*math.Cos(br.Shift), tap*math.Sin(br.Shift))
+		aconj := complex(real(a), -imag(a))
+		amag2 := complex(tap*tap, 0)
+		f, to := br.From, br.To
+		add(f, f, (ys+bc)/amag2)
+		add(to, to, ys+bc)
+		add(f, to, -ys/aconj)
+		add(to, f, -ys/a)
+	}
+	for i := range g.Buses {
+		add(i, i, complex(g.Buses[i].Gs, g.Buses[i].Bs))
+	}
 	a := &ybusAdj{
 		rowPtr: make([]int, n+1),
-		cols:   make([]int, 0, size),
-		gv:     make([]float64, 0, size),
-		bv:     make([]float64, 0, size),
+		cols:   make([]int, 0, len(cols)),
+		gv:     make([]float64, 0, len(cols)),
+		bv:     make([]float64, 0, len(cols)),
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			y := ybus.At(i, j)
-			if y == 0 { //gridlint:ignore floatcmp admittance entries are exactly zero off the graph
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			if y[k] == 0 { //gridlint:ignore floatcmp an entry is dropped only when its contributions cancel exactly
 				continue
 			}
-			a.cols = append(a.cols, j)
-			a.gv = append(a.gv, real(y))
-			a.bv = append(a.bv, imag(y))
+			a.cols = append(a.cols, cols[k])
+			a.gv = append(a.gv, real(y[k]))
+			a.bv = append(a.bv, imag(y[k]))
 		}
 		a.rowPtr[i+1] = len(a.cols)
 	}
@@ -348,73 +406,112 @@ func (st *acState) jacobian() *mat.Sparse {
 }
 
 // SolveDC computes the linear DC power-flow angles: B' * theta = P,
-// with the slack angle fixed at zero and magnitudes all 1. Used as the
-// fast approximate fallback and by baseline studies.
+// with the slack angle fixed at zero and magnitudes all 1. It factors
+// B′ and solves once; callers that solve one topology under many
+// injections build a DCFactor instead.
 func SolveDC(g *grid.Grid) (*Solution, error) {
 	return solveDC(g, useSparse(g.N()))
 }
 
-// solveDC is SolveDC with the linear solve named by sparse: the dense
-// path reduces grid.Laplacian and solves it by dense LU; the sparse
-// path stamps the reduced B' from the branches (the same 1/X weights)
-// and factors it with mat.SparseLU.
+// solveDC is SolveDC with the linear solve named by sparse instead of
+// picked by size.
 func solveDC(g *grid.Grid, sparse bool) (*Solution, error) {
+	f, err := newDCFactor(g, sparse)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(g)
+}
+
+// DCFactor is the factored reduced susceptance matrix B′ of one grid
+// topology. The topology (the in-service branches, their reactances
+// and the slack bus) is fixed when the factor is built: Solve reads
+// only bus injections, so every grid it is given must differ from the
+// factored one in loads and generation alone. A grid with a different
+// bus count is an error. Solve only reads the factor, so concurrent
+// solves are safe.
+type DCFactor struct {
+	n   int
+	idx []int // reduced row k is bus idx[k]; the slack bus has none
+	ls  linearSolver
+}
+
+// NewDCFactor stamps B′ from g's in-service branches, 1/X per branch
+// with the slack row and column dropped, and factors it: by dense LU
+// below SparseBusThreshold buses, by mat.SparseLU at or above. A
+// singular B′, as an islanded grid gives, is an error wrapping
+// mat.ErrSingular.
+func NewDCFactor(g *grid.Grid) (*DCFactor, error) {
+	return newDCFactor(g, useSparse(g.N()))
+}
+
+func newDCFactor(g *grid.Grid, sparse bool) (*DCFactor, error) {
 	n := g.N()
 	slack, err := g.SlackIndex()
 	if err != nil {
 		return nil, err
 	}
-	// Reduced index map: bus i -> row red[i], slack dropped.
-	red := make([]int, n)
-	idx := make([]int, 0, n-1)
+	f := &DCFactor{n: n, idx: make([]int, 0, n-1), ls: linearSolver{sparse: sparse}}
+	red := make([]int, n) // bus i -> reduced row red[i], -1 for the slack
 	for i := 0; i < n; i++ {
 		if i == slack {
 			red[i] = -1
 			continue
 		}
-		red[i] = len(idx)
-		idx = append(idx, i)
+		red[i] = len(f.idx)
+		f.idx = append(f.idx, i)
 	}
-	p := make([]float64, len(idx))
-	for k, i := range idx {
-		p[k] = g.Buses[i].Pg - g.Buses[i].Pd
-	}
-	var th []float64
-	if sparse {
-		trips := make([]mat.Triplet, 0, 4*len(g.Branches))
-		for _, br := range g.Branches {
-			if !br.Status || br.X == 0 { //gridlint:ignore floatcmp X==0 marks an unmodelled branch sentinel, never a computed reactance
-				continue
-			}
-			w := 1 / br.X
-			f, t := red[br.From], red[br.To]
-			if f >= 0 {
-				trips = append(trips, mat.Triplet{Row: f, Col: f, Val: w})
-			}
-			if t >= 0 {
-				trips = append(trips, mat.Triplet{Row: t, Col: t, Val: w})
-			}
-			if f >= 0 && t >= 0 {
-				trips = append(trips,
-					mat.Triplet{Row: f, Col: t, Val: -w},
-					mat.Triplet{Row: t, Col: f, Val: -w},
-				)
-			}
+	// Branch order is the order a dense Laplacian accumulates, and
+	// NewSparse sums duplicates in input order, so both linear solves
+	// see the same bits in every entry.
+	trips := make([]mat.Triplet, 0, 4*len(g.Branches))
+	for _, br := range g.Branches {
+		if !br.Status || br.X == 0 { //gridlint:ignore floatcmp X==0 marks an unmodelled branch sentinel, never a computed reactance
+			continue
 		}
-		ls := linearSolver{sparse: true}
-		th, err = ls.solve(mat.NewSparse(len(idx), len(idx), trips), p)
-	} else {
-		th, err = mat.Solve(g.Laplacian().SelectRows(idx).SelectCols(idx), p)
+		w := 1 / br.X
+		rf, rt := red[br.From], red[br.To]
+		if rf >= 0 {
+			trips = append(trips, mat.Triplet{Row: rf, Col: rf, Val: w})
+		}
+		if rt >= 0 {
+			trips = append(trips, mat.Triplet{Row: rt, Col: rt, Val: w})
+		}
+		if rf >= 0 && rt >= 0 {
+			trips = append(trips,
+				mat.Triplet{Row: rf, Col: rt, Val: -w},
+				mat.Triplet{Row: rt, Col: rf, Val: -w},
+			)
+		}
 	}
-	if err != nil {
+	nr := len(f.idx)
+	if err := f.ls.factor(mat.NewSparse(nr, nr, trips)); err != nil {
 		return nil, fmt.Errorf("powerflow: DC solve failed (islanded grid?): %w", err)
 	}
-	vm := make([]float64, n)
-	va := make([]float64, n)
+	return f, nil
+}
+
+// Solve computes the DC power-flow angles of g on the factored
+// topology: P_i = Pg_i - Pd_i at every non-slack bus, theta = B′⁻¹P,
+// the slack angle zero and every magnitude 1.
+func (f *DCFactor) Solve(g *grid.Grid) (*Solution, error) {
+	if g.N() != f.n {
+		return nil, fmt.Errorf("powerflow: DC factor is for %d buses, grid %q has %d", f.n, g.Name, g.N())
+	}
+	p := make([]float64, len(f.idx))
+	for k, i := range f.idx {
+		p[k] = g.Buses[i].Pg - g.Buses[i].Pd
+	}
+	th, err := f.ls.solve(p)
+	if err != nil {
+		return nil, fmt.Errorf("powerflow: DC solve failed: %w", err)
+	}
+	vm := make([]float64, f.n)
+	va := make([]float64, f.n)
 	for i := range vm {
 		vm[i] = 1
 	}
-	for k, i := range idx {
+	for k, i := range f.idx {
 		va[i] = th[k]
 	}
 	return &Solution{Vm: vm, Va: va, Iterations: 1}, nil
