@@ -1,15 +1,10 @@
 // Package grid models the transmission level of a power system as the
 // graph P(N, E) of the paper: buses (power nodes) connected by branches
-// (power lines), with the electrical parameters needed to build the bus
-// admittance matrix Ybus and to run power flows.
+// (power lines), with the electrical parameters power flows need to
+// stamp the bus admittance matrix and the DC susceptance matrix.
 package grid
 
-import (
-	"fmt"
-	"math"
-
-	"pmuoutage/internal/mat"
-)
+import "fmt"
 
 // BusType classifies a bus for power-flow purposes.
 type BusType int
@@ -290,56 +285,6 @@ func (g *Grid) HopDistances(src int) []int {
 	return dist
 }
 
-// Ybus builds the bus admittance matrix from in-service branches,
-// including line charging, transformer taps/shifts, and bus shunts.
-func (g *Grid) Ybus() *mat.CDense {
-	n := g.N()
-	y := mat.NewCDense(n, n)
-	for _, br := range g.Branches {
-		if !br.Status {
-			continue
-		}
-		ys := br.Admittance()
-		bc := complex(0, br.B/2)
-		tap := br.Tap
-		if tap == 0 { //gridlint:ignore floatcmp tap==0 is the case-file sentinel for unity ratio
-			tap = 1
-		}
-		// Complex tap ratio a = tap * e^{j*shift}.
-		a := complex(tap*math.Cos(br.Shift), tap*math.Sin(br.Shift))
-		aconj := complex(real(a), -imag(a))
-		amag2 := complex(tap*tap, 0)
-		f, to := br.From, br.To
-		y.Add(f, f, (ys+bc)/amag2)
-		y.Add(to, to, ys+bc)
-		y.Add(f, to, -ys/aconj)
-		y.Add(to, f, -ys/a)
-	}
-	for i := range g.Buses {
-		y.Add(i, i, complex(g.Buses[i].Gs, g.Buses[i].Bs))
-	}
-	return y
-}
-
-// Laplacian returns the weighted Laplacian of the in-service topology,
-// weighted by 1/X (the DC-approximation susceptance). This is the
-// admittance-matrix view Y of Eq. (1) in the paper.
-func (g *Grid) Laplacian() *mat.Dense {
-	n := g.N()
-	l := mat.NewDense(n, n)
-	for _, br := range g.Branches {
-		if !br.Status || br.X == 0 { //gridlint:ignore floatcmp X==0 marks an unmodelled branch sentinel, never a computed reactance
-			continue
-		}
-		w := 1 / br.X
-		l.Add(br.From, br.From, w)
-		l.Add(br.To, br.To, w)
-		l.Add(br.From, br.To, -w)
-		l.Add(br.To, br.From, -w)
-	}
-	return l
-}
-
 // FindLine returns the branch index connecting internal buses i and j
 // (either direction), preferring in-service branches, or -1 if none.
 func (g *Grid) FindLine(i, j int) Line {
@@ -404,23 +349,4 @@ func sortInts(v []int) {
 			v[j-1], v[j] = v[j], v[j-1]
 		}
 	}
-}
-
-// AlgebraicConnectivity returns the Fiedler value — the second-smallest
-// eigenvalue of the weighted Laplacian. It is positive exactly when the
-// in-service grid is connected, and its magnitude measures how far the
-// topology is from splitting: a spectral early-warning companion to the
-// boolean Connected check.
-func (g *Grid) AlgebraicConnectivity() (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("grid %q: need at least 2 buses for connectivity spectrum", g.Name)
-	}
-	e, err := mat.FactorEigenSym(g.Laplacian(), 0)
-	if err != nil {
-		return 0, fmt.Errorf("grid %q: %w", g.Name, err)
-	}
-	// Values are sorted decreasing; the Fiedler value is the second
-	// smallest.
-	return e.Values[n-2], nil
 }

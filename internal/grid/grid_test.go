@@ -3,9 +3,7 @@ package grid
 import (
 	"math"
 	"math/cmplx"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // ring returns an n-bus ring grid with uniform impedances and a slack at
@@ -163,97 +161,6 @@ func TestFindLineEndpoints(t *testing.T) {
 	}
 }
 
-func TestYbusRowSumsZeroWithoutShunts(t *testing.T) {
-	// With no shunts, taps, or charging, each Ybus row sums to zero
-	// (Laplacian structure).
-	g := ring(5)
-	y := g.Ybus()
-	for i := 0; i < 5; i++ {
-		var s complex128
-		for j := 0; j < 5; j++ {
-			s += y.At(i, j)
-		}
-		if cmplx.Abs(s) > 1e-12 {
-			t.Fatalf("row %d sum = %v", i, s)
-		}
-	}
-}
-
-func TestYbusSymmetricWithoutTaps(t *testing.T) {
-	g := ring(5)
-	y := g.Ybus()
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if cmplx.Abs(y.At(i, j)-y.At(j, i)) > 1e-12 {
-				t.Fatalf("Ybus not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestYbusTapAsymmetry(t *testing.T) {
-	g := ring(3)
-	g.Branches[0].Tap = 0.95
-	y := g.Ybus()
-	if cmplx.Abs(y.At(0, 1)-y.At(1, 0)) > 1e-12 {
-		t.Fatal("real tap (no shift) keeps Ybus symmetric")
-	}
-	// Diagonal scaling differs: from-side sees y/t^2.
-	g2 := ring(3)
-	y2 := g2.Ybus()
-	if cmplx.Abs(y.At(0, 0)-y2.At(0, 0)) < 1e-12 {
-		t.Fatal("tap must change the from-side diagonal")
-	}
-}
-
-func TestYbusShuntAndCharging(t *testing.T) {
-	g := ring(3)
-	g.Buses[1].Bs = 0.5
-	g.Branches[0].B = 0.2
-	y := g.Ybus()
-	// Bus 1 diagonal gains j0.5 shunt plus j0.1 charging from branch 0.
-	base := ring(3).Ybus().At(1, 1)
-	if cmplx.Abs(y.At(1, 1)-(base+complex(0, 0.6))) > 1e-12 {
-		t.Fatalf("shunt/charging not applied: %v vs %v", y.At(1, 1), base)
-	}
-}
-
-func TestLaplacianProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(8)
-		g := ring(n)
-		// Random chords with random reactances.
-		for k := 0; k < n/2; k++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
-				continue
-			}
-			g.Branches = append(g.Branches, Branch{
-				From: a, To: b, X: 0.05 + rng.Float64(), Status: true,
-			})
-		}
-		l := g.Laplacian()
-		// Rows sum to zero; matrix symmetric; diagonal nonnegative.
-		for i := 0; i < n; i++ {
-			var s float64
-			for j := 0; j < n; j++ {
-				s += l.At(i, j)
-				if math.Abs(l.At(i, j)-l.At(j, i)) > 1e-12 {
-					return false
-				}
-			}
-			if math.Abs(s) > 1e-9 || l.At(i, i) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	g := ring(4)
 	if err := g.Validate(); err != nil {
@@ -295,39 +202,5 @@ func TestTotalLoad(t *testing.T) {
 	g.Buses[2].Pd = 0.25
 	if got := g.TotalLoad(); math.Abs(got-0.75) > 1e-15 {
 		t.Fatalf("TotalLoad = %v", got)
-	}
-}
-
-func TestAlgebraicConnectivity(t *testing.T) {
-	g := ring(8)
-	l2, err := g.AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ring of 8 with weights 1/X = 10: lambda_2 = 10 * 2(1-cos(2pi/8)).
-	want := 10 * 2 * (1 - math.Cos(2*math.Pi/8))
-	if math.Abs(l2-want) > 1e-6 {
-		t.Fatalf("Fiedler value = %v, want %v", l2, want)
-	}
-	// Removing one ring line weakens but keeps connectivity.
-	weak, err := g.WithoutLine(0).AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weak <= 0 || weak >= l2 {
-		t.Fatalf("weakened Fiedler value = %v, want in (0, %v)", weak, l2)
-	}
-	// Islanding drives it to zero.
-	split, err := g.WithoutLines([]Line{0, 4}).AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(split) > 1e-8 {
-		t.Fatalf("islanded Fiedler value = %v, want 0", split)
-	}
-	// Degenerate sizes error.
-	tiny := &Grid{Name: "tiny", Buses: []Bus{{ID: 1, Type: Slack}}}
-	if _, err := tiny.AlgebraicConnectivity(); err == nil {
-		t.Fatal("expected error for 1-bus grid")
 	}
 }

@@ -436,59 +436,68 @@ type DCFactor struct {
 	ls  linearSolver
 }
 
-// NewDCFactor stamps B′ from g's in-service branches, 1/X per branch
-// with the slack row and column dropped, and factors it: by dense LU
-// below SparseBusThreshold buses, by mat.SparseLU at or above. A
-// singular B′, as an islanded grid gives, is an error wrapping
-// mat.ErrSingular.
+// NewDCFactor stamps B′ from g's in-service branches and factors it:
+// by dense LU below SparseBusThreshold buses, by mat.SparseLU at or
+// above. A singular B′, as an islanded grid gives, is an error
+// wrapping mat.ErrSingular.
 func NewDCFactor(g *grid.Grid) (*DCFactor, error) {
 	return newDCFactor(g, useSparse(g.N()))
 }
 
 func newDCFactor(g *grid.Grid, sparse bool) (*DCFactor, error) {
-	n := g.N()
-	slack, err := g.SlackIndex()
+	b, idx, err := stampBPrime(g)
 	if err != nil {
 		return nil, err
 	}
-	f := &DCFactor{n: n, idx: make([]int, 0, n-1), ls: linearSolver{sparse: sparse}}
-	red := make([]int, n) // bus i -> reduced row red[i], -1 for the slack
+	f := &DCFactor{n: g.N(), idx: idx, ls: linearSolver{sparse: sparse}}
+	if err := f.ls.factor(b); err != nil {
+		return nil, fmt.Errorf("powerflow: DC factor failed (islanded grid?): %w", err)
+	}
+	return f, nil
+}
+
+// stampBPrime returns the reduced susceptance matrix B′ of g, 1/X per
+// in-service branch with the slack row and column dropped, and idx,
+// the bus of each of its rows. Contributions run in branch order and
+// NewSparse sums duplicates in input order, so every entry has the bits
+// a dense Laplacian accumulated in branch order gives it.
+func stampBPrime(g *grid.Grid) (*mat.Sparse, []int, error) {
+	n := g.N()
+	slack, err := g.SlackIndex()
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := make([]int, 0, n-1)
+	red := make([]int, n) // bus i -> row red[i], -1 for the slack
 	for i := 0; i < n; i++ {
 		if i == slack {
 			red[i] = -1
 			continue
 		}
-		red[i] = len(f.idx)
-		f.idx = append(f.idx, i)
+		red[i] = len(idx)
+		idx = append(idx, i)
 	}
-	// Branch order is the order a dense Laplacian accumulates, and
-	// NewSparse sums duplicates in input order, so both linear solves
-	// see the same bits in every entry.
 	trips := make([]mat.Triplet, 0, 4*len(g.Branches))
 	for _, br := range g.Branches {
 		if !br.Status || br.X == 0 { //gridlint:ignore floatcmp X==0 marks an unmodelled branch sentinel, never a computed reactance
 			continue
 		}
 		w := 1 / br.X
-		rf, rt := red[br.From], red[br.To]
-		if rf >= 0 {
-			trips = append(trips, mat.Triplet{Row: rf, Col: rf, Val: w})
+		f, t := red[br.From], red[br.To]
+		if f >= 0 {
+			trips = append(trips, mat.Triplet{Row: f, Col: f, Val: w})
 		}
-		if rt >= 0 {
-			trips = append(trips, mat.Triplet{Row: rt, Col: rt, Val: w})
+		if t >= 0 {
+			trips = append(trips, mat.Triplet{Row: t, Col: t, Val: w})
 		}
-		if rf >= 0 && rt >= 0 {
+		if f >= 0 && t >= 0 {
 			trips = append(trips,
-				mat.Triplet{Row: rf, Col: rt, Val: -w},
-				mat.Triplet{Row: rt, Col: rf, Val: -w},
+				mat.Triplet{Row: f, Col: t, Val: -w},
+				mat.Triplet{Row: t, Col: f, Val: -w},
 			)
 		}
 	}
-	nr := len(f.idx)
-	if err := f.ls.factor(mat.NewSparse(nr, nr, trips)); err != nil {
-		return nil, fmt.Errorf("powerflow: DC solve failed (islanded grid?): %w", err)
-	}
-	return f, nil
+	return mat.NewSparse(len(idx), len(idx), trips), idx, nil
 }
 
 // Solve computes the DC power-flow angles of g on the factored

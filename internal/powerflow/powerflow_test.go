@@ -66,9 +66,13 @@ func TestPowerBalanceAtEveryBus(t *testing.T) {
 	for i := range v {
 		v[i] = cmplx.Rect(sol.Vm[i], sol.Va[i])
 	}
-	iv := g.Ybus().MulVec(v)
+	y := denseYbus(g)
 	for i := 0; i < n; i++ {
-		s := v[i] * cmplx.Conj(iv[i])
+		var iv complex128
+		for j := range v {
+			iv += y[i][j] * v[j]
+		}
+		s := v[i] * cmplx.Conj(iv)
 		sched := complex(g.Buses[i].Pg-g.Buses[i].Pd, g.Buses[i].Qg-g.Buses[i].Qd)
 		switch g.Buses[i].Type {
 		case grid.PQ:
@@ -210,9 +214,14 @@ func TestDCPowerBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// B' * theta must reproduce the injections at non-slack buses.
-	lap := g.Laplacian()
-	p := lap.MulVec(dc.Va)
+	// The DC branch flows (theta_f - theta_t)/X must sum to the
+	// injection at every non-slack bus.
+	p := make([]float64, g.N())
+	for _, br := range g.Branches {
+		flow := (dc.Va[br.From] - dc.Va[br.To]) / br.X
+		p[br.From] += flow
+		p[br.To] -= flow
+	}
 	for i := 1; i < g.N(); i++ {
 		want := g.Buses[i].Pg - g.Buses[i].Pd
 		if math.Abs(p[i]-want) > 1e-9 {
