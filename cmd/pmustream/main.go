@@ -55,6 +55,9 @@ func run(caseName string, lineIdx, steps, outageAt int, killPMUs bool, loss floa
 	if err != nil {
 		return err
 	}
+	if lineIdx >= g.E() {
+		return fmt.Errorf("-line %d out of range: %s has %d lines", lineIdx, g.Name, g.E())
+	}
 	nclusters := g.N() / 10
 	if nclusters < 3 {
 		nclusters = 3
