@@ -4,17 +4,23 @@
 // configurations compute byte-identical results (see internal/par), so
 // the ratio is pure scheduling overhead vs speedup.
 //
-// It also measures the power-flow scaling ladder: one flat-start AC and
-// one DC solve per grid size (14 … 1000 buses), each on the linear solve
-// the grid's size picks (dense LU below powerflow.SparseBusThreshold
-// buses, sparse LU at or above it).
+// It also measures a ladder of grid sizes. Every grid (14 … 1000
+// buses) gets one flat-start AC and one DC solve, each on the linear
+// solve the grid's size picks (dense LU below
+// powerflow.SparseBusThreshold buses, sparse LU at or above it). Every
+// grid but synth1000 also gets the training pipeline with one worker:
+// DC data generation in the training configuration (40 steps, seed 1),
+// detector training on that data with max(3, N/10) PDC clusters, and
+// one detection each of an outage sample and a normal sample, picked
+// by the rule of BenchmarkDetectSingleSample.
 //
 // Usage:
 //
 //	benchpipeline [-o BENCH_pipeline.json] [-reps 3]
 //
 // The JSON has one entry per (stage, workers) pair with the best-of-reps
-// wall time in nanoseconds, one scaling row per (grid, stage) pair, plus
+// wall time in nanoseconds, one scaling row per (grid, stage) pair (a
+// detection row is the best of -reps mean times over a timed loop), plus
 // the machine's GOMAXPROCS so single-CPU results are readable for what
 // they are.
 package main
@@ -31,7 +37,6 @@ import (
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/detect"
-	"pmuoutage/internal/grid"
 	"pmuoutage/internal/pmunet"
 	"pmuoutage/internal/powerflow"
 )
@@ -42,12 +47,12 @@ type result struct {
 	NsOp    int64  `json:"ns_op"`   // best of -reps runs
 }
 
-// scalingRow is one point of the power-flow scaling ladder: the named
-// grid solved once.
+// scalingRow is one point of the grid-size ladder: one stage run once
+// on the named grid.
 type scalingRow struct {
 	Grid  string `json:"grid"`
 	Buses int    `json:"buses"`
-	Stage string `json:"stage"` // powerflow/ac | powerflow/dc
+	Stage string `json:"stage"` // powerflow/ac | powerflow/dc | dataset/generate-dc | detect/train | detect/outage-sample | detect/normal-sample
 	NsOp  int64  `json:"ns_op"` // best of -reps runs
 }
 
@@ -109,18 +114,12 @@ func run(out string, reps int) error {
 	}
 	for _, st := range stages {
 		for _, workers := range workerSet {
-			best := time.Duration(-1)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if err := st.fn(workers); err != nil {
-					return fmt.Errorf("%s workers=%d: %w", st.name, workers, err)
-				}
-				if el := time.Since(start); best < 0 || el < best {
-					best = el
-				}
+			d, err := best(reps, once(func() error { return st.fn(workers) }))
+			if err != nil {
+				return fmt.Errorf("%s workers=%d: %w", st.name, workers, err)
 			}
-			rep.Results = append(rep.Results, result{Stage: st.name, Workers: workers, NsOp: best.Nanoseconds()})
-			fmt.Printf("%-28s workers=%-2d %12s\n", st.name, workers, best.Round(time.Microsecond))
+			rep.Results = append(rep.Results, result{Stage: st.name, Workers: workers, NsOp: d.Nanoseconds()})
+			fmt.Printf("%-28s workers=%-2d %12s\n", st.name, workers, d.Round(time.Microsecond))
 		}
 	}
 
@@ -137,45 +136,150 @@ func run(out string, reps int) error {
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
-// scalingLadder times one flat-start AC and one DC solve per grid size.
-// Flat start, because the built-in grids store their solved state and a
-// warm start from the exact solution converges before any
-// factorization runs, measuring nothing.
-func scalingLadder(reps int) ([]scalingRow, error) {
-	stages := []struct {
-		label string
-		fn    func(*grid.Grid) error
-	}{
-		{"powerflow/ac", func(g *grid.Grid) error {
-			_, err := powerflow.SolveAC(g, powerflow.Options{FlatStart: true})
-			return err
-		}},
-		{"powerflow/dc", func(g *grid.Grid) error {
-			_, err := powerflow.SolveDC(g)
-			return err
-		}},
+// best returns the least of reps measurements.
+func best(reps int, measure func() (time.Duration, error)) (time.Duration, error) {
+	least := time.Duration(-1)
+	for r := 0; r < reps; r++ {
+		d, err := measure()
+		if err != nil {
+			return 0, err
+		}
+		if least < 0 || d < least {
+			least = d
+		}
 	}
+	return least, nil
+}
+
+// once measures one call of fn.
+func once(fn func() error) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		start := time.Now()
+		err := fn()
+		return time.Since(start), err
+	}
+}
+
+// loopMin is the least time one timed detection loop runs for.
+const loopMin = 50 * time.Millisecond
+
+// loop measures the mean time of one fn call over a loop of at least
+// loopMin.
+func loop(fn func() error) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		start, n := time.Now(), 0
+		for ; n < 10 || time.Since(start) < loopMin; n++ {
+			if err := fn(); err != nil {
+				return 0, err
+			}
+		}
+		return time.Since(start) / time.Duration(n), nil
+	}
+}
+
+// scalingLadder times one flat-start AC and one DC solve per grid size,
+// and the training pipeline on every grid but synth1000, whose training
+// time is unmeasured. Flat start, because the built-in grids store their
+// solved state and a warm start from the exact solution converges
+// before any factorization runs, measuring nothing.
+func scalingLadder(reps int) ([]scalingRow, error) {
 	var rows []scalingRow
 	for _, name := range []string{"ieee14", "ieee30", "ieee57", "ieee118", "synth300", "synth1000"} {
 		g, err := cases.Load(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, stage := range stages {
-			best := time.Duration(-1)
-			for r := 0; r < reps; r++ {
-				work := g.Clone()
-				start := time.Now()
-				if err := stage.fn(work); err != nil {
-					return nil, fmt.Errorf("%s %s: %w", name, stage.label, err)
-				}
-				if el := time.Since(start); best < 0 || el < best {
-					best = el
-				}
+		add := func(stage string, measure func() (time.Duration, error)) error {
+			d, err := best(reps, measure)
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", name, stage, err)
 			}
-			rows = append(rows, scalingRow{Grid: name, Buses: g.N(), Stage: stage.label, NsOp: best.Nanoseconds()})
-			fmt.Printf("%-10s %-13s %12s\n", name, stage.label, best.Round(time.Microsecond))
+			rows = append(rows, scalingRow{Grid: name, Buses: g.N(), Stage: stage, NsOp: d.Nanoseconds()})
+			fmt.Printf("%-10s %-21s %12s\n", name, stage, d.Round(time.Microsecond))
+			return nil
+		}
+		if err := add("powerflow/ac", once(func() error {
+			_, err := powerflow.SolveAC(g.Clone(), powerflow.Options{FlatStart: true})
+			return err
+		})); err != nil {
+			return nil, err
+		}
+		if err := add("powerflow/dc", once(func() error {
+			_, err := powerflow.SolveDC(g.Clone())
+			return err
+		})); err != nil {
+			return nil, err
+		}
+		if name == "synth1000" {
+			continue
+		}
+		var d *dataset.Data
+		if err := add("dataset/generate-dc", once(func() (err error) {
+			d, err = dataset.Generate(g, dataset.GenConfig{Steps: 40, Seed: 1, UseDC: true, Workers: 1})
+			return err
+		})); err != nil {
+			return nil, err
+		}
+		nw, err := pmunet.Build(g, max(3, g.N()/10))
+		if err != nil {
+			return nil, err
+		}
+		var det *detect.Detector
+		if err := add("detect/train", once(func() (err error) {
+			det, err = detect.Train(d, nw, detect.Config{Workers: 1})
+			return err
+		})); err != nil {
+			return nil, err
+		}
+		outage, normal, err := detectSamples(det, d)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if err := add("detect/outage-sample", loop(func() error { _, err := det.Detect(outage); return err })); err != nil {
+			return nil, err
+		}
+		if err := add("detect/normal-sample", loop(func() error { _, err := det.Detect(normal); return err })); err != nil {
+			return nil, err
 		}
 	}
 	return rows, nil
+}
+
+// detectSamples picks the samples BenchmarkDetectSingleSample times: the
+// first valid line's first outage sample that trips the energy gate,
+// and the first normal sample that does not.
+func detectSamples(det *detect.Detector, d *dataset.Data) (outage, normal dataset.Sample, err error) {
+	gated := func(s dataset.Sample) (bool, error) {
+		r, err := det.Detect(s)
+		if err != nil {
+			return false, err
+		}
+		return r.Outage, nil
+	}
+	found := 0
+	for _, e := range d.ValidLines {
+		s := d.Outages[e].Samples[0]
+		ok, err := gated(s)
+		if err != nil {
+			return outage, normal, err
+		}
+		if ok {
+			outage, found = s, found+1
+			break
+		}
+	}
+	for _, s := range d.Normal.Samples {
+		ok, err := gated(s)
+		if err != nil {
+			return outage, normal, err
+		}
+		if !ok {
+			normal, found = s, found+1
+			break
+		}
+	}
+	if found != 2 {
+		return outage, normal, fmt.Errorf("no gate-tripping outage sample or no quiet normal sample")
+	}
+	return outage, normal, nil
 }
