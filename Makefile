@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-report test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke verify
+.PHONY: build vet fmt lint lint-report test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,14 @@ bench-serve-smoke:
 smoke:
 	$(GO) run ./cmd/outagesoak
 
+# The benchmark module: perfbench/ is a Go module of its own, so the
+# root build and tests skip it. Vet it and run its short tests against
+# this checkout's library, so an API change that breaks the benchmark
+# fails verify. Offline, like perfbench/run.sh.
+PERFBENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test -short .
+
 # The tier-1 gate (see ROADMAP.md): build, vet, gofmt, gridlint, race
-# tests, benchmark smoke, smoke harness.
-verify: build vet fmt lint race bench bench-serve-smoke smoke
+# tests, benchmark smoke, smoke harness, benchmark module checks.
+verify: build vet fmt lint race bench bench-serve-smoke smoke perfbench-check

@@ -24,11 +24,11 @@ type SVD struct {
 // detector keys off the *lowest* singular directions of the phasor data
 // (they encode the grid topology, see DESIGN.md).
 //
-// The working matrix is packed column-contiguously, so each rotation
-// of columns p and q streams two linear blocks instead of striding over
-// m rows. The arithmetic (rotation order, tolerances, per-element
-// operations, accumulation order over i) is that of the textbook
-// row-major sweep, so the factors are bit-identical to it
+// The working matrix and V are packed column-contiguously, so each
+// rotation of columns p and q streams two linear blocks instead of
+// striding over the rows. The arithmetic (rotation order, tolerances,
+// per-element operations, accumulation order over i) is that of the
+// textbook row-major sweep, so the factors are bit-identical to it
 // (TestFactorSVDBlockedBitIdentical).
 func FactorSVD(a *Dense) *SVD {
 	m, n := a.rows, a.cols
@@ -38,8 +38,8 @@ func FactorSVD(a *Dense) *SVD {
 	}
 	// Rotate pairs of columns of a copy of A until all are mutually
 	// orthogonal. Then column norms are singular values and normalized
-	// columns are U; V accumulates the rotations. The copy is packed
-	// column-contiguously: column j occupies w[j*m : (j+1)*m].
+	// columns are U; V accumulates the rotations. Column j of the copy
+	// is w[j*m : (j+1)*m], column j of V is vt[j*n : (j+1)*n].
 	w := make([]float64, m*n)
 	for i := 0; i < m; i++ {
 		row := a.data[i*n : (i+1)*n]
@@ -47,7 +47,10 @@ func FactorSVD(a *Dense) *SVD {
 			w[j*m+i] = v
 		}
 	}
-	v := Identity(n)
+	vt := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		vt[j*n+j] = 1
+	}
 
 	const maxSweeps = 60
 	// Convergence threshold relative to the largest column norm product.
@@ -59,12 +62,14 @@ func FactorSVD(a *Dense) *SVD {
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
 				wp := w[p*m : (p+1)*m]
-				wq := w[q*m : (q+1)*m]
+				wq := w[q*m : (q+1)*m : (q+1)*m]
+				wq = wq[:len(wp)]
 				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					alpha += wp[i] * wp[i]
-					beta += wq[i] * wq[i]
-					gamma += wp[i] * wq[i]
+				for i, xp := range wp {
+					xq := wq[i]
+					alpha += xp * xp
+					beta += xq * xq
+					gamma += xp * xq
 				}
 				if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
 					continue
@@ -78,17 +83,18 @@ func FactorSVD(a *Dense) *SVD {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					xp := wp[i]
+				for i, xp := range wp {
 					xq := wq[i]
 					wp[i] = c*xp - s*xq
 					wq[i] = s*xp + c*xq
 				}
-				for i := 0; i < n; i++ {
-					vp := v.data[i*n+p]
-					vq := v.data[i*n+q]
-					v.data[i*n+p] = c*vp - s*vq
-					v.data[i*n+q] = s*vp + c*vq
+				vp := vt[p*n : (p+1)*n]
+				vq := vt[q*n : (q+1)*n : (q+1)*n]
+				vq = vq[:len(vp)]
+				for i, xp := range vp {
+					xq := vq[i]
+					vp[i] = c*xp - s*xq
+					vq[i] = s*xp + c*xq
 				}
 			}
 		}
@@ -118,10 +124,13 @@ func FactorSVD(a *Dense) *SVD {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return sv[order[a]] > sv[order[b]] })
 	us := u.SelectCols(order)
-	vs := v.SelectCols(order)
+	vs := NewDense(n, n)
 	ss := make([]float64, n)
 	for k, j := range order {
 		ss[k] = sv[j]
+		for i, x := range vt[j*n : (j+1)*n] {
+			vs.data[i*n+k] = x
+		}
 	}
 	return &SVD{U: us, S: ss, V: vs}
 }
