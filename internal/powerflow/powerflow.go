@@ -428,8 +428,7 @@ func solveDC(g *grid.Grid, sparse bool) (*Solution, error) {
 // and the slack bus) is fixed when the factor is built: Solve reads
 // only bus injections, so every grid it is given must differ from the
 // factored one in loads and generation alone. A grid with a different
-// bus count is an error. Solve only reads the factor, so concurrent
-// solves are safe.
+// bus count is an error.
 type DCFactor struct {
 	n   int
 	idx []int // reduced row k is bus idx[k]; the slack bus has none
