@@ -114,12 +114,12 @@ func run(out string, reps int) error {
 	}
 	for _, st := range stages {
 		for _, workers := range workerSet {
-			d, err := best(reps, once(func() error { return st.fn(workers) }))
+			el, err := best(reps, once(func() error { return st.fn(workers) }))
 			if err != nil {
 				return fmt.Errorf("%s workers=%d: %w", st.name, workers, err)
 			}
-			rep.Results = append(rep.Results, result{Stage: st.name, Workers: workers, NsOp: d.Nanoseconds()})
-			fmt.Printf("%-28s workers=%-2d %12s\n", st.name, workers, d.Round(time.Microsecond))
+			rep.Results = append(rep.Results, result{Stage: st.name, Workers: workers, NsOp: el.Nanoseconds()})
+			fmt.Printf("%-28s workers=%-2d %12s\n", st.name, workers, el.Round(time.Microsecond))
 		}
 	}
 
@@ -190,12 +190,12 @@ func scalingLadder(reps int) ([]scalingRow, error) {
 			return nil, err
 		}
 		add := func(stage string, measure func() (time.Duration, error)) error {
-			d, err := best(reps, measure)
+			el, err := best(reps, measure)
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", name, stage, err)
 			}
-			rows = append(rows, scalingRow{Grid: name, Buses: g.N(), Stage: stage, NsOp: d.Nanoseconds()})
-			fmt.Printf("%-10s %-21s %12s\n", name, stage, d.Round(time.Microsecond))
+			rows = append(rows, scalingRow{Grid: name, Buses: g.N(), Stage: stage, NsOp: el.Nanoseconds()})
+			fmt.Printf("%-10s %-21s %12s\n", name, stage, el.Round(time.Microsecond))
 			return nil
 		}
 		if err := add("powerflow/ac", once(func() error {
