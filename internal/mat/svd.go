@@ -62,8 +62,8 @@ func FactorSVD(a *Dense) *SVD {
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
 				wp := w[p*m : (p+1)*m]
-				wq := w[q*m : (q+1)*m : (q+1)*m]
-				wq = wq[:len(wp)]
+				wq := w[q*m : (q+1)*m]
+				wq = wq[:len(wp)] // bounds hint: the loops below index wq by wp's range
 				var alpha, beta, gamma float64
 				for i, xp := range wp {
 					xq := wq[i]
@@ -89,7 +89,7 @@ func FactorSVD(a *Dense) *SVD {
 					wq[i] = s*xp + c*xq
 				}
 				vp := vt[p*n : (p+1)*n]
-				vq := vt[q*n : (q+1)*n : (q+1)*n]
+				vq := vt[q*n : (q+1)*n]
 				vq = vq[:len(vp)]
 				for i, xp := range vp {
 					xq := vq[i]
