@@ -96,9 +96,8 @@ smoke:
 # root build and tests skip it. Vet it and run its short tests against
 # this checkout's library, so an API change that breaks the benchmark
 # fails verify. Offline, like perfbench/run.sh.
-PERFBENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
 perfbench-check:
-	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test -short .
+	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && $(GO) vet . && $(GO) test -short .
 
 # The tier-1 gate (see ROADMAP.md): build, vet, gofmt, gridlint, race
 # tests, benchmark smoke, smoke harness, benchmark module checks.
