@@ -7,7 +7,6 @@ import (
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/grid"
-	"pmuoutage/internal/mat"
 	"pmuoutage/internal/pmunet"
 )
 
@@ -44,8 +43,12 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 			for k, i := range avail {
 				xd[k] = dev[i]
 			}
-			r0, err := det.normalSub.ResidualD(xd, avail)
+			normal, err := det.normalSub.Restrict(avail)
 			if err != nil {
+				t.Fatal(err)
+			}
+			r0, res := make([]float64, len(avail)), make([]float64, len(avail))
+			if _, err := normal.ResidualTo(r0, xd); err != nil {
 				t.Fatal(err)
 			}
 			type ls struct {
@@ -53,13 +56,16 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 				p float64
 			}
 			var scores []ls
-			for _, f := range det.validLines {
-				r, err := det.lineSubs[f].ResidualD(r0, avail)
+			for k, f := range det.validLines {
+				r, err := det.lineSubs[k].Restrict(avail)
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := mat.Norm2(r)
-				scores = append(scores, ls{f, n * n})
+				p, err := r.ResidualTo(res, r0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scores = append(scores, ls{f, p})
 			}
 			sort.Slice(scores, func(a, b int) bool { return scores[a].p < scores[b].p })
 			n++

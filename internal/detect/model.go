@@ -147,8 +147,8 @@ func (det *Detector) Snapshot() (*Model, error) {
 	for k, e := range det.validLines {
 		m.CaseCapability[k] = det.caps.Case[e]
 	}
-	for k, e := range det.validLines {
-		m.LineBases[k] = basisOf(det.lineSubs[e])
+	for k, sub := range det.lineSubs {
+		m.LineBases[k] = basisOf(sub)
 	}
 	for i := 0; i < n; i++ {
 		m.UnionBases[i] = basisOf(det.unionSubs[i])
@@ -264,9 +264,12 @@ func (m *Model) validate() error {
 	if len(m.LineBases) != len(m.ValidLines) {
 		return bad("%d line bases for %d valid lines", len(m.LineBases), len(m.ValidLines))
 	}
-	for _, e := range m.ValidLines {
+	for k, e := range m.ValidLines {
 		if int(e) < 0 || int(e) >= m.Grid.E() {
 			return bad("valid line %d out of range %d", e, m.Grid.E())
+		}
+		if slices.Contains(m.ValidLines[:k], e) {
+			return bad("valid line %d listed twice", e)
 		}
 	}
 	if len(m.UnionBases) != n || len(m.InterBases) != n || len(m.NodeLines) != n {
@@ -367,7 +370,7 @@ func FromModel(m *Model) (*Detector, error) {
 		g:              m.Grid,
 		nw:             nw,
 		mean:           m.Mean,
-		lineSubs:       make(map[grid.Line]*subspace.Subspace, len(m.ValidLines)),
+		lineSubs:       make([]*subspace.Subspace, len(m.ValidLines)),
 		unionSubs:      make([]*subspace.Subspace, n),
 		interSubs:      make([]*subspace.Subspace, n),
 		nodeLines:      m.NodeLines,
@@ -382,7 +385,7 @@ func FromModel(m *Model) (*Detector, error) {
 		groups: m.Groups,
 	}
 	for k, e := range m.ValidLines {
-		det.lineSubs[e] = m.LineBases[k].subspace()
+		det.lineSubs[k] = m.LineBases[k].subspace()
 		det.caps.Case[e] = m.CaseCapability[k]
 	}
 	for i := 0; i < n; i++ {

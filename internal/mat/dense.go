@@ -165,10 +165,15 @@ func (m *Dense) Mul(b *Dense) *Dense {
 
 // MulVec returns the matrix-vector product m*x.
 func (m *Dense) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(x)))
+	return m.MulVecTo(make([]float64, m.rows), x)
+}
+
+// MulVecTo stores the matrix-vector product m*x in out and returns it.
+// out must have m.Rows() elements and must not alias x.
+func (m *Dense) MulVecTo(out, x []float64) []float64 {
+	if m.cols != len(x) || m.rows != len(out) {
+		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d into %d", m.rows, m.cols, len(x), len(out)))
 	}
-	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64

@@ -189,25 +189,10 @@ func Intersection(minShare float64, subs ...*Subspace) (*Subspace, error) {
 	return &Subspace{basis: w.basis.Mul(svd.U.SelectCols(keep))}, nil
 }
 
-// ResidualD projects a restricted vector xd (already indexed by the
-// detection group) onto the row-restricted basis U_D and returns the
-// residual xd − U_D (U_D)⁺ xd. For the zero subspace it returns a copy
-// of xd. This is the building block detectors chain: first remove the
-// normal-operation (load-variation) component, then measure the residual
-// against an outage subspace. It is Restrict followed by Residual;
-// callers that score many vectors against one group keep the Restricted.
-func (s *Subspace) ResidualD(xd []float64, group []int) ([]float64, error) {
-	r, err := s.Restrict(group)
-	if err != nil {
-		return nil, err
-	}
-	return r.Residual(xd)
-}
-
 // Restricted is a subspace's basis restricted to the rows of one
 // detection group, U_D, together with its pseudo-inverse (U_D)⁺: the
-// part of ResidualD that depends only on the group, and the only costly
-// step. It is immutable and safe for concurrent use.
+// part of a restricted residual that depends only on the group, and the
+// only costly step. It is immutable and safe for concurrent use.
 type Restricted struct {
 	rows int
 	ud   *mat.Dense // nil for the zero subspace
@@ -231,23 +216,39 @@ func (s *Subspace) Restrict(group []int) (*Restricted, error) {
 	return r, nil
 }
 
-// Residual returns xd − U_D (U_D)⁺ xd for a vector indexed like the
-// group Restrict was given; for the zero subspace, a copy of xd.
-func (r *Restricted) Residual(xd []float64) ([]float64, error) {
-	if len(xd) != r.rows {
-		return nil, fmt.Errorf("subspace: restricted vector length %d != group %d", len(xd), r.rows)
+// stackRank is the largest subspace rank whose least-squares
+// coefficients ResidualTo keeps on the stack; larger ranks allocate
+// them.
+const stackRank = 8
+
+// ResidualTo writes the residual xd − U_D (U_D)⁺ xd of a vector indexed
+// like the group Restrict was given into dst, and returns its energy,
+// the squared mat.Norm2 of dst: the Eq. (9) proximity of xd. For the
+// zero subspace the residual is xd itself. dst must have len(xd)
+// elements and must not alias xd. Both products are summed in
+// Dense.MulVec's order and the norm is taken once, so the residual and
+// its energy keep the bits of the allocating MulVec formulation.
+func (r *Restricted) ResidualTo(dst, xd []float64) (float64, error) {
+	if len(xd) != r.rows || len(dst) != r.rows {
+		return 0, fmt.Errorf("subspace: restricted vector length %d into %d, group %d", len(xd), len(dst), r.rows)
 	}
-	out := make([]float64, len(xd))
-	copy(out, xd)
 	if r.ud == nil {
-		return out, nil
+		copy(dst, xd)
+	} else {
+		var buf [stackRank]float64
+		alpha := buf[:]
+		if k := r.pinv.Rows(); k <= stackRank {
+			alpha = alpha[:k]
+		} else {
+			alpha = make([]float64, k)
+		}
+		r.ud.MulVecTo(dst, r.pinv.MulVecTo(alpha, xd))
+		for i, x := range xd {
+			dst[i] = x - dst[i]
+		}
 	}
-	alpha := r.pinv.MulVec(out)
-	fit := r.ud.MulVec(alpha)
-	for i := range out {
-		out[i] -= fit[i]
-	}
-	return out, nil
+	n := mat.Norm2(dst)
+	return n * n, nil
 }
 
 // ProjectOut returns the matrix whose columns are x's columns with their

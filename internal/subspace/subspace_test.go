@@ -149,8 +149,8 @@ func TestProximityRestrictedRows(t *testing.T) {
 
 // TestRestrictedResidual: one restriction serves many vectors, its
 // residual energy is the Eq. (9) proximity over the same rows, the zero
-// subspace passes vectors through as copies, and wrong lengths and
-// out-of-range rows are errors.
+// subspace passes vectors through, and wrong lengths and out-of-range
+// rows are errors.
 func TestRestrictedResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, err := Learn(dataAlong(rng, 25, unit(5, 0), unit(5, 3)), 2)
@@ -162,12 +162,13 @@ func TestRestrictedResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := make([]float64, len(group))
 	for trial := 0; trial < 20; trial++ {
 		x := make([]float64, 5)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		res, err := r.Residual([]float64{x[0], x[2], x[3]})
+		e, err := r.ResidualTo(res, []float64{x[0], x[2], x[3]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +176,15 @@ func TestRestrictedResidual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := mat.Norm2(res); math.Abs(n*n-p) > 1e-12*(1+p) {
-			t.Fatalf("restricted residual energy %v, proximity %v", n*n, p)
+		if math.Abs(e-p) > 1e-12*(1+p) {
+			t.Fatalf("restricted residual energy %v, proximity %v", e, p)
 		}
 	}
-	if _, err := r.Residual([]float64{1, 2}); err == nil {
+	if _, err := r.ResidualTo(res, []float64{1, 2}); err == nil {
 		t.Fatal("expected length error")
+	}
+	if _, err := r.ResidualTo(res[:2], []float64{1, 2, 3}); err == nil {
+		t.Fatal("expected destination length error")
 	}
 	if _, err := s.Restrict([]int{0, 7}); err == nil {
 		t.Fatal("expected range error")
@@ -190,13 +194,82 @@ func TestRestrictedResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	xd := []float64{1, 2, 3}
-	out, err := z.Residual(xd)
+	e, err := z.ResidualTo(res, xd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out[0] = 9
-	if !slices.Equal(xd, []float64{1, 2, 3}) || !slices.Equal(out, []float64{9, 2, 3}) {
-		t.Fatalf("zero-subspace residual %v of %v is not a copy", out, xd)
+	n := mat.Norm2(xd)
+	if !slices.Equal(xd, []float64{1, 2, 3}) || !slices.Equal(res, xd) || math.Float64bits(e) != math.Float64bits(n*n) {
+		t.Fatalf("zero-subspace residual %v (energy %v) of %v is not a copy", res, e, xd)
+	}
+}
+
+// allocResidual is the allocating formulation the detector scored with
+// before ResidualTo: xd − U_D ((U_D)⁺ xd) through two MulVec products.
+func allocResidual(r *Restricted, xd []float64) []float64 {
+	out := slices.Clone(xd)
+	if r.ud == nil {
+		return out
+	}
+	fit := r.ud.MulVec(r.pinv.MulVec(out))
+	for i := range out {
+		out[i] -= fit[i]
+	}
+	return out
+}
+
+// TestResidualToMatchesMulVec: the kernel's residual and energy keep
+// the bits of allocResidual and mat.Norm2(allocResidual(x))², at ranks
+// 0, 1 and 3 and one rank past the stack buffer, for vectors mixing
+// exact zeros, ordinary values and entries near 1e±300.
+func TestResidualToMatchesMulVec(t *testing.T) {
+	const d = 16
+	for _, k := range []int{0, 1, 3, stackRank + 1} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			s := Zero(d)
+			if k > 0 {
+				s = FromBasis(mat.Orthonormalize(randDense(rng, d, k)))
+			}
+			group := rng.Perm(d)[:k+3]
+			r, err := s.Restrict(group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xd := make([]float64, len(group))
+			for i := range xd {
+				switch rng.Intn(4) {
+				case 0: // exact zero
+				case 1:
+					xd[i] = rng.NormFloat64()
+				case 2:
+					xd[i] = rng.NormFloat64() * 1e300
+				default:
+					xd[i] = rng.NormFloat64() * 1e-300
+				}
+			}
+			dst := make([]float64, len(xd))
+			e, err := r.ResidualTo(dst, xd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := allocResidual(r, xd)
+			n := mat.Norm2(want)
+			if math.Float64bits(e) != math.Float64bits(n*n) {
+				t.Logf("rank %d seed %d: energy %v, want %v", k, seed, e, n*n)
+				return false
+			}
+			for i := range dst {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Logf("rank %d seed %d: residual[%d] %v, want %v", k, seed, i, dst[i], want[i])
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("rank %d: %v", k, err)
+		}
 	}
 }
 
