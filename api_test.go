@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -48,6 +49,45 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if _, err := sys.SimulateOutage([]int{-1}, 1); !errors.Is(err, ErrBadLine) {
 		t.Fatalf("negative line error = %v", err)
+	}
+}
+
+// TestNonFiniteSampleRefused: a NaN, infinite or overflowing angle at a
+// bus not marked missing makes the deviation energy non-finite. Detect
+// and Monitor.Ingest refuse the sample with the same ErrBadSample error
+// rather than report an outage, so no stream of such frames confirms an
+// event. The same value at a bus marked missing is ignored: the normal
+// sample still scores normal.
+func TestNonFiniteSampleRefused(t *testing.T) {
+	sys := newQuickSystem(t)
+	normal, err := sys.SimulateOutage(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), 1e200} {
+		smp := Sample{Vm: normal[0].Vm, Va: slices.Clone(normal[0].Va)}
+		smp.Va[3] = v
+		_, detErr := sys.Detect(smp)
+		if !errors.Is(detErr, ErrBadSample) {
+			t.Fatalf("angle %v: Detect error = %v, want ErrBadSample", v, detErr)
+		}
+		mon, err := sys.NewMonitor(3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			ev, ingErr := mon.Ingest(smp)
+			if ev != nil || !errors.Is(ingErr, ErrBadSample) {
+				t.Fatalf("angle %v, frame %d: Ingest = %+v, %v, want ErrBadSample", v, i+1, ev, ingErr)
+			}
+			if ingErr.Error() != detErr.Error() {
+				t.Fatalf("angle %v: Detect says %q, Ingest says %q", v, detErr, ingErr)
+			}
+		}
+		rep, err := sys.Detect(smp.WithMissing(3))
+		if err != nil || rep.Outage {
+			t.Fatalf("angle %v at a missing bus: report %+v, error %v, want a normal report", v, rep, err)
+		}
 	}
 }
 

@@ -13,10 +13,12 @@ var (
 	ErrUnknownCase = errors.New("pmuoutage: unknown case")
 
 	// ErrBadSample reports a malformed Sample: Vm/Va lengths that do
-	// not match the grid, or a missing-bus index out of range. Detect,
-	// DetectBatch, and Monitor.Ingest all validate through one shared
-	// path, so the same defect produces the identical error from every
-	// entry point.
+	// not match the grid, a missing-bus index out of range, or values
+	// whose deviation energy is not finite (NaN, ±Inf, or large enough
+	// to overflow it) at a bus not marked missing. Detect, DetectBatch,
+	// and Monitor.Ingest all report these through one shared path, so
+	// the same defect produces the identical error from every entry
+	// point.
 	ErrBadSample = errors.New("pmuoutage: bad sample")
 
 	// ErrBadLine reports a line index outside [0, number of lines).

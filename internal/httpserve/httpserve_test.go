@@ -45,7 +45,7 @@ func newModelServer(t *testing.T, m *pmuoutage.Model, mut func(*service.Config))
 	return svc, ts
 }
 
-func waitShardReady(t *testing.T, svc *service.Service, name string) *pmuoutage.System {
+func waitShardReady(t testing.TB, svc *service.Service, name string) *pmuoutage.System {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -97,6 +97,12 @@ func postIngestJSON(t *testing.T, base, shard string, s pmuoutage.Sample) (int, 
 // postIngestFrame round-trips one sample as a binary wire frame.
 func postIngestFrame(t *testing.T, base, shard string, seq uint32, s pmuoutage.Sample) (int, []byte) {
 	t.Helper()
+	return postFrameBytes(t, base, shard, encodeFrame(t, seq, s))
+}
+
+// encodeFrame encodes one sample as a binary wire frame.
+func encodeFrame(tb testing.TB, seq uint32, s pmuoutage.Sample) []byte {
+	tb.Helper()
 	f := wire.GetFrame()
 	defer wire.PutFrame(f)
 	var mask []bool
@@ -107,13 +113,13 @@ func postIngestFrame(t *testing.T, base, shard string, seq uint32, s pmuoutage.S
 		}
 	}
 	if err := f.Pack(seq, s.Vm, s.Va, mask); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	enc, err := wire.AppendFrame(nil, f)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return postFrameBytes(t, base, shard, enc)
+	return enc
 }
 
 func postFrameBytes(t *testing.T, base, shard string, enc []byte) (int, []byte) {

@@ -49,6 +49,7 @@ package pmuoutage
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -310,7 +311,8 @@ func (s *System) Detect(sample Sample) (*Report, error) {
 // DetectContext is Detect with cancellation. Classifying one sample is
 // short and runs to completion once started; the context is checked on
 // entry, which is what lets batch layers abort cheaply between samples.
-// Malformed samples fail with an error wrapping ErrBadSample.
+// Malformed samples, including those whose deviation energy is not
+// finite, fail with an error wrapping ErrBadSample.
 func (s *System) DetectContext(ctx context.Context, sample Sample) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -321,9 +323,20 @@ func (s *System) DetectContext(ctx context.Context, sample Sample) (*Report, err
 	}
 	r, err := s.det.Detect(ds)
 	if err != nil {
-		return nil, err
+		return nil, detectErr(err)
 	}
 	return s.report(r), nil
+}
+
+// detectErr maps a detector refusal onto the facade sentinels: a sample
+// whose deviation energy is not finite (a NaN or infinite phasor, or one
+// large enough to overflow the energy, at a bus not marked missing) is
+// a bad sample, reported with the same error by every entry point.
+func detectErr(err error) error {
+	if errors.Is(err, detect.ErrNonFinite) {
+		return fmt.Errorf("%w: %v", ErrBadSample, detect.ErrNonFinite)
+	}
+	return err
 }
 
 // DetectBatch classifies many samples over the worker pool configured by
@@ -507,7 +520,7 @@ func (m *Monitor) Ingest(sample Sample) (*Event, error) {
 	}
 	ev, err := m.mon.Ingest(ds)
 	if err != nil {
-		return nil, err
+		return nil, detectErr(err)
 	}
 	if ev == nil {
 		return nil, nil
