@@ -243,6 +243,11 @@ func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
 			m.Grid = m.Grid.Clone()
 			m.Grid.Branches[0].To = 99
 		},
+		"valid line listed twice": func(m *Model) {
+			m.ValidLines = append(slices.Clone(m.ValidLines), m.ValidLines[0])
+			m.LineBases = append(slices.Clone(m.LineBases), m.LineBases[0])
+			m.CaseCapability = append(slices.Clone(m.CaseCapability), m.CaseCapability[0])
+		},
 		"bus in two clusters": func(m *Model) {
 			m.Clusters = slices.Clone(m.Clusters)
 			m.Clusters[1] = append(slices.Clone(m.Clusters[1]), m.Clusters[0][0])
@@ -262,11 +267,14 @@ func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
 }
 
 // TestDecodeModelRejectsHostileTables: artifacts whose detection groups,
-// node line lists, channel, grid or partition point outside the model
-// are refused at decode with ErrModelCorrupt. Without these checks the
-// out-of-range group member, the invalid node line, the unknown channel
-// and the out-of-range branch decoded, booted, and then panicked inside
-// Detect; the two-cluster bus decoded and only FromModel refused it.
+// node line lists, channel, grid or partition point outside the model,
+// or that list a valid line twice, are refused at decode with
+// ErrModelCorrupt. Without these checks the out-of-range group member,
+// the invalid node line, the unknown channel and the out-of-range
+// branch decoded, booted, and then panicked inside Detect; the
+// two-cluster bus decoded and only FromModel refused it. The detector
+// keeps one line subspace per valid line, so a repeated line would
+// score with its first basis where earlier builds kept the last.
 func TestDecodeModelRejectsHostileTables(t *testing.T) {
 	_, m, _ := snapshotFixture(t)
 	for name, artifact := range tamperedArtifacts(t, m) {
