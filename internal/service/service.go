@@ -235,10 +235,7 @@ func (s *Service) System(name string) (*pmuoutage.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sys := sh.system(); sys != nil {
-		return sys, nil
-	}
-	return nil, sh.availErr()
+	return sh.serving()
 }
 
 // Reload hot-swaps the named shard onto a new model. With a non-nil
@@ -287,9 +284,9 @@ func (s *Service) ApplyPatch(ctx context.Context, shardName string, p *pmuoutage
 	if err != nil {
 		return err
 	}
-	sys := sh.system()
-	if sys == nil {
-		return sh.availErr()
+	sys, err := sh.serving()
+	if err != nil {
+		return err
 	}
 	m, err := p.Apply(sys.Model())
 	if err != nil {

@@ -468,11 +468,16 @@ func (sh *shard) setStopped() {
 	sh.cur.Store(nil)
 }
 
-// system returns the serving system, or nil while not ready.
-func (sh *shard) system() *pmuoutage.System {
+// serving returns the serving system, or the typed reason there is
+// none. Both come from one critical section: read apart, a shard that
+// became ready between the two reads yielded no system and no error.
+func (sh *shard) serving() (*pmuoutage.System, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.sys
+	if sh.sys != nil {
+		return sh.sys, nil
+	}
+	return nil, sh.availErrLocked()
 }
 
 // availErr returns nil when the shard is serving, otherwise the typed
