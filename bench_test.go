@@ -244,7 +244,9 @@ func BenchmarkTrainDetectorIEEE30(b *testing.B) {
 
 // BenchmarkDetectSingleSample measures one online detection — the
 // latency that matters for the paper's "timely detection" claim — per
-// grid, on an outage sample (scored by Eq. 9–11 and decoded) and on a
+// grid, on an outage sample (scored by Eq. 9–11 and decoded), on the
+// same sample with the outaged line's from-bus dark (the Fig. 7 case:
+// every detection group holding that bus is restricted anew), and on a
 // normal one (answered at the energy gate). Each grid trains once per
 // process, with the facade's PDC cluster count, so -count repeats only
 // the timed loop.
@@ -254,7 +256,7 @@ func BenchmarkDetectSingleSample(b *testing.B) {
 		for _, tc := range []struct {
 			name   string
 			sample dataset.Sample
-		}{{"outage", f.outage}, {"normal", f.normal}} {
+		}{{"outage", f.outage}, {"masked", f.masked}, {"normal", f.normal}} {
 			b.Run(name+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -268,10 +270,11 @@ func BenchmarkDetectSingleSample(b *testing.B) {
 }
 
 // detectFixture is a trained detector with one sample that trips its
-// energy gate and one that does not.
+// energy gate, that sample with its outaged line's from-bus dark, and
+// one sample that does not trip the gate.
 type detectFixture struct {
-	det            *detect.Detector
-	outage, normal dataset.Sample
+	det                    *detect.Detector
+	outage, masked, normal dataset.Sample
 }
 
 // detectFixtures caches BenchmarkDetectSingleSample's fixtures by grid.
@@ -279,8 +282,8 @@ var detectFixtures = map[string]detectFixture{}
 
 // loadDetectFixture trains a detector on the named grid (DC, 20 steps,
 // seed 1, max(3, N/10) clusters) and picks the first valid line's first
-// outage sample that trips the energy gate, plus the first normal sample
-// that does not.
+// outage sample that trips the energy gate, that sample with the line's
+// from-bus dark, and the first normal sample that does not trip it.
 func loadDetectFixture(b *testing.B, name string) detectFixture {
 	b.Helper()
 	if f, ok := detectFixtures[name]; ok {
@@ -312,7 +315,10 @@ func loadDetectFixture(b *testing.B, name string) detectFixture {
 	f, found := detectFixture{det: det}, 0
 	for _, e := range d.ValidLines {
 		if s := d.Outages[e].Samples[0]; gated(s) {
-			f.outage, found = s, found+1
+			from, _ := g.Endpoints(e)
+			dark := pmunet.NoneMissing(g.N())
+			dark[from] = true
+			f.outage, f.masked, found = s, s.WithMask(dark), found+1
 			break
 		}
 	}

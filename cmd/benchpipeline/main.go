@@ -11,8 +11,9 @@
 // grid but synth1000 also gets the training pipeline with one worker:
 // DC data generation in the training configuration (40 steps, seed 1),
 // detector training on that data with max(3, N/10) PDC clusters, and
-// one detection each of an outage sample and a normal sample, picked
-// by the rule of BenchmarkDetectSingleSample.
+// one detection each of an outage sample, of that sample with the
+// outaged line's from-bus dark, and of a normal sample, picked by the
+// rule of BenchmarkDetectSingleSample.
 //
 // Usage:
 //
@@ -52,7 +53,7 @@ type result struct {
 type scalingRow struct {
 	Grid  string `json:"grid"`
 	Buses int    `json:"buses"`
-	Stage string `json:"stage"` // powerflow/ac | powerflow/dc | dataset/generate-dc | detect/train | detect/outage-sample | detect/normal-sample
+	Stage string `json:"stage"` // powerflow/ac | powerflow/dc | dataset/generate-dc | detect/train | detect/outage-sample | detect/masked-sample | detect/normal-sample
 	NsOp  int64  `json:"ns_op"` // best of -reps runs
 }
 
@@ -231,11 +232,14 @@ func scalingLadder(reps int) ([]scalingRow, error) {
 		})); err != nil {
 			return nil, err
 		}
-		outage, normal, err := detectSamples(det, d)
+		outage, masked, normal, err := detectSamples(det, d)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		if err := add("detect/outage-sample", loop(func() error { _, err := det.Detect(outage); return err })); err != nil {
+			return nil, err
+		}
+		if err := add("detect/masked-sample", loop(func() error { _, err := det.Detect(masked); return err })); err != nil {
 			return nil, err
 		}
 		if err := add("detect/normal-sample", loop(func() error { _, err := det.Detect(normal); return err })); err != nil {
@@ -247,8 +251,9 @@ func scalingLadder(reps int) ([]scalingRow, error) {
 
 // detectSamples picks the samples BenchmarkDetectSingleSample times: the
 // first valid line's first outage sample that trips the energy gate,
-// and the first normal sample that does not.
-func detectSamples(det *detect.Detector, d *dataset.Data) (outage, normal dataset.Sample, err error) {
+// that sample with the line's from-bus dark, and the first normal
+// sample that does not trip the gate.
+func detectSamples(det *detect.Detector, d *dataset.Data) (outage, masked, normal dataset.Sample, err error) {
 	gated := func(s dataset.Sample) (bool, error) {
 		r, err := det.Detect(s)
 		if err != nil {
@@ -261,17 +266,20 @@ func detectSamples(det *detect.Detector, d *dataset.Data) (outage, normal datase
 		s := d.Outages[e].Samples[0]
 		ok, err := gated(s)
 		if err != nil {
-			return outage, normal, err
+			return outage, masked, normal, err
 		}
 		if ok {
-			outage, found = s, found+1
+			from, _ := d.G.Endpoints(e)
+			dark := pmunet.NoneMissing(d.G.N())
+			dark[from] = true
+			outage, masked, found = s, s.WithMask(dark), found+1
 			break
 		}
 	}
 	for _, s := range d.Normal.Samples {
 		ok, err := gated(s)
 		if err != nil {
-			return outage, normal, err
+			return outage, masked, normal, err
 		}
 		if !ok {
 			normal, found = s, found+1
@@ -279,7 +287,7 @@ func detectSamples(det *detect.Detector, d *dataset.Data) (outage, normal datase
 		}
 	}
 	if found != 2 {
-		return outage, normal, fmt.Errorf("no gate-tripping outage sample or no quiet normal sample")
+		return outage, masked, normal, fmt.Errorf("no gate-tripping outage sample or no quiet normal sample")
 	}
-	return outage, normal, nil
+	return outage, masked, normal, nil
 }
