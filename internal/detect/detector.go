@@ -446,18 +446,19 @@ func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float6
 }
 
 // clusterPlan is one PDC cluster's share of Eq. (9)–(11) under one
-// missing pattern: the cluster's detection group as feature indices,
-// and the restrictions to that group of S⁰, of every valid line with an
-// endpoint in the cluster (aligned with the cluster's clusterLines), and
-// of the intersection subspace S_i^∩ of each cluster node (aligned with
-// the cluster's member list). Every node of the cluster scores against
-// the same rows, so these factors — the pseudo-inverses that dominate
-// detection — are taken once per cluster rather than once per node.
+// missing pattern: the cluster's detection group as feature indices, S⁰
+// restricted to that group, and the packed restrictions to it of every
+// valid line with an endpoint in the cluster (in the cluster's
+// clusterLines order) followed, unless scaling is off, by the
+// intersection subspace S_i^∩ of each cluster node (in member order).
+// Every node of the cluster scores against the same rows, so these
+// factors — the pseudo-inverses that dominate detection — are taken once
+// per cluster rather than once per node, and one kernel pass measures
+// them all.
 type clusterPlan struct {
 	group  []int
 	normal *subspace.Restricted
-	lines  []*subspace.Restricted
-	inter  []*subspace.Restricted
+	subs   *subspace.Packed
 }
 
 // prepare derives the scoring state Detect reuses across samples: each
@@ -539,9 +540,10 @@ func (det *Detector) group(c int, busMask pmunet.Mask) []int {
 	return det.featureIndices(allBuses(det.g.N()), busMask)
 }
 
-// plan restricts S⁰, the cluster's line subspaces and its nodes'
-// intersection subspaces to the given group. An empty group gets an
-// empty plan: its nodes cannot be scored.
+// plan restricts S⁰ to the given group and packs the cluster's line
+// subspaces and, when scaling is on, its nodes' intersection subspaces
+// restricted to it. An empty group gets an empty plan: its nodes cannot
+// be scored.
 func (det *Detector) plan(c int, group []int) (*clusterPlan, error) {
 	p := &clusterPlan{group: group}
 	if len(group) == 0 {
@@ -551,18 +553,18 @@ func (det *Detector) plan(c int, group []int) (*clusterPlan, error) {
 	if p.normal, err = det.normalSub.Restrict(group); err != nil {
 		return nil, err
 	}
-	p.lines = make([]*subspace.Restricted, len(det.clusterLines[c]))
-	for slot, k := range det.clusterLines[c] {
-		if p.lines[slot], err = det.lineSubs[k].Restrict(group); err != nil {
-			return nil, err
+	members := det.nw.Clusters[c]
+	subs := make([]*subspace.Subspace, 0, len(det.clusterLines[c])+len(members))
+	for _, k := range det.clusterLines[c] {
+		subs = append(subs, det.lineSubs[k])
+	}
+	if !det.cfg.DisableScaling {
+		for _, i := range members {
+			subs = append(subs, det.interSubs[i])
 		}
 	}
-	members := det.nw.Clusters[c]
-	p.inter = make([]*subspace.Restricted, len(members))
-	for k, i := range members {
-		if p.inter[k], err = det.interSubs[i].Restrict(group); err != nil {
-			return nil, err
-		}
+	if p.subs, err = subspace.Pack(group, subs...); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -673,8 +675,8 @@ func (det *Detector) Detect(s dataset.Sample) (*Result, error) {
 // used to normalise proximities across detection groups, the energy
 // p0 = prox_{S⁰} of the group-restricted deviation's S⁰ (load-variation)
 // residual r0, and the proximity of r0 to each plan line (aligned with
-// the plan's lines) and to each member's S_i^∩ (aligned with the
-// members).
+// the cluster's clusterLines) and to each member's S_i^∩ (aligned with
+// the members; zero when scaling is off).
 type clusterScore struct {
 	*clusterPlan
 	p0, xe    float64
@@ -685,12 +687,12 @@ type clusterScore struct {
 // scoreClusters scores every cluster's share of a sample. A cluster
 // reuses its cached plan when the mask leaves its detection group
 // unchanged and gets one built for this sample otherwise. The
-// proximities and the group-sized scratch the clusters share in turn
-// come from one slab.
+// proximities and the scratch the clusters share in turn come from one
+// slab.
 func (det *Detector) scoreClusters(dev []float64, busMask pmunet.Mask) ([]clusterScore, error) {
 	masked := busMask.AnyMissing()
 	clusters := make([]clusterScore, len(det.plans))
-	size, maxGroup := 0, 0
+	size, maxGroup, maxScratch := 0, 0, 0
 	for c := range clusters {
 		cs := &clusters[c]
 		cs.clusterPlan = det.plans[c]
@@ -703,28 +705,36 @@ func (det *Detector) scoreClusters(dev []float64, busMask pmunet.Mask) ([]cluste
 				cs.clusterPlan = p
 			}
 		}
-		size += len(cs.lines) + len(cs.inter)
-		maxGroup = max(maxGroup, len(cs.group))
+		size += len(det.clusterLines[c]) + len(det.nw.Clusters[c])
+		if len(cs.group) > 0 {
+			maxGroup = max(maxGroup, len(cs.group))
+			maxScratch = max(maxScratch, cs.subs.ScratchLen())
+		}
 	}
-	slab := make([]float64, 2*maxGroup+size)
+	slab := make([]float64, 2*maxGroup+maxScratch+size)
 	xd, r0 := slab[:maxGroup], slab[maxGroup:2*maxGroup]
-	slab = slab[2*maxGroup:]
+	scratch := slab[2*maxGroup : 2*maxGroup+maxScratch]
+	slab = slab[2*maxGroup+maxScratch:]
 	for c := range clusters {
 		cs := &clusters[c]
-		cs.lineProx, slab = slab[:len(cs.lines)], slab[len(cs.lines):]
-		cs.interProx, slab = slab[:len(cs.inter)], slab[len(cs.inter):]
-		if err := det.scoreCluster(cs, c, dev, xd[:len(cs.group)], r0[:len(cs.group)]); err != nil {
+		nl, ni := len(det.clusterLines[c]), len(det.nw.Clusters[c])
+		prox := slab[:nl+ni]
+		slab = slab[nl+ni:]
+		cs.lineProx, cs.interProx = prox[:nl], prox[nl:]
+		if err := det.scoreCluster(cs, c, dev, prox, xd[:len(cs.group)], r0[:len(cs.group)], scratch); err != nil {
 			return nil, err
 		}
 	}
 	return clusters, nil
 }
 
-// scoreCluster fills cluster c's share of a sample. It measures once
-// each proximity that nodeScore, decodeLines and bestIncidentLine read:
-// every plan line's, and the S_i^∩ proximity of every member nodeScore
-// scales. xd and r0 are scratch the size of the cluster's group.
-func (det *Detector) scoreCluster(cs *clusterScore, c int, dev, xd, r0 []float64) error {
+// scoreCluster fills cluster c's share of a sample. One pass of the
+// plan's packed kernel measures each proximity that nodeScore,
+// decodeLines and bestIncidentLine read: every plan line's, into the
+// front of prox, and, when scaling is on, every member's S_i^∩
+// proximity after them. xd and r0 are scratch the size of the cluster's
+// group, and scratch holds at least the packed kernel's.
+func (det *Detector) scoreCluster(cs *clusterScore, c int, dev, prox, xd, r0, scratch []float64) error {
 	if len(cs.group) == 0 {
 		return nil
 	}
@@ -737,21 +747,30 @@ func (det *Detector) scoreCluster(cs *clusterScore, c int, dev, xd, r0 []float64
 	if cs.p0, err = cs.normal.ResidualTo(r0, xd); err != nil {
 		return err
 	}
-	// From here on xd holds each proximity's residual in turn.
+	if err := cs.subs.EnergiesTo(prox[:cs.subs.Len()], scratch, r0); err != nil {
+		return err
+	}
+	if !det.cfg.UseRegressorProximity {
+		return nil
+	}
+	// Ablation: the literal regressor formulation replaces every
+	// proximity to a subspace of rank above zero.
 	for slot, k := range det.clusterLines[c] {
-		if cs.lineProx[slot], err = det.prox(det.lineSubs[k], cs.lines[slot], cs.group, r0, xd); err != nil {
-			return err
+		if s := det.lineSubs[k]; s.Rank() > 0 {
+			if cs.lineProx[slot], err = det.prox(s, cs.group, r0); err != nil {
+				return err
+			}
 		}
 	}
 	if det.cfg.DisableScaling {
 		return nil
 	}
 	for k, i := range det.nw.Clusters[c] {
-		if len(det.nodeSlots[i]) == 0 {
-			continue // nodeScore returns +Inf before scaling
-		}
-		if cs.interProx[k], err = det.prox(det.interSubs[i], cs.inter[k], cs.group, r0, xd); err != nil {
-			return err
+		// nodeScore returns +Inf before scaling a node with no line.
+		if s := det.interSubs[i]; s.Rank() > 0 && len(det.nodeSlots[i]) > 0 {
+			if cs.interProx[k], err = det.prox(s, cs.group, r0); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -789,20 +808,16 @@ func (det *Detector) nodeScore(cs *clusterScore, k, i int) float64 {
 	return subspace.ScaledProximity(pu/cs.xe, cs.interProx[k]/cs.xe, cs.p0/cs.xe)
 }
 
-// prox measures the residual energy of a cluster's S⁰-filtered
-// restricted deviation r0 against subspace s, whose restriction to the
-// cluster's group is f, using res as scratch.
-func (det *Detector) prox(s *subspace.Subspace, f *subspace.Restricted, group []int, r0, res []float64) (float64, error) {
-	if det.cfg.UseRegressorProximity && s.Rank() > 0 {
-		// Ablation: scatter the filtered residual back to full dimension
-		// and use the literal Eq. (9) regressor formulation.
-		full := make([]float64, s.Dim())
-		for k, i := range group {
-			full[i] = r0[k]
-		}
-		return s.RegressorProximity(full, group)
+// prox is the UseRegressorProximity ablation's proximity of a
+// cluster's S⁰-filtered restricted deviation r0 to subspace s: r0
+// scattered back to full dimension and scored by the literal Eq. (9)
+// regressor formulation.
+func (det *Detector) prox(s *subspace.Subspace, group []int, r0 []float64) (float64, error) {
+	full := make([]float64, s.Dim())
+	for k, i := range group {
+		full[i] = r0[k]
 	}
-	return f.ResidualTo(res, r0)
+	return s.RegressorProximity(full, group)
 }
 
 // cmpLess orders x before y exactly when x < y. The stable sorts below

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -175,8 +176,43 @@ func (s *SVD) Reconstruct() *Dense {
 }
 
 // PseudoInverse returns the Moore–Penrose pseudo-inverse of a, computed
-// from the SVD with the default rank tolerance.
+// from the SVD with the default rank tolerance. A single column takes
+// PseudoInverseColumn's closed form, which is what the SVD does to it.
 func PseudoInverse(a *Dense) *Dense {
+	if a.cols == 1 {
+		out := NewDense(1, a.rows)
+		PseudoInverseColumn(out.data, a.data)
+		return out
+	}
+	return pseudoInverseSVD(a)
+}
+
+// PseudoInverseColumn writes the pseudo-inverse of the one-column
+// matrix with column a, its one row, into dst, bit for bit as
+// FactorSVD and the SVD path of PseudoInverse compute it. Jacobi has
+// nothing to rotate in one column: the singular value is S = Norm2(a),
+// the left vector u = a·(1/S) and the right vector 1, and the rank is 1
+// iff S > m·eps·S (Rank's default tolerance), so the pseudo-inverse is
+// 0 + (1/S)·u, or zero when S is zero, infinite or NaN. dst may alias
+// a.
+func PseudoInverseColumn(dst, a []float64) {
+	if len(dst) != len(a) {
+		panic(fmt.Sprintf("mat: PseudoInverseColumn of %d values into %d", len(a), len(dst)))
+	}
+	s := Norm2(a)
+	eps := math.Nextafter(1, 2) - 1
+	if !(s > float64(max(len(a), 1))*eps*s) {
+		clear(dst)
+		return
+	}
+	inv := 1 / s
+	for i, x := range a {
+		dst[i] = 0 + inv*(x*inv)
+	}
+}
+
+// pseudoInverseSVD is PseudoInverse through the SVD, for any shape.
+func pseudoInverseSVD(a *Dense) *Dense {
 	s := FactorSVD(a)
 	r := s.Rank(0)
 	m, k := s.U.Dims()

@@ -193,6 +193,74 @@ func TestPseudoInverseOfInvertibleIsInverse(t *testing.T) {
 	}
 }
 
+// TestPseudoInverseColumnMatchesSVD pins the closed form to the SVD
+// path bit for bit, and PseudoInverse to it on one column: columns of
+// 1–64 entries mixing exact zeros, −0, subnormals, ordinary values and
+// entries near 1e±300, and columns that are all zero, all subnormal,
+// hold a NaN or an infinity, or have a norm that overflows.
+func TestPseudoInverseColumnMatchesSVD(t *testing.T) {
+	entry := func(rng *rand.Rand) float64 {
+		switch rng.Intn(7) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return rng.NormFloat64() * 1e-310 // subnormal
+		case 3:
+			return rng.NormFloat64() * 1e300
+		case 4:
+			return rng.NormFloat64() * 1e-300
+		}
+		return rng.NormFloat64()
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 1 + rng.Intn(64)
+		a := make([]float64, m)
+		for i := range a {
+			a[i] = entry(rng)
+		}
+		switch rng.Intn(8) {
+		case 0: // all zero, some of them −0
+			for i := range a {
+				a[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
+		case 1: // all subnormal: 1/S overflows
+			for i := range a {
+				a[i] = rng.NormFloat64() * 5e-324
+			}
+		case 2:
+			a[rng.Intn(m)] = math.NaN()
+		case 3:
+			a[rng.Intn(m)] = math.Inf(1 - 2*rng.Intn(2))
+		case 4: // the norm overflows once two entries are this large
+			for i := range a {
+				a[i] = math.Copysign(1.5e308, rng.NormFloat64())
+			}
+		}
+		col := NewDenseData(m, 1, append([]float64(nil), a...))
+		want := pseudoInverseSVD(col)
+		got := make([]float64, m)
+		PseudoInverseColumn(got, a)
+		inPlace := append([]float64(nil), a...)
+		PseudoInverseColumn(inPlace, inPlace)
+		viaDense := PseudoInverse(col)
+		for j := range got {
+			w := math.Float64bits(want.At(0, j))
+			if math.Float64bits(got[j]) != w || math.Float64bits(inPlace[j]) != w || math.Float64bits(viaDense.At(0, j)) != w {
+				t.Logf("seed %d, %d entries: pinv[%d] %v (in place %v, PseudoInverse %v), SVD path %v",
+					seed, m, j, got[j], inPlace[j], viaDense.At(0, j), want.At(0, j))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkSVD50x50(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randDense(rng, 50, 50)

@@ -18,6 +18,7 @@ package subspace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pmuoutage/internal/mat"
 )
@@ -249,6 +250,192 @@ func (r *Restricted) ResidualTo(dst, xd []float64) (float64, error) {
 	}
 	n := mat.Norm2(dst)
 	return n * n, nil
+}
+
+// Packed is several subspaces restricted to the rows of one detection
+// group and laid out for one pass over a vector: the members'
+// pseudo-inverse rows (U_D)⁺, one member after another, and their
+// restricted bases U_D, side by side row by row. Rank-one members come
+// first, then those of higher rank, each kind in member order; the
+// zero subspace has no rows or columns. EnergiesTo measures each
+// member's residual energy of the vector in that pass, bit for bit what
+// Restrict(group) and ResidualTo give. It is immutable and safe for
+// concurrent use.
+type Packed struct {
+	rows    int
+	members int
+	slots   []int     // the member packed in each slot
+	ranks   []int     // each slot's rank
+	ones    int       // the rank-one slots, which come first
+	total   int       // the sum of ranks
+	pinv    []float64 // total×rows, row-major: each slot's (U_D)⁺ rows in slot order
+	basis   []float64 // rows×total, row-major: row i holds each slot's row i of U_D
+	zero    bool      // some member is the zero subspace
+}
+
+// Pack restricts each subspace to the group's rows, as Restrict does,
+// and packs the restrictions. A rank-one member is restricted in closed
+// form, its pseudo-inverse by mat.PseudoInverseColumn; members of
+// higher rank go through Restrict. group indexes features (not buses).
+func Pack(group []int, subs ...*Subspace) (*Packed, error) {
+	m := len(group)
+	p := &Packed{rows: m, members: len(subs)}
+	for j, s := range subs {
+		if s.Rank() == 0 {
+			p.zero = true
+			continue
+		}
+		for _, i := range group {
+			if i < 0 || i >= s.Dim() {
+				return nil, fmt.Errorf("subspace: group index %d out of range %d", i, s.Dim())
+			}
+		}
+		if s.Rank() == 1 {
+			p.slots = append(p.slots, j)
+		}
+		p.total += s.Rank()
+	}
+	p.ones = len(p.slots)
+	for j, s := range subs {
+		if s.Rank() > 1 {
+			p.slots = append(p.slots, j)
+		}
+	}
+	p.ranks = make([]int, len(p.slots))
+	buf := make([]float64, 2*p.total*m)
+	p.pinv, p.basis = buf[:p.total*m], buf[p.total*m:]
+	o := 0
+	for slot, j := range p.slots {
+		s := subs[j]
+		k := s.Rank()
+		p.ranks[slot] = k
+		if k == 1 {
+			row := p.pinv[o*m : (o+1)*m]
+			for r, i := range group {
+				row[r] = s.basis.RawRow(i)[0]
+				p.basis[r*p.total+o] = row[r]
+			}
+			mat.PseudoInverseColumn(row, row)
+		} else {
+			f, err := s.Restrict(group)
+			if err != nil {
+				return nil, err
+			}
+			for t := 0; t < k; t++ {
+				copy(p.pinv[(o+t)*m:(o+t+1)*m], f.pinv.RawRow(t))
+			}
+			for r := 0; r < m; r++ {
+				copy(p.basis[r*p.total+o:r*p.total+o+k], f.ud.RawRow(r))
+			}
+		}
+		o += k
+	}
+	return p, nil
+}
+
+// Len returns the number of members.
+func (p *Packed) Len() int { return p.members }
+
+// ScratchLen returns the scratch EnergiesTo needs: one least-squares
+// coefficient per basis column and a norm scale and sum of squares per
+// member of rank above zero.
+func (p *Packed) ScratchLen() int { return p.total + 2*len(p.slots) }
+
+// errPackedShape reports vectors that do not fit a Packed. It is a
+// sentinel so the kernel that returns it stays allocation-free.
+var errPackedShape = errors.New("subspace: packed residual vectors do not match the group and members")
+
+// EnergiesTo writes into dst, member by member, the residual energy
+// ‖x − U_D (U_D)⁺ x‖² of a vector x indexed like the group; scratch
+// must hold at least ScratchLen values. One pass forms the least-squares
+// coefficients, four pinv rows at a time. A second walks the group's
+// rows once, forming each member's residual there and taking that
+// member's mat.Norm2 step on it. Each member so sees the products, sums
+// and norm steps of ResidualTo in the same order, and its energy keeps
+// their bits. Zero-subspace members share ‖x‖².
+//
+//gridlint:zeroalloc
+func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
+	m, total, n := p.rows, p.total, len(p.slots)
+	if len(x) != m || len(dst) != p.members || len(scratch) < total+2*n {
+		return errPackedShape
+	}
+	alpha, scale, ssq := scratch[:total], scratch[total:total+n], scratch[total+n:total+2*n]
+	t := 0
+	for ; t+4 <= total; t += 4 {
+		q0 := p.pinv[t*m : (t+1)*m]
+		q1 := p.pinv[(t+1)*m : (t+2)*m]
+		q2 := p.pinv[(t+2)*m : (t+3)*m]
+		q3 := p.pinv[(t+3)*m : (t+4)*m]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += q0[j] * v
+			s1 += q1[j] * v
+			s2 += q2[j] * v
+			s3 += q3[j] * v
+		}
+		alpha[t], alpha[t+1], alpha[t+2], alpha[t+3] = s0, s1, s2, s3
+	}
+	for ; t < total; t++ {
+		q := p.pinv[t*m : (t+1)*m]
+		var s float64
+		for j, v := range x {
+			s += q[j] * v
+		}
+		alpha[t] = s
+	}
+	for slot := range scale {
+		scale[slot], ssq[slot] = 0, 1
+	}
+	ones := p.ones
+	for i, v := range x {
+		row := p.basis[i*total : (i+1)*total]
+		for slot, b := range row[:ones] {
+			// MulVecTo sums 0 + b·α; the two differ only in the sign of
+			// a zero residual, which the norm skips.
+			normStep(&scale[slot], &ssq[slot], v-b*alpha[slot])
+		}
+		o := ones
+		for slot := ones; slot < n; slot++ {
+			k := p.ranks[slot]
+			var s float64
+			for t, b := range row[o : o+k] {
+				s += b * alpha[o+t]
+			}
+			o += k
+			normStep(&scale[slot], &ssq[slot], v-s)
+		}
+	}
+	if p.zero {
+		e := mat.Norm2(x)
+		for k := range dst {
+			dst[k] = e * e
+		}
+	}
+	for slot, k := range p.slots {
+		var e float64
+		if scale[slot] != 0 { //gridlint:ignore floatcmp mat.Norm2's result: the scale is exactly zero iff every residual was
+			e = scale[slot] * math.Sqrt(ssq[slot])
+		}
+		dst[k] = e * e
+	}
+	return nil
+}
+
+// normStep is one element's step of mat.Norm2's scaled sum of squares.
+func normStep(scale, ssq *float64, r float64) {
+	if r == 0 { //gridlint:ignore floatcmp mat.Norm2 skips exact zeros to keep the scale well-defined
+		return
+	}
+	ar := math.Abs(r)
+	if *scale < ar {
+		q := *scale / ar
+		*ssq = 1 + *ssq*q*q
+		*scale = ar
+	} else {
+		q := ar / *scale
+		*ssq += q * q
+	}
 }
 
 // ProjectOut returns the matrix whose columns are x's columns with their
