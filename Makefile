@@ -34,14 +34,17 @@ race:
 
 # Fuzz the decode surfaces for FUZZTIME each: model artifacts (a forged
 # artifact is re-sealed so the structural checks, not the fingerprint,
-# must stop it), binary wire frames, trace headers, and the data-plane
-# request bodies (/v1/detect JSON and binary /v1/ingest frames against
-# an ieee14 service: no panic, no 5xx, every 200 body decodes). Go
-# fuzzes one target per invocation. Not part of verify; CI runs it
-# after verify.
+# must stop it), patch artifacts (re-stamped against the ieee14 base
+# they patch, so the shape checks and the patched model's validation
+# must stop them, and an applied patch must boot and detect), binary
+# wire frames, trace headers, and the data-plane request bodies
+# (/v1/detect JSON and binary /v1/ingest frames against an ieee14
+# service: no panic, no 5xx, every 200 body decodes). Go fuzzes one
+# target per invocation. Not part of verify; CI runs it after verify.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModel$$' -fuzztime=$(FUZZTIME) ./internal/detect
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePatch$$' -fuzztime=$(FUZZTIME) ./internal/detect
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceParent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzDataPlaneBodies$$' -fuzztime=$(FUZZTIME) ./internal/httpserve

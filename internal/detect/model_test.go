@@ -14,7 +14,7 @@ import (
 )
 
 // snapshotFixture trains the golden fixture and snapshots it.
-func snapshotFixture(t *testing.T) (*Detector, *Model, *dataset.Data) {
+func snapshotFixture(t testing.TB) (*Detector, *Model, *dataset.Data) {
 	t.Helper()
 	det, d := trainFixture(t, 0)
 	m, err := det.Snapshot()

@@ -3,6 +3,7 @@ package detect
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -17,7 +18,7 @@ import (
 // outage sets with a different seed — the "fresh observations" a patch
 // ingests — and returns everything both the patch path and the
 // full-retrain reference need.
-func patchFixture(t *testing.T) (base *Model, d *dataset.Data, refreshed map[grid.Line]*dataset.Set) {
+func patchFixture(t testing.TB) (base *Model, d *dataset.Data, refreshed map[grid.Line]*dataset.Set) {
 	t.Helper()
 	_, base, d = snapshotFixture(t)
 	refreshed = map[grid.Line]*dataset.Set{}
@@ -178,6 +179,64 @@ func TestPatchRoundTripAndGuards(t *testing.T) {
 		badLine := map[grid.Line]*dataset.Set{grid.Line(d.G.E() + 3): refreshed[d.ValidLines[1]]}
 		if _, err := TrainPatch(context.Background(), base, d.Normal, badLine); err == nil {
 			t.Fatal("patching an unknown line must fail")
+		}
+	})
+}
+
+// FuzzDecodePatch feeds hostile artifacts to the patch codec and
+// applier, against the ieee14 base the seed patch was trained on.
+// Decoding and applying must never panic, and a patch that applies must
+// give a model that boots through FromModel and detects a normal, an
+// outage and a cluster-dark sample without panicking. Nearly every
+// mutation breaks a fingerprint, so an input that parses is also
+// re-stamped, as a forger would: its base fingerprint set to the base's,
+// its result fingerprint to whatever the spliced model hashes to, and
+// its own fingerprint resealed by Encode. That takes the fuzzer past the
+// hashes to checkShape and the model's validate.
+func FuzzDecodePatch(f *testing.F) {
+	base, d, refreshed := patchFixture(f)
+	p, err := TrainPatch(context.Background(), base, d.Normal, refreshed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	normal := d.Normal.Samples[0]
+	outage := d.Outages[d.ValidLines[0]].Samples[0]
+	apply := func(t *testing.T, artifact []byte) {
+		p, err := DecodePatch(bytes.NewReader(artifact))
+		if err != nil {
+			return
+		}
+		m, err := p.Apply(base)
+		if err != nil {
+			return
+		}
+		det, err := FromModel(m)
+		if err != nil {
+			t.Fatalf("applied patch does not boot: %v", err)
+		}
+		for _, s := range []dataset.Sample{normal, outage, outage.WithMask(det.Network().ClusterMask(0))} {
+			_, _ = det.Detect(s) // an error is an answer; only a panic fails
+		}
+	}
+	f.Fuzz(func(t *testing.T, artifact []byte) {
+		apply(t, artifact)
+		var p Patch
+		if json.Unmarshal(artifact, &p) != nil {
+			return
+		}
+		p.BaseFingerprint = base.Fingerprint
+		if m, err := p.patchedModel(base); err == nil {
+			p.ResultFingerprint = m.Fingerprint
+		}
+		var buf bytes.Buffer
+		if p.Encode(&buf) == nil {
+			apply(t, buf.Bytes())
 		}
 	})
 }
