@@ -2,6 +2,7 @@ package detect
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -31,10 +32,13 @@ var ablationConfigs = []struct {
 
 // TestAblationGoldenFingerprint pins Detect under every ablation
 // config on ieee14 and ieee30 (DC, 20 steps, seed 1, max(3, N/10) PDC
-// clusters): one hash per grid and config over hashResult of every
-// valid line's first outage sample, complete, under each single-bus
-// mask and with each cluster dark. The hashes were captured before
-// each cluster's subspaces were packed for one residual pass.
+// clusters): two hashes per grid and config over every valid line's
+// first outage sample, complete, under each single-bus mask and with
+// each cluster dark. The first, over hashResult, was captured before
+// each cluster's subspaces were packed for one residual pass. The
+// second, over each result's length-prefixed Candidates, which
+// hashResult leaves out, was captured before the proximity rule's sort
+// gave way to a heap.
 func TestAblationGoldenFingerprint(t *testing.T) {
 	want := map[string]string{
 		"ieee14/default":     "d4b1bb60b6cf2610",
@@ -56,6 +60,26 @@ func TestAblationGoldenFingerprint(t *testing.T) {
 		"ieee30/s0-rank-6":   "58f41711001037aa",
 		"ieee30/mix-0.5":     "12c0a5b15dfbdd40",
 	}
+	wantCandidates := map[string]string{
+		"ieee14/default":     "452a011f74def375",
+		"ieee14/regressor":   "dda72f48d16c3a47",
+		"ieee14/no-scaling":  "7b9a518ad2d7dbc8",
+		"ieee14/stacked":     "1c349e32f7c35695",
+		"ieee14/magnitude":   "9120cb2dbce55f2a",
+		"ieee14/line-rank-2": "6a133640042ab124",
+		"ieee14/line-rank-3": "9631abce04fa7f70",
+		"ieee14/s0-rank-6":   "8920b698b578a0bd",
+		"ieee14/mix-0.5":     "cd8c7f0f7a3b43ed",
+		"ieee30/default":     "3fae3826da7aa14c",
+		"ieee30/regressor":   "68591e205f4ecc57",
+		"ieee30/no-scaling":  "0568656f4d347ae0",
+		"ieee30/stacked":     "6b698fc6a079c360",
+		"ieee30/magnitude":   "b636bf1616994072",
+		"ieee30/line-rank-2": "7f92934aea781d65",
+		"ieee30/line-rank-3": "944b6b3a89a53623",
+		"ieee30/s0-rank-6":   "49e0f663c35602d2",
+		"ieee30/mix-0.5":     "45ebcb84d341e94e",
+	}
 	for _, name := range []string{"ieee14", "ieee30"} {
 		d, nw := gridFixture(t, name)
 		g := d.G
@@ -75,7 +99,7 @@ func TestAblationGoldenFingerprint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h := sha256.New()
+				h, hc := sha256.New(), sha256.New()
 				for _, e := range d.ValidLines {
 					s := d.Outages[e].Samples[0]
 					for _, m := range masks {
@@ -88,10 +112,17 @@ func TestAblationGoldenFingerprint(t *testing.T) {
 							t.Fatal(err)
 						}
 						hashResult(h, r)
+						binary.Write(hc, binary.LittleEndian, int64(len(r.Candidates)))
+						for _, c := range r.Candidates {
+							binary.Write(hc, binary.LittleEndian, int64(c))
+						}
 					}
 				}
 				if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[key] {
 					t.Errorf("%s detection fingerprint %s, want %s", key, got, want[key])
+				}
+				if got := fmt.Sprintf("%x", hc.Sum(nil)[:8]); got != wantCandidates[key] {
+					t.Errorf("%s candidate fingerprint %s, want %s", key, got, wantCandidates[key])
 				}
 			})
 		}
