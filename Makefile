@@ -39,8 +39,10 @@ race:
 # must stop them, and an applied patch must boot and detect), binary
 # wire frames, trace headers, and the data-plane request bodies
 # (/v1/detect JSON and binary /v1/ingest frames against an ieee14
-# service: no panic, no 5xx, every 200 body decodes). Go fuzzes one
-# target per invocation. Not part of verify; CI runs it after verify.
+# service: no panic, no 5xx, every 200 body decodes), and the
+# proximity rule on raw float64 score bits, NaN payloads included,
+# against its stable-sort oracle. Go fuzzes one target per invocation.
+# Not part of verify; CI runs it after verify.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModel$$' -fuzztime=$(FUZZTIME) ./internal/detect
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceParent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzDataPlaneBodies$$' -fuzztime=$(FUZZTIME) ./internal/httpserve
+	$(GO) test -run='^$$' -fuzz='^FuzzProximityRule$$' -fuzztime=$(FUZZTIME) ./internal/detect
 
 # One-iteration benchmark smoke: catches benchmarks that panic or no
 # longer compile without paying for stable timings. The pipeline benches
