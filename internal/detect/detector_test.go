@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmuoutage/internal/cases"
@@ -188,10 +189,20 @@ func TestDetectRandomMissingOnNormalSamples(t *testing.T) {
 	t.Logf("random missing on normal: %s", acc.String())
 }
 
+// TestDetectSampleSizeMismatch refuses a sample whose magnitudes or
+// angles do not number the grid's buses: angles one short or one over
+// are refused too, not read short or past their end.
 func TestDetectSampleSizeMismatch(t *testing.T) {
-	det, _ := trainIEEE14(t, Config{})
-	if _, err := det.Detect(dataset.Sample{Vm: []float64{1}, Va: []float64{0}}); err == nil {
-		t.Fatal("expected size mismatch error")
+	det, test := trainIEEE14(t, Config{})
+	s := test.Normal.Samples[0]
+	for _, bad := range []dataset.Sample{
+		{Vm: []float64{1}, Va: []float64{0}},
+		{Vm: s.Vm, Va: s.Va[:len(s.Va)-1]},
+		{Vm: s.Vm, Va: append(slices.Clone(s.Va), 0)},
+	} {
+		if _, err := det.Detect(bad); err == nil {
+			t.Fatalf("%d magnitudes and %d angles: expected size mismatch error", len(bad.Vm), len(bad.Va))
+		}
 	}
 }
 
