@@ -17,7 +17,9 @@ import (
 // slow (root latency over a threshold), erroneous (any span carries an
 // error), or randomly sampled at a low rate. Kept traces land in a
 // fixed-size ring served at GET /debug/traces; everything else is
-// dropped with no per-trace allocation beyond the pending entry.
+// dropped. A pending entry's span slice grows as spans arrive, and a
+// finalized trace's entry is reused by a later trace, so a dropped
+// trace allocates nothing in the tracer once entries are warm.
 //
 // A nil *Tracer is the disabled state: StartSpan and End are
 // allocation-free no-ops, and RecordSpan only observes its histogram
@@ -221,6 +223,7 @@ type TracerConfig struct {
 }
 
 // pendingTrace accumulates a trace's spans until its root ends.
+// spans grows as they arrive, up to MaxSpans.
 type pendingTrace struct {
 	spans   []spanData
 	dropped int
@@ -235,6 +238,12 @@ type pendingTrace struct {
 // pays nothing.
 const stalePending = time.Minute
 
+// maxFreePending bounds the finalized pending entries a tracer keeps
+// for reuse, and so the spans their slices can hold to
+// maxFreePending·MaxSpans; an entry finalized beyond it is left to the
+// garbage collector.
+const maxFreePending = 64
+
 // Tracer records spans and tail-samples completed traces into a ring.
 // A nil *Tracer is valid and disabled. All methods are safe for
 // concurrent use.
@@ -248,6 +257,7 @@ type Tracer struct {
 
 	mu        sync.Mutex
 	pending   map[string]*pendingTrace
+	free      []*pendingTrace // finalized entries for reuse
 	finalized uint64
 	ring      []api.Trace
 	next      int
@@ -347,15 +357,14 @@ func (t *Tracer) record(traceID string, d *spanData) {
 		if len(t.pending) >= t.cfg.MaxPending {
 			t.sweepLocked(d.end)
 		}
-		if len(t.pending) >= t.cfg.MaxPending {
-			if !d.root {
-				return // shed: pending table full, root unseen
-			}
-			// A root must still finalize — sample it as a
-			// single-span trace rather than leaking the decision.
-			pt = &pendingTrace{spans: make([]spanData, 0, 1)}
-		} else {
-			pt = &pendingTrace{spans: make([]spanData, 0, t.cfg.MaxSpans)}
+		full := len(t.pending) >= t.cfg.MaxPending
+		if full && !d.root {
+			return // shed: pending table full, root unseen
+		}
+		// A root over a full table must still finalize — sample it as a
+		// single-span trace rather than leaking the decision.
+		pt = t.newPendingLocked()
+		if !full {
 			t.pending[traceID] = pt
 		}
 	}
@@ -375,13 +384,27 @@ func (t *Tracer) record(traceID string, d *spanData) {
 	}
 	delete(t.pending, traceID)
 	t.finalized++
-	reason := t.keepReason(pt, d)
-	if reason == "" {
+	if reason := t.keepReason(pt, d); reason == "" {
 		t.dropped.Inc()
-		return
+	} else {
+		t.kept.Inc()
+		t.retain(traceID, pt, reason)
 	}
-	t.kept.Inc()
-	t.retain(traceID, pt, reason)
+	if len(t.free) < maxFreePending {
+		*pt = pendingTrace{spans: pt.spans[:0]}
+		t.free = append(t.free, pt)
+	}
+}
+
+// newPendingLocked returns an empty pending entry, reusing a finalized
+// one when the tracer holds any. Called with t.mu held.
+func (t *Tracer) newPendingLocked() *pendingTrace {
+	if n := len(t.free); n > 0 {
+		pt := t.free[n-1]
+		t.free = t.free[:n-1]
+		return pt
+	}
+	return &pendingTrace{}
 }
 
 // sweepLocked deletes pending traces untouched for stalePending as of

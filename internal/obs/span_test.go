@@ -251,6 +251,16 @@ func TestSpanCapAndPendingBound(t *testing.T) {
 	if len(got.Spans) != 2 || got.DroppedSpans != 3 {
 		t.Fatalf("spans=%d dropped=%d, want 2 retained, 3 dropped", len(got.Spans), got.DroppedSpans)
 	}
+	// The next trace reuses the finalized entry, which must start empty.
+	ctx, root = tr.StartSpan(context.Background(), "http")
+	t0 := time.Now()
+	tr.RecordSpan(ctx, "detect", nil, t0, t0)
+	root.End()
+	got, ok = tr.TraceByID(TraceID(ctx))
+	if !ok || len(got.Spans) != 2 || got.DroppedSpans != 0 {
+		t.Fatalf("reused entry: kept=%v spans=%d dropped=%d, want kept, 2 retained, none dropped",
+			ok, len(got.Spans), got.DroppedSpans)
+	}
 
 	// Pending bound: span floods for absent roots are shed, but a root
 	// arriving while the table is full still finalizes.
