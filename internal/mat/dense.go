@@ -1,5 +1,5 @@
-// Package mat implements the dense linear algebra needed by the outage
-// detector: real and complex matrices, LU and QR factorizations, a
+// Package mat implements the linear algebra needed by the outage
+// detector: dense and sparse real matrices, LU and QR factorizations, a
 // one-sided Jacobi singular value decomposition, and Moore–Penrose
 // pseudo-inverses. It is self-contained (standard library only) and tuned
 // for the moderate dimensions of power-grid phasor data (tens to a few
@@ -246,15 +246,6 @@ func (m *Dense) SelectCols(idx []int) *Dense {
 		}
 	}
 	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute element value.

@@ -161,20 +161,6 @@ func (s *SVD) Rank(tol float64) int {
 	return r
 }
 
-// Reconstruct returns U * diag(S) * V^T.
-func (s *SVD) Reconstruct() *Dense {
-	m, k := s.U.Dims()
-	n, _ := s.V.Dims()
-	us := NewDense(m, k)
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			us.data[i*k+j] = s.U.data[i*k+j] * s.S[j]
-		}
-	}
-	_ = n
-	return us.Mul(s.V.T())
-}
-
 // PseudoInverse returns the Moore–Penrose pseudo-inverse of a, computed
 // from the SVD with the default rank tolerance. A single column takes
 // PseudoInverseColumn's closed form, which is what the SVD does to it.

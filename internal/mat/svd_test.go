@@ -8,6 +8,39 @@ import (
 	"testing/quick"
 )
 
+// The FactorSVD and PseudoInverse tests check against these oracles,
+// which no code outside the tests needs.
+
+// Inverse returns the inverse of a square matrix, or ErrSingular.
+func Inverse(a *Dense) (*Dense, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveMat(Identity(a.rows))
+}
+
+// Reconstruct returns U * diag(S) * V^T.
+func (s *SVD) Reconstruct() *Dense {
+	m, k := s.U.Dims()
+	us := NewDense(m, k)
+	for i := 0; i < m; i++ {
+		for j := 0; j < k; j++ {
+			us.data[i*k+j] = s.U.data[i*k+j] * s.S[j]
+		}
+	}
+	return us.Mul(s.V.T())
+}
+
+// FrobeniusNorm returns the Frobenius norm of m.
+func (m *Dense) FrobeniusNorm() float64 {
+	var s float64
+	for _, v := range m.data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
 func isOrthonormalCols(m *Dense, tol float64) bool {
 	_, k := m.Dims()
 	g := m.T().Mul(m)

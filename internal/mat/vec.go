@@ -45,28 +45,6 @@ func Norm2(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	var mx float64
-	for _, x := range v {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// AxpyTo stores a*x + y into dst and returns it. dst may alias y.
-func AxpyTo(dst []float64, a float64, x, y []float64) []float64 {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mat: AxpyTo length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-	return dst
-}
-
 // Sub returns a-b as a new slice.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {
