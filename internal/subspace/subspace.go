@@ -348,11 +348,14 @@ var errPackedShape = errors.New("subspace: packed residual vectors do not match 
 // EnergiesTo writes into dst, member by member, the residual energy
 // ‖x − U_D (U_D)⁺ x‖² of a vector x indexed like the group; scratch
 // must hold at least ScratchLen values. One pass forms the least-squares
-// coefficients, four pinv rows at a time. A second walks the group's
-// rows once, forming each member's residual there and taking that
-// member's mat.Norm2 step on it. Each member so sees the products, sums
-// and norm steps of ResidualTo in the same order, and its energy keeps
-// their bits. Zero-subspace members share ‖x‖².
+// coefficients, four pinv rows at a time. onesPass then walks the
+// group's rows once for the rank-one members, forming each residual
+// there and taking that member's mat.Norm2 step on it, and a last walk
+// does the same for members of higher rank. Each member so sees the
+// products, sums and norm steps of ResidualTo in the same order, and
+// its energy keeps their bits. Zero-subspace members share ‖x‖².
+// EnergiesTo leaves the coefficients, then each slot's scale, then each
+// slot's sum of squares at the front of scratch.
 //
 //gridlint:zeroalloc
 func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
@@ -388,13 +391,9 @@ func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
 		scale[slot], ssq[slot] = 0, 1
 	}
 	ones := p.ones
+	onesPass(scale[:ones], ssq[:ones], alpha[:ones], x, p.basis, total)
 	for i, v := range x {
 		row := p.basis[i*total : (i+1)*total]
-		for slot, b := range row[:ones] {
-			// MulVecTo sums 0 + b·α; the two differ only in the sign of
-			// a zero residual, which the norm skips.
-			normStep(&scale[slot], &ssq[slot], v-b*alpha[slot])
-		}
 		o := ones
 		for slot := ones; slot < n; slot++ {
 			k := p.ranks[slot]
@@ -420,6 +419,23 @@ func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
 		dst[k] = e * e
 	}
 	return nil
+}
+
+// onesPassGeneric is onesPass in Go: row by row, each rank-one slot's
+// normStep on its residual x[i] − basis[i*stride+slot]·alpha[slot].
+// scale, ssq and alpha hold one entry per rank-one slot, and basis holds
+// len(x) rows of stride entries, the rank-one slots first. It is the
+// pass where there is no assembly kernel and, everywhere, the kernel's
+// test oracle.
+func onesPassGeneric(scale, ssq, alpha, x, basis []float64, stride int) {
+	ones := len(scale)
+	for i, v := range x {
+		for slot, b := range basis[i*stride : i*stride+ones] {
+			// MulVecTo sums 0 + b·α; the two differ only in the sign of
+			// a zero residual, which the norm skips.
+			normStep(&scale[slot], &ssq[slot], v-b*alpha[slot])
+		}
+	}
 }
 
 // normStep is one element's step of mat.Norm2's scaled sum of squares.
