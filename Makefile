@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-report test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
+.PHONY: build vet vet-cross fmt lint lint-report test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Cross-architecture vet: the subspace package's rank-one residual pass
+# is SSE2 assembly on amd64 and Go elsewhere, and no test here runs the
+# Go build of it, so vet the tree for arm64 to keep that path compiling.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # gofmt gate: fails, listing the files, when any tracked .go file
 # (testdata fixtures included) is not gofmt-clean.
@@ -41,7 +47,9 @@ race:
 # (/v1/detect JSON and binary /v1/ingest frames against an ieee14
 # service: no panic, no 5xx, every 200 body decodes), and the
 # proximity rule on raw float64 score bits, NaN payloads included,
-# against its stable-sort oracle. Go fuzzes one target per invocation.
+# against its stable-sort oracle, and the packed residual kernel on raw
+# float64 vector bits against its portable Go pass. Go fuzzes one target
+# per invocation.
 # Not part of verify; CI runs it after verify.
 FUZZTIME ?= 10s
 fuzz:
@@ -51,6 +59,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceParent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzDataPlaneBodies$$' -fuzztime=$(FUZZTIME) ./internal/httpserve
 	$(GO) test -run='^$$' -fuzz='^FuzzProximityRule$$' -fuzztime=$(FUZZTIME) ./internal/detect
+	$(GO) test -run='^$$' -fuzz='^FuzzPackedEnergies$$' -fuzztime=$(FUZZTIME) ./internal/subspace
 
 # One-iteration benchmark smoke: catches benchmarks that panic or no
 # longer compile without paying for stable timings. The pipeline benches
@@ -109,6 +118,7 @@ smoke:
 perfbench-check:
 	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && $(GO) vet . && $(GO) test -short .
 
-# The tier-1 gate (see ROADMAP.md): build, vet, gofmt, gridlint, race
-# tests, benchmark smoke, smoke harness, benchmark module checks.
-verify: build vet fmt lint race bench bench-serve-smoke smoke perfbench-check
+# The tier-1 gate (see ROADMAP.md): build, vet (also for arm64), gofmt,
+# gridlint, race tests, benchmark smoke, smoke harness, benchmark module
+# checks.
+verify: build vet vet-cross fmt lint race bench bench-serve-smoke smoke perfbench-check
