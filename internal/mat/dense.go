@@ -1,5 +1,5 @@
 // Package mat implements the linear algebra needed by the outage
-// detector: dense and sparse real matrices, LU and QR factorizations, a
+// detector: dense and sparse real matrices, LU factorization, a
 // one-sided Jacobi singular value decomposition, and Moore–Penrose
 // pseudo-inverses. It is self-contained (standard library only) and tuned
 // for the moderate dimensions of power-grid phasor data (tens to a few
