@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/grid"
@@ -149,6 +150,14 @@ type Detector struct {
 	plans        []*clusterPlan
 	fullNormal   *subspace.Restricted
 	adj          [][]int
+
+	// Slots built on first use (see maskedPlan and gateNormal): per
+	// cluster, the plan for a mask that darkens exactly one bus of its
+	// group, at that bus's position in groupBuses (nil for a cluster
+	// whose group less one bus falls back to every available bus), and
+	// per bus, the gate's S⁰ restricted to every other bus's features.
+	planSlots [][]atomic.Pointer[clusterPlan]
+	gateSlots []atomic.Pointer[subspace.Restricted]
 }
 
 // Train learns the detector from generated data and a PMU network.
@@ -442,19 +451,17 @@ func subTo(dst, x, mean []float64) {
 func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float64 {
 	xd, normal := dev, det.fullNormal
 	if featMask.AnyMissing() {
-		avail := make([]int, 0, len(dev))
 		xd = make([]float64, 0, len(dev))
 		for i, x := range dev {
 			if !featMask[i] {
-				avail = append(avail, i)
 				xd = append(xd, x)
 			}
 		}
-		if len(avail) == 0 {
+		if len(xd) == 0 {
 			return 0
 		}
 		var err error
-		if normal, err = det.normalSub.Restrict(avail); err != nil {
+		if normal, err = det.gateNormal(featMask, len(dev)-len(xd)); err != nil {
 			return 0
 		}
 	}
@@ -467,6 +474,34 @@ func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float6
 		e += x * x
 	}
 	return e / float64(len(xd))
+}
+
+// gateNormal is S⁰ restricted to the features featMask leaves, missing
+// of them dark. A bus has len(featMask)/N features, so missing·N equals
+// len(featMask) exactly when one bus is dark; the first dark feature is
+// then that bus, and the factor comes from its gate slot, built on first
+// use. Any other mask restricts S⁰ for this sample alone.
+func (det *Detector) gateNormal(featMask pmunet.Mask, missing int) (*subspace.Restricted, error) {
+	restrict := func() (*subspace.Restricted, error) { return det.normalSub.Restrict(featMask.Available()) }
+	if missing*det.g.N() != len(featMask) {
+		return restrict()
+	}
+	return loadOrBuild(&det.gateSlots[slices.Index(featMask, true)], restrict)
+}
+
+// loadOrBuild returns the slot's value, building and storing it first
+// when the slot is empty. Every slot holds a deterministic function of
+// its key, so a build that races another stores the same bits.
+func loadOrBuild[T any](slot *atomic.Pointer[T], build func() (*T, error)) (*T, error) {
+	if v := slot.Load(); v != nil {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(v)
+	return v, nil
 }
 
 // clusterPlan is one PDC cluster's share of Eq. (9)–(11) under one
@@ -487,9 +522,10 @@ type clusterPlan struct {
 
 // prepare derives the scoring state Detect reuses across samples: each
 // cluster's working set, its line slots and its plan for a sample with
-// nothing missing, S⁰ restricted to every feature, and the grid
-// adjacency. TrainContext and FromModel both run it once the learned
-// state is in place; it is deterministic, so a decoded model detects
+// nothing missing, S⁰ restricted to every feature, the grid adjacency,
+// and empty slots for the factors of a sample with one bus dark.
+// TrainContext and FromModel both run it once the learned state is in
+// place; it is deterministic, so a decoded model detects
 // byte-identically to the trained one.
 func (det *Detector) prepare() error {
 	n := det.g.N()
@@ -528,6 +564,7 @@ func (det *Detector) prepare() error {
 	complete := pmunet.NoneMissing(n)
 	det.groupBuses = make([][]int, len(det.groups))
 	det.plans = make([]*clusterPlan, len(det.groups))
+	det.planSlots = make([][]atomic.Pointer[clusterPlan], len(det.groups))
 	for c, g := range det.groups {
 		seen := make([]bool, n)
 		for _, b := range slices.Concat(g.InCluster, g.OutCluster) {
@@ -539,7 +576,11 @@ func (det *Detector) prepare() error {
 		if det.plans[c], err = det.plan(c, det.group(c, complete)); err != nil {
 			return err
 		}
+		if buses := det.groupBuses[c]; len(buses) > 0 && len(det.featureIndices(buses[1:], complete)) >= 2 {
+			det.planSlots[c] = make([]atomic.Pointer[clusterPlan], len(buses))
+		}
 	}
+	det.gateSlots = make([]atomic.Pointer[subspace.Restricted], n)
 	return nil
 }
 
@@ -652,8 +693,12 @@ var ErrNonFinite = errors.New("detect: non-finite deviation energy")
 // contain missing measurements (mask set). A sample whose deviation
 // energy is not finite fails with ErrNonFinite.
 func (det *Detector) Detect(s dataset.Sample) (*Result, error) {
-	if n := det.g.N(); s.N() != n || len(s.Va) != n {
+	n := det.g.N()
+	if s.N() != n || len(s.Va) != n {
 		return nil, fmt.Errorf("detect: sample has %d/%d values, grid %d buses", s.N(), len(s.Va), n)
+	}
+	if s.Mask != nil && len(s.Mask) != n {
+		return nil, fmt.Errorf("detect: sample mask has %d entries, grid %d buses", len(s.Mask), n)
 	}
 	dev, featMask := det.deviation(s)
 
@@ -676,7 +721,7 @@ func (det *Detector) Detect(s dataset.Sample) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.NodeScores = make([]float64, det.g.N())
+	res.NodeScores = make([]float64, n)
 	for c, members := range det.nw.Clusters {
 		for k, i := range members {
 			res.NodeScores[i] = det.nodeScore(&clusters[c], k, i)
@@ -711,11 +756,9 @@ type clusterScore struct {
 	interProx []float64
 }
 
-// scoreClusters scores every cluster's share of a sample. A cluster
-// reuses its cached plan when the mask leaves its detection group
-// unchanged and gets one built for this sample otherwise. The
-// proximities and the scratch the clusters share in turn come from one
-// slab.
+// scoreClusters scores every cluster's share of a sample, each with its
+// plan for the sample's mask (see maskedPlan). The proximities and the
+// scratch the clusters share in turn come from one slab.
 func (det *Detector) scoreClusters(dev []float64, busMask pmunet.Mask) ([]clusterScore, error) {
 	masked := busMask.AnyMissing()
 	clusters := make([]clusterScore, len(det.plans))
@@ -724,13 +767,11 @@ func (det *Detector) scoreClusters(dev []float64, busMask pmunet.Mask) ([]cluste
 		cs := &clusters[c]
 		cs.clusterPlan = det.plans[c]
 		if masked {
-			if group := det.group(c, busMask); !slices.Equal(group, cs.group) {
-				p, err := det.plan(c, group)
-				if err != nil {
-					return nil, err
-				}
-				cs.clusterPlan = p
+			p, err := det.maskedPlan(c, busMask)
+			if err != nil {
+				return nil, err
 			}
+			cs.clusterPlan = p
 		}
 		size += len(det.clusterLines[c]) + len(det.nw.Clusters[c])
 		if len(cs.group) > 0 {
@@ -753,6 +794,35 @@ func (det *Detector) scoreClusters(dev []float64, busMask pmunet.Mask) ([]cluste
 		}
 	}
 	return clusters, nil
+}
+
+// maskedPlan is cluster c's plan under a mask with a bus missing. In a
+// cluster with slots, a group with no dark bus keeps the complete plan,
+// and one with one dark bus takes that bus's slot, built on first use:
+// the group is then groupBuses[c] without that bus, whatever else is
+// dark. Two or more dark group buses, or a cluster without slots, get
+// the complete plan when the mask leaves the group unchanged and one
+// built for this sample otherwise.
+func (det *Detector) maskedPlan(c int, busMask pmunet.Mask) (*clusterPlan, error) {
+	if slots := det.planSlots[c]; slots != nil {
+		j, dark := 0, 0
+		for k, b := range det.groupBuses[c] {
+			if busMask[b] {
+				j, dark = k, dark+1
+			}
+		}
+		switch dark {
+		case 0:
+			return det.plans[c], nil
+		case 1:
+			return loadOrBuild(&slots[j], func() (*clusterPlan, error) { return det.plan(c, det.group(c, busMask)) })
+		}
+	}
+	group := det.group(c, busMask)
+	if slices.Equal(group, det.plans[c].group) {
+		return det.plans[c], nil
+	}
+	return det.plan(c, group)
 }
 
 // scoreCluster fills cluster c's share of a sample. One pass of the
