@@ -246,21 +246,27 @@ func BenchmarkTrainDetectorIEEE30(b *testing.B) {
 // latency that matters for the paper's "timely detection" claim — per
 // grid, on an outage sample (scored by Eq. 9–11 and decoded), on the
 // same sample with the outaged line's from-bus dark (the Fig. 7 case:
-// every detection group holding that bus is restricted anew), and on a
-// normal one (answered at the energy gate). Each grid trains once per
-// process, with the facade's PDC cluster count, so -count repeats only
-// the timed loop.
+// every detection group holding that bus takes that bus's plan slot), on
+// a normal one (answered at the energy gate), and on that normal sample
+// with each bus dark in turn (the gate takes each bus's slot of S⁰
+// restricted to the others). Each grid trains once per process, with
+// the facade's PDC cluster count, so -count repeats only the timed loop.
 func BenchmarkDetectSingleSample(b *testing.B) {
 	for _, name := range []string{"ieee14", "ieee30", "ieee118"} {
 		f := loadDetectFixture(b, name)
 		for _, tc := range []struct {
-			name   string
-			sample dataset.Sample
-		}{{"outage", f.outage}, {"masked", f.masked}, {"normal", f.normal}} {
+			name    string
+			samples []dataset.Sample
+		}{
+			{"outage", []dataset.Sample{f.outage}},
+			{"masked", []dataset.Sample{f.masked}},
+			{"normal", []dataset.Sample{f.normal}},
+			{"masked-normal", f.maskedNormal},
+		} {
 			b.Run(name+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.det.Detect(tc.sample); err != nil {
+					if _, err := f.det.Detect(tc.samples[i%len(tc.samples)]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -270,11 +276,13 @@ func BenchmarkDetectSingleSample(b *testing.B) {
 }
 
 // detectFixture is a trained detector with one sample that trips its
-// energy gate, that sample with its outaged line's from-bus dark, and
-// one sample that does not trip the gate.
+// energy gate, that sample with its outaged line's from-bus dark, one
+// sample that does not trip the gate, and that sample once with each
+// bus dark.
 type detectFixture struct {
 	det                    *detect.Detector
 	outage, masked, normal dataset.Sample
+	maskedNormal           []dataset.Sample
 }
 
 // detectFixtures caches BenchmarkDetectSingleSample's fixtures by grid.
@@ -283,7 +291,8 @@ var detectFixtures = map[string]detectFixture{}
 // loadDetectFixture trains a detector on the named grid (DC, 20 steps,
 // seed 1, max(3, N/10) clusters) and picks the first valid line's first
 // outage sample that trips the energy gate, that sample with the line's
-// from-bus dark, and the first normal sample that does not trip it.
+// from-bus dark, and the first normal sample that does not trip it, with
+// and without each bus dark.
 func loadDetectFixture(b *testing.B, name string) detectFixture {
 	b.Helper()
 	if f, ok := detectFixtures[name]; ok {
@@ -330,6 +339,11 @@ func loadDetectFixture(b *testing.B, name string) detectFixture {
 	}
 	if found != 2 {
 		b.Fatalf("%s: no gate-tripping outage sample or no quiet normal sample", name)
+	}
+	for bus := 0; bus < g.N(); bus++ {
+		dark := pmunet.NoneMissing(g.N())
+		dark[bus] = true
+		f.maskedNormal = append(f.maskedNormal, f.normal.WithMask(dark))
 	}
 	detectFixtures[name] = f
 	return f
