@@ -98,78 +98,3 @@ func FactorEigenSym(a *Dense, tol float64) (*Eigen, error) {
 	}
 	return &Eigen{Values: sorted, V: v.SelectCols(order)}, nil
 }
-
-// Cholesky holds the lower-triangular factor of a symmetric positive
-// definite matrix: A = L Lᵀ.
-type Cholesky struct {
-	l *Dense
-}
-
-// FactorCholesky computes the Cholesky factorization, returning
-// ErrSingular (wrapped) if the matrix is not positive definite.
-func FactorCholesky(a *Dense) (*Cholesky, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("mat: FactorCholesky requires square matrix, got %dx%d", a.rows, a.cols)
-	}
-	l := NewDense(n, n)
-	for j := 0; j < n; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			d += l.At(j, k) * l.At(j, k)
-		}
-		d = a.At(j, j) - d
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("mat: not positive definite at pivot %d: %w", j, ErrSingular)
-		}
-		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, (a.At(i, j)-s)/ljj)
-		}
-	}
-	return &Cholesky{l: l}, nil
-}
-
-// L returns the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l }
-
-// Solve solves A x = b using the factorization.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	n := c.l.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("mat: Cholesky.Solve rhs length %d != %d", len(b), n)
-	}
-	// Forward: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	// Backward: Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	return x, nil
-}
-
-// LogDet returns the log-determinant of the factored matrix.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.l.rows; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}

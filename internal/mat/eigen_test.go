@@ -118,77 +118,6 @@ func TestEigenRejectsAsymmetric(t *testing.T) {
 	}
 }
 
-func TestCholeskyReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		a := randSPD(rng, n)
-		c, err := FactorCholesky(a)
-		if err != nil {
-			return false
-		}
-		return c.L().Mul(c.L().T()).Equalf(a, 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 6
-	a := randSPD(rng, n)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := c.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := a.MulVec(x)
-	for i := range b {
-		if math.Abs(r[i]-b[i]) > 1e-9 {
-			t.Fatalf("residual at %d: %v vs %v", i, r[i], b[i])
-		}
-	}
-	if _, err := c.Solve([]float64{1}); err == nil {
-		t.Fatal("expected rhs length error")
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err == nil {
-		t.Fatal("expected positive-definite error")
-	}
-	if _, err := FactorCholesky(NewDense(2, 3)); err == nil {
-		t.Fatal("expected square error")
-	}
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randSPD(rng, 5)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An SPD matrix's singular values are its eigenvalues, whose
-	// product is its determinant.
-	var want float64
-	for _, v := range FactorSVD(a).S {
-		want += math.Log(v)
-	}
-	if math.Abs(c.LogDet()-want) > 1e-9*(1+math.Abs(want)) {
-		t.Fatalf("LogDet = %v, want %v", c.LogDet(), want)
-	}
-}
-
 func TestEigenMatchesSVDForSPD(t *testing.T) {
 	// For SPD matrices, eigenvalues equal singular values.
 	rng := rand.New(rand.NewSource(11))
