@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet vet-cross fmt lint lint-report test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
+.PHONY: build vet vet-cross fmt lint test race fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
 
 build:
 	$(GO) build ./...
@@ -20,16 +20,13 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# gridlint: the repo's own analyzers (cmd/gridlint, internal/analysis).
+# gridlint: the repo's own analyzers (cmd/gridlint, internal/analysis),
+# run once: it writes the machine-readable report (suppressed findings
+# included, with the reasons that silence them) to gridlint.json, which
+# CI uploads, prints unsuppressed findings to stderr, and fails on any.
 # Suppress an intentional finding with
 #   //gridlint:ignore <analyzer> <reason>
 lint:
-	$(GO) run ./cmd/gridlint ./...
-
-# Machine-readable lint report (suppressed findings included, with the
-# reasons that silence them). CI uploads this as an artifact. The target
-# always writes gridlint.json but still fails on error-tier findings.
-lint-report:
 	$(GO) run ./cmd/gridlint -json ./... > gridlint.json
 
 test:

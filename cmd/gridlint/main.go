@@ -6,28 +6,20 @@
 //
 // Usage:
 //
-//	gridlint [-only a,b] [-list] [-json] [-nocache] [-cache file] [packages...]
+//	gridlint [-list] [-json] [packages...]
 //
-// Packages default to ./... . A pattern is either a directory or a
-// directory followed by /... for a recursive walk (testdata, hidden,
-// and _-prefixed directories are skipped). Exit status is 1 when any
-// unsuppressed error-severity finding is reported, 2 on operational
-// errors.
+// Packages are go list patterns and default to ./... . The go tool
+// resolves them and supplies every dependency as compiler export data,
+// so only the named packages are type-checked from source. Unsuppressed
+// findings print to stderr. Exit status is 1 when there is any, 2 on
+// operational errors.
 //
-// -list prints the analyzer catalog (name, severity, one-line doc).
-// -json writes the full machine-readable report to stdout instead of
-// text: module, analyzer catalog, and every finding — suppressed ones
-// included, with the suppressing directive's reason — with
-// module-root-relative forward-slash paths, in stable order; CI
-// archives it as an artifact (make lint-report). The exit status is
-// the same in both modes.
-//
-// Results are cached per package in .gridlint-cache.json at the module
-// root, keyed by a hash of the package's source files, its
-// module-internal import closure, the analyzer sources, and the
-// toolchain version — a package whose inputs are unchanged reports its
-// previous findings without being re-analyzed. -nocache disables the
-// cache; -cache moves the file.
+// -list prints the analyzer catalog (name and one-line doc). -json also
+// writes the full machine-readable report to stdout: module, analyzer
+// catalog, and every finding — suppressed ones included, with the
+// suppressing directive's reason — with module-root-relative
+// forward-slash paths, in stable order. make lint writes it to
+// gridlint.json, which CI archives.
 //
 // Suppress a finding with an end-of-line or preceding-line comment:
 //
@@ -42,62 +34,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"pmuoutage/internal/analysis"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "write the machine-readable report to stdout")
-	nocache := flag.Bool("nocache", false, "disable the per-package result cache")
-	cachePath := flag.String("cache", "", "result cache file (default <module>/.gridlint-cache.json)")
+	jsonOut := flag.Bool("json", false, "also write the machine-readable report to stdout")
 	flag.Parse()
 
 	if *list {
 		for _, a := range analysis.Describe(analysis.All()) {
-			fmt.Printf("%-14s %-5s %s\n", a.Name, a.Severity, a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	analyzers := analysis.All()
-	if *only != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, err := analysis.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	root, err := findModuleRoot()
-	if err != nil {
-		fatal(err)
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		fatal(err)
-	}
-	dirs, err := loader.Expand(patterns)
-	if err != nil {
-		fatal(err)
-	}
-	cache := ""
-	if !*nocache {
-		cache = *cachePath
-		if cache == "" {
-			cache = filepath.Join(loader.ModuleRoot(), ".gridlint-cache.json")
-		}
-	}
-	rep, err := analysis.RunDirsReport(loader, analyzers, dirs, cache)
+	rep, err := analysis.Run(".", analysis.All(), patterns...)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,44 +63,15 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(string(data))
-	} else {
-		for _, f := range rep.Findings {
-			if f.Suppressed {
-				continue
-			}
-			tag := f.Analyzer
-			if f.Severity == analysis.SeverityWarn {
-				tag += " warn"
-			}
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, tag, f.Message)
-		}
-		if rep.Errors+rep.Warnings > 0 {
-			fmt.Fprintf(os.Stderr, "gridlint: %d error(s), %d warning(s) in %d package(s)\n",
-				rep.Errors, rep.Warnings, rep.Packages)
+	}
+	for _, f := range rep.Findings {
+		if !f.Suppressed {
+			fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 	if rep.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "gridlint: %d finding(s) in %d package(s)\n", rep.Errors, rep.Packages)
 		os.Exit(1)
-	}
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(dir + "/go.mod"); err == nil {
-			return dir, nil
-		}
-		parent := dir[:strings.LastIndex(dir, "/")+1]
-		parent = strings.TrimSuffix(parent, "/")
-		if parent == "" || parent == dir {
-			return "", fmt.Errorf("gridlint: no go.mod found above working directory")
-		}
-		dir = parent
 	}
 }
 

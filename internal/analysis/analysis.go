@@ -1,12 +1,13 @@
 // Package analysis is gridlint's multichecker framework: a small,
-// stdlib-only (go/ast, go/parser, go/types, go/token) static-analysis
-// harness plus the repo-tailored analyzers that gate every PR (see
-// DESIGN.md "Static analysis & race gate").
+// stdlib-only static-analysis harness plus the repo-tailored analyzers
+// that gate every PR (see DESIGN.md "Static analysis & race gate").
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // without the dependency: an Analyzer inspects one type-checked package
-// through a Pass and reports Diagnostics; the Runner loads packages,
-// applies //gridlint:ignore suppressions, and aggregates results.
+// through a Pass and reports Diagnostics. Load asks the go tool for the
+// packages (go list -export -deps) and type-checks only those from
+// source, reading every import from compiler export data; Run applies
+// //gridlint:ignore suppressions and aggregates results.
 //
 // Three comment directives make up the whole annotation language:
 //
@@ -19,8 +20,8 @@
 // above it. The analyzer name "all" silences every analyzer. A reason
 // is mandatory — ignore directives without one are themselves reported
 // as diagnostics, so suppressions stay auditable; the ignoreaudit
-// analyzer additionally flags directives that name an unknown analyzer
-// or no longer suppress anything on the current tree.
+// analyzer additionally flags directives that no longer suppress
+// anything on the current tree.
 package analysis
 
 import (
@@ -28,27 +29,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// Severity tiers a diagnostic. Error findings fail the gate (exit 1);
-// warn findings are printed and reported in -json output but do not
-// fail the build on their own.
-const (
-	SeverityError = "error"
-	SeverityWarn  = "warn"
-)
-
 // Diagnostic is one finding: a position, the analyzer that produced it,
-// a severity tier, and a human-readable message. Suppressed findings
-// are kept (flagged, with the suppressing reason) so machine-readable
-// reports can audit the suppression ledger; the text gate only prints
-// and counts unsuppressed ones.
+// and a human-readable message. Suppressed findings are kept (flagged,
+// with the suppressing reason) so machine-readable reports can audit
+// the suppression ledger; the gate only prints and counts unsuppressed
+// ones.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
-	Severity string
 	Message  string
 	// Suppressed marks a finding silenced by an ignore directive;
 	// SuppressedBy carries that directive's reason.
@@ -67,21 +58,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by gridlint -list.
 	Doc string
-	// Severity is the tier of this analyzer's findings (SeverityError
-	// when empty).
-	Severity string
 	// Run inspects the package behind pass and reports findings through
 	// pass.Report. Returning an error aborts the whole run (reserved for
 	// internal failures, not findings).
 	Run func(pass *Pass) error
-}
-
-// severity returns the analyzer's tier, defaulting to error.
-func (a *Analyzer) severity() string {
-	if a.Severity == "" {
-		return SeverityError
-	}
-	return a.Severity
 }
 
 // Pass carries one type-checked package to an analyzer.
@@ -100,7 +80,7 @@ type Pass struct {
 	// classification (golden tests).
 	Module string
 	// PkgAST returns the parsed (comment-bearing, non-type-checked)
-	// files of a module-internal package by import path, or nil when
+	// files of a non-standard dependency by import path, or nil when
 	// unavailable. The units analyzer uses it to read annotations
 	// declared in dependency packages.
 	PkgAST func(importPath string) []*ast.File
@@ -113,7 +93,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.severity(),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -148,7 +127,6 @@ func parseIgnores(fset *token.FileSet, f *ast.File, diags *[]Diagnostic) []*igno
 				*diags = append(*diags, Diagnostic{
 					Pos:      pos,
 					Analyzer: "gridlint",
-					Severity: SeverityError,
 					Message:  "malformed ignore directive: want //gridlint:ignore <analyzer> <reason>",
 				})
 				continue
@@ -181,33 +159,4 @@ func markSuppressed(diags []Diagnostic, ignores map[string][]*ignoreDirective) {
 			}
 		}
 	}
-}
-
-// unsuppressed filters to the findings that survive the ignore ledger.
-func unsuppressed(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, 0, len(diags))
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// sortDiagnostics orders findings by file, line, column, analyzer for
-// stable output.
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
 }

@@ -78,6 +78,12 @@ func hasContextParam(pass *Pass, fd *ast.FuncDecl) bool {
 	return false
 }
 
+// isContext reports whether t is context.Context.
+func isContext(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
+}
+
 // fanOutSite scans a function body for the first goroutine launch or
 // call into the internal/par worker pool. Function literals nested in
 // the body count too: they share the enclosing scope, so their fan-out

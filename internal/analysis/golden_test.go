@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,46 +18,45 @@ import (
 // to exercise ignore directives; ignoreaudit runs alongside floatcmp so
 // its directives have real findings to match or miss.
 var goldenDirs = map[string]string{
-	"apierr":        "apierr",
-	"apierrfleet":   "apierr",
-	"ctxflow":       "ctxflow",
-	"floatcmp":      "floatcmp",
-	"framewire":     "framewire",
-	"errcheck":      "errcheck",
-	"globalrand":    "globalrand",
-	"goroutineleak": "goroutineleak",
-	"locksmell":     "locksmell",
-	"metricname":    "metricname",
-	"dimcheck":      "dimcheck",
-	"modelio":       "modelio",
-	"modeliowire":   "modelio",
-	"suppress":      "floatcmp",
-	"units":         "units",
-	"allocfree":     "allocfree",
-	"ignoreaudit":   "ignoreaudit,floatcmp",
+	"apierr":      "apierr",
+	"apierrfleet": "apierr",
+	"ctxflow":     "ctxflow",
+	"floatcmp":    "floatcmp",
+	"errcheck":    "errcheck",
+	"globalrand":  "globalrand",
+	"locksmell":   "locksmell",
+	"metricname":  "metricname",
+	"dimcheck":    "dimcheck",
+	"modeliowire": "modelio",
+	"suppress":    "floatcmp",
+	"units":       "units",
+	"allocfree":   "allocfree",
+	"ignoreaudit": "ignoreaudit,floatcmp",
 }
 
 // wantRE pulls the backquoted regexps out of a `// want` comment.
 var wantRE = regexp.MustCompile("`([^`]*)`")
 
 func TestGolden(t *testing.T) {
-	loader, err := NewLoader("../..")
+	var patterns []string
+	for dir := range goldenDirs {
+		patterns = append(patterns, "./testdata/src/"+dir)
+	}
+	pkgs, err := Load(".", patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dir, names := range goldenDirs {
+	for _, pkg := range pkgs {
+		dir := filepath.Base(pkg.Dir)
 		t.Run(dir, func(t *testing.T) {
+			all := All()
 			var analyzers []*Analyzer
-			for _, name := range strings.Split(names, ",") {
-				a, err := ByName(name)
-				if err != nil {
-					t.Fatal(err)
+			for _, name := range strings.Split(goldenDirs[dir], ",") {
+				i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == name })
+				if i < 0 {
+					t.Fatalf("unknown analyzer %q", name)
 				}
-				analyzers = append(analyzers, a)
-			}
-			pkg, err := loader.LoadDir(filepath.Join("testdata", "src", dir))
-			if err != nil {
-				t.Fatal(err)
+				analyzers = append(analyzers, all[i])
 			}
 			diags, err := RunPackage(analyzers, pkg, "")
 			if err != nil {
@@ -67,10 +67,10 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// checkGolden compares diagnostics against the `// want` annotations in
-// every Go file under dir: each annotated line must produce exactly as
-// many diagnostics as it has patterns, each pattern matching one, and no
-// unannotated line may produce any.
+// checkGolden compares unsuppressed diagnostics against the `// want`
+// annotations in every Go file under dir: each annotated line must
+// produce exactly as many diagnostics as it has patterns, each pattern
+// matching one, and no unannotated line may produce any.
 func checkGolden(t *testing.T, dir string, diags []Diagnostic) {
 	t.Helper()
 	wants := map[string][]string{} // "file:line" -> patterns
@@ -104,6 +104,9 @@ func checkGolden(t *testing.T, dir string, diags []Diagnostic) {
 
 	got := map[string][]string{} // "file:line" -> messages
 	for _, d := range diags {
+		if d.Suppressed {
+			continue
+		}
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		got[key] = append(got[key], d.Message)
 	}

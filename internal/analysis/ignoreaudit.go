@@ -1,46 +1,16 @@
 package analysis
 
-import "strings"
-
 // IgnoreAudit keeps the suppression ledger honest. An ignore directive
 // is a standing exception to the gate, and exceptions rot: the code
-// they excused gets rewritten, the analyzer they name gets renamed, and
-// the directive lingers, silently ready to swallow the next real
-// finding on that line. This analyzer flags directives that name an
-// analyzer gridlint doesn't have (typo or rename — the directive can
-// never match); the runner completes the audit with match bookkeeping,
-// flagging directives that suppressed nothing on the current tree
-// (stale) — that half needs cross-analyzer results, so it lives in
-// RunPackageAll rather than here. Missing reasons are rejected by the
-// directive parser itself. Intentionally kept directives are annotated
-// //gridlint:ignore ignoreaudit <reason>.
+// they excused gets rewritten and the directive lingers, silently ready
+// to swallow the next real finding on that line. When this analyzer is
+// selected, RunPackage flags every directive that suppressed nothing on
+// the current tree (stale). That needs the other analyzers' results, so
+// the audit lives in the runner and Run itself does nothing. Missing
+// reasons are rejected by the directive parser. Intentionally kept
+// directives are annotated //gridlint:ignore ignoreaudit <reason>.
 var IgnoreAudit = &Analyzer{
 	Name: "ignoreaudit",
-	Doc:  "flag ignore directives that name unknown analyzers or no longer suppress anything",
-}
-
-// Run is attached in init: runIgnoreAudit consults the registry (All,
-// via KnownAnalyzer), and the registry lists IgnoreAudit — a direct
-// initializer would be an initialization cycle.
-func init() { IgnoreAudit.Run = runIgnoreAudit }
-
-func runIgnoreAudit(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, IgnorePrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, IgnorePrefix))
-				name, reason, _ := strings.Cut(rest, " ")
-				if name == "" || strings.TrimSpace(reason) == "" {
-					continue // malformed: reported by the directive parser
-				}
-				if !KnownAnalyzer(name) {
-					pass.Report(c.Pos(), "ignore directive names unknown analyzer %q (known analyzers: gridlint -list)", name)
-				}
-			}
-		}
-	}
-	return nil
+	Doc:  "flag ignore directives that no longer suppress anything",
+	Run:  func(*Pass) error { return nil },
 }

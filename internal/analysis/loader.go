@@ -1,24 +1,31 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Dir   string
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
+	Path string
+	Dir  string
+	// Module is the path of the package's module and ModuleDir its root
+	// directory; both are empty outside a module.
+	Module    string
+	ModuleDir string
+	Fset      *token.FileSet
+	Files     []*ast.File
 	// TestFiles are the package's _test.go files (in-package and
 	// external), parsed with comments but not type-checked — enough for
 	// analyzers that cross-check test-side pins (allocfree).
@@ -26,138 +33,95 @@ type Package struct {
 	Pkg       *types.Package
 	Info      *types.Info
 
-	loader *Loader // for cross-package AST lookups (Pass.PkgAST)
+	loader *loader // for cross-package AST lookups (Pass.PkgAST)
 }
 
-// Loader parses and type-checks packages from source with no external
-// dependencies: module-internal imports resolve below the module root,
-// everything else resolves into GOROOT/src. Cgo is disabled so the
-// pure-Go variants of stdlib packages are selected, which keeps the
-// whole dependency closure type-checkable from source.
-type Loader struct {
-	Fset    *token.FileSet
-	ctx     build.Context
-	modPath string
-	modRoot string
-	pkgs    map[string]*types.Package // canonical import path -> checked package
-	loading map[string]bool           // import cycle guard
-	asts    map[string][]*ast.File    // module-internal path -> comment-bearing ASTs
+// listedPackage is the part of one `go list -json` entry the loader
+// reads.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Export       string
+	DepOnly      bool
+	Standard     bool
+	Module       *struct{ Path, Dir string }
 }
 
-// NewLoader creates a loader rooted at the module directory containing
-// go.mod. The module path is read from go.mod.
-func NewLoader(modRoot string) (*Loader, error) {
-	abs, err := filepath.Abs(modRoot)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := readModulePath(filepath.Join(abs, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	ctx := build.Default
-	ctx.CgoEnabled = false
-	return &Loader{
-		Fset:    token.NewFileSet(),
-		ctx:     ctx,
-		modPath: modPath,
-		modRoot: abs,
-		pkgs:    map[string]*types.Package{},
-		loading: map[string]bool{},
-		asts:    map[string][]*ast.File{},
-	}, nil
+// listFields are the go list fields the loader decodes.
+const listFields = "ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Export,DepOnly,Standard,Module"
+
+type loader struct {
+	fset   *token.FileSet
+	listed map[string]*listedPackage // import path -> entry, dependencies included
+	asts   map[string][]*ast.File    // PkgAST results
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
-
-// readModulePath extracts the module path from a go.mod file.
-func readModulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+// Load resolves patterns with one `go list -export -deps` run in dir
+// and type-checks, from source, each package the patterns name. The go
+// tool picks the packages and their files for the current build context
+// and compiles every dependency's export data, so each import is read
+// from that data: only the packages under analysis are parsed and
+// checked. The packages come back in go list order.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=" + listFields, "--"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", fmt.Errorf("analysis: reading %s: %w", gomod, err)
+		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.Bytes())
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			p := strings.TrimSpace(rest)
-			if p != "" {
-				return strings.Trim(p, `"`), nil
-			}
+	l := &loader{fset: token.NewFileSet(), listed: map[string]*listedPackage{}, asts: map[string][]*ast.File{}}
+	var roots []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
+		}
+		l.listed[lp.ImportPath] = lp
+		if !lp.DepOnly {
+			roots = append(roots, lp)
 		}
 	}
-	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
-}
-
-// LoadDir parses and type-checks the (non-test) package rooted at dir,
-// with comments attached so ignore directives survive. dir may be
-// relative to the working directory.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
+	conf := types.Config{
+		Importer: importer.ForCompiler(l.fset, "gc", l.openExport),
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
 	}
-	bp, err := l.ctx.ImportDir(abs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
-	}
-	files, err := l.parseFiles(abs, bp.GoFiles, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	testNames := append(append([]string{}, bp.TestGoFiles...), bp.XTestGoFiles...)
-	testFiles, err := l.parseFiles(abs, testNames, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	path := l.importPathFor(abs, bp)
-	info := newInfo()
-	pkg, err := l.check(path, abs, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Dir: abs, Path: path, Fset: l.Fset, Files: files, TestFiles: testFiles, Pkg: pkg, Info: info, loader: l}, nil
-}
-
-// PkgAST returns the parsed, comment-bearing (non-test) files of a
-// module-internal package by import path. Results are cached; any
-// failure (not module-internal, unparseable) returns nil — annotation
-// lookups degrade to "no annotations" rather than aborting analysis.
-func (l *Loader) PkgAST(path string) []*ast.File {
-	if files, ok := l.asts[path]; ok {
-		return files
-	}
-	var files []*ast.File
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
-		if bp, err := l.ctx.ImportDir(dir, 0); err == nil {
-			if parsed, err := l.parseFiles(dir, bp.GoFiles, parser.ParseComments); err == nil {
-				files = parsed
-			}
+	pkgs := make([]*Package, 0, len(roots))
+	for _, lp := range roots {
+		p, err := l.check(&conf, lp)
+		if err != nil {
+			return nil, err
 		}
+		pkgs = append(pkgs, p)
 	}
-	l.asts[path] = files
-	return files
+	return pkgs, nil
 }
 
-// importPathFor derives the canonical import path of a directory: its
-// module-relative path when below the module root, otherwise whatever
-// go/build inferred.
-func (l *Loader) importPathFor(abs string, bp *build.Package) string {
-	if rel, err := filepath.Rel(l.modRoot, abs); err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-		if rel == "." {
-			return l.modPath
-		}
-		return l.modPath + "/" + filepath.ToSlash(rel)
+// openExport opens the compiler export data go list reported for path.
+func (l *loader) openExport(path string) (io.ReadCloser, error) {
+	lp := l.listed[path]
+	if lp == nil || lp.Export == "" {
+		return nil, fmt.Errorf("analysis: no export data for %q", path)
 	}
-	return bp.ImportPath
+	return os.Open(lp.Export)
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
+// check parses one listed package, with comments so directives survive,
+// and type-checks it.
+func (l *loader) check(conf *types.Config, lp *listedPackage) (*Package, error) {
+	files, err := l.parse(lp.Dir, lp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	testFiles, err := l.parse(lp.Dir, append(append([]string(nil), lp.TestGoFiles...), lp.XTestGoFiles...))
+	if err != nil {
+		return nil, err
+	}
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -165,87 +129,41 @@ func newInfo() *types.Info {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
+	pkg, err := conf.Check(lp.ImportPath, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", lp.ImportPath, err)
+	}
+	p := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: l.fset, Files: files, TestFiles: testFiles, Pkg: pkg, Info: info, loader: l}
+	if lp.Module != nil {
+		p.Module, p.ModuleDir = lp.Module.Path, lp.Module.Dir
+	}
+	return p, nil
 }
 
-func (l *Loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*ast.File, error) {
+// pkgAST returns the parsed, comment-bearing (non-test) files of a
+// listed non-standard package by import path. Results are cached; any
+// failure (not listed, standard, unparseable) returns nil — annotation
+// lookups degrade to "no annotations" rather than aborting analysis.
+func (l *loader) pkgAST(path string) []*ast.File {
+	if files, ok := l.asts[path]; ok {
+		return files
+	}
+	var files []*ast.File
+	if lp := l.listed[path]; lp != nil && !lp.Standard {
+		files, _ = l.parse(lp.Dir, lp.GoFiles)
+	}
+	l.asts[path] = files
+	return files
+}
+
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, mode)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// check type-checks the given files as package path, resolving imports
-// through the loader itself.
-func (l *Loader) check(path, dir string, files []*ast.File, info *types.Info) (*types.Package, error) {
-	cfg := types.Config{
-		Importer: &importerFrom{l: l, dir: dir},
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	pkg, err := cfg.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	return pkg, nil
-}
-
-// importerFrom adapts the loader to types.ImporterFrom, carrying the
-// importing package's directory for vendor resolution inside GOROOT.
-type importerFrom struct {
-	l   *Loader
-	dir string
-}
-
-func (im *importerFrom) Import(path string) (*types.Package, error) {
-	return im.ImportFrom(path, im.dir, 0)
-}
-
-func (im *importerFrom) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
-	return im.l.importPkg(path, srcDir)
-}
-
-// importPkg resolves and type-checks the package for an import path,
-// caching by canonical path so shared dependencies check once.
-func (l *Loader) importPkg(path, srcDir string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	var dir, canon string
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		dir = filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
-		canon = path
-	} else {
-		bp, err := l.ctx.Import(path, srcDir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: resolving import %q: %w", path, err)
-		}
-		dir, canon = bp.Dir, bp.ImportPath
-	}
-	if pkg, ok := l.pkgs[canon]; ok {
-		return pkg, nil
-	}
-	if l.loading[canon] {
-		return nil, fmt.Errorf("analysis: import cycle through %q", canon)
-	}
-	l.loading[canon] = true
-	defer delete(l.loading, canon)
-
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
-	}
-	files, err := l.parseFiles(dir, bp.GoFiles, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := l.check(canon, dir, files, newInfo())
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[canon] = pkg
-	return pkg, nil
 }

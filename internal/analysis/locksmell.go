@@ -5,25 +5,15 @@ import (
 	"go/types"
 )
 
-// LockSmell combines two sync-hygiene checks over the concurrent
-// ingestion layer:
-//
-//  1. lock-by-value: receivers and parameters whose (non-pointer) type
-//     contains a sync primitive — copying a struct with a mutex forks
-//     the lock, so two goroutines can hold "the same" critical section.
-//  2. defer-less unlock: a mutex locked in a function whose matching
-//     Unlock is a plain statement rather than deferred. Any early
-//     return or panic between the pair leaves the mutex held forever —
-//     exactly the shape of bug fault-injection tests trip over.
+// LockSmell flags a mutex locked in a function whose matching Unlock is
+// a plain statement rather than deferred. Any early return or panic
+// between the pair leaves the mutex held forever — exactly the shape of
+// bug fault-injection tests trip over. (Copying a lock by value is go
+// vet's copylocks check.)
 var LockSmell = &Analyzer{
 	Name: "locksmell",
-	Doc:  "flag by-value sync copies and defer-less Lock/Unlock pairs",
+	Doc:  "flag Lock/Unlock pairs whose unlock is not deferred",
 	Run:  runLockSmell,
-}
-
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Pool": true, "Map": true,
 }
 
 func runLockSmell(pass *Pass) error {
@@ -31,75 +21,16 @@ func runLockSmell(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkLockByValue(pass, n)
 				if n.Body != nil {
 					checkDeferlessUnlock(pass, n.Body)
 				}
-				return true
 			case *ast.FuncLit:
 				checkDeferlessUnlock(pass, n.Body)
-				return true
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkLockByValue flags receiver and parameter declarations that copy
-// sync primitives by value.
-func checkLockByValue(pass *Pass, fd *ast.FuncDecl) {
-	report := func(field *ast.Field, what string) {
-		for _, name := range field.Names {
-			t := pass.Info.TypeOf(name)
-			if containsLock(t, nil) {
-				pass.Report(field.Pos(), "%s %s passes %s by value; it contains a sync primitive — use a pointer", what, name.Name, t)
-			}
-		}
-	}
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			report(field, "receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			report(field, "parameter")
-		}
-	}
-}
-
-// containsLock reports whether a value of type t carries a sync
-// primitive by value (pointers, slices, maps, and channels indirect and
-// are therefore safe to copy).
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil {
-		return false
-	}
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
 }
 
 // lockOp is one Lock/Unlock-family call found in a function body.

@@ -2,24 +2,20 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-	"regexp"
 )
 
 // MetricName polices the telemetry registration surface (internal/obs):
 // every metric name and label key handed to a Registry registration
-// method must be a package-level constant whose value is snake_case,
-// and each metric name must be registered from exactly one call site
-// per package. Constants make the metric catalog greppable; the
-// single-call-site rule keeps /metrics series from being defined in
-// two places with drifting help strings (the registry panics on exact
-// duplicates only at runtime — this catches the mistake at lint time).
-// A loop over shards or routes is one call site, so per-label fan-out
-// stays idiomatic.
+// method, and every stage handed to a Tracer span method, must be a
+// package-level constant. Constants keep the metric catalog and the
+// per-stage SLO rows greppable and bounded: a name or stage built at
+// run time mints a new series per value. The registry itself panics at
+// run time on names and label keys that are not snake_case and on
+// exact duplicate registrations.
 var MetricName = &Analyzer{
 	Name: "metricname",
-	Doc:  "require const snake_case metric/label names, each registered at one call site",
+	Doc:  "require package-level constant metric names, label keys and span stages",
 	Run:  runMetricName,
 }
 
@@ -37,21 +33,13 @@ var metricRegMethods = map[string]int{
 }
 
 // tracerStageMethods maps each Tracer span method to the index of its
-// stage argument. Stage names feed the same dashboards as metric labels
-// (per-stage SLO rows keyed by stage string), so they get the same
-// const + snake_case treatment — but not the single-call-site rule,
-// since a stage is naturally started from wherever that stage runs.
+// stage argument.
 var tracerStageMethods = map[string]int{
 	"StartSpan":  1,
 	"RecordSpan": 1,
 }
 
-// snakeCaseRE is the shape every metric name and label key must have:
-// lowercase words joined by single underscores, starting with a letter.
-var snakeCaseRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
-
 func runMetricName(pass *Pass) error {
-	firstSite := map[string]ast.Node{} // metric name value -> first registration
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -68,14 +56,7 @@ func runMetricName(pass *Pass) error {
 			if !ok || len(call.Args) == 0 {
 				return true
 			}
-			if name, ok := checkMetricIdent(pass, call.Args[0], "metric name"); ok {
-				if prev, dup := firstSite[name]; dup {
-					pass.Report(call.Pos(), "metric %q is registered at more than one call site (first at %s); register each name exactly once",
-						name, pass.Fset.Position(prev.Pos()))
-				} else {
-					firstSite[name] = call
-				}
-			}
+			checkMetricIdent(pass, call.Args[0], "metric name")
 			// Label keys sit at even offsets of the variadic tail. A
 			// spread (labels...) hides the pairs; leave it to runtime.
 			if call.Ellipsis.IsValid() {
@@ -126,30 +107,17 @@ func receiverMethod(pass *Pass, call *ast.CallExpr, recvName string, methods map
 	return idx, true
 }
 
-// checkMetricIdent validates one name-position argument (metric name or
-// label key): it must reference a package-level string constant whose
-// value is snake_case. It returns the constant's value when the
-// argument resolves to a constant at all, so duplicate detection works
-// even for names that fail the style checks.
-func checkMetricIdent(pass *Pass, arg ast.Expr, role string) (string, bool) {
+// checkMetricIdent requires one name-position argument (metric name,
+// label key or span stage) to reference a package-level constant.
+func checkMetricIdent(pass *Pass, arg ast.Expr, role string) {
 	obj := constObject(pass, arg)
 	if obj == nil {
 		pass.Report(arg.Pos(), "%s must be a package-level named constant, not %s", role, describeExpr(arg))
-		return "", false
+		return
 	}
 	if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 		pass.Report(arg.Pos(), "%s constant %s must be declared at package level", role, obj.Name())
-		return "", false
 	}
-	if obj.Val().Kind() != constant.String {
-		return "", false
-	}
-	val := constant.StringVal(obj.Val())
-	if !snakeCaseRE.MatchString(val) {
-		pass.Report(arg.Pos(), "%s %q (const %s) is not snake_case", role, val, obj.Name())
-		return val, true // still a usable name for duplicate tracking
-	}
-	return val, true
 }
 
 // constObject resolves arg to the *types.Const it references, or nil

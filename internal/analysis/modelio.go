@@ -3,56 +3,25 @@ package analysis
 import (
 	"go/types"
 	"reflect"
-	"strings"
 )
 
-// ModelIO guards the serialized model-artifact format (DESIGN.md "Model
-// artifacts & hot reload"): in any package that declares a struct type
-// named Model, every exported field of every module-internal struct
-// reachable from it through field types must carry an explicit json
-// codec tag. The artifact's byte-identity guarantee — and its SHA-256
-// fingerprint — hinge on stable wire field names; an untagged exported
-// field silently serializes under its Go identifier, so a later rename
-// breaks every saved artifact without any compile error. `json:"-"` is
-// an acceptable tag: it records the exclusion decision explicitly.
+// ModelIO guards the serving API's wire format (DESIGN.md "Fleet
+// serving"): in a package named api every exported struct is an HTTP
+// request or response body, so every exported, non-embedded field must
+// pin its wire name with a json tag. An untagged field serializes under
+// its Go identifier, so a later rename silently breaks deployed
+// clients; `json:"-"` records an exclusion explicitly. (The model
+// artifact's own encoding is pinned by the golden fingerprint tests.)
 var ModelIO = &Analyzer{
 	Name: "modelio",
-	Doc:  "exported fields reachable from a serialized Model struct must carry json codec tags",
+	Doc:  "exported fields of the api package's wire structs must carry json tags",
 	Run:  runModelIO,
 }
 
-// wireTagPackages are packages whose entire exported struct surface is
-// wire format: every exported struct is an HTTP request/response body,
-// so every exported field must pin its wire name with a json tag — the
-// same rename-safety argument as the Model closure, applied to the
-// serving API instead of the artifact file.
-var wireTagPackages = map[string]bool{
-	"api": true,
-}
-
 func runModelIO(pass *Pass) error {
-	if wireTagPackages[pass.Pkg.Name()] {
-		runWireTags(pass)
-	}
-	tn, ok := pass.Pkg.Scope().Lookup("Model").(*types.TypeName)
-	if !ok || tn.IsAlias() {
+	if pass.Pkg.Name() != "api" {
 		return nil
 	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	w := &modelWalker{pass: pass, root: tn, seen: map[*types.Named]bool{}}
-	w.visit(named)
-	return nil
-}
-
-// runWireTags checks every package-level exported struct of a wire-type
-// package: exported, non-embedded fields must carry a json tag.
-func runWireTags(pass *Pass) {
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -75,82 +44,5 @@ func runWireTags(pass *Pass) {
 				name, f.Name(), pass.Pkg.Name())
 		}
 	}
-}
-
-// modelWalker traverses the type closure of one Model declaration.
-type modelWalker struct {
-	pass *Pass
-	root *types.TypeName
-	seen map[*types.Named]bool
-}
-
-// visit descends through composite types until it reaches named structs,
-// checking each module-internal one exactly once. Traversal covers
-// unexported fields too: the facade embeds its options inside an
-// unexported detect.Model reference, and those still hit the wire.
-func (w *modelWalker) visit(t types.Type) {
-	switch t := t.(type) {
-	case *types.Pointer:
-		w.visit(t.Elem())
-	case *types.Slice:
-		w.visit(t.Elem())
-	case *types.Array:
-		w.visit(t.Elem())
-	case *types.Map:
-		w.visit(t.Key())
-		w.visit(t.Elem())
-	case *types.Named:
-		if w.seen[t] || !w.inModule(t) {
-			return
-		}
-		w.seen[t] = true
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return
-		}
-		w.checkStruct(t, st)
-		for i := 0; i < st.NumFields(); i++ {
-			w.visit(st.Field(i).Type())
-		}
-	}
-}
-
-// inModule reports whether the named type is declared in this module
-// (its serialization is ours to pin). With Module unset (golden tests)
-// only the package under analysis qualifies.
-func (w *modelWalker) inModule(named *types.Named) bool {
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
-	}
-	if pkg == w.pass.Pkg {
-		return true
-	}
-	m := w.pass.Module
-	return m != "" && (pkg.Path() == m || strings.HasPrefix(pkg.Path(), m+"/"))
-}
-
-// checkStruct reports exported, non-embedded fields without a json tag.
-// Embedded fields are exempt — encoding/json inlines them, and their own
-// fields are checked when the walker reaches the embedded type. Findings
-// in the analyzed package anchor to the field; findings in an imported
-// package anchor to the Model declaration that reaches them, so the
-// diagnostic (and any ignore directive) stays in the package being
-// linted.
-func (w *modelWalker) checkStruct(named *types.Named, st *types.Struct) {
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() || f.Embedded() {
-			continue
-		}
-		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
-			continue
-		}
-		pos := f.Pos()
-		if f.Pkg() != w.pass.Pkg {
-			pos = w.root.Pos()
-		}
-		w.pass.Report(pos, "exported field %s.%s is serialized via %s.Model but has no json tag; untagged fields pin the wire name to the Go identifier, so a rename corrupts saved artifacts",
-			named.Obj().Name(), f.Name(), w.pass.Pkg.Name())
-	}
+	return nil
 }

@@ -1,7 +1,5 @@
 package analysis
 
-import "fmt"
-
 // All returns every registered analyzer, in stable output order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -11,34 +9,11 @@ func All() []*Analyzer {
 		DimCheck,
 		ErrCheck,
 		FloatCmp,
-		FrameWire,
 		GlobalRand,
-		GoroutineLeak,
 		IgnoreAudit,
 		LockSmell,
 		MetricName,
 		ModelIO,
 		Units,
 	}
-}
-
-// ByName resolves a comma-separated-friendly analyzer name.
-func ByName(name string) (*Analyzer, error) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("analysis: unknown analyzer %q", name)
-}
-
-// KnownAnalyzer reports whether name is a registered analyzer or the
-// "all" wildcard — the validity check ignoreaudit applies to ignore
-// directives.
-func KnownAnalyzer(name string) bool {
-	if name == "all" {
-		return true
-	}
-	_, err := ByName(name)
-	return err == nil
 }

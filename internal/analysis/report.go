@@ -11,7 +11,6 @@ import (
 // across machines and usable as CI artifacts.
 type Finding struct {
 	Analyzer   string `json:"analyzer"`
-	Severity   string `json:"severity"`
 	File       string `json:"file"`
 	Line       int    `json:"line"`
 	Col        int    `json:"col"`
@@ -24,9 +23,8 @@ type Finding struct {
 // AnalyzerInfo describes one analyzer in the report header and the
 // gridlint -list output.
 type AnalyzerInfo struct {
-	Name     string `json:"name"`
-	Severity string `json:"severity"`
-	Doc      string `json:"doc"`
+	Name string `json:"name"`
+	Doc  string `json:"doc"`
 }
 
 // Report is the complete machine-readable result of one gridlint run.
@@ -37,21 +35,16 @@ type Report struct {
 	// Findings holds every diagnostic, suppressed ones included, in
 	// stable (file, line, col, analyzer) order.
 	Findings []Finding `json:"findings"`
-	// Errors counts unsuppressed error-severity findings — the number
-	// that decides the exit status.
+	// Errors counts unsuppressed findings — the number that decides the
+	// exit status.
 	Errors int `json:"errors"`
-	// Warnings counts unsuppressed warn-severity findings.
-	Warnings int `json:"warnings"`
-	// CacheHits counts packages whose findings were served from the
-	// file-hash result cache rather than re-analyzed.
-	CacheHits int `json:"cache_hits"`
 }
 
 // Describe lists the given analyzers as report/-list metadata.
 func Describe(analyzers []*Analyzer) []AnalyzerInfo {
 	out := make([]AnalyzerInfo, 0, len(analyzers))
 	for _, a := range analyzers {
-		out = append(out, AnalyzerInfo{Name: a.Name, Severity: a.severity(), Doc: a.Doc})
+		out = append(out, AnalyzerInfo{Name: a.Name, Doc: a.Doc})
 	}
 	return out
 }
@@ -66,7 +59,6 @@ func findingOf(d Diagnostic, root string) Finding {
 	}
 	return Finding{
 		Analyzer:     d.Analyzer,
-		Severity:     d.Severity,
 		File:         filepath.ToSlash(file),
 		Line:         d.Pos.Line,
 		Col:          d.Pos.Column,
@@ -76,7 +68,8 @@ func findingOf(d Diagnostic, root string) Finding {
 	}
 }
 
-// sortFindings orders findings the same way diagnostics are ordered.
+// sortFindings orders findings by file, line, column, analyzer and
+// message, so a report does not depend on the order analyzers ran in.
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -89,23 +82,11 @@ func sortFindings(fs []Finding) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
-}
-
-// tally recomputes the report's error/warning counts from its findings.
-func (r *Report) tally() {
-	r.Errors, r.Warnings = 0, 0
-	for _, f := range r.Findings {
-		if f.Suppressed {
-			continue
-		}
-		if f.Severity == SeverityWarn {
-			r.Warnings++
-		} else {
-			r.Errors++
-		}
-	}
 }
 
 // MarshalIndent renders the report as stable, human-diffable JSON.

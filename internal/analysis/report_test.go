@@ -11,17 +11,10 @@ import (
 // reportFixture runs a fixed analyzer set over two testdata packages —
 // one with matching ignore directives (suppress), one with plain
 // findings (units) — and returns the report.
-func reportFixture(t *testing.T, cachePath string) *Report {
+func reportFixture(t *testing.T) *Report {
 	t.Helper()
-	loader, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := []string{
-		filepath.Join("testdata", "src", "suppress"),
-		filepath.Join("testdata", "src", "units"),
-	}
-	rep, err := RunDirsReport(loader, []*Analyzer{FloatCmp, Units, IgnoreAudit}, dirs, cachePath)
+	rep, err := Run(".", []*Analyzer{FloatCmp, Units, IgnoreAudit},
+		"./testdata/src/suppress", "./testdata/src/units")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +27,7 @@ func reportFixture(t *testing.T, cachePath string) *Report {
 // with forward slashes, and suppressed findings are present with the
 // suppressing reason.
 func TestReportRoundTrip(t *testing.T) {
-	rep := reportFixture(t, "")
+	rep := reportFixture(t)
 	if len(rep.Findings) == 0 {
 		t.Fatal("fixture produced no findings")
 	}
@@ -54,7 +47,7 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal("report does not survive a JSON round-trip")
 	}
 
-	again := reportFixture(t, "")
+	again := reportFixture(t)
 	data2, err := again.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
@@ -82,50 +75,14 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal("units fixture should contribute unsuppressed error findings")
 	}
 
-	// The tallies must agree with the findings they summarize.
-	errs, warns := 0, 0
+	// The tally must agree with the findings it summarizes.
+	errs := 0
 	for _, f := range rep.Findings {
-		if f.Suppressed {
-			continue
-		}
-		if f.Severity == SeverityWarn {
-			warns++
-		} else {
+		if !f.Suppressed {
 			errs++
 		}
 	}
-	if errs != rep.Errors || warns != rep.Warnings {
-		t.Fatalf("tally mismatch: report says %d/%d, findings say %d/%d",
-			rep.Errors, rep.Warnings, errs, warns)
-	}
-}
-
-// TestSeverityTiers pins the severity plumbing: analyzers default to
-// the error tier, an explicit warn-tier analyzer reports warn findings,
-// and warn findings count as warnings, not errors.
-func TestSeverityTiers(t *testing.T) {
-	for _, a := range All() {
-		if a.severity() != SeverityError {
-			t.Fatalf("analyzer %s has severity %s; every registered analyzer is error-tier", a.Name, a.severity())
-		}
-	}
-	w := &Analyzer{Name: "stylehint", Severity: SeverityWarn, Run: func(pass *Pass) error {
-		pass.Report(pass.Files[0].Pos(), "advisory only")
-		return nil
-	}}
-	loader, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunDirsReport(loader, []*Analyzer{w},
-		[]string{filepath.Join("testdata", "src", "units")}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || rep.Warnings != 1 {
-		t.Fatalf("warn-tier analyzer tallied as %d error(s), %d warning(s); want 0, 1", rep.Errors, rep.Warnings)
-	}
-	if rep.Findings[0].Severity != SeverityWarn {
-		t.Fatalf("finding severity = %q, want warn", rep.Findings[0].Severity)
+	if errs != rep.Errors {
+		t.Fatalf("tally mismatch: report says %d, findings say %d", rep.Errors, errs)
 	}
 }

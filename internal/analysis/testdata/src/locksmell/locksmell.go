@@ -8,18 +8,6 @@ type counter struct {
 	n  int
 }
 
-func byValue(c counter) int { // want `parameter c passes .*counter by value`
-	return c.n
-}
-
-func (c counter) read() int { // want `receiver c passes .*counter by value`
-	return c.n
-}
-
-func groupByValue(wg sync.WaitGroup) { // want `parameter wg passes sync.WaitGroup by value`
-	wg.Wait()
-}
-
 func (c *counter) bad() int {
 	c.mu.Lock() // want `c.mu.Lock\(\) is released by a plain c.mu.Unlock\(\)`
 	n := c.n
@@ -28,12 +16,6 @@ func (c *counter) bad() int {
 }
 
 func (c *counter) good() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func pointerParam(c *counter) int { // pointers share the lock: not a finding
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n

@@ -18,11 +18,8 @@ const (
 	goodGauge   = "pmu_queue_depth"
 	goodHist    = "pmu_stage_seconds"
 	goodFunc    = "pmu_largest_batch"
-	badCase     = "PMU_Shouty_Total"
-	dupName     = "pmu_dup_total"
 	spreadName  = "pmu_spread_total"
 	labelShard  = "shard"
-	labelCamel  = "shardName"
 )
 
 func register(r *Registry, c *Counter, labels []string) {
@@ -39,38 +36,25 @@ func register(r *Registry, c *Counter, labels []string) {
 	const local = "pmu_local_total"
 	r.Counter(local, "local consts are invisible to grep at the top of the file") // want `metric name constant local must be declared at package level`
 
-	r.Gauge(badCase, "names must be snake_case") // want `metric name "PMU_Shouty_Total" \(const badCase\) is not snake_case`
-
-	r.Counter(dupName, "first registration is fine", labelShard, "east")
-	r.Counter(dupName, "second call site is the smell") // want `metric "pmu_dup_total" is registered at more than one call site`
-
-	r.Gauge(goodGauge, "label keys must be consts too", "shard", "east")        // want `label key must be a package-level named constant, not a string literal`
-	r.Histogram(goodHist2, "label keys must be snake_case", labelCamel, "east") // want `label key "shardName" \(const labelCamel\) is not snake_case`
+	r.Gauge(goodGauge, "label keys must be consts too", "shard", "east") // want `label key must be a package-level named constant, not a string literal`
 }
-
-const goodHist2 = "pmu_other_seconds"
 
 // Tracer mimics the internal/obs span surface: stage names feed the
 // per-stage SLO rows, so StartSpan/RecordSpan stage arguments get the
-// same const + snake_case rules (but no single-call-site rule — a
-// stage is started from wherever it runs).
+// same const rule.
 type Tracer struct{}
 
 func (t *Tracer) StartSpan(ctx any, stage string) (any, any)       { return ctx, nil }
 func (t *Tracer) RecordSpan(ctx any, stage string, start, end int) {}
 
-const (
-	stageGood  = "detect"
-	stageCamel = "proxyHop"
-)
+const stageGood = "detect"
 
 func spans(tr *Tracer, ctx any) {
 	_, _ = tr.StartSpan(ctx, stageGood)
 	tr.RecordSpan(ctx, stageGood, 0, 0) // fine: stages may repeat across call sites
 	tr.RecordSpan(ctx, stageGood, 0, 0)
 
-	_, _ = tr.StartSpan(ctx, "queue")    // want `span stage must be a package-level named constant, not a string literal`
-	tr.RecordSpan(ctx, stageCamel, 0, 0) // want `span stage "proxyHop" \(const stageCamel\) is not snake_case`
+	_, _ = tr.StartSpan(ctx, "queue") // want `span stage must be a package-level named constant, not a string literal`
 }
 
 // notATracer proves the stage check keys on the receiver type too.

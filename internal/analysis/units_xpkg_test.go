@@ -51,15 +51,11 @@ func Mixup(p *a.Phasor, deg float64) float64 {
 	return a.Wrap(deg) // deg into a rad parameter
 }
 `)
-	loader, err := NewLoader(mod)
+	pkgs, err := Load(mod, "./b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join(mod, "b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunPackage([]*Analyzer{Units}, pkg, "tmpunits")
+	diags, err := RunPackage([]*Analyzer{Units}, pkgs[0], "tmpunits")
 	if err != nil {
 		t.Fatal(err)
 	}

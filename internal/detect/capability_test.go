@@ -141,25 +141,54 @@ func TestCaseCapabilityEmptySets(t *testing.T) {
 	}
 }
 
+// TestLearnCapabilitiesShapeAndRange checks that Eq. 6–7's
+// capabilities form an N×N matrix with every entry in [0, 1], on each
+// grid's DC data and on ieee14's AC data.
 func TestLearnCapabilitiesShapeAndRange(t *testing.T) {
-	d := ieee14Data(t, 10)
-	caps, err := LearnCapabilities(d, 1.1, false)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		name string
+		data func(t *testing.T) *dataset.Data
+	}{
+		{"ieee14-ac", func(t *testing.T) *dataset.Data { return ieee14Data(t, 10) }},
+		{"ieee14", dcData(cases.IEEE14)},
+		{"ieee30", dcData(cases.IEEE30)},
+		{"ieee57", dcData(cases.IEEE57)},
+		{"ieee118", dcData(cases.IEEE118)},
 	}
-	n := d.G.N()
-	if len(caps.P) != n || len(caps.Ellipses) != n {
-		t.Fatal("capability matrix shape wrong")
-	}
-	for i := 0; i < n; i++ {
-		if len(caps.P[i]) != n {
-			t.Fatalf("row %d has %d entries", i, len(caps.P[i]))
-		}
-		for k := 0; k < n; k++ {
-			if caps.P[i][k] < 0 || caps.P[i][k] > 1 {
-				t.Fatalf("P[%d][%d] = %v out of [0,1]", i, k, caps.P[i][k])
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			d := in.data(t)
+			caps, err := LearnCapabilities(d, 1.1, false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			n := d.G.N()
+			if len(caps.P) != n || len(caps.Ellipses) != n {
+				t.Fatal("capability matrix shape wrong")
+			}
+			for i := 0; i < n; i++ {
+				if len(caps.P[i]) != n {
+					t.Fatalf("row %d has %d entries", i, len(caps.P[i]))
+				}
+				for k := 0; k < n; k++ {
+					if caps.P[i][k] < 0 || caps.P[i][k] > 1 {
+						t.Fatalf("P[%d][%d] = %v out of [0,1]", i, k, caps.P[i][k])
+					}
+				}
+			}
+		})
+	}
+}
+
+// dcData generates 10 steps of DC data on the grid, seed 7.
+func dcData(build func() *grid.Grid) func(t *testing.T) *dataset.Data {
+	return func(t *testing.T) *dataset.Data {
+		t.Helper()
+		d, err := dataset.Generate(build(), dataset.GenConfig{Steps: 10, Seed: 7, UseDC: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
 }
 

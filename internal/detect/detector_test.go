@@ -241,16 +241,6 @@ func TestDetectAccessors(t *testing.T) {
 	}
 }
 
-func TestGroupSelect(t *testing.T) {
-	g := Group{InCluster: []int{1, 2}, OutCluster: []int{7, 8}}
-	if got := g.Select(false); got[0] != 1 {
-		t.Fatal("intact cluster must use in-cluster members")
-	}
-	if got := g.Select(true); got[0] != 7 {
-		t.Fatal("missing cluster must use out-of-cluster members")
-	}
-}
-
 func TestBuildGroupsMixZeroNeedsLoadings(t *testing.T) {
 	g := cases.IEEE14()
 	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 6, Seed: 2, UseDC: true})

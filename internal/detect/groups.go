@@ -12,21 +12,12 @@ import (
 )
 
 // Group is one cluster's detection group: the in-cluster members
-// D_C(C) used when the cluster's data are intact, and the out-of-cluster
-// alternative D_C(C̄) used when any cluster measurement is missing
-// (Eqs. 8 and 10). Members are bus indices.
+// D_C(C) and the out-of-cluster alternates D_C(C̄) of Eqs. 8 and 10.
+// Detector.group serves their union less the masked members, which is
+// D_C(C̄) when the whole cluster is dark. Members are bus indices.
 type Group struct {
 	InCluster  []int `json:"in_cluster"`
 	OutCluster []int `json:"out_cluster"`
-}
-
-// Select implements Eq. (10): pick the out-of-cluster members when any
-// in-cluster measurement is missing, otherwise the in-cluster members.
-func (g *Group) Select(clusterMissing bool) []int {
-	if clusterMissing {
-		return g.OutCluster
-	}
-	return g.InCluster
 }
 
 // GroupConfig tunes detection-group formation.

