@@ -32,8 +32,11 @@ lint:
 test:
 	$(GO) test ./...
 
+# The slowest package under -race, internal/powerflow, takes 52-59 s on
+# a 2-vCPU VM; the explicit timeout, about three times that, fails a
+# hung test in minutes rather than after go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 3m ./...
 
 # Fuzz the decode surfaces for FUZZTIME each: model artifacts (a forged
 # artifact is re-sealed so the structural checks, not the fingerprint,
@@ -41,8 +44,9 @@ race:
 # they patch, so the shape checks and the patched model's validation
 # must stop them, and an applied patch must boot and detect), binary
 # wire frames, trace headers, and the data-plane request bodies
-# (/v1/detect JSON and binary /v1/ingest frames against an ieee14
-# service: no panic, no 5xx, every 200 body decodes), and the
+# (/v1/detect JSON, binary /v1/ingest frames and binary /v1/detect
+# bodies against an ieee14 service: no panic, no 5xx, every 200 body
+# decodes), and the
 # proximity rule on raw float64 score bits, NaN payloads included,
 # against its stable-sort oracle, and the packed residual kernel on raw
 # float64 vector bits against its portable Go pass. Go fuzzes one target
@@ -92,10 +96,11 @@ bench-serve-smoke:
 # Smoke harness: cmd/outagesoak runs the scenario table of
 # internal/harness. Every row boots an in-process fleet, drives it over
 # real HTTP, and checks its own assertions:
-#   serve  ieee14 on one backend: detect byte-identical to the library,
-#          retrain reload (generation +1, same fingerprint), binary
-#          ingest, X-Trace-Id echo, /metrics counters and monotone
-#          buckets, clean graceful shutdown;
+#   serve  ieee14 on one backend: detect byte-identical to the library
+#          over the client's frames and one JSON body, retrain reload
+#          (generation +1, same fingerprint), binary ingest, X-Trace-Id
+#          echo, /metrics counters and monotone buckets, clean graceful
+#          shutdown;
 #   scale  the serve checks on synth300, over the sparse power flow;
 #   fleet  registry, two primaries booted by fingerprint, a full-shadow
 #          canary, a primary killed mid-stream with zero dropped

@@ -9,7 +9,7 @@
 // encoded field names).
 //
 // Every exported struct field carries an explicit json tag (enforced by
-// the gridlint modelio analyzer): the wire name is pinned to the tag,
+// the gridlint wiretags analyzer): the wire name is pinned to the tag,
 // never to the Go identifier, so renaming a field in code cannot
 // silently break deployed clients.
 package api
@@ -17,12 +17,20 @@ package api
 import "pmuoutage"
 
 // MaxBodyBytes bounds every request body the serving tier reads. The
-// router refuses a larger proxied body and a backend a larger JSON
-// body, both with CodeTooLarge, so a backend accepts anything the
-// router forwards.
+// router refuses a larger proxied body and a backend a larger JSON or
+// frame body, all with CodeTooLarge, so a backend accepts anything
+// the router forwards.
 const MaxBodyBytes = 64 << 20
 
-// DetectRequest is the body of POST /v1/detect.
+// FrameContentType marks a binary POST /v1/detect or /v1/ingest body:
+// internal/wire frames back to back, one per sample (ingest reads the
+// first), with the shard named by the ?shard= query parameter. Both
+// routes answer with the same JSON response as their JSON bodies.
+const FrameContentType = "application/x-pmu-frame"
+
+// DetectRequest is the JSON body of POST /v1/detect. (Binary-mode
+// detect posts one encoded wire frame per sample instead; see
+// FrameContentType.)
 type DetectRequest struct {
 	Shard   string             `json:"shard"`
 	Samples []pmuoutage.Sample `json:"samples"`
@@ -36,7 +44,7 @@ type DetectResponse struct {
 }
 
 // IngestRequest is the JSON body of POST /v1/ingest. (Binary-mode
-// ingest posts one encoded wire frame instead; see internal/httpserve.)
+// ingest posts one encoded wire frame instead; see FrameContentType.)
 type IngestRequest struct {
 	Shard  string           `json:"shard"`
 	Sample pmuoutage.Sample `json:"sample"`

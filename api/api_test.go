@@ -63,6 +63,18 @@ func TestWireFieldNames(t *testing.T) {
 			ModelInfo{Fingerprint: "abc", Case: "ieee14", FormatVersion: 1, Bytes: 42},
 			`{"fingerprint":"abc","case":"ieee14","format_version":1,"bytes":42}`,
 		},
+		{
+			"BackendStatus",
+			BackendStatus{URL: "http://b1", Healthy: true, Ejections: 2, InFlight: 3, QueueDepth: 4, LastError: "probe", Shards: []ShardStatus{{Name: "east"}}},
+			`{"url":"http://b1","healthy":true,"ejections":2,"in_flight":3,"queue_depth":4,"last_error":"probe","shards":[{"name":"east","case":"","state":"","restarts":0,"queue_depth":0,"generation":0}]}`,
+		},
+		{
+			// The binary body's media type is wire contract too: the
+			// server picks the frame decoder by it.
+			"FrameContentType",
+			FrameContentType,
+			`"application/x-pmu-frame"`,
+		},
 	}
 	for _, c := range cases {
 		got, err := json.Marshal(c.v)

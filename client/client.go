@@ -1,6 +1,9 @@
 // Package client is the Go client for the outaged detection daemon
-// (cmd/outaged) and the outagerouter front-end: JSON over HTTP with
-// bounded, deterministic retries.
+// (cmd/outaged) and the outagerouter front-end: HTTP with bounded,
+// deterministic retries. Detect posts its samples as binary wire
+// frames (api.FrameContentType, the internal/wire codec) when every
+// sample has a frame form, and as JSON otherwise; every other body the
+// client builds, and every response it decodes, is JSON.
 //
 // Transient conditions — transport errors and responses whose error
 // envelope carries a retryable code (overloaded, unavailable; for
@@ -25,6 +28,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -32,6 +36,7 @@ import (
 	"pmuoutage"
 	"pmuoutage/api"
 	"pmuoutage/internal/obs"
+	"pmuoutage/internal/wire"
 )
 
 // Typed errors of the client. Everything the client itself mints wraps
@@ -114,12 +119,64 @@ type ReloadResult = api.ReloadResult
 // Detect classifies samples on the named shard and returns one report
 // per sample, in order — exactly what the shard's System.DetectBatch
 // returns. Overload and not-ready conditions are retried.
+//
+// The samples go as one wire frame each when every one fits a frame:
+// 1 to wire.MaxBuses buses, as many angles as magnitudes, and every
+// missing index in range. Otherwise, and for an empty batch, they go as
+// the JSON body, so the server names a malformed sample's defect as it
+// always has. Non-finite values, which JSON cannot carry, reach the
+// server in frames and come back as bad_sample.
 func (c *Client) Detect(ctx context.Context, shard string, samples []pmuoutage.Sample) ([]*pmuoutage.Report, error) {
 	var out api.DetectResponse
-	if err := c.postJSON(ctx, "/v1/detect", api.DetectRequest{Shard: shard, Samples: samples}, &out); err != nil {
+	var err error
+	if body, ok := encodeFrames(samples); ok {
+		err = c.post(ctx, "/v1/detect?shard="+url.QueryEscape(shard), api.FrameContentType, body, &out)
+	} else {
+		err = c.postJSON(ctx, "/v1/detect", api.DetectRequest{Shard: shard, Samples: samples}, &out)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out.Reports, nil
+}
+
+// encodeFrames encodes samples as concatenated wire frames, sequence
+// numbers counting from 0, or reports false when the batch is empty or
+// some sample has no frame form.
+func encodeFrames(samples []pmuoutage.Sample) ([]byte, bool) {
+	if len(samples) == 0 {
+		return nil, false
+	}
+	size := 0
+	for _, s := range samples {
+		n := len(s.Vm)
+		if n == 0 || n > wire.MaxBuses || len(s.Va) != n {
+			return nil, false
+		}
+		for _, i := range s.Missing {
+			if i < 0 || i >= n {
+				return nil, false
+			}
+		}
+		size += wire.EncodedSize(n, len(s.Missing) > 0)
+	}
+	f := wire.GetFrame()
+	defer wire.PutFrame(f)
+	body := make([]byte, 0, size)
+	for k, s := range samples {
+		f.Reset(len(s.Vm))
+		f.Seq = uint32(k)
+		copy(f.Vm, s.Vm)
+		copy(f.Va, s.Va)
+		for _, i := range s.Missing {
+			f.MarkMissing(i)
+		}
+		var err error
+		if body, err = wire.AppendFrame(body, f); err != nil {
+			return nil, false
+		}
+	}
+	return body, true
 }
 
 // Reload hot-swaps the named shard's model: onto the artifact at path
@@ -187,19 +244,24 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// postJSON marshals the body once and runs the retry loop over a JSON
-// round trip.
+// postJSON marshals the body once and posts it.
 func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("%w: encoding body: %v", ErrConfig, err)
 	}
-	raw, err := c.do(ctx, http.MethodPost, path, "application/json", payload)
+	return c.post(ctx, path, "application/json", payload, out)
+}
+
+// post runs the retry loop over one POST of payload and decodes the
+// JSON response into out.
+func (c *Client) post(ctx context.Context, pathAndQuery, contentType string, payload []byte, out any) error {
+	raw, err := c.do(ctx, http.MethodPost, pathAndQuery, contentType, payload)
 	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(raw.Body, out); err != nil {
-		return fmt.Errorf("%w: decoding %s response: %v", ErrRequest, path, err)
+		return fmt.Errorf("%w: decoding %s response: %v", ErrRequest, pathAndQuery, err)
 	}
 	return nil
 }

@@ -4,15 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmuoutage"
 	"pmuoutage/api"
+	"pmuoutage/internal/wire"
 )
 
 // writeJSON and jsonDecode are tiny test-server helpers.
@@ -54,14 +57,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestDetectSuccess: a plain 200 round trip decodes the reports and
-// sends the expected request body.
+// sends the expected shard and samples.
 func TestDetectSuccess(t *testing.T) {
 	var gotBody api.DetectRequest
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/detect" || r.Method != http.MethodPost {
 			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
 		}
-		decodeInto(t, r, &gotBody)
+		gotBody = decodeDetect(t, r)
 		writeJSON(w, http.StatusOK, api.DetectResponse{Shard: gotBody.Shard, Reports: []*pmuoutage.Report{{Outage: true}}})
 	}))
 	defer ts.Close()
@@ -206,6 +209,38 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", in, got, want)
 		}
 	}
+}
+
+// decodeDetect reads a detect request in either transport: binary wire
+// frames with the shard in ?shard=, or the JSON body.
+func decodeDetect(t *testing.T, r *http.Request) api.DetectRequest {
+	t.Helper()
+	if r.Header.Get("Content-Type") != api.FrameContentType {
+		var req api.DetectRequest
+		decodeInto(t, r, &req)
+		return req
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.DetectRequest{Shard: r.URL.Query().Get("shard")}
+	var f wire.Frame
+	for off := 0; off < len(body); {
+		n, err := wire.DecodeFrame(body[off:], &f)
+		if err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		}
+		off += n
+		s := pmuoutage.Sample{Vm: slices.Clone(f.Vm), Va: slices.Clone(f.Va)}
+		for i := 0; i < f.N(); i++ {
+			if f.IsMissing(i) {
+				s.Missing = append(s.Missing, i)
+			}
+		}
+		req.Samples = append(req.Samples, s)
+	}
+	return req
 }
 
 func decodeInto(t *testing.T, r *http.Request, v any) {

@@ -1,4 +1,4 @@
-// Command outaged serves power-line outage detection over JSON/HTTP.
+// Command outaged serves power-line outage detection over HTTP.
 //
 // It fronts internal/service: a sharded pool of trained detection
 // systems (one per grid case / region) with request coalescing, bounded
@@ -12,6 +12,10 @@
 //	GET  /v1/shards  per-shard state (training/ready/failed), restarts
 //	GET  /v1/stats   per-shard counters: requests, batches, shed, latency
 //	GET  /healthz    200 once at least one shard serves, else 503
+//
+// Detect and ingest also take a binary body, Content-Type
+// application/x-pmu-frame with the shard in ?shard=: one internal/wire
+// frame per sample (detect) or one frame (ingest). Every answer is JSON.
 //
 // Typed service errors map onto HTTP statuses (unknown shard 404, bad
 // sample 400, overloaded 429, unavailable 503, deadline 504); retryable

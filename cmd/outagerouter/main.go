@@ -7,7 +7,9 @@
 // Endpoints:
 //
 //	POST /v1/detect         proxied byte-identically to a primary backend
-//	POST /v1/ingest         same, JSON or binary frames (query preserved)
+//	                        (and shadowed to a canary), JSON or binary
+//	                        frames, query preserved
+//	POST /v1/ingest         same, JSON or binary frames, not shadowed
 //	POST /v1/reload         broadcast a reload to every primary backend
 //	GET  /v1/backends       fleet view: health, ejections, load, shards
 //	GET  /v1/fleet          aggregated fleet health: scraped per-backend

@@ -27,7 +27,7 @@ var goldenDirs = map[string]string{
 	"locksmell":   "locksmell",
 	"metricname":  "metricname",
 	"dimcheck":    "dimcheck",
-	"modeliowire": "modelio",
+	"wiretags":    "wiretags",
 	"suppress":    "floatcmp",
 	"units":       "units",
 	"allocfree":   "allocfree",

@@ -13,7 +13,7 @@ func All() []*Analyzer {
 		IgnoreAudit,
 		LockSmell,
 		MetricName,
-		ModelIO,
 		Units,
+		WireTags,
 	}
 }

@@ -123,11 +123,20 @@ type Model struct {
 
 // Snapshot extracts the trained state of the detector as a sealed
 // Model. The snapshot shares the detector's numeric payload (both are
-// immutable after training); bases are copied into wire form.
+// immutable after training); bases are copied into wire form. It is
+// SnapshotWith(nil).
 func (det *Detector) Snapshot() (*Model, error) {
+	return det.SnapshotWith(nil)
+}
+
+// SnapshotWith is Snapshot with extra attached as the model's Extra
+// before it is sealed, so an embedding layer's metadata costs no
+// second seal.
+func (det *Detector) SnapshotWith(extra json.RawMessage) (*Model, error) {
 	n := det.g.N()
 	m := &Model{
 		FormatVersion:     ModelVersion,
+		Extra:             extra,
 		Config:            det.cfg,
 		Grid:              det.g,
 		Clusters:          det.nw.Clusters,
@@ -164,7 +173,8 @@ func (det *Detector) Snapshot() (*Model, error) {
 }
 
 // Seal stamps the model's fingerprint from its current content. Layers
-// that attach Extra metadata after Snapshot must re-Seal.
+// that change a model after Snapshot must re-Seal; metadata known at
+// snapshot time goes in through SnapshotWith instead.
 func (m *Model) Seal() error {
 	fp, err := m.ComputeFingerprint()
 	if err != nil {

@@ -4,7 +4,8 @@
 // router) and a table of rows that drive it over real HTTP, each
 // checking its own assertions:
 //
-//	serve  ieee14 on one backend: detect, reload, ingest, trace, metrics
+//	serve  ieee14 on one backend: detect (binary and JSON bodies),
+//	       reload, ingest, trace, metrics
 //	scale  the serve checks on synth300 (sparse power flow)
 //	fleet  registry, router, canary, a kill mid-stream, promotion
 //	soak   a traced fleet under traffic and churn; SOAK_report.json
@@ -116,7 +117,7 @@ func postFrame(ctx context.Context, cl *client.Client, seq uint32, s pmuoutage.S
 	if err != nil {
 		return nil, err
 	}
-	return cl.PostRaw(ctx, "/v1/ingest?shard="+Shard, httpserve.FrameContentType, enc)
+	return cl.PostRaw(ctx, "/v1/ingest?shard="+Shard, api.FrameContentType, enc)
 }
 
 // truth is a known-outage workload, two samples of an outage on the
@@ -151,6 +152,16 @@ func (t *truth) check(ctx context.Context, cl *client.Client) error {
 		return fmt.Errorf("detect on line %d reported no outage", t.line)
 	}
 	return nil
+}
+
+// checkJSON is check over one JSON detect body, the transport of
+// non-Go callers, where the client sends wire frames.
+func (t *truth) checkJSON(ctx context.Context, cl *client.Client) error {
+	var resp api.DetectResponse
+	if err := call(ctx, cl, "/v1/detect", api.DetectRequest{Shard: Shard, Samples: t.samples}, &resp); err != nil {
+		return err
+	}
+	return httpserve.CompareReports(resp.Reports, t.want)
 }
 
 // classify scores an answer: correct when an outage report names the

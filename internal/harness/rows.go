@@ -17,9 +17,10 @@ import (
 
 // serveRow boots one backend that trains caseName itself and checks
 // the single-backend contract over real HTTP: detect byte-identical to
-// the library, a retrain reload that bumps the generation and keeps
-// answers byte-identical, binary ingest, trace echo, /metrics, and a
-// clean graceful shutdown.
+// the library over both bodies (the client's wire frames and one JSON
+// body), a retrain reload that bumps the generation and keeps answers
+// byte-identical, binary ingest, trace echo, /metrics, and a clean
+// graceful shutdown.
 func serveRow(ctx context.Context, caseName string, steps int) error {
 	var f Fleet
 	defer f.Close()
@@ -37,6 +38,9 @@ func serveRow(ctx context.Context, caseName string, steps int) error {
 	}
 	if err := tr.check(ctx, b.Cli); err != nil {
 		return err
+	}
+	if err := tr.checkJSON(ctx, b.Cli); err != nil {
+		return fmt.Errorf("JSON detect body: %w", err)
 	}
 
 	// A retrain under the same recipe yields the same model: the

@@ -54,9 +54,9 @@ func serve(h http.Handler, target, contentType string, body []byte) *httptest.Re
 }
 
 // TestNonFiniteSampleBadRequest: a sample whose deviation energy is not
-// finite answers 400 bad_sample on /v1/detect (1e200, the one such
-// value JSON carries) and, frame after frame, on binary /v1/ingest
-// (NaN, +Inf and 1e200). It used to answer 200 with an empty body on
+// finite answers 400 bad_sample on JSON /v1/detect (1e200, the one such
+// value JSON carries), on binary /v1/detect and, frame after frame, on
+// binary /v1/ingest (NaN, +Inf and 1e200). It used to answer 200 with an empty body on
 // detect, and binary ingest confirmed an outage event on the third
 // frame.
 func TestNonFiniteSampleBadRequest(t *testing.T) {
@@ -83,13 +83,17 @@ func TestNonFiniteSampleBadRequest(t *testing.T) {
 				wantBadSample(t, serve(h, "/v1/ingest?shard=east", FrameContentType, encodeFrame(t, seq, withAngle(normal, v))))
 			}
 		})
+		t.Run(fmt.Sprint("detect frames ", v), func(t *testing.T) {
+			body := encodeFrames(t, []pmuoutage.Sample{normal, withAngle(normal, v)})
+			wantBadSample(t, serve(h, "/v1/detect?shard=east", FrameContentType, body))
+		})
 	}
 }
 
-// FuzzDataPlaneBodies sends /v1/detect JSON bodies (frame false) and
-// binary /v1/ingest frames (frame true) to an ieee14 service. Whatever
-// the body, the server must not panic or answer 5xx, and every 200
-// body must decode into its response type.
+// FuzzDataPlaneBodies sends /v1/detect JSON bodies (kind%3 == 0),
+// binary /v1/ingest frames (1) and binary /v1/detect bodies (2) to an
+// ieee14 service. Whatever the body, the server must not panic or
+// answer 5xx, and every 200 body must decode into its response type.
 func FuzzDataPlaneBodies(f *testing.F) {
 	h, normal := dataPlane(f)
 	valid, err := json.Marshal(DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{normal}})
@@ -100,13 +104,26 @@ func FuzzDataPlaneBodies(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(false, valid)
-	f.Add(false, huge)
-	f.Add(true, encodeFrame(f, 1, withAngle(normal, math.NaN())))
-	f.Fuzz(func(t *testing.T, frame bool, body []byte) {
+	f.Add(uint8(0), valid)
+	f.Add(uint8(0), huge)
+	f.Add(uint8(1), encodeFrame(f, 1, withAngle(normal, math.NaN())))
+	one := encodeFrame(f, 1, normal)
+	three := encodeFrames(f, []pmuoutage.Sample{normal, normal.WithMissing(1, 4), withAngle(normal, 0.5)})
+	nan := encodeFrame(f, 1, withAngle(normal, math.NaN()))
+	short := encodeFrame(f, 1, pmuoutage.Sample{Vm: normal.Vm[1:], Va: normal.Va[1:]})
+	// Binary detect: zero frames, three frames, the last of them
+	// truncated, bytes after a frame, a NaN frame, and a frame for the
+	// wrong bus count.
+	for _, body := range [][]byte{nil, three, three[:len(three)-5], append(one, 0xAA, 0x31, 0x00), nan, short} {
+		f.Add(uint8(2), body)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		target, contentType, out := "/v1/detect", "application/json", any(new(DetectResponse))
-		if frame {
+		switch kind % 3 {
+		case 1:
 			target, contentType, out = "/v1/ingest?shard=east", FrameContentType, new(IngestResponse)
+		case 2:
+			target, contentType = "/v1/detect?shard=east", FrameContentType
 		}
 		rec := serve(h, target, contentType, body)
 		if rec.Code >= 500 {

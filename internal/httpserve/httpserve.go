@@ -1,11 +1,13 @@
 // Package httpserve adapts the service layer to HTTP. Control-plane
-// calls (detect, reload, shards, stats, health) speak JSON; streaming
-// ingest speaks either JSON or the compact binary frame codec from
-// internal/wire — POST /v1/ingest with Content-Type
-// application/x-pmu-frame and ?shard= carries one encoded frame and
-// skips the JSON hop entirely. Both transports land on the same
-// service.Ingest path, so detection events are byte-identical across
-// them (pinned by TestBinaryIngestMatchesJSON).
+// calls (reload, shards, stats, health) speak JSON; the data plane,
+// detect and ingest, speaks either JSON or the compact binary frame
+// codec from internal/wire — a POST with Content-Type
+// api.FrameContentType and ?shard= carries encoded frames (one per
+// sample on /v1/detect, one on /v1/ingest) and skips the JSON decode
+// entirely. Both transports land on the same service.DetectBatch and
+// service.Ingest calls and answer the same JSON responses, so reports
+// and events are byte-identical across them (pinned by
+// TestBinaryDetectMatchesJSON and TestBinaryIngestMatchesJSON).
 //
 // The package exists so cmd/outaged, cmd/benchserve, and tests share
 // one handler implementation instead of re-wiring routes per binary.
@@ -18,7 +20,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -34,10 +35,9 @@ import (
 	"pmuoutage/internal/wire"
 )
 
-// FrameContentType marks a POST /v1/ingest body as one binary wire
-// frame (internal/wire layout); the shard is named by the ?shard=
-// query parameter.
-const FrameContentType = "application/x-pmu-frame"
+// FrameContentType is api.FrameContentType, kept under this package's
+// name for callers that still use it.
+const FrameContentType = api.FrameContentType
 
 // HTTP-layer metric names, registered on the service's registry so one
 // /metrics page carries both views. Package-level snake_case consts
@@ -109,7 +109,7 @@ func New(svc *service.Service, timeout time.Duration, logger *slog.Logger) *Serv
 		s.httpErrs[p] = reg.Counter(metricHTTPErrors, "HTTP requests answered with status >= 400", labelPath, p)
 		s.httpLat[p] = reg.Histogram(metricHTTPSeconds, "request latency, ingress to last byte", labelPath, p)
 	}
-	s.frameDecode = reg.Histogram(metricFrameDecode, "binary ingest frame decode latency")
+	s.frameDecode = reg.Histogram(metricFrameDecode, "binary detect and ingest frame decode latency, per frame")
 	if tr := svc.Tracer(); tr != nil {
 		reg.AttachCounter(metricTracesKept, "traces retained by tail sampling", tr.KeptCounter())
 		reg.AttachCounter(metricTracesDropped, "traces dropped by tail sampling", tr.DroppedCounter())
@@ -214,7 +214,7 @@ func DebugMux() *http.ServeMux {
 // package's identifiers working while guaranteeing there is exactly one
 // definition of each body.
 type (
-	// DetectRequest is the body of POST /v1/detect.
+	// DetectRequest is the JSON body of POST /v1/detect.
 	DetectRequest = api.DetectRequest
 	// DetectResponse is its reply: one report per sample, in order.
 	DetectResponse = api.DetectResponse
@@ -234,7 +234,14 @@ type (
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req DetectRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	var err error
+	if isFrameBody(r) {
+		req.Shard = r.URL.Query().Get("shard")
+		req.Samples, err = s.frameSamples(w, r)
+	} else {
+		err = decodeJSON(w, r, &req)
+	}
+	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -251,7 +258,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType) {
+	if isFrameBody(r) {
 		s.handleIngestFrame(w, r)
 		return
 	}
@@ -271,25 +278,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{Shard: req.Shard, Event: ev})
 }
 
-// handleIngestFrame is the binary ingest mode: the body is one encoded
-// wire frame, the shard comes from ?shard=. Decode reuses pooled
-// buffers and frames; the sample is scored synchronously on the same
-// monitor path as JSON ingest.
+// handleIngestFrame is the binary ingest mode: the body's first wire
+// frame is the sample (bytes after it are ignored), the shard comes
+// from ?shard=. The sample aliases the pooled frame and is scored
+// synchronously on the same monitor path as JSON ingest.
 func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 	shard := r.URL.Query().Get("shard")
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, int64(wire.MaxFrameBytes)+1)); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: reading frame: %v", ErrBadRequest, err))
+	fr, err := s.readFrames(w, r)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	f := wire.GetFrame()
-	defer wire.PutFrame(f)
-	decStart := time.Now()
-	_, err := wire.DecodeFrame(buf.B, f)
-	s.frameDecode.Observe(time.Since(decStart))
+	defer fr.release()
+	f, err := fr.decode()
 	if err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		s.writeError(w, r, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -303,19 +306,138 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{Shard: shard, Event: ev})
 }
 
-// frameSample converts a decoded frame into a facade sample. The slices
-// are shared with the frame — safe because Ingest is synchronous and
-// the detector copies the channels it keeps.
+// frameSamples decodes a binary detect body into one sample per frame.
+func (s *Server) frameSamples(w http.ResponseWriter, r *http.Request) ([]pmuoutage.Sample, error) {
+	fr, err := s.readFrames(w, r)
+	if err != nil {
+		return nil, err
+	}
+	defer fr.release()
+	return fr.samples()
+}
+
+// frameSample converts a decoded frame into a facade sample whose
+// phasors alias the frame's — safe for Ingest, which is synchronous,
+// and the detector copies the channels it keeps.
 func frameSample(f *wire.Frame) pmuoutage.Sample {
-	s := pmuoutage.Sample{Vm: f.Vm, Va: f.Va}
+	return pmuoutage.Sample{Vm: f.Vm, Va: f.Va, Missing: appendMissing(nil, f)}
+}
+
+// ownedSample is frameSample with storage of its own: one allocation
+// for the phasors and, when the frame marks buses missing, one for
+// their indices.
+func ownedSample(f *wire.Frame) pmuoutage.Sample {
+	n := f.N()
+	v := make([]float64, 2*n)
+	copy(v, f.Vm)
+	copy(v[n:], f.Va)
+	s := pmuoutage.Sample{Vm: v[:n:n], Va: v[n:]}
+	if f.Flags&wire.FlagMissing != 0 {
+		k := 0
+		for i := 0; i < n; i++ {
+			if f.IsMissing(i) {
+				k++
+			}
+		}
+		s.Missing = appendMissing(make([]int, 0, k), f)
+	}
+	return s
+}
+
+// appendMissing appends the indices of the buses f marks missing.
+func appendMissing(dst []int, f *wire.Frame) []int {
 	if f.Flags&wire.FlagMissing != 0 {
 		for i := 0; i < f.N(); i++ {
 			if f.IsMissing(i) {
-				s.Missing = append(s.Missing, i)
+				dst = append(dst, i)
 			}
 		}
 	}
-	return s
+	return dst
+}
+
+// isFrameBody reports whether r carries binary wire frames.
+func isFrameBody(r *http.Request) bool {
+	return strings.HasPrefix(r.Header.Get("Content-Type"), api.FrameContentType)
+}
+
+// frameReader walks a binary request body, wire frames back to back,
+// read whole into a pooled buffer and decoded one at a time into one
+// pooled frame. It is the one frame decoder of binary detect and
+// binary ingest.
+type frameReader struct {
+	buf    *wire.Buffer
+	f      *wire.Frame
+	off    int            // start of the next frame in buf.B
+	timing *obs.Histogram // per-frame decode latency
+}
+
+// readFrames reads r's body, at most api.MaxBodyBytes, as the JSON
+// path does: a longer body fails with *http.MaxBytesError, 413
+// too_large. The caller releases the reader.
+func (s *Server) readFrames(w http.ResponseWriter, r *http.Request) (frameReader, error) {
+	buf := wire.GetBuffer()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)); err != nil {
+		wire.PutBuffer(buf)
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return frameReader{}, err
+		}
+		return frameReader{}, fmt.Errorf("%w: reading frames: %v", ErrBadRequest, err)
+	}
+	return frameReader{buf: buf, f: wire.GetFrame(), timing: s.frameDecode}, nil
+}
+
+// count is the number of frames the size fields chain through from the
+// read position to the end of the body, stopping at the first it cannot
+// read; decode checks every frame.
+func (fr *frameReader) count() int {
+	k := 0
+	for off := fr.off; off < len(fr.buf.B); k++ {
+		size, err := wire.FrameSize(fr.buf.B[off:])
+		if err != nil {
+			break
+		}
+		off += size
+	}
+	return k
+}
+
+// samples decodes every frame from the read position to the end of the
+// body into one sample each. Each sample owns its storage: a request
+// whose deadline passes returns while the shard may still read its
+// samples, so they cannot alias the pooled frame. An empty body gives
+// no samples, as an empty JSON batch does.
+func (fr *frameReader) samples() ([]pmuoutage.Sample, error) {
+	out := make([]pmuoutage.Sample, 0, fr.count())
+	for fr.off < len(fr.buf.B) {
+		f, err := fr.decode()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ownedSample(f))
+	}
+	return out, nil
+}
+
+// decode decodes the frame at the read position into the reader's
+// pooled frame, valid until the next decode or release, and times it
+// on the frame-decode histogram. A malformed or truncated frame is
+// ErrBadRequest.
+func (fr *frameReader) decode() (*wire.Frame, error) {
+	start := time.Now()
+	n, err := wire.DecodeFrame(fr.buf.B[fr.off:], fr.f)
+	fr.timing.Observe(time.Since(start))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	fr.off += n
+	return fr.f, nil
+}
+
+// release returns the buffer and frame to their pools.
+func (fr *frameReader) release() {
+	wire.PutFrame(fr.f)
+	wire.PutBuffer(fr.buf)
 }
 
 // SetModelSource wires a registry-backed artifact resolver into the

@@ -4,10 +4,12 @@
 // backend dies mid-stream, and runs canary/shadow evaluation of a
 // candidate model with a structured diff report gating promotion.
 //
-// The data plane is byte-transparent: request bodies are forwarded
-// verbatim and the chosen backend's response — status, Content-Type,
-// Retry-After, trace ID, body — is relayed byte-identically, so a
-// caller cannot distinguish the router from the backend it picked.
+// The data plane is byte-transparent: request bodies, JSON or binary
+// wire frames, are forwarded verbatim with their Content-Type and
+// query string, and the chosen backend's response — status,
+// Content-Type, Retry-After, trace ID, body — is relayed
+// byte-identically, so a caller cannot distinguish the router from the
+// backend it picked.
 // Wire types are the shared api package; the proxy primitive is
 // client.PostRaw (transport retries only, every HTTP response returned
 // whole).
@@ -474,14 +476,15 @@ func (r *Router) handleDetect(w http.ResponseWriter, req *http.Request) {
 	}
 	r.proxied[routeDetect].Inc()
 	r.differ.noteRequest()
-	raw, _, err := r.forward(req.Context(), r.primary, "/v1/detect", contentTypeOf(req), body)
+	path := withQuery("/v1/detect", req)
+	raw, _, err := r.forward(req.Context(), r.primary, path, contentTypeOf(req), body)
 	if err != nil {
 		r.writeError(w, req, api.CodeUnavailable, err)
 		return
 	}
 	if r.canary != nil && raw.Status == http.StatusOK && r.differ.selects() {
 		r.shadowed.Inc()
-		r.differ.shadow(req.Context(), r, "/v1/detect", contentTypeOf(req), body,
+		r.differ.shadow(req.Context(), r, path, contentTypeOf(req), body,
 			req.Header.Get(api.EvalScenarioHeader), req.Header.Get(api.EvalTruthHeader), raw)
 	}
 	relay(w, raw)
@@ -489,8 +492,7 @@ func (r *Router) handleDetect(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleIngest proxies both JSON and binary-frame ingest bodies
-// verbatim, preserving the query string (binary frames carry the shard
-// in ?shard=).
+// verbatim, as handleDetect does.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	body, err := readBody(req)
@@ -499,11 +501,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.proxied[routeIngest].Inc()
-	path := "/v1/ingest"
-	if q := req.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	raw, _, err := r.forward(req.Context(), r.primary, path, contentTypeOf(req), body)
+	raw, _, err := r.forward(req.Context(), r.primary, withQuery("/v1/ingest", req), contentTypeOf(req), body)
 	if err != nil {
 		r.writeError(w, req, api.CodeUnavailable, err)
 		return
@@ -734,6 +732,15 @@ func bodyCode(err error) api.Code {
 		return api.CodeTooLarge
 	}
 	return api.CodeBadRequest
+}
+
+// withQuery appends req's query string to path: binary detect and
+// ingest bodies name their shard in ?shard=.
+func withQuery(path string, req *http.Request) string {
+	if q := req.URL.RawQuery; q != "" {
+		return path + "?" + q
+	}
+	return path
 }
 
 func contentTypeOf(req *http.Request) string {

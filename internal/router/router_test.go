@@ -31,6 +31,7 @@ type stubBackend struct {
 	reloads     []api.ReloadRequest // every /v1/reload body, in order
 	traceparent string              // Traceparent header of the last detect
 	traceID     string              // trace ID the last detect is filed under
+	lastDetect  string              // query, Content-Type and body of the last detect
 }
 
 // reloadLog snapshots the reload requests the backend has served.
@@ -70,7 +71,9 @@ func newStubBackend(t *testing.T, reply func() (int, []byte)) *stubBackend {
 	})
 	mux.HandleFunc("POST /v1/detect", func(w http.ResponseWriter, r *http.Request) {
 		b.detects.Add(1)
+		body, _ := io.ReadAll(r.Body)
 		b.mu.Lock()
+		b.lastDetect = fmt.Sprintf("%s %s %x", r.URL.RawQuery, r.Header.Get("Content-Type"), body)
 		b.traceparent = r.Header.Get(obs.TraceParentHeader)
 		// A real backend files the request under Traceparent's ID when
 		// it parses, else under X-Trace-Id.
@@ -343,6 +346,37 @@ func TestIngestProxyPreservesQuery(t *testing.T) {
 	}
 	if got["ct"] != "application/x-pmu-frame" {
 		t.Fatalf("backend saw content type %q", got["ct"])
+	}
+}
+
+// TestDetectProxyPreservesQuery: a binary detect body reaches the
+// primary and its canary shadow verbatim, with its Content-Type and the
+// ?shard= query that names its shard.
+func TestDetectProxyPreservesQuery(t *testing.T) {
+	prim := newStubBackend(t, nil)
+	can := newStubBackend(t, nil)
+	rt, ts := newTestRouter(t, Config{
+		Backends:       []string{prim.ts.URL},
+		CanaryBackends: []string{can.ts.URL},
+		CanaryPercent:  100,
+	})
+	resp, err := http.Post(ts.URL+"/v1/detect?shard=east", api.FrameContentType, bytes.NewReader([]byte{0xAA, 0x31, 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d", resp.StatusCode)
+	}
+	rt.Differ().DrainShadow()
+	want := "shard=east " + api.FrameContentType + " aa3107"
+	for _, b := range []*stubBackend{prim, can} {
+		b.mu.Lock()
+		got := b.lastDetect
+		b.mu.Unlock()
+		if got != want {
+			t.Errorf("backend saw %q, want %q", got, want)
+		}
 	}
 }
 

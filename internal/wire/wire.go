@@ -62,8 +62,7 @@ const (
 	MaxBuses = 4096
 )
 
-// MaxFrameBytes is the size of the largest well-formed frame — the read
-// bound transports apply before decoding.
+// MaxFrameBytes is the size of the largest well-formed frame.
 var MaxFrameBytes = EncodedSize(MaxBuses, true)
 
 // Codec errors. DecodeFrame wraps nothing: these are terminal verdicts
@@ -394,9 +393,11 @@ func GetBuffer() *Buffer {
 	return b
 }
 
-// PutBuffer recycles a buffer obtained from GetBuffer.
+// PutBuffer recycles a buffer obtained from GetBuffer. A buffer grown
+// past MaxFrameBytes, by a request body of many frames, is left to the
+// garbage collector rather than kept in the pool.
 func PutBuffer(b *Buffer) {
-	if b != nil {
+	if b != nil && cap(b.B) <= MaxFrameBytes {
 		bufPool.Put(b)
 	}
 }

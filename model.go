@@ -76,17 +76,13 @@ func TrainModelContext(ctx context.Context, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	dm, err := det.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("%w: snapshot failed: %v", ErrBadModel, err)
-	}
 	extra, err := json.Marshal(modelMeta{Options: opts})
 	if err != nil {
 		return nil, fmt.Errorf("%w: encoding options: %v", ErrBadModel, err)
 	}
-	dm.Extra = extra
-	if err := dm.Seal(); err != nil {
-		return nil, fmt.Errorf("%w: sealing: %v", ErrBadModel, err)
+	dm, err := det.SnapshotWith(extra)
+	if err != nil {
+		return nil, fmt.Errorf("%w: snapshot failed: %v", ErrBadModel, err)
 	}
 	return &Model{opts: opts, dm: dm}, nil
 }
