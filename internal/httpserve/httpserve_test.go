@@ -74,15 +74,10 @@ func outageTrace(t *testing.T, sys *pmuoutage.System, n int) []pmuoutage.Sample 
 	return samples
 }
 
-// postIngestJSON round-trips one sample as a JSON body and returns the
-// raw response.
-func postIngestJSON(t *testing.T, base, shard string, s pmuoutage.Sample) (int, []byte) {
+// post sends one body to base+target and returns the status and body.
+func post(t *testing.T, base, target, contentType string, body []byte) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(IngestRequest{Shard: shard, Sample: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/ingest", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+target, contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +87,17 @@ func postIngestJSON(t *testing.T, base, shard string, s pmuoutage.Sample) (int, 
 		t.Fatal(err)
 	}
 	return resp.StatusCode, out
+}
+
+// postIngestJSON round-trips one sample as a JSON body and returns the
+// raw response.
+func postIngestJSON(t *testing.T, base, shard string, s pmuoutage.Sample) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(IngestRequest{Shard: shard, Sample: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return post(t, base, "/v1/ingest", "application/json", body)
 }
 
 // postIngestFrame round-trips one sample as a binary wire frame.
@@ -124,16 +130,7 @@ func encodeFrame(tb testing.TB, seq uint32, s pmuoutage.Sample) []byte {
 
 func postFrameBytes(t *testing.T, base, shard string, enc []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/ingest?shard="+shard, FrameContentType, bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
+	return post(t, base, "/v1/ingest?shard="+shard, FrameContentType, enc)
 }
 
 // TestBinaryIngestMatchesJSON pins the transport-equivalence contract:
