@@ -264,6 +264,17 @@ func TestBufferReadFrom(t *testing.T) {
 	}
 }
 
+// TestPutBufferDropsGrown: a buffer grown past MaxFrameBytes, as a
+// request body of many frames grows one, is not kept in the pool.
+func TestPutBufferDropsGrown(t *testing.T) {
+	b := GetBuffer()
+	b.B = make([]byte, 0, 2*MaxFrameBytes)
+	PutBuffer(b)
+	if got := GetBuffer(); cap(got.B) > MaxFrameBytes {
+		t.Fatalf("pool returned a %d-byte buffer, past MaxFrameBytes (%d)", cap(got.B), MaxFrameBytes)
+	}
+}
+
 // TestDecodeFrameAllocs pins the steady-state decode path at zero
 // allocations, backing the //gridlint:zeroalloc annotation on
 // DecodeFrame.
