@@ -12,7 +12,6 @@ import (
 
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/ellipse"
-	"pmuoutage/internal/grid"
 	"pmuoutage/internal/par"
 )
 
@@ -68,19 +67,20 @@ func clamp01(v float64) float64 {
 }
 
 // Capabilities holds the learned per-node detection machinery: the
-// normal-operation ellipse Ω_k of every node and the capability matrix
-// P where P[i][k] = p_{i,k} of Eq. (6) — how reliably node k detects an
-// outage of any line of node i.
+// normal-operation ellipse Ω_k of every node, the per-case rows of
+// Eq. (5), and the capability matrix P where P[i][k] = p_{i,k} of
+// Eq. (6) — how reliably node k detects an outage of any line of node i.
 type Capabilities struct {
 	Ellipses []*ellipse.Ellipse
-	P        [][]float64
-	// Case holds the per-case capability rows of Eq. (5): Case[e][k] is
-	// how reliably node k flags an outage of line e. P derives from these
-	// rows by the Eq. (6)-(7) union over each node's incident lines; they
-	// are kept so an incremental model patch can recompute the affected
-	// union rows from refreshed case rows alone, without the outage data
-	// of the untouched lines.
-	Case map[grid.Line][]float64
+	// Case holds the per-case rows of Eq. (5), one per valid line in
+	// training order: Case[j][k] is how reliably node k flags an outage
+	// of valid line j. A model stores these rather than P, so a patch
+	// can rebuild P from refreshed rows without the outage data of the
+	// untouched lines.
+	Case [][]float64
+	// P derives from Case by capabilityMatrix. Only BuildGroups reads
+	// it, so a detector loaded from a model leaves it nil.
+	P [][]float64
 }
 
 // FitEllipses fits Ω_k for every node from the normal-operation
@@ -144,66 +144,62 @@ func CaseCapability(om *ellipse.Ellipse, outage, normal *dataset.Set, k int) flo
 	return clamp01(float64(outside) / float64(inside))
 }
 
+// caseRow is the Eq. (5) row of one outage case: CaseCapability at
+// every node.
+func caseRow(ells []*ellipse.Ellipse, outage, normal *dataset.Set) []float64 {
+	row := make([]float64, len(ells))
+	for k, om := range ells {
+		row[k] = CaseCapability(om, outage, normal, k)
+	}
+	return row
+}
+
+// capabilityMatrix is P of Eqs. (6)–(7): row i is the union capability
+// over the cases of node i's valid lines, lines[i] (indices into rows,
+// as incidentLines lists them), and all zero for a node without one.
+// Each row depends only on its node's lines, so P rebuilt from a model's
+// rows is bit for bit the P training built.
+func capabilityMatrix(lines [][]int, rows [][]float64) [][]float64 {
+	n := len(lines)
+	p := make([][]float64, n)
+	for i, cases := range lines {
+		p[i] = make([]float64, n)
+		if len(cases) == 0 {
+			continue
+		}
+		ps := make([]float64, len(cases))
+		for k := range p[i] {
+			for c, j := range cases {
+				ps[c] = rows[j][k]
+			}
+			p[i][k] = UnionProb(ps)
+		}
+	}
+	return p
+}
+
 // LearnCapabilities builds the full capability structure from training
-// data: ellipses from the normal set, then for every node pair (i, k)
-// the union capability p_{i,k} over all training cases involving node i
-// (Eqs. 6–7).
+// data: ellipses from the normal set, the Eq. (5) row of every valid
+// line, then for every node pair (i, k) the union capability p_{i,k}
+// over all training cases involving node i (Eqs. 6–7).
 func LearnCapabilities(d *dataset.Data, margin float64, useMVEE bool) (*Capabilities, error) {
 	return LearnCapabilitiesContext(context.Background(), d, margin, useMVEE, 1)
 }
 
 // LearnCapabilitiesContext is LearnCapabilities with cancellation and
-// bounded parallelism: the ellipse fits, the per-case capability rows of
-// Eq. (5), and the per-node union rows of Eqs. (6)-(7) each fan out over
-// workers. Every row is index-exclusive, so the table is byte-identical
-// for any worker count.
+// bounded parallelism: the ellipse fits and the per-case rows of Eq. (5)
+// each fan out over workers. Every row is index-exclusive, so the tables
+// are byte-identical for any worker count.
 func LearnCapabilitiesContext(ctx context.Context, d *dataset.Data, margin float64, useMVEE bool, workers int) (*Capabilities, error) {
 	ells, err := FitEllipsesContext(ctx, d.Normal, margin, useMVEE, workers)
 	if err != nil {
 		return nil, err
 	}
-	n := d.G.N()
-	// Pre-compute per-case capabilities: cap[e][k], one valid line per slot.
-	caps, err := par.Map(ctx, workers, len(d.ValidLines), func(_ context.Context, j int) ([]float64, error) {
-		e := d.ValidLines[j]
-		cc := make([]float64, n)
-		for k := 0; k < n; k++ {
-			cc[k] = CaseCapability(ells[k], d.Outages[e], d.Normal, k)
-		}
-		return cc, nil
+	rows, err := par.Map(ctx, workers, len(d.ValidLines), func(_ context.Context, j int) ([]float64, error) {
+		return caseRow(ells, d.Outages[d.ValidLines[j]], d.Normal), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	caseCap := map[grid.Line][]float64{}
-	for j, e := range d.ValidLines {
-		caseCap[e] = caps[j]
-	}
-	p := make([][]float64, n)
-	err = par.ForEach(ctx, workers, n, func(_ context.Context, i int) error {
-		p[i] = make([]float64, n)
-		// F_i: all valid training cases involving node i.
-		var cases []grid.Line
-		for _, e := range d.ValidLines {
-			a, b := d.G.Endpoints(e)
-			if a == i || b == i {
-				cases = append(cases, e)
-			}
-		}
-		if len(cases) == 0 {
-			return nil
-		}
-		ps := make([]float64, len(cases))
-		for k := 0; k < n; k++ {
-			for c, e := range cases {
-				ps[c] = caseCap[e][k]
-			}
-			p[i][k] = UnionProb(ps)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Capabilities{Ellipses: ells, P: p, Case: caseCap}, nil
+	return &Capabilities{Ellipses: ells, Case: rows, P: capabilityMatrix(incidentLines(d.G, d.ValidLines), rows)}, nil
 }

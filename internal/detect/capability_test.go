@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/grid"
+	"pmuoutage/internal/pmunet"
 )
 
 func TestUnionProbFormsAgree(t *testing.T) {
@@ -189,6 +191,52 @@ func dcData(build func() *grid.Grid) func(t *testing.T) *dataset.Data {
 			t.Fatal(err)
 		}
 		return d
+	}
+}
+
+// TestCapabilityMatrixFromModel: the Eq. (6)–(7) matrix rebuilt from a
+// decoded model's case rows, as TrainPatch rebuilds it, is bit for bit
+// the one LearnCapabilities builds from the training data.
+func TestCapabilityMatrixFromModel(t *testing.T) {
+	for _, build := range []func() *grid.Grid{cases.IEEE14, cases.IEEE30} {
+		d := dcData(build)(t)
+		t.Run(d.G.Name, func(t *testing.T) {
+			nw, err := pmunet.Build(d.G, max(3, d.G.N()/10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := Train(d, nw, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := det.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dm, err := DecodeModel(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps, err := LearnCapabilities(d, dm.Config.EllipseMargin, dm.Config.UseMVEE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := capabilityMatrix(incidentLines(dm.Grid, dm.ValidLines), dm.CaseCapability)
+			if len(got) != len(caps.P) {
+				t.Fatalf("rebuilt P has %d rows, learned P %d", len(got), len(caps.P))
+			}
+			for i := range got {
+				for k := range got[i] {
+					if math.Float64bits(got[i][k]) != math.Float64bits(caps.P[i][k]) {
+						t.Fatalf("P[%d][%d]: rebuilt %v, learned %v", i, k, got[i][k], caps.P[i][k])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -115,14 +115,12 @@ type Detector struct {
 	cfg    Config
 	g      *grid.Grid
 	nw     *pmunet.Network
-	caps   *Capabilities
+	caps   *Capabilities // Snapshot's ellipses and Eq. (5) rows
 	groups []Group
 
 	mean      []float64            // normal-operation mean in channel space
 	lineSubs  []*subspace.Subspace // per valid line, aligned with validLines
-	unionSubs []*subspace.Subspace // span of S_i^∪ per node (Eq. 3)
-	interSubs []*subspace.Subspace // S_i^∩ per node
-	nodeLines [][]grid.Line        // valid lines incident to each node
+	interSubs []*subspace.Subspace // S_i^∩ per node (Eq. 3)
 	normalSub *subspace.Subspace   // S⁰: dominant load-variation directions
 
 	// noOutageThresh is the calibrated per-feature deviation energy
@@ -135,13 +133,12 @@ type Detector struct {
 	// serialised: each cluster's Eq. (10) working set as buses, the valid
 	// lines its plans restrict (as validLines indices, in validLines
 	// order; a line's position in that list is its slot), each node's
-	// lines as slots of its own cluster (aligned with nodeLines), each
+	// lines as slots of its own cluster (aligned with nodeValid), each
 	// valid line's slot in its from-bus cluster, the valid lines ending
-	// at each node as validLines indices in validLines order (the line
-	// decoder's lists, a self-loop listed twice), each cluster's plan
-	// for a sample with nothing missing, S⁰ restricted to every feature
-	// (the energy gate of a complete sample), and the grid adjacency the
-	// proximity rule walks.
+	// at each node (incidentLines), each cluster's plan for a sample with
+	// nothing missing, S⁰ restricted to every feature (the energy gate of
+	// a complete sample), and the grid adjacency the proximity rule
+	// walks.
 	groupBuses   [][]int
 	clusterLines [][]int
 	nodeSlots    [][]int
@@ -166,8 +163,8 @@ func Train(d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 }
 
 // TrainContext is Train with cancellation and bounded parallelism: the
-// per-line subspace SVDs, the per-node union/intersection subspaces, and
-// the Eq. 5-7 capability tables each fan out over cfg.Workers workers.
+// per-line subspace SVDs, the per-node intersection subspaces, and the
+// Eq. 5 capability rows each fan out over cfg.Workers workers.
 func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 	cfg = cfg.withDefaults()
 	if d.G != nw.G {
@@ -243,7 +240,7 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 	det.lineSubs, err = par.Map(ctx, cfg.Workers, len(d.ValidLines),
 		func(_ context.Context, k int) (*subspace.Subspace, error) {
 			e := d.ValidLines[k]
-			x := det.normalSub.ProjectOut(det.deviationMatrix(d.Outages[e]))
+			x := det.normalSub.ProjectOut(deviationMatrix(d.Outages[e], det.mean, ch))
 			s, err := subspace.Learn(x, cfg.LineRank)
 			if err != nil {
 				return nil, fmt.Errorf("detect: subspace for line %d: %w", e, err)
@@ -254,35 +251,10 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 		return nil, err
 	}
 
-	// Node union/intersection subspaces (Eq. 3), one node per slot.
-	det.unionSubs = make([]*subspace.Subspace, n)
-	det.interSubs = make([]*subspace.Subspace, n)
-	det.nodeLines = make([][]grid.Line, n)
-	err = par.ForEach(ctx, cfg.Workers, n, func(_ context.Context, i int) error {
-		var subs []*subspace.Subspace
-		for k, e := range d.ValidLines {
-			a, b := d.G.Endpoints(e)
-			if a == i || b == i {
-				subs = append(subs, det.lineSubs[k])
-				det.nodeLines[i] = append(det.nodeLines[i], e)
-			}
-		}
-		if len(subs) == 0 {
-			det.unionSubs[i] = subspace.Zero(dim)
-			det.interSubs[i] = subspace.Zero(dim)
-			return nil
-		}
-		u, err := subspace.Union(subs...)
-		if err != nil {
-			return err
-		}
-		in, err := subspace.Intersection(cfg.InterShare, subs...)
-		if err != nil {
-			return err
-		}
-		det.unionSubs[i] = u
-		det.interSubs[i] = in
-		return nil
+	// Node intersection subspaces S_i^∩ (Eq. 3), one node per slot.
+	lines := incidentLines(d.G, d.ValidLines)
+	det.interSubs, err = par.Map(ctx, cfg.Workers, n, func(_ context.Context, i int) (*subspace.Subspace, error) {
+		return nodeIntersection(cfg.InterShare, dim, det.lineSubs, lines[i])
 	})
 	if err != nil {
 		return nil, err
@@ -296,9 +268,7 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 	det.caps = caps
 
 	var loadings *mat.Dense
-	gcfg := cfg.Groups
-	gcfg.Channel = ch
-	if gcfg.Mix < 1 {
+	if cfg.Groups.Mix < 1 {
 		// Pool all outage deviations and take the dominant left singular
 		// vectors as PCA loadings for the naive orthogonal choice. Column
 		// offsets are fixed per line up front, so each line's deviation
@@ -311,7 +281,7 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 		}
 		pool := mat.NewDense(dim, total)
 		err = par.ForEach(ctx, cfg.Workers, len(d.ValidLines), func(_ context.Context, k int) error {
-			x := det.deviationMatrix(d.Outages[d.ValidLines[k]])
+			x := deviationMatrix(d.Outages[d.ValidLines[k]], det.mean, ch)
 			for t := 0; t < x.Cols(); t++ {
 				pool.SetCol(offsets[k]+t, x.Col(t))
 			}
@@ -334,24 +304,7 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 		}
 		loadings = svd.U.SelectCols(idx)
 	}
-	// Detection groups must out-dimension the subspaces they score
-	// against: a group of g available features, minus the S⁰ rank, must
-	// exceed the largest union-subspace rank or the restricted residual
-	// degenerates to zero for hub nodes. Derive the floor from the grid.
-	maxDeg := 0
-	for i := 0; i < n; i++ {
-		if deg := d.G.Degree(i); deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	minSize := maxDeg*cfg.LineRank + det.normalSub.Rank() + 4
-	if minSize > n {
-		minSize = n
-	}
-	if gcfg.Size < minSize {
-		gcfg.Size = minSize
-	}
-	groups, err := BuildGroups(nw, caps, loadings, gcfg)
+	groups, err := BuildGroups(nw, caps.P, loadings, cfg.groupConfig(d.G, det.normalSub.Rank()))
 	if err != nil {
 		return nil, err
 	}
@@ -400,14 +353,14 @@ func (det *Detector) deviationMatrixContext(ctx context.Context, workers int, se
 	return x, nil
 }
 
-// deviationMatrix converts a sample set into centered channel vectors.
-func (det *Detector) deviationMatrix(set *dataset.Set) *mat.Dense {
-	dim := len(det.mean)
-	x := mat.NewDense(dim, set.T())
+// deviationMatrix centers a sample set's channel vectors on the given
+// mean, one column per sample.
+func deviationMatrix(set *dataset.Set, mean []float64, ch dataset.Channel) *mat.Dense {
+	x := mat.NewDense(len(mean), set.T())
 	for t, s := range set.Samples {
-		v := s.Vector(det.cfg.Channel)
+		v := s.Vector(ch)
 		for i := range v {
-			v[i] -= det.mean[i]
+			v[i] -= mean[i]
 		}
 		x.SetCol(t, v)
 	}
@@ -542,11 +495,8 @@ func (det *Detector) prepare() error {
 	}
 	det.clusterLines = make([][]int, len(det.groups))
 	det.fromSlot = make([]int, len(det.validLines))
-	det.nodeValid = make([][]int, n)
 	for k, e := range det.validLines {
 		a, b := det.g.Endpoints(e)
-		det.nodeValid[a] = append(det.nodeValid[a], k)
-		det.nodeValid[b] = append(det.nodeValid[b], k)
 		for _, c := range []int{det.nw.ClusterOf(a), det.nw.ClusterOf(b)} {
 			if _, ok := slots[c][e]; !ok {
 				slots[c][e] = len(det.clusterLines[c])
@@ -555,10 +505,11 @@ func (det *Detector) prepare() error {
 		}
 		det.fromSlot[k] = slots[det.nw.ClusterOf(a)][e]
 	}
+	det.nodeValid = incidentLines(det.g, det.validLines)
 	det.nodeSlots = make([][]int, n)
-	for i, lines := range det.nodeLines {
-		for _, e := range lines {
-			det.nodeSlots[i] = append(det.nodeSlots[i], slots[det.nw.ClusterOf(i)][e])
+	for i, ks := range det.nodeValid {
+		for _, k := range ks {
+			det.nodeSlots[i] = append(det.nodeSlots[i], slots[det.nw.ClusterOf(i)][det.validLines[k]])
 		}
 	}
 	complete := pmunet.NoneMissing(n)
@@ -582,6 +533,52 @@ func (det *Detector) prepare() error {
 	}
 	det.gateSlots = make([]atomic.Pointer[subspace.Restricted], n)
 	return nil
+}
+
+// incidentLines lists the valid lines ending at each bus of g as
+// indices into valid, in valid's order: the lines of a node's Eq. (3)
+// intersection, its Eq. (6)–(7) cases, its scoring slots and the line
+// decoder's candidates. A self-loop, which no grid that passes
+// grid.Validate has, is listed twice at its bus.
+func incidentLines(g *grid.Grid, valid []grid.Line) [][]int {
+	out := make([][]int, g.N())
+	for k, e := range valid {
+		a, b := g.Endpoints(e)
+		out[a] = append(out[a], k)
+		out[b] = append(out[b], k)
+	}
+	return out
+}
+
+// nodeIntersection is S_i^∩ (Eq. 3) of a node whose valid lines are
+// lines, indices into subs, or the zero subspace of dimension dim for a
+// node with none.
+func nodeIntersection(share float64, dim int, subs []*subspace.Subspace, lines []int) (*subspace.Subspace, error) {
+	if len(lines) == 0 {
+		return subspace.Zero(dim), nil
+	}
+	in := make([]*subspace.Subspace, len(lines))
+	for j, k := range lines {
+		in[j] = subs[k]
+	}
+	return subspace.Intersection(share, in...)
+}
+
+// groupConfig is c.Groups as BuildGroups takes it: on c's channel, and
+// no smaller than detection needs. A group of g available features,
+// minus the S⁰ rank, must exceed the summed rank of a node's line
+// subspaces (max degree times LineRank, which also bounds S_i^∩), or
+// the restricted residual degenerates to zero for hub nodes; the floor
+// adds a margin of four and is capped at the bus count.
+func (c Config) groupConfig(g *grid.Grid, s0Rank int) GroupConfig {
+	gc := c.Groups
+	gc.Channel = c.Channel
+	maxDeg := 0
+	for i := 0; i < g.N(); i++ {
+		maxDeg = max(maxDeg, g.Degree(i))
+	}
+	gc.Size = max(gc.Size, min(maxDeg*c.LineRank+s0Rank+4, g.N()))
+	return gc
 }
 
 // adjacency lists each bus's neighbours over in-service lines.
@@ -1160,9 +1157,6 @@ func (det *Detector) Grid() *grid.Grid { return det.g }
 
 // Network returns the detector's PMU network.
 func (det *Detector) Network() *pmunet.Network { return det.nw }
-
-// Capabilities exposes the learned capability matrix (read-only use).
-func (det *Detector) Capabilities() *Capabilities { return det.caps }
 
 // DetectionGroups exposes the per-cluster groups (read-only use).
 func (det *Detector) DetectionGroups() []Group { return det.groups }

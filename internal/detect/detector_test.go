@@ -230,8 +230,8 @@ func TestDetectAccessors(t *testing.T) {
 	if det.Network().NumClusters() != 3 {
 		t.Fatal("Network accessor wrong")
 	}
-	if det.Capabilities() == nil || len(det.DetectionGroups()) != 3 {
-		t.Fatal("capability/group accessors wrong")
+	if len(det.DetectionGroups()) != 3 {
+		t.Fatal("group accessor wrong")
 	}
 	if len(det.ValidLines()) == 0 {
 		t.Fatal("no valid lines")
@@ -252,10 +252,10 @@ func TestBuildGroupsMixZeroNeedsLoadings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildGroups(nw, caps, nil, GroupConfig{Mix: 0.5}); err == nil {
+	if _, err := BuildGroups(nw, caps.P, nil, GroupConfig{Mix: 0.5}); err == nil {
 		t.Fatal("expected loadings-required error")
 	}
-	groups, err := BuildGroups(nw, caps, nil, GroupConfig{Mix: 1})
+	groups, err := BuildGroups(nw, caps.P, nil, GroupConfig{Mix: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,10 @@ type GroupConfig struct {
 
 func (c GroupConfig) withDefaults(n int) GroupConfig {
 	if c.Size <= 0 {
-		// Groups must stay comfortably larger than the union-subspace
-		// ranks they discriminate (max node degree + S⁰ rank), or the
-		// restricted residuals degenerate to zero.
+		// Groups must stay comfortably larger than the subspace ranks
+		// they discriminate (a node's lines together, max node degree
+		// times the line rank, plus the S⁰ rank), or the restricted
+		// residuals degenerate to zero.
 		c.Size = n / 3
 		if c.Size < 8 {
 			c.Size = 8
@@ -55,10 +56,10 @@ func (c GroupConfig) withDefaults(n int) GroupConfig {
 }
 
 // BuildGroups forms one detection group per PDC cluster from the
-// capability matrix and the PCA loadings of the pooled outage-deviation
-// data. loadings has one row per feature (dev-data left singular
-// vectors); it may be nil when Mix = 1.
-func BuildGroups(nw *pmunet.Network, caps *Capabilities, loadings *mat.Dense, cfg GroupConfig) ([]Group, error) {
+// capability matrix P of Eqs. (6)–(7) and the PCA loadings of the
+// pooled outage-deviation data. loadings has one row per feature
+// (dev-data left singular vectors); it may be nil when Mix = 1.
+func BuildGroups(nw *pmunet.Network, p [][]float64, loadings *mat.Dense, cfg GroupConfig) ([]Group, error) {
 	n := nw.G.N()
 	cfg = cfg.withDefaults(n)
 	groups := make([]Group, nw.NumClusters())
@@ -67,8 +68,8 @@ func BuildGroups(nw *pmunet.Network, caps *Capabilities, loadings *mat.Dense, cf
 		inPool := cluster
 		outPool := complement(n, cluster)
 
-		capIn := capabilityMembers(caps, cluster, inPool)
-		capOut := capabilityMembers(caps, cluster, outPool)
+		capIn := capabilityMembers(p, cluster, inPool)
+		capOut := capabilityMembers(p, cluster, outPool)
 
 		nCap := int(math.Round(cfg.Mix * float64(cfg.Size)))
 		nOrth := cfg.Size - nCap
@@ -106,7 +107,7 @@ func BuildGroups(nw *pmunet.Network, caps *Capabilities, loadings *mat.Dense, cf
 // the cluster, min_{k∈C} p_{k,i}, best first. Nodes with p ≈ 1 for every
 // cluster member — the literal Eq. (8) set — sort to the front; the
 // ranked tail lets groups fill to the size detection requires.
-func capabilityMembers(caps *Capabilities, cluster, pool []int) []int {
+func capabilityMembers(p [][]float64, cluster, pool []int) []int {
 	type scored struct {
 		node  int
 		worst float64
@@ -115,8 +116,8 @@ func capabilityMembers(caps *Capabilities, cluster, pool []int) []int {
 	for _, i := range pool {
 		worst := 1.0
 		for _, k := range cluster {
-			if p := caps.P[k][i]; p < worst {
-				worst = p
+			if pk := p[k][i]; pk < worst {
+				worst = pk
 			}
 		}
 		all = append(all, scored{i, worst})

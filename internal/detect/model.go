@@ -24,8 +24,10 @@ import (
 //
 // Version history: 1 had no per-case capability rows; 2 added
 // CaseCapability so incremental patches can rebuild node capability
-// rows locally.
-const ModelVersion = 2
+// rows locally; 3 dropped the tables serving never reads or can derive
+// from the rest: the span of each node's S_i^∪, each node's valid
+// lines, and the Eq. (6)–(7) capability matrix.
+const ModelVersion = 3
 
 // Sentinel errors of the model codec. Everything Encode/Decode/FromModel
 // mint wraps one of these so callers branch with errors.Is.
@@ -55,12 +57,16 @@ type ModelEllipse struct {
 }
 
 // Model is the immutable, self-contained artifact of one training run:
-// everything Train produces — the grid it was trained on, the PDC
-// partition, per-line signature subspaces (Eq. 2), node union and
-// intersection subspaces (Eq. 3), normal-operation mean and S⁰,
-// ellipses (Eq. 4), the capability table (Eqs. 5–7), detection groups
-// (Eq. 8), and the calibrated no-outage threshold — plus a format
-// version and a content fingerprint.
+// the learned state of Train that neither serving nor patching can
+// derive — the grid it was trained on, the PDC partition, per-line
+// signature subspaces (Eq. 2), node intersection subspaces S_i^∩
+// (Eq. 3), normal-operation mean and S⁰, ellipses (Eq. 4), the per-case
+// capability rows (Eq. 5), detection groups (Eq. 8), and the calibrated
+// no-outage threshold — plus a format version and a content
+// fingerprint. Each node's valid lines follow from Grid and ValidLines,
+// and TrainPatch rebuilds the Eq. (6)–(7) matrix from CaseCapability.
+// Detect scores S_i^∪ as the set union of Eq. (3), the minimum over the
+// node's line subspaces, so no span of it is stored.
 //
 // A Model is a value to serve from, not to mutate: FromModel wraps it
 // into a Detector without copying the numeric payload, and the
@@ -99,20 +105,15 @@ type Model struct {
 	// LineBases are the per-line signature subspaces, one per ValidLines
 	// entry.
 	LineBases []Basis `json:"line_bases"`
-	// UnionBases and InterBases are the per-node S_i^∪ and S_i^∩.
-	UnionBases []Basis `json:"union_bases"`
+	// InterBases are the per-node S_i^∩.
 	InterBases []Basis `json:"inter_bases"`
-	// NodeLines lists each node's incident valid lines.
-	NodeLines [][]grid.Line `json:"node_lines"`
 
 	// Ellipses are the per-node normal-operation ellipses.
 	Ellipses []ModelEllipse `json:"ellipses"`
-	// Capability is the matrix P with P[i][k] = p_{i,k} of Eq. (6).
-	Capability [][]float64 `json:"capability"`
 	// CaseCapability holds the per-case rows of Eq. (5), one per
-	// ValidLines entry, from which Capability's union rows derive. Stored
-	// so a Patch can recompute the rows of the nodes it touches without
-	// the training data of the untouched lines.
+	// ValidLines entry, from which the Eq. (6)–(7) matrix derives. Stored
+	// so a Patch can rebuild that matrix without the training data of
+	// the untouched lines.
 	CaseCapability [][]float64 `json:"case_capability"`
 	// Groups are the per-cluster detection groups.
 	Groups []Group `json:"groups"`
@@ -144,24 +145,17 @@ func (det *Detector) SnapshotWith(extra json.RawMessage) (*Model, error) {
 		Mean:              det.mean,
 		NormalBasis:       basisOf(det.normalSub),
 		LineBases:         make([]Basis, len(det.validLines)),
-		UnionBases:        make([]Basis, n),
 		InterBases:        make([]Basis, n),
-		NodeLines:         det.nodeLines,
 		Ellipses:          make([]ModelEllipse, len(det.caps.Ellipses)),
-		Capability:        det.caps.P,
-		CaseCapability:    make([][]float64, len(det.validLines)),
+		CaseCapability:    det.caps.Case,
 		Groups:            det.groups,
 		NoOutageThreshold: det.noOutageThresh,
-	}
-	for k, e := range det.validLines {
-		m.CaseCapability[k] = det.caps.Case[e]
 	}
 	for k, sub := range det.lineSubs {
 		m.LineBases[k] = basisOf(sub)
 	}
-	for i := 0; i < n; i++ {
-		m.UnionBases[i] = basisOf(det.unionSubs[i])
-		m.InterBases[i] = basisOf(det.interSubs[i])
+	for i, sub := range det.interSubs {
+		m.InterBases[i] = basisOf(sub)
 	}
 	for k, e := range det.caps.Ellipses {
 		m.Ellipses[k] = ModelEllipse{C: e.C, A: e.A}
@@ -282,30 +276,11 @@ func (m *Model) validate() error {
 			return bad("valid line %d listed twice", e)
 		}
 	}
-	if len(m.UnionBases) != n || len(m.InterBases) != n || len(m.NodeLines) != n {
-		return bad("per-node tables sized %d/%d/%d, grid has %d buses",
-			len(m.UnionBases), len(m.InterBases), len(m.NodeLines), n)
-	}
-	for i, lines := range m.NodeLines {
-		for _, e := range lines {
-			if !slices.Contains(m.ValidLines, e) {
-				return bad("node %d lists line %d, not a valid line", i, e)
-			}
-			if a, b := m.Grid.Endpoints(e); a != i && b != i {
-				return bad("node %d lists line %d, which does not end at it", i, e)
-			}
-		}
+	if len(m.InterBases) != n {
+		return bad("%d intersection bases for %d buses", len(m.InterBases), n)
 	}
 	if len(m.Ellipses) != n {
 		return bad("%d ellipses for %d buses", len(m.Ellipses), n)
-	}
-	if len(m.Capability) != n {
-		return bad("capability matrix has %d rows, grid has %d buses", len(m.Capability), n)
-	}
-	for i, row := range m.Capability {
-		if len(row) != n {
-			return bad("capability row %d has %d entries, grid has %d buses", i, len(row), n)
-		}
 	}
 	if len(m.CaseCapability) != len(m.ValidLines) {
 		return bad("%d case-capability rows for %d valid lines", len(m.CaseCapability), len(m.ValidLines))
@@ -342,10 +317,7 @@ func (m *Model) validate() error {
 			return err
 		}
 	}
-	for i := 0; i < n; i++ {
-		if err := check(fmt.Sprintf("node %d union", i), m.UnionBases[i]); err != nil {
-			return err
-		}
+	for i := range m.InterBases {
 		if err := check(fmt.Sprintf("node %d intersection", i), m.InterBases[i]); err != nil {
 			return err
 		}
@@ -354,7 +326,8 @@ func (m *Model) validate() error {
 }
 
 // FromModel wraps a model into a ready-to-serve Detector. Bases,
-// tables, and thresholds are used as stored; the only numeric work is
+// tables, and thresholds are used as stored; each node's valid lines
+// come from the grid and the valid lines, and the only numeric work is
 // the per-cluster scoring state, derived exactly as Train derives it
 // and never serialised: for a sample with nothing missing, each
 // detection group's restricted bases of S⁰, of the cluster's incident
@@ -381,25 +354,20 @@ func FromModel(m *Model) (*Detector, error) {
 		nw:             nw,
 		mean:           m.Mean,
 		lineSubs:       make([]*subspace.Subspace, len(m.ValidLines)),
-		unionSubs:      make([]*subspace.Subspace, n),
 		interSubs:      make([]*subspace.Subspace, n),
-		nodeLines:      m.NodeLines,
 		normalSub:      m.NormalBasis.subspace(),
 		noOutageThresh: m.NoOutageThreshold,
 		validLines:     m.ValidLines,
 		caps: &Capabilities{
 			Ellipses: make([]*ellipse.Ellipse, n),
-			P:        m.Capability,
-			Case:     make(map[grid.Line][]float64, len(m.ValidLines)),
+			Case:     m.CaseCapability,
 		},
 		groups: m.Groups,
 	}
-	for k, e := range m.ValidLines {
-		det.lineSubs[k] = m.LineBases[k].subspace()
-		det.caps.Case[e] = m.CaseCapability[k]
+	for k, b := range m.LineBases {
+		det.lineSubs[k] = b.subspace()
 	}
 	for i := 0; i < n; i++ {
-		det.unionSubs[i] = m.UnionBases[i].subspace()
 		det.interSubs[i] = m.InterBases[i].subspace()
 		det.caps.Ellipses[i] = &ellipse.Ellipse{C: m.Ellipses[i].C, A: m.Ellipses[i].A}
 	}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"pmuoutage/internal/dataset"
-	"pmuoutage/internal/grid"
 )
 
 // snapshotFixture trains the golden fixture and snapshots it.
@@ -125,7 +125,8 @@ func TestModelWorkersEquivalence(t *testing.T) {
 }
 
 // TestDecodeModelVersionMismatch: artifacts from another format version
-// are rejected with ErrModelVersion, not half-read.
+// are rejected with ErrModelVersion, not half-read. The previous
+// version gets no compatibility read either.
 func TestDecodeModelVersionMismatch(t *testing.T) {
 	_, m, _ := snapshotFixture(t)
 	var buf bytes.Buffer
@@ -138,13 +139,15 @@ func TestDecodeModelVersionMismatch(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	raw["format_version"] = json.RawMessage("99")
-	tampered, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeModel(bytes.NewReader(tampered)); !errors.Is(err, ErrModelVersion) {
-		t.Fatalf("decoding version 99 artifact: got %v, want ErrModelVersion", err)
+	for _, v := range []int{ModelVersion - 1, 99} {
+		raw["format_version"] = json.RawMessage(fmt.Sprint(v))
+		tampered, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeModel(bytes.NewReader(tampered)); !errors.Is(err, ErrModelVersion) {
+			t.Fatalf("decoding version %d artifact: got %v, want ErrModelVersion", v, err)
+		}
 	}
 	if err := (&Model{FormatVersion: 99}).Encode(&bytes.Buffer{}); !errors.Is(err, ErrModelVersion) {
 		t.Fatalf("encoding foreign version: got %v, want ErrModelVersion", err)
@@ -208,35 +211,10 @@ func TestModelValidateRejectsInconsistency(t *testing.T) {
 // structural checks stand between it and Detect.
 func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
 	t.Helper()
-	invalid := grid.Line(-1)
-	for e := range m.Grid.Branches {
-		if !slices.Contains(m.ValidLines, grid.Line(e)) {
-			invalid = grid.Line(e)
-			break
-		}
-	}
-	if invalid < 0 {
-		t.Fatal("fixture has no line without a learned subspace")
-	}
-	remote := m.ValidLines[0]
-	a, b := m.Grid.Endpoints(remote)
-	far := 0
-	for far == a || far == b {
-		far++
-	}
 	tamper := map[string]func(m *Model){
 		"group member out of range": func(m *Model) {
 			m.Groups = slices.Clone(m.Groups)
 			m.Groups[0].InCluster = append(slices.Clone(m.Groups[0].InCluster), 999)
-		},
-		"node line not a valid line": func(m *Model) {
-			a, _ := m.Grid.Endpoints(invalid)
-			m.NodeLines = slices.Clone(m.NodeLines)
-			m.NodeLines[a] = append(slices.Clone(m.NodeLines[a]), invalid)
-		},
-		"node line not incident": func(m *Model) {
-			m.NodeLines = slices.Clone(m.NodeLines)
-			m.NodeLines[far] = append(slices.Clone(m.NodeLines[far]), remote)
 		},
 		"unknown channel": func(m *Model) { m.Config.Channel = 7 },
 		"branch endpoint out of range": func(m *Model) {
@@ -251,6 +229,13 @@ func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
 		"bus in two clusters": func(m *Model) {
 			m.Clusters = slices.Clone(m.Clusters)
 			m.Clusters[1] = append(slices.Clone(m.Clusters[1]), m.Clusters[0][0])
+		},
+		"intersection basis missing": func(m *Model) {
+			m.InterBases = m.InterBases[:len(m.InterBases)-1]
+		},
+		"case row short": func(m *Model) {
+			m.CaseCapability = slices.Clone(m.CaseCapability)
+			m.CaseCapability[0] = m.CaseCapability[0][1:]
 		},
 	}
 	out := map[string][]byte{}
@@ -267,14 +252,17 @@ func tamperedArtifacts(t testing.TB, m *Model) map[string][]byte {
 }
 
 // TestDecodeModelRejectsHostileTables: artifacts whose detection groups,
-// node line lists, channel, grid or partition point outside the model,
-// or that list a valid line twice, are refused at decode with
-// ErrModelCorrupt. Without these checks the out-of-range group member,
-// the invalid node line, the unknown channel and the out-of-range
+// channel, grid or partition point outside the model, that list a
+// valid line twice, or whose per-node or per-case tables are short, are
+// refused at decode with ErrModelCorrupt. Without these checks the
+// out-of-range group member, the unknown channel and the out-of-range
 // branch decoded, booted, and then panicked inside Detect; the
 // two-cluster bus decoded and only FromModel refused it. The detector
 // keeps one line subspace per valid line, so a repeated line would
-// score with its first basis where earlier builds kept the last.
+// score with its first basis where earlier builds kept the last. A
+// missing intersection basis would index past the table in FromModel,
+// and a short case row past its end when TrainPatch rebuilds the
+// capability matrix from the rows.
 func TestDecodeModelRejectsHostileTables(t *testing.T) {
 	_, m, _ := snapshotFixture(t)
 	for name, artifact := range tamperedArtifacts(t, m) {

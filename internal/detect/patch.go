@@ -8,12 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/ellipse"
 	"pmuoutage/internal/grid"
-	"pmuoutage/internal/mat"
 	"pmuoutage/internal/par"
 	"pmuoutage/internal/pmunet"
 	"pmuoutage/internal/subspace"
@@ -22,7 +21,12 @@ import (
 // PatchVersion is the current patch artifact format version. Like the
 // model format, it has no migration story: foreign versions are
 // rejected outright.
-const PatchVersion = 1
+//
+// Version history: 1 carried the touched nodes with their union bases
+// and Eq. (6) capability rows; 2, which patches version 3 models,
+// carries only their intersection bases, the nodes being the sorted
+// endpoints of the refreshed lines.
+const PatchVersion = 2
 
 // Sentinel errors of the patch codec and applier.
 var (
@@ -42,10 +46,10 @@ var (
 // re-learning a handful of lines' signatures from fresh outage data,
 // sealed against the exact base model it was computed from. A patch
 // carries only what those lines touch — their refreshed signature
-// bases and Eq. (5) capability rows, the union/intersection bases and
-// Eq. (6) capability rows of their endpoint nodes, and the rebuilt
-// detection groups — so its size and the work of producing it scale
-// with the lines refreshed, not the grid.
+// bases and Eq. (5) capability rows, the intersection bases of their
+// endpoint nodes, and the rebuilt detection groups — so its size and
+// the work of producing its bases scale with the lines refreshed, not
+// the grid.
 //
 // Both ends of the application are pinned by fingerprint: Apply
 // refuses a base whose fingerprint differs from BaseFingerprint, and
@@ -73,16 +77,13 @@ type Patch struct {
 	// CaseRows are the refreshed Eq. (5) capability rows.
 	CaseRows [][]float64 `json:"case_rows"`
 
-	// Nodes are the endpoints of Lines (sorted, unique); UnionBases,
-	// InterBases, and PRows align with it.
-	Nodes      []int       `json:"nodes"`
-	UnionBases []Basis     `json:"union_bases"`
-	InterBases []Basis     `json:"inter_bases"`
-	PRows      [][]float64 `json:"p_rows"`
+	// InterBases are the rebuilt S_i^∩ of the endpoints of Lines, in
+	// ascending bus order, each bus once.
+	InterBases []Basis `json:"inter_bases"`
 
 	// Groups are the detection groups rebuilt from the patched
-	// capability table (group membership depends on every node's rows,
-	// so the full set rides along; it is small).
+	// capability rows (group membership depends on every node's
+	// Eq. (6)–(7) row, so the full set rides along; it is small).
 	Groups []Group `json:"groups"`
 }
 
@@ -95,10 +96,12 @@ type Patch struct {
 // refreshed line must already be a valid line of the base model.
 //
 // The per-line SVD work — the expensive part of training — runs only
-// for the refreshed lines; node subspaces are rebuilt by rank-one
-// Extend updates over the incident line bases. Applying the returned
-// patch to base reproduces, fingerprint for fingerprint, the model a
-// full retrain on the swapped dataset would produce.
+// for the refreshed lines. The endpoint nodes' intersection subspaces
+// are rebuilt from the patched line bases, and the Eq. (6)–(7) matrix
+// the detection groups rank by from the patched Eq. (5) rows, with the
+// functions Train uses. Applying the returned patch to base reproduces,
+// fingerprint for fingerprint, the model a full retrain on the swapped
+// dataset would produce.
 func TrainPatch(ctx context.Context, base *Model, normal *dataset.Set, refreshed map[grid.Line]*dataset.Set) (*Patch, error) {
 	if base.FormatVersion != ModelVersion {
 		return nil, fmt.Errorf("%w: base has format version %d, this build patches %d",
@@ -162,132 +165,55 @@ func TrainPatch(ctx context.Context, base *Model, normal *dataset.Set, refreshed
 	deltas, err := par.Map(ctx, cfg.Workers, len(p.Lines), func(_ context.Context, j int) (lineDelta, error) {
 		e := p.Lines[j]
 		set := refreshed[e]
-		x := deviationMatrixOf(set, mean, cfg.Channel)
+		x := deviationMatrix(set, mean, cfg.Channel)
 		s, err := subspace.Learn(normalSub.ProjectOut(x), cfg.LineRank)
 		if err != nil {
 			return lineDelta{}, fmt.Errorf("detect: subspace for line %d: %w", e, err)
 		}
-		row := make([]float64, n)
-		for k := 0; k < n; k++ {
-			row[k] = CaseCapability(ells[k], set, normal, k)
-		}
-		return lineDelta{sub: s, caseRow: row}, nil
+		return lineDelta{sub: s, caseRow: caseRow(ells, set, normal)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	newSubs := map[grid.Line]*subspace.Subspace{}
-	newCase := map[grid.Line][]float64{}
+	subs := make([]*subspace.Subspace, len(base.ValidLines))
+	for k, b := range base.LineBases {
+		subs[k] = b.subspace()
+	}
+	rows := slices.Clone(base.CaseCapability)
 	for j, e := range p.Lines {
 		p.LineBases = append(p.LineBases, basisOf(deltas[j].sub))
 		p.CaseRows = append(p.CaseRows, deltas[j].caseRow)
-		newSubs[e] = deltas[j].sub
-		newCase[e] = deltas[j].caseRow
+		subs[pos[e]] = deltas[j].sub
+		rows[pos[e]] = deltas[j].caseRow
 	}
 
-	// Touched nodes: endpoints of the refreshed lines.
-	seen := map[int]bool{}
-	for _, e := range p.Lines {
-		a, b := base.Grid.Endpoints(e)
-		for _, i := range []int{a, b} {
-			if !seen[i] {
-				seen[i] = true
-				p.Nodes = append(p.Nodes, i)
-			}
+	// The endpoint nodes' intersection subspaces (Eq. 3) over the
+	// patched line bases.
+	lines := incidentLines(base.Grid, base.ValidLines)
+	nodes := endpoints(base.Grid, p.Lines)
+	inters, err := par.Map(ctx, cfg.Workers, len(nodes), func(_ context.Context, j int) (Basis, error) {
+		in, err := nodeIntersection(cfg.InterShare, len(mean), subs, lines[nodes[j]])
+		if err != nil {
+			return Basis{}, err
 		}
-	}
-	sort.Ints(p.Nodes)
-
-	lineSub := func(e grid.Line) *subspace.Subspace {
-		if s, ok := newSubs[e]; ok {
-			return s
-		}
-		return base.LineBases[pos[e]].subspace()
-	}
-	caseRow := func(e grid.Line) []float64 {
-		if r, ok := newCase[e]; ok {
-			return r
-		}
-		return base.CaseCapability[pos[e]]
-	}
-	type nodeDelta struct {
-		union, inter Basis
-		pRow         []float64
-	}
-	nodes, err := par.Map(ctx, cfg.Workers, len(p.Nodes), func(_ context.Context, j int) (nodeDelta, error) {
-		i := p.Nodes[j]
-		incident := base.NodeLines[i]
-		subs := make([]*subspace.Subspace, len(incident))
-		for k, e := range incident {
-			subs[k] = lineSub(e)
-		}
-		var nd nodeDelta
-		if len(subs) == 0 {
-			z := basisOf(subspace.Zero(len(mean)))
-			nd.union, nd.inter = z, z
-		} else {
-			u, err := subspace.Union(subs...)
-			if err != nil {
-				return nd, err
-			}
-			in, err := subspace.Intersection(cfg.InterShare, subs...)
-			if err != nil {
-				return nd, err
-			}
-			nd.union, nd.inter = basisOf(u), basisOf(in)
-		}
-		// Eq. (6)-(7) union row over the node's incident cases, with the
-		// refreshed Eq. (5) rows swapped in — the same loop
-		// LearnCapabilities runs.
-		nd.pRow = make([]float64, n)
-		if len(incident) > 0 {
-			ps := make([]float64, len(incident))
-			for k := 0; k < n; k++ {
-				for c, e := range incident {
-					ps[c] = caseRow(e)[k]
-				}
-				nd.pRow[k] = UnionProb(ps)
-			}
-		}
-		return nd, nil
+		return basisOf(in), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, nd := range nodes {
-		p.UnionBases = append(p.UnionBases, nd.union)
-		p.InterBases = append(p.InterBases, nd.inter)
-		p.PRows = append(p.PRows, nd.pRow)
-	}
+	p.InterBases = inters
 
-	// Rebuild the detection groups from the patched capability table:
+	// Rebuild the detection groups from the patched capability rows:
 	// membership ranks nodes across the whole grid, so the full (small)
 	// group set rides in the patch.
 	nw, err := pmunet.FromClusters(base.Grid, base.Clusters)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrModelCorrupt, err)
 	}
-	caps := &Capabilities{Ellipses: ells, P: patchedMatrix(base.Capability, p.Nodes, p.PRows)}
-	gcfg := cfg.Groups
-	gcfg.Channel = cfg.Channel
-	maxDeg := 0
-	for i := 0; i < n; i++ {
-		if deg := base.Grid.Degree(i); deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	minSize := maxDeg*cfg.LineRank + normalSub.Rank() + 4
-	if minSize > n {
-		minSize = n
-	}
-	if gcfg.Size < minSize {
-		gcfg.Size = minSize
-	}
-	groups, err := BuildGroups(nw, caps, nil, gcfg)
+	p.Groups, err = BuildGroups(nw, capabilityMatrix(lines, rows), nil, cfg.groupConfig(base.Grid, normalSub.Rank()))
 	if err != nil {
 		return nil, err
 	}
-	p.Groups = groups
 
 	// Seal both ends: the patch's own fingerprint and the fingerprint
 	// the patched model must land on.
@@ -304,36 +230,25 @@ func TrainPatch(ctx context.Context, base *Model, normal *dataset.Set, refreshed
 	return p, nil
 }
 
-// deviationMatrixOf centers a sample set's channel vectors on the given
-// mean — Train's deviationMatrix, detached from the Detector.
-func deviationMatrixOf(set *dataset.Set, mean []float64, ch dataset.Channel) *mat.Dense {
-	x := mat.NewDense(len(mean), set.T())
-	for t, s := range set.Samples {
-		v := s.Vector(ch)
-		for i := range v {
-			v[i] -= mean[i]
-		}
-		x.SetCol(t, v)
+// endpoints returns the buses the given lines end at, ascending and
+// each once: the nodes whose S_i^∩ a patch of those lines carries.
+func endpoints(g *grid.Grid, lines []grid.Line) []int {
+	out := make([]int, 0, 2*len(lines))
+	for _, e := range lines {
+		a, b := g.Endpoints(e)
+		out = append(out, a, b)
 	}
-	return x
-}
-
-// patchedMatrix returns rows with the given replacements applied; the
-// untouched rows are shared with the base.
-func patchedMatrix(baseRows [][]float64, idx []int, repl [][]float64) [][]float64 {
-	out := append([][]float64(nil), baseRows...)
-	for j, i := range idx {
-		out[i] = repl[j]
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Apply produces the patched model: the base with the refreshed line
-// signatures, node subspaces, capability rows, and detection groups
-// swapped in, re-sealed and verified against ResultFingerprint. The
-// base is not mutated; untouched payload is shared between the two
-// models (both are immutable). A base whose fingerprint differs from
-// BaseFingerprint fails with ErrPatchBase.
+// signatures and capability rows, their endpoints' intersection
+// subspaces, and the detection groups swapped in, re-sealed and
+// verified against ResultFingerprint. The base is not mutated;
+// untouched payload is shared between the two models (both are
+// immutable). A base whose fingerprint differs from BaseFingerprint
+// fails with ErrPatchBase.
 func (p *Patch) Apply(base *Model) (*Model, error) {
 	if p.FormatVersion != PatchVersion {
 		return nil, fmt.Errorf("%w: patch has format version %d, this build applies %d",
@@ -362,35 +277,24 @@ func (p *Patch) Apply(base *Model) (*Model, error) {
 // re-seals. Shared by TrainPatch (to stamp ResultFingerprint) and
 // Apply (to produce and verify the result).
 func (p *Patch) patchedModel(base *Model) (*Model, error) {
-	if err := p.checkShape(base); err != nil {
-		return nil, err
-	}
 	pos := make(map[grid.Line]int, len(base.ValidLines))
 	for k, e := range base.ValidLines {
 		pos[e] = k
 	}
-	m := *base
-	m.LineBases = append([]Basis(nil), base.LineBases...)
-	m.CaseCapability = append([][]float64(nil), base.CaseCapability...)
-	for j, e := range p.Lines {
-		k, ok := pos[e]
-		if !ok {
-			return nil, fmt.Errorf("%w: patch refreshes line %d, not a valid line of the base", ErrPatchCorrupt, e)
-		}
-		m.LineBases[k] = p.LineBases[j]
-		m.CaseCapability[k] = p.CaseRows[j]
+	nodes, err := p.checkShape(base, pos)
+	if err != nil {
+		return nil, err
 	}
-	m.UnionBases = append([]Basis(nil), base.UnionBases...)
-	m.InterBases = append([]Basis(nil), base.InterBases...)
-	m.Capability = append([][]float64(nil), base.Capability...)
-	n := base.Grid.N()
-	for j, i := range p.Nodes {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("%w: patch touches node %d, grid has %d buses", ErrPatchCorrupt, i, n)
-		}
-		m.UnionBases[i] = p.UnionBases[j]
+	m := *base
+	m.LineBases = slices.Clone(base.LineBases)
+	m.CaseCapability = slices.Clone(base.CaseCapability)
+	for j, e := range p.Lines {
+		m.LineBases[pos[e]] = p.LineBases[j]
+		m.CaseCapability[pos[e]] = p.CaseRows[j]
+	}
+	m.InterBases = slices.Clone(base.InterBases)
+	for j, i := range nodes {
 		m.InterBases[i] = p.InterBases[j]
-		m.Capability[i] = p.PRows[j]
 	}
 	m.Groups = p.Groups
 	if err := m.validate(); err != nil {
@@ -403,17 +307,24 @@ func (p *Patch) patchedModel(base *Model) (*Model, error) {
 }
 
 // checkShape verifies the patch's internal alignment against the base
-// dimensions before any splicing.
-func (p *Patch) checkShape(base *Model) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrPatchCorrupt, fmt.Sprintf(format, args...))
+// before any splicing, and returns the endpoint nodes of its lines,
+// which InterBases align with. pos maps each of the base's valid lines
+// to its index.
+func (p *Patch) checkShape(base *Model, pos map[grid.Line]int) ([]int, error) {
+	bad := func(format string, args ...any) ([]int, error) {
+		return nil, fmt.Errorf("%w: %s", ErrPatchCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(p.LineBases) != len(p.Lines) || len(p.CaseRows) != len(p.Lines) {
 		return bad("%d lines with %d bases and %d case rows", len(p.Lines), len(p.LineBases), len(p.CaseRows))
 	}
-	if len(p.UnionBases) != len(p.Nodes) || len(p.InterBases) != len(p.Nodes) || len(p.PRows) != len(p.Nodes) {
-		return bad("%d nodes with %d/%d bases and %d capability rows",
-			len(p.Nodes), len(p.UnionBases), len(p.InterBases), len(p.PRows))
+	for _, e := range p.Lines {
+		if _, ok := pos[e]; !ok {
+			return bad("patch refreshes line %d, not a valid line of the base", e)
+		}
+	}
+	nodes := endpoints(base.Grid, p.Lines)
+	if len(p.InterBases) != len(nodes) {
+		return bad("%d intersection bases for the %d endpoints of the refreshed lines", len(p.InterBases), len(nodes))
 	}
 	n := base.Grid.N()
 	for j := range p.CaseRows {
@@ -421,15 +332,10 @@ func (p *Patch) checkShape(base *Model) error {
 			return bad("case row %d has %d entries, grid has %d buses", j, len(p.CaseRows[j]), n)
 		}
 	}
-	for j := range p.PRows {
-		if len(p.PRows[j]) != n {
-			return bad("capability row %d has %d entries, grid has %d buses", j, len(p.PRows[j]), n)
-		}
-	}
 	if len(p.Groups) != len(base.Clusters) {
 		return bad("%d detection groups for %d clusters", len(p.Groups), len(base.Clusters))
 	}
-	return nil
+	return nodes, nil
 }
 
 // computeFingerprint hashes the canonical encoding with the

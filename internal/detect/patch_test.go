@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -158,7 +159,7 @@ func TestPatchRoundTripAndGuards(t *testing.T) {
 		}
 	})
 	t.Run("tampered", func(t *testing.T) {
-		bad := strings.Replace(artifact, `"nodes":[`, `"nodes":[0,`, 1)
+		bad := strings.Replace(artifact, `"lines":[`, `"lines":[0,`, 1)
 		if bad == artifact {
 			t.Fatal("tamper target not found")
 		}
@@ -167,12 +168,23 @@ func TestPatchRoundTripAndGuards(t *testing.T) {
 		}
 	})
 	t.Run("foreign version", func(t *testing.T) {
-		bad := strings.Replace(artifact, `"format_version":1`, `"format_version":9`, 1)
-		if bad == artifact {
-			t.Fatal("tamper target not found")
+		for _, v := range []int{PatchVersion - 1, 9} {
+			bad := strings.Replace(artifact, fmt.Sprintf(`"format_version":%d`, PatchVersion), fmt.Sprintf(`"format_version":%d`, v), 1)
+			if bad == artifact {
+				t.Fatal("tamper target not found")
+			}
+			if _, err := DecodePatch(strings.NewReader(bad)); !errors.Is(err, ErrPatchVersion) {
+				t.Fatalf("version %d: got %v, want ErrPatchVersion", v, err)
+			}
 		}
-		if _, err := DecodePatch(strings.NewReader(bad)); !errors.Is(err, ErrPatchVersion) {
-			t.Fatalf("got %v, want ErrPatchVersion", err)
+	})
+	t.Run("one intersection basis short", func(t *testing.T) {
+		short, err := DecodePatch(bytes.NewReader(shortPatch(t, p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := short.Apply(base); !errors.Is(err, ErrPatchCorrupt) {
+			t.Fatalf("got %v, want ErrPatchCorrupt", err)
 		}
 	})
 	t.Run("unknown line", func(t *testing.T) {
@@ -181,6 +193,20 @@ func TestPatchRoundTripAndGuards(t *testing.T) {
 			t.Fatal("patching an unknown line must fail")
 		}
 	})
+}
+
+// shortPatch re-stamps p with its last intersection basis dropped, as a
+// forger would: the artifact is self-consistent, but carries one
+// intersection basis fewer than its lines have endpoints.
+func shortPatch(t testing.TB, p *Patch) []byte {
+	t.Helper()
+	short := *p
+	short.InterBases = p.InterBases[:len(p.InterBases)-1]
+	var buf bytes.Buffer
+	if err := short.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzDecodePatch feeds hostile artifacts to the patch codec and
@@ -205,6 +231,7 @@ func FuzzDecodePatch(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add(shortPatch(f, p))
 	normal := d.Normal.Samples[0]
 	outage := d.Outages[d.ValidLines[0]].Samples[0]
 	apply := func(t *testing.T, artifact []byte) {

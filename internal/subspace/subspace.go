@@ -79,28 +79,10 @@ func Learn(x *mat.Dense, k int) (*Subspace, error) {
 	return &Subspace{basis: svd.U.SelectCols(idx)}, nil
 }
 
-// Extend returns the smallest subspace containing s and the columns of
-// x — the rank-one update primitive of incremental training. Each
-// column of x is orthogonalised against the basis accumulated so far
-// (s's columns first, kept verbatim) and appended as one new direction
-// when independent, with the same two-pass modified Gram–Schmidt and
-// dependence tolerance as mat.Orthonormalize. Extending the zero
-// subspace is therefore exactly Orthonormalize, which is how Union is
-// built; extending a trained signature subspace with fresh deviation
-// directions is how model patches grow it without re-running the SVD
-// over the historical data. s is not mutated.
-func (s *Subspace) Extend(x *mat.Dense) (*Subspace, error) {
-	if x.Rows() != s.Dim() {
-		return nil, fmt.Errorf("subspace: Extend dimension mismatch %d vs %d", x.Rows(), s.Dim())
-	}
-	return &Subspace{basis: mat.ExtendOrthonormal(s.basis, x)}, nil
-}
-
 // Union returns the smallest subspace containing all the given
-// subspaces: the paper's S_i^∪ over the outage subspaces of node i's
-// lines. Bases are concatenated and absorbed into an empty basis by
-// rank-one Extend updates — bit-identical to re-orthonormalising the
-// concatenation, which is what earlier revisions did directly.
+// subspaces: the linear span of the paper's S_i^∪ over the outage
+// subspaces of node i's lines, whose coordinates Intersection works in.
+// The bases are concatenated and orthonormalised.
 func Union(subs ...*Subspace) (*Subspace, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("subspace: Union of nothing")
@@ -124,7 +106,7 @@ func Union(subs ...*Subspace) (*Subspace, error) {
 			j++
 		}
 	}
-	return Zero(d).Extend(cat)
+	return &Subspace{basis: mat.Orthonormalize(cat)}, nil
 }
 
 // Intersection returns the directions shared by all the given subspaces

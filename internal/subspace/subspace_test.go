@@ -10,6 +10,16 @@ import (
 	"pmuoutage/internal/mat"
 )
 
+func randDense(rng *rand.Rand, r, c int) *mat.Dense {
+	a := mat.NewDense(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			a.Set(i, j, rng.NormFloat64())
+		}
+	}
+	return a
+}
+
 // dataAlong builds a d x t matrix whose columns are random multiples of
 // the given directions plus tiny noise.
 func dataAlong(rng *rand.Rand, t int, dirs ...[]float64) *mat.Dense {

@@ -14,9 +14,10 @@ import (
 )
 
 // Model is an immutable, versioned artifact holding everything training
-// produces: the learned detector state (subspaces, ellipses, capability
-// tables, detection groups, thresholds) plus the facade Options it was
-// trained under. Train once with TrainModel, persist with Encode, and
+// produces that serving and patching cannot derive: the learned
+// detector state (line and node intersection subspaces, ellipses,
+// per-case capability rows, detection groups, thresholds) plus the
+// facade Options it was trained under. Train once with TrainModel, persist with Encode, and
 // serve from any number of Systems via NewSystemFromModel — none of
 // which repeats the power-flow simulation or SVD work.
 //

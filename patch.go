@@ -13,15 +13,15 @@ import (
 
 // Patch is an incremental model update: the sealed delta produced by
 // re-simulating and re-learning a handful of lines against a frozen
-// base model. A patch carries only the refreshed signature subspaces,
-// the capability rows they invalidate, and the rebuilt detection
-// groups, so producing and applying one scales with the lines touched
-// rather than the grid — on a 300-bus system a two-line patch is a few
-// kilobytes against a multi-megabyte model. Both ends are fingerprint-
-// pinned: Apply refuses any base but the one the patch was trained on,
-// and verifies the result hashes to the fingerprint the trainer sealed
-// in, so a patched model is indistinguishable from a full retrain on
-// the same data.
+// base model. A patch carries only the refreshed signature subspaces
+// and capability rows, the intersection subspaces of their endpoint
+// buses, and the rebuilt detection groups, so it is a small fraction of
+// the model: on synth300 (DC, 8 training steps) a two-line patch is
+// about 38 KB against a 4.9 MB model. Both ends are fingerprint-pinned:
+// Apply refuses any base but the one the patch was trained on, and
+// verifies the result hashes to the fingerprint the trainer sealed in,
+// so a patched model is indistinguishable from a full retrain on the
+// same data.
 type Patch struct {
 	dp *detect.Patch
 }
