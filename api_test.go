@@ -1,10 +1,12 @@
 package pmuoutage
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -224,6 +226,67 @@ func TestWithMissingDedup(t *testing.T) {
 	}
 	if out := (Sample{}).WithMissing(); out.Missing != nil {
 		t.Fatalf("no-op WithMissing produced %v", out.Missing)
+	}
+}
+
+// TestScoresMarshalMatchesBoxed: Scores.MarshalJSON writes the bytes
+// json.Marshal gives the boxed form, each non-finite score as its
+// string and every other as a float64, on random values, both 'e'
+// cutoffs, signed zeros, subnormals, the extremes and the non-finite
+// values, alone, nil and empty.
+func TestScoresMarshalMatchesBoxed(t *testing.T) {
+	boxed := func(s Scores) []byte {
+		vals := make([]any, len(s))
+		for i, v := range s {
+			switch {
+			case math.IsInf(v, 1):
+				vals[i] = "+Inf"
+			case math.IsInf(v, -1):
+				vals[i] = "-Inf"
+			case math.IsNaN(v):
+				vals[i] = "NaN"
+			default:
+				vals[i] = v
+			}
+		}
+		b, err := json.Marshal(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	edges := Scores{
+		0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 1e20, 123456789.125,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
+		-1e-6, -math.Nextafter(1e-6, 0), -1e21, -math.Nextafter(1e21, 0),
+		1e-7, 1.5e-9, 1e-10, 1e22, 1e100, 1e-100, 1e308, 1e-308,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := make(Scores, 2000)
+	for i := range random {
+		if i%2 == 0 {
+			random[i] = math.Float64frombits(rng.Uint64()) // every exponent, NaN payloads included
+		} else {
+			random[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+	}
+	inputs := []Scores{nil, {}, edges, random}
+	for _, v := range edges {
+		inputs = append(inputs, Scores{v})
+	}
+	for _, s := range inputs {
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := boxed(s); !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON(%v)\n got %s\nwant %s", s, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,8 @@
 // archive data, and deterministic synthetic stand-ins for the 57- and
 // 118-bus systems (see DESIGN.md for the substitution rationale). All
 // systems are returned as grid.Grid values with per-unit parameters on a
-// 100 MVA base.
+// 100 MVA base. Each system builds once per process; the builders and
+// Load hand out independent copies of that build.
 package cases
 
 import (
@@ -57,7 +58,9 @@ func build(name string, buses []busSpec, branches []branchSpec) *grid.Grid {
 // IEEE14 returns the IEEE 14-bus test system (20 lines), the smallest
 // system in the paper's evaluation. Data follow the standard archive
 // values (MATPOWER case14).
-func IEEE14() *grid.Grid {
+func IEEE14() *grid.Grid { return ieee14() }
+
+func buildIEEE14() *grid.Grid {
 	buses := []busSpec{
 		{typ: grid.Slack, vm: 1.060, va: 0, pg: 232.4, qg: -16.9},
 		{typ: grid.PV, pd: 21.7, qd: 12.7, vm: 1.045, va: -4.98, pg: 40, qg: 42.4},

@@ -25,11 +25,16 @@ func TestPaperLineCounts(t *testing.T) {
 		"ieee57":  {57, 80},
 		"ieee118": {118, 186},
 	}
+	var names []string
 	for _, g := range All() {
 		w := want[g.Name]
 		if g.N() != w.buses || g.E() != w.lines {
 			t.Errorf("%s: %d buses / %d lines, want %d / %d", g.Name, g.N(), g.E(), w.buses, w.lines)
 		}
+		names = append(names, g.Name)
+	}
+	if !reflect.DeepEqual(names, PaperNames()) {
+		t.Errorf("All() returned %v, want PaperNames() %v in order", names, PaperNames())
 	}
 }
 
@@ -83,6 +88,51 @@ func TestLoadRegistry(t *testing.T) {
 	}
 }
 
+// TestLoadReturnsIndependentCopies: every case builds once per process
+// and Load hands out clones, so a change to one copy must not reach the
+// next Load.
+func TestLoadReturnsIndependentCopies(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			if name == "synth1000" && (raceEnabled || testing.Short()) {
+				t.Skip("1000-bus build skipped as in TestSynth1000")
+			}
+			g, err := Load(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := g.Clone()
+			g.Buses[0].Vm = 99
+			g.Branches[0].X = 99
+			g.Name = "changed"
+			again, err := Load(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, want) {
+				t.Fatalf("Load(%q) handed out a grid shared with an earlier caller", name)
+			}
+		})
+	}
+}
+
+// TestLoadCachesBuild: a repeated Load of ieee118 only clones the
+// process's one build (the Grid, its buses and its branches), so no
+// feasibility power flow runs again.
+func TestLoadCachesBuild(t *testing.T) {
+	if _, err := Load("ieee118"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Load("ieee118"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("repeated Load(\"ieee118\") made %v allocations, want the clone's 3", allocs)
+	}
+}
+
 func TestIEEE14SolvesNearPublishedVoltages(t *testing.T) {
 	g := IEEE14()
 	sol, err := powerflow.SolveAC(g, powerflow.Options{FlatStart: true})
@@ -118,21 +168,27 @@ func TestIEEE30SolvesNearPublishedVoltages(t *testing.T) {
 	}
 }
 
+// TestSyntheticDeterministic builds ieee57 twice through Synthetic, as
+// the case cache holds one build per process, and checks that the
+// cached ieee118 equals a fresh build.
 func TestSyntheticDeterministic(t *testing.T) {
-	a := IEEE57()
-	b := IEEE57()
-	if a.N() != b.N() || a.E() != b.E() {
-		t.Fatal("synthetic build not deterministic in size")
+	a, err := Synthetic(ieee57Config)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for e := range a.Branches {
-		if a.Branches[e] != b.Branches[e] {
-			t.Fatalf("branch %d differs between identical builds", e)
-		}
+	b, err := Synthetic(ieee57Config)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a.Buses {
-		if a.Buses[i] != b.Buses[i] {
-			t.Fatalf("bus %d differs between identical builds", i)
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two ieee57 builds differ")
+	}
+	fresh, err := Synthetic(ieee118Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(IEEE118(), fresh) {
+		t.Fatal("IEEE118() differs from a fresh Synthetic build")
 	}
 }
 

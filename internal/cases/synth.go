@@ -3,7 +3,6 @@ package cases
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"pmuoutage/internal/grid"
 	"pmuoutage/internal/powerflow"
@@ -223,74 +222,53 @@ func Synthetic(cfg SynthConfig) (*grid.Grid, error) {
 	return nil, fmt.Errorf("cases: synthetic grid %q infeasible after load shedding", cfg.Name)
 }
 
-// IEEE57 returns the 57-bus stand-in: 57 buses, 80 branches (the paper's
-// "80 power lines available for outage evaluation").
-func IEEE57() *grid.Grid {
-	g, err := Synthetic(SynthConfig{
+// The synthetic cases' configurations. Each is fixed, so every process
+// builds the same grids.
+var (
+	ieee57Config = SynthConfig{
 		Name: "ieee57", Buses: 57, Branches: 80,
 		Regions: 4, Gens: 6, LoadMW: 1250, Seed: 57,
-	})
-	if err != nil {
-		panic(err) // deterministic build; failure is a programming error
 	}
-	return g
+	ieee118Config = SynthConfig{
+		Name: "ieee118", Buses: 118, Branches: 186,
+		Regions: 8, Gens: 18, LoadMW: 4240, Seed: 118,
+	}
+	synth300Config = SynthConfig{
+		Name: "synth300", Buses: 300, Branches: 475,
+		Regions: 20, Gens: 46, LoadMW: 10800, Seed: 300,
+	}
+	synth1000Config = SynthConfig{
+		Name: "synth1000", Buses: 1000, Branches: 1580,
+		Regions: 66, Gens: 150, LoadMW: 36000, Seed: 1000,
+	}
+)
+
+// buildSynthetic returns the build of one registered synthetic case.
+func buildSynthetic(cfg SynthConfig) func() *grid.Grid {
+	return func() *grid.Grid {
+		g, err := Synthetic(cfg)
+		if err != nil {
+			panic(err) // deterministic build; failure is a programming error
+		}
+		return g
+	}
 }
+
+// IEEE57 returns the 57-bus stand-in: 57 buses, 80 branches (the paper's
+// "80 power lines available for outage evaluation").
+func IEEE57() *grid.Grid { return ieee57() }
 
 // IEEE118 returns the 118-bus stand-in: 118 buses, 186 branches (the
 // paper's "186 power lines available for outage evaluation").
-func IEEE118() *grid.Grid {
-	g, err := Synthetic(SynthConfig{
-		Name: "ieee118", Buses: 118, Branches: 186,
-		Regions: 8, Gens: 18, LoadMW: 4240, Seed: 118,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// The scale grids take seconds to build (the feasibility loop solves
-// AC power flows during construction), so each builds once per process
-// and hands out clones, matching the fresh-grid semantics of the small
-// builders at amortised cost.
-var (
-	synth300Once  sync.Once
-	synth300Grid  *grid.Grid
-	synth1000Once sync.Once
-	synth1000Grid *grid.Grid
-)
+func IEEE118() *grid.Grid { return ieee118() }
 
 // Synth300 returns a 300-bus synthetic system scaled from the 118-bus
 // stand-in's density (≈1.6 branches and ≈36 MW of load per bus, one PV
 // bus per ~6.5). It is the smallest grid that exercises the sparse
 // powerflow path (≥ powerflow.SparseBusThreshold buses) end to end.
-func Synth300() *grid.Grid {
-	synth300Once.Do(func() {
-		g, err := Synthetic(SynthConfig{
-			Name: "synth300", Buses: 300, Branches: 475,
-			Regions: 20, Gens: 46, LoadMW: 10800, Seed: 300,
-		})
-		if err != nil {
-			panic(err) // deterministic build; failure is a programming error
-		}
-		synth300Grid = g
-	})
-	return synth300Grid.Clone()
-}
+func Synth300() *grid.Grid { return synth300() }
 
 // Synth1000 returns a 1000-bus synthetic system at the same density,
 // the scaling target of the sparse numerics core (ROADMAP: "bigger
 // grids, faster math").
-func Synth1000() *grid.Grid {
-	synth1000Once.Do(func() {
-		g, err := Synthetic(SynthConfig{
-			Name: "synth1000", Buses: 1000, Branches: 1580,
-			Regions: 66, Gens: 150, LoadMW: 36000, Seed: 1000,
-		})
-		if err != nil {
-			panic(err)
-		}
-		synth1000Grid = g
-	})
-	return synth1000Grid.Clone()
-}
+func Synth1000() *grid.Grid { return synth1000() }

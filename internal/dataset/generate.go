@@ -66,6 +66,12 @@ func GenerateScenario(g *grid.Grid, sc Scenario, cfg GenConfig) (*Set, error) {
 // per-step solve loop stops at the first context error. The work of one
 // scenario is inherently sequential (each step warm-starts from the
 // last), so there is no Workers option at this level.
+//
+// Each step scales the loads by the load process's multipliers and
+// re-dispatches generation by powerflow.DispatchScale. A DC step then
+// solves the scenario's one factor of B′ on per-bus buffers that every
+// step reuses, so it copies no grid. An AC step copies the last step's
+// solved grid once, as the warm start of its Newton solve.
 func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg GenConfig) (*Set, error) {
 	cfg = cfg.withDefaults()
 	work := g.WithoutLines(sc)
@@ -83,37 +89,64 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 		return nil, err
 	}
 	noise := loadgen.NewNoiseModel(cfg.SigmaVm, cfg.SigmaVa, seed+1)
-	// Only loads change between steps, so B′ is factored once for the
-	// scenario's topology and every step only back-substitutes.
-	var dc *powerflow.DCFactor
+
+	n := work.N()
+	pd := make([]float64, n) // this step's active loads
+	var (
+		dc              *powerflow.DCFactor
+		p, angles, flat []float64  // DC: injections, angles, unit magnitudes
+		warm            *grid.Grid // AC: the last step's solved state
+	)
 	if cfg.UseDC {
+		// Only loads change between steps, so B′ is factored once for
+		// the scenario's topology and every step only back-substitutes.
 		if dc, err = powerflow.NewDCFactor(work); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrInvalidScenario, sc.Key(), err)
 		}
+		p, angles, flat = make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range flat {
+			flat[i] = 1
+		}
+	} else {
+		warm = work.Clone()
 	}
 
-	set := &Set{Case: sc}
-	warm := work.Clone()
+	set := &Set{Case: sc, Samples: make([]Sample, 0, cfg.Steps)}
 	for t := 0; t < cfg.Steps; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		mult := proc.Step()
-		step := warm.Clone()
-		for i := range step.Buses {
-			step.Buses[i].Pd = work.Buses[i].Pd * mult[i]
-			step.Buses[i].Qd = work.Buses[i].Qd * mult[i]
+		var load float64
+		for i := range pd {
+			pd[i] = work.Buses[i].Pd * mult[i]
+			load += pd[i]
 		}
-		step = powerflow.Dispatch(step, cfg.LossFrac)
+		scale := powerflow.DispatchScale(work, load, cfg.LossFrac)
 
 		var vm, va []float64
 		if dc != nil {
-			sol, err := dc.Solve(step)
-			if err != nil {
+			for i, b := range work.Buses {
+				pg := b.Pg
+				if b.Type != grid.PQ {
+					pg *= scale
+				}
+				p[i] = pg - pd[i]
+			}
+			if err := dc.SolveInto(angles, p); err != nil {
 				return nil, fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
 			}
-			vm, va = sol.Vm, sol.Va
+			vm, va = flat, angles
 		} else {
+			step := warm.Clone()
+			for i := range step.Buses {
+				b := &step.Buses[i]
+				b.Pd = pd[i]
+				b.Qd = work.Buses[i].Qd * mult[i]
+				if b.Type != grid.PQ {
+					b.Pg *= scale
+				}
+			}
 			sol, err := powerflow.SolveAC(step, powerflow.Options{MaxIter: cfg.MaxIter})
 			if err != nil {
 				// One retry from flat start; warm starts can stray after

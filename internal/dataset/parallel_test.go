@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -108,5 +109,54 @@ func TestGenerateContextCancelled(t *testing.T) {
 	}
 	if _, err := GenerateScenarioContext(ctx, cases.IEEE14(), nil, smallConfig()); err == nil {
 		t.Fatal("cancelled context must fail scenario generation")
+	}
+}
+
+// cancelAfter is a context that reports context.Canceled from its
+// (after+1)th Err call on, as a context cancelled while a scenario
+// runs would. GenerateScenarioContext checks Err once per step.
+type cancelAfter struct {
+	context.Context
+	calls, after int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestGenerateScenarioCancelledBetweenSteps: a DC scenario cancelled
+// after three steps returns the context's error, not a scenario error
+// or a short set, and solves no further step.
+func TestGenerateScenarioCancelledBetweenSteps(t *testing.T) {
+	cfg := GenConfig{Steps: 40, Seed: 1, UseDC: true}
+	ctx := &cancelAfter{Context: context.Background(), after: 3}
+	set, err := GenerateScenarioContext(ctx, cases.IEEE30(), Scenario{3}, cfg)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrInvalidScenario) || set != nil {
+		t.Fatalf("cancelled after 3 steps: set %v, err %v; want nil and context.Canceled", set, err)
+	}
+	if ctx.calls != 4 {
+		t.Fatalf("Err called %d times, want 4: the loop must stop at the first error", ctx.calls)
+	}
+}
+
+// TestDCScenarioAllocs is the allocation ceiling of one 40-step ieee30
+// DC scenario. Each step reuses the scenario's per-bus buffers, so the
+// count is about 320; one grid copy per step would add 120 (three
+// allocations each). With two copies and a Solution per step it was
+// 644.
+func TestDCScenarioAllocs(t *testing.T) {
+	g := cases.IEEE30()
+	cfg := GenConfig{Steps: 40, Seed: 1, UseDC: true}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := GenerateScenario(g, Scenario{3}, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Fatalf("one DC ieee30 scenario made %v allocations, ceiling 400", allocs)
 	}
 }

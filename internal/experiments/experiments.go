@@ -40,7 +40,8 @@ func (r Row) String() string {
 
 // Config scopes an experiment run.
 type Config struct {
-	// Systems to evaluate; nil means all four IEEE systems.
+	// Systems to evaluate; nil means the four IEEE systems,
+	// cases.PaperNames.
 	Systems []string
 	// TrainSteps is the training window length per scenario (default 40).
 	TrainSteps int
@@ -68,7 +69,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if len(c.Systems) == 0 {
-		c.Systems = cases.Names()
+		c.Systems = cases.PaperNames()
 	}
 	if c.TrainSteps <= 0 {
 		c.TrainSteps = 40

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,16 @@ func quickCfg() Config {
 		TestSteps:  4,
 		Seed:       5,
 		UseDC:      true,
+	}
+}
+
+// TestDefaultSystemsArePaperSet: with no Systems a run covers the four
+// IEEE systems the field comment and the -systems flag name, not the
+// scale grids every registered case would add.
+func TestDefaultSystemsArePaperSet(t *testing.T) {
+	want := []string{"ieee14", "ieee30", "ieee57", "ieee118"}
+	if got := (Config{}).withDefaults().Systems; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default Systems = %v, want %v", got, want)
 	}
 }
 

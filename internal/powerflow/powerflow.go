@@ -425,10 +425,13 @@ func solveDC(g *grid.Grid, sparse bool) (*Solution, error) {
 
 // DCFactor is the factored reduced susceptance matrix B′ of one grid
 // topology. The topology (the in-service branches, their reactances
-// and the slack bus) is fixed when the factor is built: Solve reads
-// only bus injections, so every grid it is given must differ from the
-// factored one in loads and generation alone. A grid with a different
-// bus count is an error.
+// and the slack bus) is fixed when the factor is built; every solve
+// reads only bus injections. SolveInto is the one solve path: it takes
+// per-bus injections and writes angles into the caller's slice, so a
+// caller that varies loads step by step needs no grid per step. Solve
+// is SolveInto on the injections of a grid, which must differ from the
+// factored one in loads and generation alone; a grid with a different
+// bus count is an error. A factor is read-only after construction.
 type DCFactor struct {
 	n   int
 	idx []int // reduced row k is bus idx[k]; the slack bus has none
@@ -500,53 +503,88 @@ func stampBPrime(g *grid.Grid) (*mat.Sparse, []int, error) {
 }
 
 // Solve computes the DC power-flow angles of g on the factored
-// topology: P_i = Pg_i - Pd_i at every non-slack bus, theta = B′⁻¹P,
-// the slack angle zero and every magnitude 1.
+// topology: P_i = Pg_i - Pd_i at every bus, angles by SolveInto, and
+// every magnitude 1.
 func (f *DCFactor) Solve(g *grid.Grid) (*Solution, error) {
 	if g.N() != f.n {
 		return nil, fmt.Errorf("powerflow: DC factor is for %d buses, grid %q has %d", f.n, g.Name, g.N())
 	}
-	p := make([]float64, len(f.idx))
-	for k, i := range f.idx {
-		p[k] = g.Buses[i].Pg - g.Buses[i].Pd
+	p := make([]float64, f.n)
+	for i := range p {
+		p[i] = g.Buses[i].Pg - g.Buses[i].Pd
 	}
-	th, err := f.ls.solve(p)
-	if err != nil {
-		return nil, fmt.Errorf("powerflow: DC solve failed: %w", err)
+	va := make([]float64, f.n)
+	if err := f.SolveInto(va, p); err != nil {
+		return nil, err
 	}
 	vm := make([]float64, f.n)
-	va := make([]float64, f.n)
 	for i := range vm {
 		vm[i] = 1
-	}
-	for k, i := range f.idx {
-		va[i] = th[k]
 	}
 	return &Solution{Vm: vm, Va: va, Iterations: 1}, nil
 }
 
-// Dispatch scales every generator's active output by the same factor so
-// that total generation matches total load plus the given loss fraction.
-// It returns a modified copy of the grid. The paper's data generator
-// "adjusts power output accordingly" when loads vary; proportional
-// re-dispatch is the standard way to do that.
+// SolveInto writes into va the DC power-flow angles of the per-bus net
+// injections p (P_i = Pg_i - Pd_i, bus order) on the factored
+// topology: theta = B′⁻¹P over the non-slack buses, whose injections
+// are the only ones read, and zero at the slack. Both slices have one
+// entry per bus.
+//
+//gridlint:unit va rad
+//gridlint:unit p pu
+func (f *DCFactor) SolveInto(va, p []float64) error {
+	if len(va) != f.n || len(p) != f.n {
+		return fmt.Errorf("powerflow: DC factor is for %d buses, got %d angles and %d injections", f.n, len(va), len(p))
+	}
+	rhs := make([]float64, len(f.idx))
+	for k, i := range f.idx {
+		rhs[k] = p[i]
+	}
+	th, err := f.ls.solve(rhs)
+	if err != nil {
+		return fmt.Errorf("powerflow: DC solve failed: %w", err)
+	}
+	clear(va)
+	for k, i := range f.idx {
+		va[i] = th[k]
+	}
+	return nil
+}
+
+// Dispatch scales every generator's active output by DispatchScale, so
+// that total generation matches total load plus the given loss
+// fraction. It returns a modified copy of the grid. The paper's data
+// generator "adjusts power output accordingly" when loads vary;
+// proportional re-dispatch is the standard way to do that.
 func Dispatch(g *grid.Grid, lossFrac float64) *grid.Grid {
 	ng := g.Clone()
-	var totalLoad, totalGen float64
-	for i := range ng.Buses {
-		totalLoad += ng.Buses[i].Pd
-		if ng.Buses[i].Type != grid.PQ {
-			totalGen += ng.Buses[i].Pg
-		}
-	}
-	if totalGen <= 0 {
-		return ng
-	}
-	scale := totalLoad * (1 + lossFrac) / totalGen
+	scale := DispatchScale(ng, ng.TotalLoad(), lossFrac)
 	for i := range ng.Buses {
 		if ng.Buses[i].Type != grid.PQ {
 			ng.Buses[i].Pg *= scale
 		}
 	}
 	return ng
+}
+
+// DispatchScale returns the factor by which proportional re-dispatch
+// multiplies every generator's active output Pg (the PV and slack buses
+// of g), so that total generation meets load, the system's total active
+// load, plus the loss fraction lossFrac; it is 1 when g has no positive
+// generation. Dispatch applies it to a copy of g. The data generator,
+// which keeps each step's loads in a buffer instead of a grid, calls it
+// directly.
+//
+//gridlint:unit load pu
+func DispatchScale(g *grid.Grid, load, lossFrac float64) float64 {
+	var gen float64
+	for i := range g.Buses {
+		if g.Buses[i].Type != grid.PQ {
+			gen += g.Buses[i].Pg
+		}
+	}
+	if gen <= 0 {
+		return 1
+	}
+	return load * (1 + lossFrac) / gen
 }

@@ -261,8 +261,9 @@ func TestDCFactorSingularWhenIslanded(t *testing.T) {
 }
 
 // TestDCFactorReuse: one factor solves any injections on its topology
-// with the bits of a fresh SolveDC, on both linear solves, and refuses
-// a grid of another size.
+// with the bits of a fresh SolveDC, on both linear solves, whether given
+// a grid or per-bus injections and a reused angle slice, and refuses a
+// grid or slices of another size.
 func TestDCFactorReuse(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -274,6 +275,7 @@ func TestDCFactorReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, va := make([]float64, tc.n), make([]float64, tc.n)
 		for step := 0; step < 5; step++ {
 			ld := g.Clone()
 			for i := range ld.Buses {
@@ -288,14 +290,30 @@ func TestDCFactorReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for i := range p {
+				p[i] = ld.Buses[i].Pg - ld.Buses[i].Pd
+				va[i] = math.NaN() // the last step's angles must not leak
+			}
+			if err := f.SolveInto(va, p); err != nil {
+				t.Fatal(err)
+			}
 			for i := range want.Va {
 				if math.Float64bits(got.Va[i]) != math.Float64bits(want.Va[i]) || got.Vm[i] != 1 {
 					t.Fatalf("n=%d step %d bus %d: factor gave %v, fresh solve %v", tc.n, step, i, got.Va[i], want.Va[i])
+				}
+				if math.Float64bits(va[i]) != math.Float64bits(want.Va[i]) {
+					t.Fatalf("n=%d step %d bus %d: SolveInto gave %v, fresh solve %v", tc.n, step, i, va[i], want.Va[i])
 				}
 			}
 		}
 		if _, err := f.Solve(ring(tc.n - 1)); err == nil {
 			t.Fatalf("n=%d: a %d-bus grid must be refused", tc.n, tc.n-1)
+		}
+		if err := f.SolveInto(va[1:], p); err == nil {
+			t.Fatalf("n=%d: a short angle slice must be refused", tc.n)
+		}
+		if err := f.SolveInto(va, p[1:]); err == nil {
+			t.Fatalf("n=%d: a short injection slice must be refused", tc.n)
 		}
 	}
 }

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
@@ -241,22 +242,45 @@ func (s *System) datasetSample(sample Sample) (dataset.Sample, error) {
 // the strings "+Inf", "-Inf", and "NaN" and reads them back losslessly.
 type Scores []float64
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. It appends each score in
+// place: a finite one as encoding/json writes a float64, a non-finite
+// one as its string.
 func (s Scores) MarshalJSON() ([]byte, error) {
-	vals := make([]any, len(s))
+	b := make([]byte, 0, 2+24*len(s))
+	b = append(b, '[')
 	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		switch {
 		case math.IsInf(v, 1):
-			vals[i] = "+Inf"
+			b = append(b, `"+Inf"`...)
 		case math.IsInf(v, -1):
-			vals[i] = "-Inf"
+			b = append(b, `"-Inf"`...)
 		case math.IsNaN(v):
-			vals[i] = "NaN"
+			b = append(b, `"NaN"`...)
 		default:
-			vals[i] = v
+			b = appendJSONFloat(b, v)
 		}
 	}
-	return json.Marshal(vals)
+	return append(b, ']'), nil
+}
+
+// appendJSONFloat appends the finite v as encoding/json encodes a
+// float64: the shortest decimal that reads back as v, in 'f' format,
+// or in 'e' format when |v| < 1e-6 or |v| >= 1e21, with a one-digit
+// negative exponent written without its leading zero (e-7, not e-07).
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if a := math.Abs(v); a > 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
