@@ -3,7 +3,6 @@ package loadgen
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewProcessValidation(t *testing.T) {
@@ -137,46 +136,5 @@ func TestNoiseModelDefaults(t *testing.T) {
 	nm := NewNoiseModel(0, -1, 1)
 	if nm.SigmaVm != 1e-3 || nm.SigmaVa != 1e-3 {
 		t.Fatalf("defaults = %v/%v", nm.SigmaVm, nm.SigmaVa)
-	}
-}
-
-func TestDayProfileProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		steps := 24 + int(seed%72+72)%72
-		p := DayProfile(steps, 0.7)
-		if len(p) != steps {
-			return false
-		}
-		for _, v := range p {
-			if v < 0.7-1e-12 || v > 1+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-	// Bad minFrac falls back to the default.
-	p := DayProfile(24, -1)
-	for _, v := range p {
-		if v < 0.7-1e-12 {
-			t.Fatalf("fallback minFrac violated: %v", v)
-		}
-	}
-}
-
-func TestDayProfileHasEveningPeak(t *testing.T) {
-	p := DayProfile(240, 0.5)
-	// Peak should land in the afternoon/evening half of the day.
-	best, bestK := 0.0, 0
-	for k, v := range p {
-		if v > best {
-			best, bestK = v, k
-		}
-	}
-	hour := 24 * float64(bestK) / 240
-	if hour < 10 || hour > 22 {
-		t.Fatalf("peak at hour %.1f, want daytime/evening", hour)
 	}
 }

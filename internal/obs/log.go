@@ -12,7 +12,7 @@ const (
 	// AttrTraceID carries the request trace ID on every span log line.
 	AttrTraceID = "trace_id"
 	// AttrComponent names the emitting subsystem (http, service, client,
-	// comm, ...).
+	// router, registry).
 	AttrComponent = "component"
 	// AttrShard names the shard a span crossed.
 	AttrShard = "shard"

@@ -306,8 +306,8 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 }
 
 // AttachCounter registers an existing counter cell (one owned by another
-// subsystem, e.g. the comm collector) so the registry and the owner read
-// the same atomics.
+// subsystem, e.g. a tracer's kept and dropped counts) so the registry and
+// the owner read the same atomics.
 func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...string) {
 	if r == nil {
 		return

@@ -551,29 +551,13 @@ func (f *DCFactor) SolveInto(va, p []float64) error {
 	return nil
 }
 
-// Dispatch scales every generator's active output by DispatchScale, so
-// that total generation matches total load plus the given loss
-// fraction. It returns a modified copy of the grid. The paper's data
-// generator "adjusts power output accordingly" when loads vary;
-// proportional re-dispatch is the standard way to do that.
-func Dispatch(g *grid.Grid, lossFrac float64) *grid.Grid {
-	ng := g.Clone()
-	scale := DispatchScale(ng, ng.TotalLoad(), lossFrac)
-	for i := range ng.Buses {
-		if ng.Buses[i].Type != grid.PQ {
-			ng.Buses[i].Pg *= scale
-		}
-	}
-	return ng
-}
-
 // DispatchScale returns the factor by which proportional re-dispatch
 // multiplies every generator's active output Pg (the PV and slack buses
 // of g), so that total generation meets load, the system's total active
 // load, plus the loss fraction lossFrac; it is 1 when g has no positive
-// generation. Dispatch applies it to a copy of g. The data generator,
-// which keeps each step's loads in a buffer instead of a grid, calls it
-// directly.
+// generation. The paper's data generator "adjusts power output
+// accordingly" when loads vary; proportional re-dispatch is the standard
+// way to do that.
 //
 //gridlint:unit load pu
 func DispatchScale(g *grid.Grid, load, lossFrac float64) float64 {

@@ -1,16 +1,14 @@
 package recovery
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pmuoutage/internal/mat"
 )
 
-// lowRankMatrix builds an exactly rank-r d x t matrix plus optional noise.
-func lowRankMatrix(rng *rand.Rand, d, t, r int, noise float64) *mat.Dense {
+// lowRankMatrix builds an exactly rank-r d x t matrix.
+func lowRankMatrix(rng *rand.Rand, d, t, r int) *mat.Dense {
 	u := mat.NewDense(d, r)
 	v := mat.NewDense(t, r)
 	for i := 0; i < d; i++ {
@@ -23,15 +21,7 @@ func lowRankMatrix(rng *rand.Rand, d, t, r int, noise float64) *mat.Dense {
 			v.Set(j, k, rng.NormFloat64())
 		}
 	}
-	x := u.Mul(v.T())
-	if noise > 0 {
-		for i := 0; i < d; i++ {
-			for j := 0; j < t; j++ {
-				x.Add(i, j, noise*rng.NormFloat64())
-			}
-		}
-	}
-	return x
+	return u.Mul(v.T())
 }
 
 func TestBasisValidation(t *testing.T) {
@@ -45,7 +35,7 @@ func TestBasisValidation(t *testing.T) {
 
 func TestBasisClampsRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	x := lowRankMatrix(rng, 8, 12, 2, 0)
+	x := lowRankMatrix(rng, 8, 12, 2)
 	b, err := Basis(x, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +50,7 @@ func TestSubspaceImputeExactOnLowRank(t *testing.T) {
 	// exactly when enough entries are observed.
 	rng := rand.New(rand.NewSource(2))
 	d, r := 10, 2
-	x := lowRankMatrix(rng, d, 30, r, 0)
+	x := lowRankMatrix(rng, d, 30, r)
 	basis, err := Basis(x, r)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +86,7 @@ func TestSubspaceImputeExactOnLowRank(t *testing.T) {
 
 func TestSubspaceImputeValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	basis, _ := Basis(lowRankMatrix(rng, 5, 10, 2, 0), 2)
+	basis, _ := Basis(lowRankMatrix(rng, 5, 10, 2), 2)
 	if _, err := SubspaceImpute(basis, []float64{1, 2}, []bool{false, false}); err == nil {
 		t.Fatal("expected length error")
 	}
@@ -117,127 +107,6 @@ func TestSubspaceImputeValidation(t *testing.T) {
 		if out[i] != x[i] {
 			t.Fatal("complete sample must pass through unchanged")
 		}
-	}
-}
-
-func TestCompleteRecoversLowRank(t *testing.T) {
-	// ALS completion is a biconvex heuristic: it can stall at non-global
-	// stationary points, so exact recovery of every entry is not
-	// guaranteed even on noiseless rank-2 data — which is precisely the
-	// imperfect-recovery behaviour the paper holds against
-	// recover-then-classify pipelines. The test asserts the realistic
-	// contract: small RMS error relative to the data scale.
-	rng := rand.New(rand.NewSource(4))
-	d, tt, r := 12, 20, 2
-	truth := lowRankMatrix(rng, d, tt, r, 0)
-	x := truth.Clone()
-	missing := make([][]bool, d)
-	dropped := 0
-	for i := range missing {
-		missing[i] = make([]bool, tt)
-		for j := range missing[i] {
-			if rng.Float64() < 0.10 {
-				missing[i][j] = true
-				x.Set(i, j, 0)
-				dropped++
-			}
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("test needs missing entries")
-	}
-	rec, err := Complete(x, missing, CompleteOptions{Rank: r, Iters: 300, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	n := 0
-	for i := 0; i < d; i++ {
-		for j := 0; j < tt; j++ {
-			if !missing[i][j] {
-				if rec.At(i, j) != x.At(i, j) {
-					t.Fatal("observed entry modified")
-				}
-				continue
-			}
-			dd := rec.At(i, j) - truth.At(i, j)
-			sum += dd * dd
-			n++
-		}
-	}
-	rmse := math.Sqrt(sum / float64(n))
-	// Data entries are ~N(0, 2): recovered values must carry real
-	// information (far below the ~1.4 std of blind guessing).
-	if rmse > 0.15 {
-		t.Fatalf("completion rmse %v too large", rmse)
-	}
-	t.Logf("completion rmse over %d missing entries: %.4f", n, rmse)
-}
-
-func TestCompleteObservedResidualZero(t *testing.T) {
-	// Whatever the pattern, the returned completion must fit the
-	// observed entries of an exactly low-rank matrix (the factorisation
-	// reproduces them even though they are returned verbatim).
-	rng := rand.New(rand.NewSource(4))
-	d, tt, r := 12, 20, 2
-	truth := lowRankMatrix(rng, d, tt, r, 0)
-	x := truth.Clone()
-	missing := make([][]bool, d)
-	for i := range missing {
-		missing[i] = make([]bool, tt)
-		for j := range missing[i] {
-			if rng.Float64() < 0.25 {
-				missing[i][j] = true
-				x.Set(i, j, 0)
-			}
-		}
-	}
-	rec, err := Complete(x, missing, CompleteOptions{Rank: r, Iters: 300, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recovered entries stay bounded by the scale of the data — a
-	// diverged factorisation would blow up here.
-	for i := 0; i < d; i++ {
-		for j := 0; j < tt; j++ {
-			if math.Abs(rec.At(i, j)) > 100 {
-				t.Fatalf("completion diverged at (%d,%d): %v", i, j, rec.At(i, j))
-			}
-		}
-	}
-}
-
-func TestCompleteValidation(t *testing.T) {
-	x := mat.NewDense(2, 3)
-	if _, err := Complete(x, [][]bool{{true, true, true}}, CompleteOptions{}); err == nil {
-		t.Fatal("expected mask shape error")
-	}
-	m := [][]bool{{true, true, true}, {true, true, true}}
-	if _, err := Complete(x, m, CompleteOptions{}); err != ErrNoObservations {
-		t.Fatalf("err = %v, want ErrNoObservations", err)
-	}
-	bad := [][]bool{{true}, {true, true, true}}
-	if _, err := Complete(x, bad, CompleteOptions{}); err == nil {
-		t.Fatal("expected ragged mask error")
-	}
-}
-
-func TestCompleteFullyObservedIsIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := lowRankMatrix(rng, 4, 5, 2, 0.01)
-		missing := make([][]bool, 4)
-		for i := range missing {
-			missing[i] = make([]bool, 5)
-		}
-		rec, err := Complete(x, missing, CompleteOptions{Rank: 2, Iters: 3})
-		if err != nil {
-			return false
-		}
-		return rec.Equalf(x, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -112,9 +112,6 @@ func (m *Monitor) Ingest(s dataset.Sample) (*Event, error) {
 // Seq returns the number of samples ingested so far.
 func (m *Monitor) Seq() int { return m.seq }
 
-// Pending returns the current unconfirmed positive streak length.
-func (m *Monitor) Pending() int { return m.streak }
-
 // Reset clears streak and cooldown state (e.g. after operator action).
 func (m *Monitor) Reset() {
 	m.streak = 0

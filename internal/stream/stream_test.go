@@ -117,8 +117,8 @@ func TestGlitchDoesNotTrigger(t *testing.T) {
 			t.Fatalf("glitch at %d produced an event", i)
 		}
 	}
-	if m.Pending() != 0 {
-		t.Fatalf("Pending = %d after normal tail", m.Pending())
+	if m.streak != 0 {
+		t.Fatalf("streak = %d after normal tail", m.streak)
 	}
 }
 
@@ -130,11 +130,11 @@ func TestReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", m.Pending())
+	if m.streak != 3 {
+		t.Fatalf("streak = %d, want 3", m.streak)
 	}
 	m.Reset()
-	if m.Pending() != 0 {
+	if m.streak != 0 {
 		t.Fatal("Reset did not clear streak")
 	}
 }
