@@ -17,13 +17,16 @@ type LU struct {
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
-// partial pivoting. It returns ErrSingular when a pivot underflows.
+// partial pivoting. Like LAPACK's getrf it eliminates in place: a is
+// overwritten by the factors and the returned LU keeps it, so a caller
+// that still needs a factors a.Clone(). It returns ErrSingular when a
+// pivot underflows, leaving a partly eliminated.
 func FactorLU(a *Dense) (*LU, error) {
 	n := a.rows
 	if a.cols != n {
 		return nil, fmt.Errorf("mat: FactorLU requires square matrix, got %dx%d", a.rows, a.cols)
 	}
-	lu := a.Clone()
+	lu := a
 	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
@@ -119,8 +122,9 @@ func (f *LU) SolveMat(b *Dense) (*Dense, error) {
 }
 
 // Solve solves the square system a*x = b using LU with partial pivoting.
+// It factors a copy of a, so a is left as it was.
 func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
+	f, err := FactorLU(a.Clone())
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func TestLUSolveMat(t *testing.T) {
 		a.Add(i, i, 8)
 	}
 	b := randDense(rng, n, 3)
-	f, err := FactorLU(a)
+	f, err := FactorLU(a.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

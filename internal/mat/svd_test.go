@@ -11,9 +11,10 @@ import (
 // The FactorSVD and PseudoInverse tests check against these oracles,
 // which no code outside the tests needs.
 
-// Inverse returns the inverse of a square matrix, or ErrSingular.
+// Inverse returns the inverse of a square matrix, or ErrSingular. It
+// factors a copy, so a is left as it was.
 func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
+	f, err := FactorLU(a.Clone())
 	if err != nil {
 		return nil, err
 	}
