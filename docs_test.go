@@ -1,0 +1,73 @@
+package pmuoutage
+
+import (
+	"os"
+	"path"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+	"unicode"
+)
+
+// TestDocsNamePathsThatExist: every repository path that DESIGN.md and
+// README.md name exists, so the map cannot drift from the tree. A path
+// is an entry of README's package tree, or the first word of a
+// backticked span that starts with one of the top-level source
+// directories or is a file name with a '/' in it.
+func TestDocsNamePathsThatExist(t *testing.T) {
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range docPaths(string(b)) {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, p)
+			}
+		}
+	}
+}
+
+var (
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	treeEntry  = regexp.MustCompile(`^[│ ]*[├└]── (\S+)`)
+	pathDirs   = []string{"api/", "client/", "cmd/", "examples/", "internal/", "perfbench/", ".github/"}
+	pathExts   = []string{".go", ".md", ".json", ".s", ".sh"}
+)
+
+// docPaths returns the repository paths doc names, in order.
+func docPaths(doc string) []string {
+	var paths []string
+	for _, line := range strings.Split(doc, "\n") {
+		if m := treeEntry.FindStringSubmatch(line); m != nil {
+			paths = append(paths, m[1])
+		}
+	}
+	for _, m := range backticked.FindAllStringSubmatch(doc, -1) {
+		words := strings.Fields(m[1])
+		if len(words) == 0 {
+			continue
+		}
+		if p, ok := repoPath(words[0]); ok {
+			paths = append(paths, p)
+		}
+	}
+	return paths
+}
+
+// repoPath reports whether tok names a repository path, and which. A
+// pkg/path.Symbol token names its package directory.
+func repoPath(tok string) (string, bool) {
+	if slices.Contains(pathExts, path.Ext(tok)) && strings.Contains(tok, "/") {
+		return tok, true
+	}
+	if !slices.ContainsFunc(pathDirs, func(d string) bool { return strings.HasPrefix(tok, d) }) {
+		return "", false
+	}
+	dir, base := path.Split(tok)
+	if i := strings.IndexByte(base, '.'); i >= 0 && i+1 < len(base) && unicode.IsUpper(rune(base[i+1])) {
+		return dir + base[:i], true
+	}
+	return tok, true
+}
