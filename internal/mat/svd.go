@@ -53,12 +53,8 @@ func FactorSVD(a *Dense) *SVD {
 		vt[j*n+j] = 1
 	}
 
-	const maxSweeps = 60
-	// Convergence threshold relative to the largest column norm product.
-	eps := math.Nextafter(1, 2) - 1 // machine epsilon
-	tol := math.Sqrt(float64(m)) * eps
-
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	tol := jacobiTol(m)
+	for sweep := 0; sweep < jacobiSweeps; sweep++ {
 		off := 0
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -72,18 +68,11 @@ func FactorSVD(a *Dense) *SVD {
 					beta += xq * xq
 					gamma += xp * xq
 				}
-				if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
-					continue
-				}
-				if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
+				c, s, ok := rotation(alpha, beta, gamma, tol)
+				if !ok {
 					continue
 				}
 				off++
-				// Jacobi rotation zeroing the (p,q) inner product.
-				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
 				for i, xp := range wp {
 					xq := wq[i]
 					wp[i] = c*xp - s*xq
@@ -103,9 +92,66 @@ func FactorSVD(a *Dense) *SVD {
 			break
 		}
 	}
+	return svdOfColumns(w, vt, m, n)
+}
 
-	// Extract singular values and left vectors. Columns with zero
-	// singular value keep zero U columns; callers use Rank to ignore them.
+// FactorSVDPair returns FactorSVD(a) and FactorSVD(b), bit for bit.
+// Two matrices of one shape are factored in lockstep where the
+// platform has lanes that keep FactorSVD's bits (amd64's SSE2, see
+// lanes_amd64.s): one matrix per lane, each lane running FactorSVD's
+// sequence of sums, skip tests and rotations, and stopping after its
+// own first sweep that rotates nothing. A Jacobi sweep is a chain of
+// dependent sums, so one matrix cannot go faster than its add latency;
+// two in lanes take about the time of one. A wide pair is factored
+// through its transposes, as FactorSVD does. Matrices of different
+// shapes, and every pair elsewhere, take two FactorSVD calls. A lone
+// matrix belongs on FactorSVD: through the pair kernels it is slower.
+func FactorSVDPair(a, b *Dense) (*SVD, *SVD) {
+	if a.rows != b.rows || a.cols != b.cols {
+		return FactorSVD(a), FactorSVD(b)
+	}
+	if a.rows < a.cols {
+		sa, sb := FactorSVDPair(a.T(), b.T())
+		return &SVD{U: sa.V, S: sa.S, V: sa.U}, &SVD{U: sb.V, S: sb.S, V: sb.U}
+	}
+	return factorSVDPair(a, b)
+}
+
+// jacobiSweeps caps the sweeps of one-sided Jacobi.
+const jacobiSweeps = 60
+
+// jacobiTol is the convergence threshold of an m-row Jacobi sweep,
+// relative to the product of the two column norms.
+func jacobiTol(m int) float64 {
+	eps := math.Nextafter(1, 2) - 1 // machine epsilon
+	return math.Sqrt(float64(m)) * eps
+}
+
+// rotation returns the Jacobi rotation that zeroes the inner product
+// gamma of two columns with squared norms alpha and beta, or ok false
+// when the pair is left alone: a column is exactly null, or the pair
+// is orthogonal to within tol. FactorSVD and FactorSVDPair's lanes
+// both decide and rotate through it, so they share its bits.
+func rotation(alpha, beta, gamma, tol float64) (c, s float64, ok bool) {
+	if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
+		return 0, 0, false
+	}
+	if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
+		return 0, 0, false
+	}
+	zeta := (beta - alpha) / (2 * gamma)
+	t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+	c = 1 / math.Sqrt(1+t*t)
+	return c, c * t, true
+}
+
+// svdOfColumns reads the SVD off the converged Jacobi state of an
+// m×n matrix, m >= n: w holds the rotated columns and vt the columns
+// of V, each column-contiguous. The column norms are the singular
+// values and the normalised columns U; columns with zero singular
+// value keep zero U columns, which callers ignore through Rank. The
+// triples are sorted by decreasing singular value.
+func svdOfColumns(w, vt []float64, m, n int) *SVD {
 	sv := make([]float64, n)
 	u := NewDense(m, n)
 	for j := 0; j < n; j++ {
@@ -118,7 +164,6 @@ func FactorSVD(a *Dense) *SVD {
 			}
 		}
 	}
-	// Sort by decreasing singular value.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
