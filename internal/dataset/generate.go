@@ -63,15 +63,18 @@ func GenerateScenario(g *grid.Grid, sc Scenario, cfg GenConfig) (*Set, error) {
 }
 
 // GenerateScenarioContext is GenerateScenario with cancellation: the
-// per-step solve loop stops at the first context error. The work of one
-// scenario is inherently sequential (each step warm-starts from the
-// last), so there is no Workers option at this level.
+// per-step loop stops at the first context error. Each step of an AC
+// scenario warm-starts from the last, so there is no Workers option at
+// this level.
 //
 // Each step scales the loads by the load process's multipliers and
-// re-dispatches generation by powerflow.DispatchScale. A DC step then
-// solves the scenario's one factor of B′ on per-bus buffers that every
-// step reuses, so it copies no grid. An AC step copies the last step's
-// solved grid once, as the warm start of its Newton solve.
+// re-dispatches generation by powerflow.DispatchScale. A DC scenario
+// builds every step's injections, solves all the steps in one
+// DCFactor.SolveSteps on the scenario's one factor of B′, and then
+// perturbs the steps in order, so it copies no grid. The load process
+// and the noise model draw from separate seeds, so this order keeps
+// both streams' draws. An AC step copies the last step's solved grid
+// once, as the warm start of its Newton solve.
 func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg GenConfig) (*Set, error) {
 	cfg = cfg.withDefaults()
 	work := g.WithoutLines(sc)
@@ -89,84 +92,107 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 		return nil, err
 	}
 	noise := loadgen.NewNoiseModel(cfg.SigmaVm, cfg.SigmaVa, seed+1)
-
-	n := work.N()
-	pd := make([]float64, n) // this step's active loads
-	var (
-		dc              *powerflow.DCFactor
-		p, angles, flat []float64  // DC: injections, angles, unit magnitudes
-		warm            *grid.Grid // AC: the last step's solved state
-	)
-	if cfg.UseDC {
-		// Only loads change between steps, so B′ is factored once for
-		// the scenario's topology and every step only back-substitutes.
-		if dc, err = powerflow.NewDCFactor(work); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrInvalidScenario, sc.Key(), err)
-		}
-		p, angles, flat = make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := range flat {
-			flat[i] = 1
-		}
-	} else {
-		warm = work.Clone()
-	}
-
 	set := &Set{Case: sc, Samples: make([]Sample, 0, cfg.Steps)}
-	for t := 0; t < cfg.Steps; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mult := proc.Step()
-		var load float64
-		for i := range pd {
-			pd[i] = work.Buses[i].Pd * mult[i]
-			load += pd[i]
-		}
-		scale := powerflow.DispatchScale(work, load, cfg.LossFrac)
-
-		var vm, va []float64
-		if dc != nil {
-			for i, b := range work.Buses {
-				pg := b.Pg
-				if b.Type != grid.PQ {
-					pg *= scale
-				}
-				p[i] = pg - pd[i]
-			}
-			if err := dc.SolveInto(angles, p); err != nil {
-				return nil, fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
-			}
-			vm, va = flat, angles
-		} else {
-			step := warm.Clone()
-			for i := range step.Buses {
-				b := &step.Buses[i]
-				b.Pd = pd[i]
-				b.Qd = work.Buses[i].Qd * mult[i]
-				if b.Type != grid.PQ {
-					b.Pg *= scale
-				}
-			}
-			sol, err := powerflow.SolveAC(step, powerflow.Options{MaxIter: cfg.MaxIter})
-			if err != nil {
-				// One retry from flat start; warm starts can stray after
-				// a big topology change.
-				sol, err = powerflow.SolveAC(step, powerflow.Options{FlatStart: true, MaxIter: cfg.MaxIter})
-				if err != nil {
-					return nil, fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
-				}
-			}
-			vm, va = sol.Vm, sol.Va
-			// Warm-start the next step from this solution.
-			for i := range warm.Buses {
-				warm.Buses[i].Vm = vm[i]
-				warm.Buses[i].Va = va[i]
-			}
-		}
-		nvm, nva := noise.Perturb(vm, va)
-		set.Samples = append(set.Samples, Sample{Vm: nvm, Va: nva})
+	if cfg.UseDC {
+		err = generateDC(ctx, work, sc, cfg, proc, noise, set)
+	} else {
+		err = generateAC(ctx, work, sc, cfg, proc, noise, set)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
+}
+
+// stepLoads writes into pd the active loads of work scaled by one
+// step's multipliers and returns the step's generator scale.
+func stepLoads(work *grid.Grid, mult, pd []float64, lossFrac float64) float64 {
+	var load float64
+	for i := range pd {
+		pd[i] = work.Buses[i].Pd * mult[i]
+		load += pd[i]
+	}
+	return powerflow.DispatchScale(work, load, lossFrac)
+}
+
+// generateDC appends cfg.Steps DC samples of work to set. Only loads
+// change between steps, so B′ is factored once for the scenario's
+// topology and the steps only back-substitute, all in one call.
+func generateDC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig, proc *loadgen.Process, noise *loadgen.NoiseModel, set *Set) error {
+	dc, err := powerflow.NewDCFactor(work)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrInvalidScenario, sc.Key(), err)
+	}
+	n := work.N()
+	pd := make([]float64, n)
+	p := make([]float64, cfg.Steps*n) // step t's injections at p[t*n : (t+1)*n]
+	for t := 0; t < cfg.Steps; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		scale := stepLoads(work, proc.Step(), pd, cfg.LossFrac)
+		pt := p[t*n : (t+1)*n]
+		for i, b := range work.Buses {
+			pg := b.Pg
+			if b.Type != grid.PQ {
+				pg *= scale
+			}
+			pt[i] = pg - pd[i]
+		}
+	}
+	angles := make([]float64, len(p))
+	if err := dc.SolveSteps(angles, p); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrInvalidScenario, sc.Key(), err)
+	}
+	flat := make([]float64, n)
+	for i := range flat {
+		flat[i] = 1
+	}
+	for t := 0; t < cfg.Steps; t++ {
+		vm, va := noise.Perturb(flat, angles[t*n:(t+1)*n])
+		set.Samples = append(set.Samples, Sample{Vm: vm, Va: va})
+	}
+	return nil
+}
+
+// generateAC appends cfg.Steps AC samples of work to set, each step's
+// Newton solve warm-started from the last step's solution.
+func generateAC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig, proc *loadgen.Process, noise *loadgen.NoiseModel, set *Set) error {
+	pd := make([]float64, work.N())
+	warm := work.Clone()
+	for t := 0; t < cfg.Steps; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		mult := proc.Step()
+		scale := stepLoads(work, mult, pd, cfg.LossFrac)
+		step := warm.Clone()
+		for i := range step.Buses {
+			b := &step.Buses[i]
+			b.Pd = pd[i]
+			b.Qd = work.Buses[i].Qd * mult[i]
+			if b.Type != grid.PQ {
+				b.Pg *= scale
+			}
+		}
+		sol, err := powerflow.SolveAC(step, powerflow.Options{MaxIter: cfg.MaxIter})
+		if err != nil {
+			// One retry from flat start; warm starts can stray after
+			// a big topology change.
+			sol, err = powerflow.SolveAC(step, powerflow.Options{FlatStart: true, MaxIter: cfg.MaxIter})
+			if err != nil {
+				return fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
+			}
+		}
+		// Warm-start the next step from this solution.
+		for i := range warm.Buses {
+			warm.Buses[i].Vm = sol.Vm[i]
+			warm.Buses[i].Va = sol.Va[i]
+		}
+		vm, va := noise.Perturb(sol.Vm, sol.Va)
+		set.Samples = append(set.Samples, Sample{Vm: vm, Va: va})
+	}
+	return nil
 }
 
 // Generate runs the full §V-A pipeline: the normal-operation set plus one

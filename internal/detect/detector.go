@@ -163,8 +163,9 @@ func Train(d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 }
 
 // TrainContext is Train with cancellation and bounded parallelism: the
-// per-line subspace SVDs, the per-node intersection subspaces, and the
-// Eq. 5 capability rows each fan out over cfg.Workers workers.
+// per-line subspace SVDs (two lines per task), the per-node
+// intersection subspaces, and the Eq. 5 capability rows each fan out
+// over cfg.Workers workers.
 func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 	cfg = cfg.withDefaults()
 	if d.G != nw.G {
@@ -236,17 +237,30 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 
 	// Per-line signature subspaces from deviation data (Eq. 2), with the
 	// load-variation component projected out so the learned direction is
-	// the pure topology signature. One SVD per valid line, fanned out.
-	det.lineSubs, err = par.Map(ctx, cfg.Workers, len(d.ValidLines),
-		func(_ context.Context, k int) (*subspace.Subspace, error) {
-			e := d.ValidLines[k]
-			x := det.normalSub.ProjectOut(deviationMatrix(d.Outages[e], det.mean, ch))
-			s, err := subspace.Learn(x, cfg.LineRank)
+	// the pure topology signature. The SVDs run two lines at a time
+	// (subspace.LearnPair, the same bits as one by one), the pairs
+	// fanned out; an odd last line learns alone.
+	lineData := func(k int) *mat.Dense {
+		return det.normalSub.ProjectOut(deviationMatrix(d.Outages[d.ValidLines[k]], det.mean, ch))
+	}
+	det.lineSubs = make([]*subspace.Subspace, len(d.ValidLines))
+	err = par.ForEach(ctx, cfg.Workers, (len(d.ValidLines)+1)/2, func(_ context.Context, p int) error {
+		k := 2 * p
+		if k+1 == len(d.ValidLines) {
+			s, err := subspace.Learn(lineData(k), cfg.LineRank)
 			if err != nil {
-				return nil, fmt.Errorf("detect: subspace for line %d: %w", e, err)
+				return fmt.Errorf("detect: subspace for line %d: %w", d.ValidLines[k], err)
 			}
-			return s, nil
-		})
+			det.lineSubs[k] = s
+			return nil
+		}
+		s, t, err := subspace.LearnPair(lineData(k), lineData(k+1), cfg.LineRank)
+		if err != nil {
+			return fmt.Errorf("detect: subspaces for lines %d and %d: %w", d.ValidLines[k], d.ValidLines[k+1], err)
+		}
+		det.lineSubs[k], det.lineSubs[k+1] = s, t
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -262,8 +262,8 @@ func TestDCFactorSingularWhenIslanded(t *testing.T) {
 
 // TestDCFactorReuse: one factor solves any injections on its topology
 // with the bits of a fresh SolveDC, on both linear solves, whether given
-// a grid or per-bus injections and a reused angle slice, and refuses a
-// grid or slices of another size.
+// a grid, per-bus injections and a reused angle slice, or every step's
+// injections at once, and refuses a grid or slices of another size.
 func TestDCFactorReuse(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -276,6 +276,7 @@ func TestDCFactorReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, va := make([]float64, tc.n), make([]float64, tc.n)
+		var steps, wants []float64 // every step's injections and fresh angles
 		for step := 0; step < 5; step++ {
 			ld := g.Clone()
 			for i := range ld.Buses {
@@ -302,6 +303,7 @@ func TestDCFactorReuse(t *testing.T) {
 			if err := f.SolveInto(va, p); err != nil {
 				t.Fatal(err)
 			}
+			steps, wants = append(steps, p...), append(wants, want.Va...)
 			for i := range want.Va {
 				if math.Float64bits(got.Va[i]) != math.Float64bits(want.Va[i]) || got.Vm[i] != 1 {
 					t.Fatalf("n=%d step %d bus %d: factor gave %v, fresh solve %v", tc.n, step, i, got.Va[i], want.Va[i])
@@ -310,6 +312,21 @@ func TestDCFactorReuse(t *testing.T) {
 					t.Fatalf("n=%d step %d bus %d: SolveInto gave %v, fresh solve %v", tc.n, step, i, va[i], want.Va[i])
 				}
 			}
+		}
+		all := make([]float64, len(steps))
+		for i := range all {
+			all[i] = math.NaN()
+		}
+		if err := f.SolveSteps(all, steps); err != nil {
+			t.Fatal(err)
+		}
+		for i := range all {
+			if math.Float64bits(all[i]) != math.Float64bits(wants[i]) {
+				t.Fatalf("n=%d step %d bus %d: SolveSteps gave %v, fresh solve %v", tc.n, i/tc.n, i%tc.n, all[i], wants[i])
+			}
+		}
+		if err := f.SolveSteps(all[1:], steps[1:]); err == nil {
+			t.Fatalf("n=%d: steps of %d buses must be refused", tc.n, tc.n-1)
 		}
 		if _, err := f.Solve(ring(tc.n - 1)); err == nil {
 			t.Fatalf("n=%d: a %d-bus grid must be refused", tc.n, tc.n-1)

@@ -57,26 +57,43 @@ func (s *Subspace) Basis() *mat.Dense { return s.basis }
 // keeping the left singular vectors with the largest singular values.
 // k is clamped to the numerical rank of X.
 func Learn(x *mat.Dense, k int) (*Subspace, error) {
-	d, t := x.Dims()
-	if d == 0 || t == 0 {
+	if d, t := x.Dims(); d == 0 || t == 0 {
 		return nil, ErrNoData
 	}
+	return leading(mat.FactorSVD(x), k), nil
+}
+
+// LearnPair is Learn on two data matrices, whose SVDs run together
+// through mat.FactorSVDPair: each subspace is Learn's, bit for bit,
+// and two matrices of one shape take about the time of one.
+func LearnPair(x, y *mat.Dense, k int) (*Subspace, *Subspace, error) {
+	for _, a := range [2]*mat.Dense{x, y} {
+		if d, t := a.Dims(); d == 0 || t == 0 {
+			return nil, nil, ErrNoData
+		}
+	}
+	sx, sy := mat.FactorSVDPair(x, y)
+	return leading(sx, k), leading(sy, k), nil
+}
+
+// leading is Learn's subspace of an SVD: its first k left singular
+// vectors, k at least 1 and at most the numerical rank.
+func leading(svd *mat.SVD, k int) *Subspace {
+	d, _ := svd.U.Dims()
 	if k <= 0 {
 		k = 1
 	}
-	svd := mat.FactorSVD(x)
-	r := svd.Rank(0)
-	if k > r {
+	if r := svd.Rank(0); k > r {
 		k = r
 	}
 	if k == 0 {
-		return Zero(d), nil
+		return Zero(d)
 	}
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
 	}
-	return &Subspace{basis: svd.U.SelectCols(idx)}, nil
+	return &Subspace{basis: svd.U.SelectCols(idx)}
 }
 
 // Union returns the smallest subspace containing all the given
