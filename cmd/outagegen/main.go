@@ -34,6 +34,12 @@ func main() {
 	}
 }
 
+// run generates the dataset of caseName and writes it as JSON to out,
+// or to stdout when out is empty. sigmaVm and sigmaVa are the PMU noise
+// levels, non-positive for the defaults.
+//
+//gridlint:unit sigmaVm pu
+//gridlint:unit sigmaVa rad
 func run(caseName string, steps int, seed int64, useDC bool, sigmaVm, sigmaVa float64, out string) error {
 	g, err := cases.Load(caseName)
 	if err != nil {
