@@ -12,9 +12,10 @@ import (
 
 // TestDocsNamePathsThatExist: every repository path that DESIGN.md and
 // README.md name exists, so the map cannot drift from the tree. A path
-// is an entry of README's package tree, or the first word of a
-// backticked span that starts with one of the top-level source
-// directories or is a file name with a '/' in it.
+// is an entry of README's package tree, the first word of a backticked
+// span that starts with one of the top-level source directories or is
+// a file name with a '/' in it, or a command a run line names
+// (./cmd/<name> or ./examples/<name>, fenced blocks included).
 func TestDocsNamePathsThatExist(t *testing.T) {
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		b, err := os.ReadFile(doc)
@@ -32,6 +33,7 @@ func TestDocsNamePathsThatExist(t *testing.T) {
 var (
 	backticked = regexp.MustCompile("`([^`\n]+)`")
 	treeEntry  = regexp.MustCompile(`^[│ ]*[├└]── (\S+)`)
+	runTarget  = regexp.MustCompile(`\./((?:cmd|examples)/[A-Za-z0-9_-]+)`)
 	pathDirs   = []string{"api/", "client/", "cmd/", "examples/", "internal/", "perfbench/", ".github/"}
 	pathExts   = []string{".go", ".md", ".json", ".s", ".sh"}
 )
@@ -43,6 +45,9 @@ func docPaths(doc string) []string {
 		if m := treeEntry.FindStringSubmatch(line); m != nil {
 			paths = append(paths, m[1])
 		}
+	}
+	for _, m := range runTarget.FindAllStringSubmatch(doc, -1) {
+		paths = append(paths, m[1])
 	}
 	for _, m := range backticked.FindAllStringSubmatch(doc, -1) {
 		words := strings.Fields(m[1])
