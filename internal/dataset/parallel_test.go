@@ -144,10 +144,10 @@ func TestGenerateScenarioCancelledBetweenSteps(t *testing.T) {
 }
 
 // TestDCScenarioAllocs is the allocation ceiling of one 40-step ieee30
-// DC scenario. Each step reuses the scenario's per-bus buffers, so the
-// count is about 320; one grid copy per step would add 120 (three
-// allocations each). With two copies and a Solution per step it was
-// 644.
+// DC scenario. The steps share the scenario's buffers and one solve, so
+// the count is 241 (318 with a solve per step); one grid copy per step
+// would add 120 (three allocations each). With two copies and a
+// Solution per step it was 644.
 func TestDCScenarioAllocs(t *testing.T) {
 	g := cases.IEEE30()
 	cfg := GenConfig{Steps: 40, Seed: 1, UseDC: true}
