@@ -9,10 +9,10 @@ vet:
 	$(GO) vet ./...
 
 # Cross-architecture vet: the subspace package's rank-one residual pass
-# and the mat package's lane kernels (the Jacobi SVD pair and the
-# eight-lane LU solve) are SSE2 assembly on amd64 and Go elsewhere, and
-# no test here runs the Go build of them, so vet the tree for arm64 to
-# keep that path compiling.
+# and the mat package's lane kernels (the four-lane Jacobi SVD in AVX,
+# the eight-lane LU solve and the LU row update in SSE2) are assembly
+# on amd64 and Go elsewhere, and no test here runs the Go build of
+# them, so vet the tree for arm64 to keep that path compiling.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -41,7 +41,7 @@ race:
 	$(GO) test -race -timeout 3m ./...
 
 # Ratio gate: in one process, time interleaved pairs of each lane
-# kernel against its one-problem path (FactorSVDPair against two
+# kernel against its one-problem path (LeadingQuad against four
 # FactorSVD calls on 118x40 matrices, LU.SolveMany against 40 LU.Solve
 # calls on a 117-order factor) and fail when a median per-pair ratio
 # passes its bound (internal/mat/gate_test.go). Ratios of paths timed
@@ -63,8 +63,8 @@ gate:
 # against its stable-sort oracle, the packed residual kernel on raw
 # float64 vector bits against its portable Go pass, and the lane
 # kernels on raw float64 matrix bits against their one-problem paths:
-# each lane of the SVD pair against FactorSVD, each right-hand side of
-# the eight-lane solve against LU.Solve. Go fuzzes one target per
+# each lane of the four-lane SVD against FactorSVD's leading vectors,
+# each right-hand side of the eight-lane solve against LU.Solve. Go fuzzes one target per
 # invocation.
 # Not part of verify; CI runs it after verify.
 FUZZTIME ?= 10s
@@ -76,7 +76,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDataPlaneBodies$$' -fuzztime=$(FUZZTIME) ./internal/httpserve
 	$(GO) test -run='^$$' -fuzz='^FuzzProximityRule$$' -fuzztime=$(FUZZTIME) ./internal/detect
 	$(GO) test -run='^$$' -fuzz='^FuzzPackedEnergies$$' -fuzztime=$(FUZZTIME) ./internal/subspace
-	$(GO) test -run='^$$' -fuzz='^FuzzFactorSVDPair$$' -fuzztime=$(FUZZTIME) ./internal/mat
+	$(GO) test -run='^$$' -fuzz='^FuzzLeadingQuad$$' -fuzztime=$(FUZZTIME) ./internal/mat
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveLanes$$' -fuzztime=$(FUZZTIME) ./internal/mat
 
 # One-iteration benchmark smoke: catches benchmarks that panic or no

@@ -163,7 +163,7 @@ func Train(d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 }
 
 // TrainContext is Train with cancellation and bounded parallelism: the
-// per-line subspace SVDs (two lines per task), the per-node
+// per-line subspace SVDs (four lines per task), the per-node
 // intersection subspaces, and the Eq. 5 capability rows each fan out
 // over cfg.Workers workers.
 func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
@@ -237,28 +237,30 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 
 	// Per-line signature subspaces from deviation data (Eq. 2), with the
 	// load-variation component projected out so the learned direction is
-	// the pure topology signature. The SVDs run two lines at a time
-	// (subspace.LearnPair, the same bits as one by one), the pairs
-	// fanned out; an odd last line learns alone.
+	// the pure topology signature. The SVDs run four lines at a time
+	// (subspace.LearnQuad, the same bits as one by one), the groups
+	// fanned out; a last group of fewer than four learns line by line.
 	lineData := func(k int) *mat.Dense {
 		return det.normalSub.ProjectOut(deviationMatrix(d.Outages[d.ValidLines[k]], det.mean, ch))
 	}
 	det.lineSubs = make([]*subspace.Subspace, len(d.ValidLines))
-	err = par.ForEach(ctx, cfg.Workers, (len(d.ValidLines)+1)/2, func(_ context.Context, p int) error {
-		k := 2 * p
-		if k+1 == len(d.ValidLines) {
-			s, err := subspace.Learn(lineData(k), cfg.LineRank)
-			if err != nil {
-				return fmt.Errorf("detect: subspace for line %d: %w", d.ValidLines[k], err)
+	err = par.ForEach(ctx, cfg.Workers, (len(d.ValidLines)+3)/4, func(_ context.Context, g int) error {
+		k := 4 * g
+		if k+4 > len(d.ValidLines) {
+			for ; k < len(d.ValidLines); k++ {
+				s, err := subspace.Learn(lineData(k), cfg.LineRank)
+				if err != nil {
+					return fmt.Errorf("detect: subspace for line %d: %w", d.ValidLines[k], err)
+				}
+				det.lineSubs[k] = s
 			}
-			det.lineSubs[k] = s
 			return nil
 		}
-		s, t, err := subspace.LearnPair(lineData(k), lineData(k+1), cfg.LineRank)
+		subs, err := subspace.LearnQuad([4]*mat.Dense{lineData(k), lineData(k + 1), lineData(k + 2), lineData(k + 3)}, cfg.LineRank)
 		if err != nil {
-			return fmt.Errorf("detect: subspaces for lines %d and %d: %w", d.ValidLines[k], d.ValidLines[k+1], err)
+			return fmt.Errorf("detect: subspaces for lines %v: %w", d.ValidLines[k:k+4], err)
 		}
-		det.lineSubs[k], det.lineSubs[k+1] = s, t
+		copy(det.lineSubs[k:k+4], subs[:])
 		return nil
 	})
 	if err != nil {

@@ -1,5 +1,12 @@
 package mat
 
+// subMul is subMulGo in SSE2 lanes (lanes_amd64.s), two elements per
+// instruction, with subMulGo's bits: ri[j] -= m·rk[j] for j <
+// len(ri); rk has at least len(ri) elements.
+//
+//go:noescape
+func subMul(ri, rk []float64, m float64)
+
 // solveLanes8 is the eight-lane kernel of lanes_amd64.s: it runs
 // Solve's forward and back substitution on x, n rows of eight lanes
 // (row i of lane l at x[8*i+l]), already permuted, on the n×n factor

@@ -120,3 +120,16 @@ func TestLUSolveWrongLength(t *testing.T) {
 		t.Fatal("expected error for wrong rhs length")
 	}
 }
+
+func BenchmarkFactorLU117(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randDense(rng, 117, 117) // B′ of a 118-bus grid
+	w := NewDense(117, 117)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(w.data, a.data)
+		if _, err := FactorLU(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -95,26 +95,35 @@ func FactorSVD(a *Dense) *SVD {
 	return svdOfColumns(w, vt, m, n)
 }
 
-// FactorSVDPair returns FactorSVD(a) and FactorSVD(b), bit for bit.
-// Two matrices of one shape are factored in lockstep where the
-// platform has lanes that keep FactorSVD's bits (amd64's SSE2, see
-// lanes_amd64.s): one matrix per lane, each lane running FactorSVD's
-// sequence of sums, skip tests and rotations, and stopping after its
-// own first sweep that rotates nothing. A Jacobi sweep is a chain of
-// dependent sums, so one matrix cannot go faster than its add latency;
-// two in lanes take about the time of one. A wide pair is factored
-// through its transposes, as FactorSVD does. Matrices of different
-// shapes, and every pair elsewhere, take two FactorSVD calls. A lone
-// matrix belongs on FactorSVD: through the pair kernels it is slower.
-func FactorSVDPair(a, b *Dense) (*SVD, *SVD) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return FactorSVD(a), FactorSVD(b)
+// LeadingQuad returns FactorSVD(a[l]).Leading(k) for each of four
+// matrices, bit for bit. Four matrices of one shape are factored in
+// lockstep where the platform has lanes that keep FactorSVD's bits
+// (amd64 with AVX, see lanes_amd64.s): one matrix per lane, each lane
+// running FactorSVD's sequence of sums, skip tests and rotations, and
+// stopping after its own first sweep that rotates nothing. A Jacobi
+// sweep is a chain of dependent sums, so one matrix cannot go faster
+// than its add latency; four in lanes take little more than the time
+// of one. Only what Leading reads is built: a tall matrix accumulates
+// no V and builds only its leading columns of U; a wide one is
+// factored through its transpose, whose V is its U, as FactorSVD does.
+// Matrices of different shapes, and every quad elsewhere, take four
+// FactorSVD calls.
+func LeadingQuad(a [4]*Dense, k int) [4]*Dense {
+	for _, x := range a[1:] {
+		if x.rows != a[0].rows || x.cols != a[0].cols {
+			return leadingEach(a, k)
+		}
 	}
-	if a.rows < a.cols {
-		sa, sb := FactorSVDPair(a.T(), b.T())
-		return &SVD{U: sa.V, S: sa.S, V: sa.U}, &SVD{U: sb.V, S: sb.S, V: sb.U}
+	return leadingQuad(a, k)
+}
+
+// leadingEach is LeadingQuad through one FactorSVD per matrix.
+func leadingEach(a [4]*Dense, k int) [4]*Dense {
+	var out [4]*Dense
+	for l, x := range a {
+		out[l] = FactorSVD(x).Leading(k)
 	}
-	return factorSVDPair(a, b)
+	return out
 }
 
 // jacobiSweeps caps the sweeps of one-sided Jacobi.
@@ -130,8 +139,8 @@ func jacobiTol(m int) float64 {
 // rotation returns the Jacobi rotation that zeroes the inner product
 // gamma of two columns with squared norms alpha and beta, or ok false
 // when the pair is left alone: a column is exactly null, or the pair
-// is orthogonal to within tol. FactorSVD and FactorSVDPair's lanes
-// both decide and rotate through it, so they share its bits.
+// is orthogonal to within tol. FactorSVD and LeadingQuad's lanes both
+// decide and rotate through it, so they share its bits.
 func rotation(alpha, beta, gamma, tol float64) (c, s float64, ok bool) {
 	if alpha == 0 || beta == 0 { //gridlint:ignore floatcmp one-sided Jacobi skips exactly-null columns; tol handles near-zero below
 		return 0, 0, false
@@ -164,11 +173,7 @@ func svdOfColumns(w, vt []float64, m, n int) *SVD {
 			}
 		}
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sv[order[a]] > sv[order[b]] })
+	order := sortedOrder(sv)
 	us := u.SelectCols(order)
 	vs := NewDense(n, n)
 	ss := make([]float64, n)
@@ -181,29 +186,61 @@ func svdOfColumns(w, vt []float64, m, n int) *SVD {
 	return &SVD{U: us, S: ss, V: vs}
 }
 
+// sortedOrder returns the column order of singular values sv sorted
+// in decreasing order, ties (and NaNs) kept in column order.
+func sortedOrder(sv []float64) []int {
+	order := make([]int, len(sv))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sv[order[a]] > sv[order[b]] })
+	return order
+}
+
 // Rank returns the numerical rank: the number of singular values above
 // max(m,n) * eps * S[0]. A custom tolerance <= 0 selects this default.
 func (s *SVD) Rank(tol float64) int {
-	if len(s.S) == 0 {
+	m, _ := s.U.Dims()
+	n, _ := s.V.Dims()
+	return rank(s.S, max(m, n), tol)
+}
+
+// rank is Rank of the sorted singular values s of a matrix whose
+// larger dimension is d.
+func rank(s []float64, d int, tol float64) int {
+	if len(s) == 0 {
 		return 0
 	}
 	if tol <= 0 {
-		m, _ := s.U.Dims()
-		n, _ := s.V.Dims()
-		d := m
-		if n > d {
-			d = n
-		}
 		eps := math.Nextafter(1, 2) - 1
-		tol = float64(d) * eps * s.S[0]
+		tol = float64(d) * eps * s[0]
 	}
 	r := 0
-	for _, v := range s.S {
+	for _, v := range s {
 		if v > tol {
 			r++
 		}
 	}
 	return r
+}
+
+// Leading returns the leading left singular vectors: the first k
+// columns of U, with k raised to 1 and cut to the numerical rank
+// Rank(0), so a rank-0 SVD gives a matrix of no columns.
+func (s *SVD) Leading(k int) *Dense {
+	m, _ := s.U.Dims()
+	k = leadingCols(k, s.Rank(0))
+	out := NewDense(m, k)
+	for i := 0; i < m; i++ {
+		copy(out.data[i*k:(i+1)*k], s.U.data[i*s.U.cols:i*s.U.cols+k])
+	}
+	return out
+}
+
+// leadingCols is the number of columns Leading keeps of an SVD of
+// numerical rank r when asked for k.
+func leadingCols(k, r int) int {
+	return min(max(k, 1), r)
 }
 
 // PseudoInverse returns the Moore–Penrose pseudo-inverse of a, computed

@@ -63,37 +63,26 @@ func Learn(x *mat.Dense, k int) (*Subspace, error) {
 	return leading(mat.FactorSVD(x), k), nil
 }
 
-// LearnPair is Learn on two data matrices, whose SVDs run together
-// through mat.FactorSVDPair: each subspace is Learn's, bit for bit,
-// and two matrices of one shape take about the time of one.
-func LearnPair(x, y *mat.Dense, k int) (*Subspace, *Subspace, error) {
-	for _, a := range [2]*mat.Dense{x, y} {
+// LearnQuad is Learn on four data matrices, whose SVDs run together
+// through mat.LeadingQuad: each subspace is Learn's, bit for bit, and
+// four matrices of one shape take little more than the time of one.
+func LearnQuad(x [4]*mat.Dense, k int) ([4]*Subspace, error) {
+	var out [4]*Subspace
+	for _, a := range x {
 		if d, t := a.Dims(); d == 0 || t == 0 {
-			return nil, nil, ErrNoData
+			return out, ErrNoData
 		}
 	}
-	sx, sy := mat.FactorSVDPair(x, y)
-	return leading(sx, k), leading(sy, k), nil
+	for l, b := range mat.LeadingQuad(x, k) {
+		out[l] = &Subspace{basis: b}
+	}
+	return out, nil
 }
 
 // leading is Learn's subspace of an SVD: its first k left singular
-// vectors, k at least 1 and at most the numerical rank.
+// vectors, k at least 1 and at most the numerical rank (mat's Leading).
 func leading(svd *mat.SVD, k int) *Subspace {
-	d, _ := svd.U.Dims()
-	if k <= 0 {
-		k = 1
-	}
-	if r := svd.Rank(0); k > r {
-		k = r
-	}
-	if k == 0 {
-		return Zero(d)
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	return &Subspace{basis: svd.U.SelectCols(idx)}
+	return &Subspace{basis: svd.Leading(k)}
 }
 
 // Union returns the smallest subspace containing all the given

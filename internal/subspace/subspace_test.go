@@ -93,39 +93,40 @@ func TestLearnErrors(t *testing.T) {
 	}
 }
 
-// TestLearnPairMatchesLearn: each subspace LearnPair returns equals
-// Learn's exactly (mat pins the SVD bits), with the rank clamp (rank-one data asked for
-// three directions, a zero matrix for one) and wide data, and an empty
-// member refuses the pair.
-func TestLearnPairMatchesLearn(t *testing.T) {
+// TestLearnQuadMatchesLearn: each subspace LearnQuad returns equals
+// Learn's exactly (mat pins the SVD bits), with the rank clamp
+// (rank-one data asked for three directions, a zero matrix for one)
+// and wide data, and an empty member refuses the quad.
+func TestLearnQuadMatchesLearn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rankOne := mat.NewDense(6, 20)
 	for c := 0; c < 20; c++ {
 		rankOne.SetCol(c, mat.ScaleVec(1+rng.Float64(), unit(6, 2)))
 	}
 	for _, c := range []struct {
-		x, y *mat.Dense
-		k    int
+		x [4]*mat.Dense
+		k int
 	}{
-		{randDense(rng, 30, 8), randDense(rng, 30, 8), 2},
-		{rankOne, randDense(rng, 6, 20), 3},
-		{randDense(rng, 6, 9), mat.NewDense(6, 9), 1},
+		{[4]*mat.Dense{randDense(rng, 30, 8), randDense(rng, 30, 8), randDense(rng, 30, 8), randDense(rng, 30, 8)}, 2},
+		{[4]*mat.Dense{rankOne, randDense(rng, 6, 20), rankOne, mat.NewDense(6, 20)}, 3},
+		{[4]*mat.Dense{randDense(rng, 6, 9), mat.NewDense(6, 9), randDense(rng, 6, 9), randDense(rng, 6, 9)}, 1},
 	} {
-		sx, sy, err := LearnPair(c.x, c.y, c.k)
+		subs, err := LearnQuad(c.x, c.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, pair := range [][2]*mat.Dense{{c.x, sx.Basis()}, {c.y, sy.Basis()}} {
-			want, err := Learn(pair[0], c.k)
+		for i, x := range c.x {
+			want, err := Learn(x, c.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pair[1].Equalf(want.Basis(), 0) {
-				t.Fatalf("member %d: LearnPair's basis differs from Learn's", i)
+			if !subs[i].Basis().Equalf(want.Basis(), 0) {
+				t.Fatalf("member %d: LearnQuad's basis differs from Learn's", i)
 			}
 		}
 	}
-	if _, _, err := LearnPair(randDense(rng, 3, 2), mat.NewDense(3, 0), 1); err != ErrNoData {
+	x := randDense(rng, 3, 2)
+	if _, err := LearnQuad([4]*mat.Dense{x, x, mat.NewDense(3, 0), x}, 1); err != ErrNoData {
 		t.Fatalf("empty member: err = %v", err)
 	}
 }
