@@ -80,8 +80,18 @@ func NewProcess(n int, p OUParams, seed int64) (*Process, error) {
 // Step advances the process one time step and returns the per-bus load
 // multipliers. The returned slice is a copy.
 func (pr *Process) Step() []float64 {
-	pr.common = pr.common*pr.decay + pr.diff*pr.rng.NormFloat64()
 	out := make([]float64, len(pr.state))
+	pr.StepInto(out)
+	return out
+}
+
+// StepInto is Step writing the multipliers into out, which must have
+// one element per bus, so a caller can reuse one slice for every step.
+func (pr *Process) StepInto(out []float64) {
+	if len(out) != len(pr.state) {
+		panic(fmt.Sprintf("loadgen: StepInto of %d buses into %d multipliers", len(pr.state), len(out)))
+	}
+	pr.common = pr.common*pr.decay + pr.diff*pr.rng.NormFloat64()
 	for i, x := range pr.state {
 		pr.state[i] = x*pr.decay + pr.diff*pr.rng.NormFloat64()
 		m := 1 + pr.wc*pr.common + pr.wi*pr.state[i]
@@ -91,7 +101,6 @@ func (pr *Process) Step() []float64 {
 		}
 		out[i] = m
 	}
-	return out
 }
 
 // Multipliers returns a T-by-n matrix (as nested slices) of load

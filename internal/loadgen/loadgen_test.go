@@ -31,6 +31,29 @@ func TestProcessDeterministic(t *testing.T) {
 	}
 }
 
+// TestStepIntoMatchesStep: StepInto draws what Step draws, into the
+// caller's slice, and refuses a slice of another length.
+func TestStepIntoMatchesStep(t *testing.T) {
+	a, _ := NewProcess(5, DefaultOU(24), 7)
+	b, _ := NewProcess(5, DefaultOU(24), 7)
+	out := make([]float64, 5)
+	for k := 0; k < 10; k++ {
+		want := a.Step()
+		b.StepInto(out)
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("step %d bus %d: StepInto %v, Step %v", k, i, out[i], want[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StepInto of 5 buses into 4 multipliers did not panic")
+		}
+	}()
+	b.StepInto(out[:4])
+}
+
 func TestProcessMeanReversion(t *testing.T) {
 	// Long-run mean of the multipliers must be close to 1 and the
 	// stationary standard deviation close to sigma/sqrt(2 theta).

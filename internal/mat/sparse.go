@@ -96,8 +96,18 @@ func (s *Sparse) At(i, j int) float64 {
 }
 
 // ToDense expands the matrix to dense form.
-func (s *Sparse) ToDense() *Dense {
-	d := NewDense(s.rows, s.cols)
+func (s *Sparse) ToDense() *Dense { return s.DenseInto(nil) }
+
+// DenseInto expands the matrix to dense form in d's storage, every
+// entry overwritten, and returns d; when d is nil or of another shape
+// it expands into a new matrix instead, so a caller that expands one
+// matrix after another can keep reusing the result.
+func (s *Sparse) DenseInto(d *Dense) *Dense {
+	if d == nil || d.rows != s.rows || d.cols != s.cols {
+		d = NewDense(s.rows, s.cols)
+	} else {
+		clear(d.data)
+	}
 	for i := 0; i < s.rows; i++ {
 		row := d.RawRow(i)
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {

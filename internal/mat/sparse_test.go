@@ -88,3 +88,20 @@ func TestSparseRoundTripsAndOps(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDenseIntoReuses: DenseInto overwrites every entry of a matrix of
+// the right shape in place, and expands into a new matrix when given
+// nil or another shape.
+func TestDenseIntoReuses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := NewSparse(4, 5, randSparseTrips(rng, 4, 5, 0.3))
+	d := randDense(rng, 4, 5)
+	if got := s.DenseInto(d); got != d || !d.Equalf(s.ToDense(), 0) {
+		t.Fatal("DenseInto into a 4x5 matrix: not in place, or stale entries kept")
+	}
+	for _, d := range []*Dense{nil, NewDense(5, 4)} {
+		if got := s.DenseInto(d); got == d || !got.Equalf(s.ToDense(), 0) {
+			t.Fatalf("DenseInto into %v: want a new 4x5 matrix", d)
+		}
+	}
+}

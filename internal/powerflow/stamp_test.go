@@ -260,6 +260,62 @@ func TestDCFactorSingularWhenIslanded(t *testing.T) {
 	}
 }
 
+// TestDCFactorRefactor: one DCFactor refactored topology after
+// topology, over grids of two sizes and both linear solves, solves
+// every step with the bits of a factor built fresh; after a Refactor
+// that fails on an islanded grid it refuses every solve, until the
+// next Refactor succeeds.
+func TestDCFactorRefactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	small, large := randMeshedGrid(rng, 30), randMeshedGrid(rng, SparseBusThreshold)
+	var f DCFactor
+	for _, g := range []*grid.Grid{small, small.WithoutLine(2), large, small, large.WithoutLine(5), ring(8).WithoutLine(3)} {
+		if err := f.Refactor(g); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewDCFactor(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]float64, 3*g.N())
+		for i := range p {
+			p[i] = rng.NormFloat64()
+		}
+		got, want := make([]float64, len(p)), make([]float64, len(p))
+		if err := f.SolveSteps(got, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SolveSteps(want, p); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d buses, step %d bus %d: refactored %v, fresh %v", g.N(), i/g.N(), i%g.N(), got[i], want[i])
+			}
+		}
+	}
+	g := ring(8)
+	if err := f.Refactor(g.WithoutLines([]grid.Line{0, 4})); !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("islanded ring: got %v, want mat.ErrSingular", err)
+	}
+	va := make([]float64, 8)
+	if _, err := f.Solve(g); err == nil {
+		t.Fatal("Solve after a failed Refactor: no error")
+	}
+	if err := f.SolveInto(va, make([]float64, 8)); err == nil {
+		t.Fatal("SolveInto after a failed Refactor: no error")
+	}
+	if err := f.SolveSteps(va, make([]float64, 8)); err == nil {
+		t.Fatal("SolveSteps after a failed Refactor: no error")
+	}
+	if err := f.Refactor(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SolveSteps(va, make([]float64, 8)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDCFactorReuse: one factor solves any injections on its topology
 // with the bits of a fresh SolveDC, on both linear solves, whether given
 // a grid, per-bus injections and a reused angle slice, or every step's
