@@ -313,13 +313,16 @@ func growBytesBy(s []byte, n int) []byte {
 	return out
 }
 
-// crcTable is the CRC-CCITT (poly X^16+X^12+X^5+1) lookup table the
-// C37.118 checksum uses.
-var crcTable = makeCRCTable()
+// crcTables are the CRC-CCITT (poly X^16+X^12+X^5+1) lookup tables of
+// the C37.118 checksum, for slicing by 8: crcTables[0] is the one-byte
+// table, and crcTables[k][b] is the CRC of byte b followed by k zero
+// bytes, so eight bytes fold into the CRC with eight lookups that do
+// not wait on each other.
+var crcTables = makeCRCTables()
 
-func makeCRCTable() [256]uint16 {
-	var t [256]uint16
-	for i := range t {
+func makeCRCTables() [8][256]uint16 {
+	var t [8][256]uint16
+	for i := range t[0] {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
 			if crc&0x8000 != 0 {
@@ -328,16 +331,30 @@ func makeCRCTable() [256]uint16 {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for i, crc := range t[k-1] {
+			t[k][i] = crc<<8 ^ t[0][crc>>8]
+		}
 	}
 	return t
 }
 
-// crc16 is CRC-CCITT with init 0xFFFF, as C37.118 frames use.
+// crc16 is CRC-CCITT with init 0xFFFF, as C37.118 frames use. The
+// checksum is linear, so a block of eight bytes, the CRC's two bytes
+// folded into its first two, is the XOR of each byte's table entry for
+// the zero bytes that follow it; the last len(b) mod 8 bytes go one at
+// a time.
 func crc16(b []byte) uint16 {
 	crc := uint16(0xFFFF)
+	t := &crcTables
+	for ; len(b) >= 8; b = b[8:] {
+		crc = t[7][b[0]^byte(crc>>8)] ^ t[6][b[1]^byte(crc)] ^
+			t[5][b[2]] ^ t[4][b[3]] ^ t[3][b[4]] ^ t[2][b[5]] ^ t[1][b[6]] ^ t[0][b[7]]
+	}
 	for _, x := range b {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^x]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^x]
 	}
 	return crc
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,32 @@ func crc16Ref(b []byte) uint16 {
 		}
 	}
 	return crc
+}
+
+// TestCRCMatchesReference: the sliced crc16 equals the bit-by-bit
+// reference on every length from 0 to 64 and on random lengths up to
+// 4,096 bytes, each from start offsets 0 to 8, so every alignment of
+// the 8-byte blocks is read.
+func TestCRCMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 4096+8)
+	rng.Read(buf)
+	var lengths []int
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for i := 0; i < 200; i++ {
+		lengths = append(lengths, rng.Intn(4097))
+	}
+	lengths = append(lengths, 4095, 4096)
+	for _, n := range lengths {
+		for off := 0; off <= 8; off++ {
+			b := buf[off : off+n]
+			if got, want := crc16(b), crc16Ref(b); got != want {
+				t.Fatalf("%d bytes at offset %d: crc16 %#04x, reference %#04x", n, off, got, want)
+			}
+		}
+	}
 }
 
 func TestGoldenLayout(t *testing.T) {
