@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet vet-cross fmt lint test race gate fuzz bench bench-pipeline bench-serve bench-serve-smoke smoke perfbench-check verify
+.PHONY: build vet vet-cross fmt lint test race gate fuzz bench bench-pipeline smoke perfbench-check verify
 
 build:
 	$(GO) build ./...
@@ -40,15 +40,24 @@ test:
 race:
 	$(GO) test -race -timeout 3m ./...
 
-# Ratio gate: in one process, time interleaved pairs of each lane
-# kernel against its one-problem path (LeadingQuad against four
-# FactorSVD calls on 118x40 matrices, LU.SolveMany against 40 LU.Solve
-# calls on a 117-order factor) and fail when a median per-pair ratio
-# passes its bound (internal/mat/gate_test.go). Ratios of paths timed
-# side by side hold across machines; nanoseconds do not. The test
-# carries the gate build tag, so go test ./... and make race skip it.
+# Ratio gate: TestGate (gate_test.go) times 31 interleaved pairs of
+# each row's two paths in one process and fails when a row's median
+# per-pair ratio passes its bound. The rows, path a / path b:
+#   LeadingQuad / four FactorSVD calls, 118x40 matrices         <= 0.42
+#   LU.SolveMany / 40 LU.Solve calls, an order-117 factor       <= 0.45
+#   binary frame / JSON body decode, 8 normal and 8 outage
+#     ieee30 samples                                            <= 0.03
+#   traced (every trace kept) / untraced binary /v1/ingest of
+#     those samples, through the daemon's routes                <= 1.5
+#   ieee118 Detect of an outage sample with its line's from-bus
+#     dark / the same sample complete                           <= 1.5
+#   ieee118 Detect of a normal sample with each bus dark in turn
+#     / the same sample complete                                <= 2.2
+# Ratios of paths timed side by side hold across machines;
+# nanoseconds do not. The test carries the gate build tag, so
+# go test ./... and make race skip it.
 gate:
-	$(GO) test -tags gate -run '^TestGate' -count=1 -v ./internal/mat
+	$(GO) test -tags gate -run '^TestGate' -count=1 -v .
 
 # Fuzz the decode surfaces for FUZZTIME each: model artifacts (a forged
 # artifact is re-sealed so the structural checks, not the fingerprint,
@@ -99,17 +108,6 @@ bench:
 bench-pipeline:
 	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline.json
 
-# Serving benchmark: open-loop QPS tiers against the real HTTP handler
-# in both ingest modes (JSON and binary wire frames), plus the ingress
-# decode comparison. Writes BENCH_serve.json; the smoke variant runs one
-# abbreviated tier and skips the file, but still asserts the binary
-# decode is allocation-free and at least 2x faster than JSON.
-bench-serve:
-	$(GO) run ./cmd/benchserve -o BENCH_serve.json
-
-bench-serve-smoke:
-	$(GO) run ./cmd/benchserve -smoke
-
 # Smoke harness: cmd/outagesoak runs the scenario table of
 # internal/harness. Every row boots an in-process fleet, drives it over
 # real HTTP, and checks its own assertions:
@@ -140,4 +138,4 @@ perfbench-check:
 # The tier-1 gate (see ROADMAP.md): build, vet (also for arm64), gofmt,
 # gridlint, race tests, the ratio gate, benchmark smoke, smoke harness,
 # benchmark module checks.
-verify: build vet vet-cross fmt lint race gate bench bench-serve-smoke smoke perfbench-check
+verify: build vet vet-cross fmt lint race gate bench smoke perfbench-check

@@ -10,13 +10,24 @@ import (
 	"unicode"
 )
 
-// TestDocsNamePathsThatExist: every repository path that DESIGN.md and
-// README.md name exists, so the map cannot drift from the tree. A path
-// is an entry of README's package tree, the first word of a backticked
-// span that starts with one of the top-level source directories or is
-// a file name with a '/' in it, or a command a run line names
-// (./cmd/<name> or ./examples/<name>, fenced blocks included).
+// TestDocsNamePathsThatExist: every repository path and make target
+// that DESIGN.md and README.md name exists, so the map cannot drift
+// from the tree. A path is an entry of README's package tree, the
+// first word of a backticked span that starts with one of the
+// top-level source directories or is a file name with a '/' in it, or
+// a command a run line names (./cmd/<name> or ./examples/<name>,
+// fenced blocks included). A make target is the word after make in a
+// backticked span or at the start of a line, and the Makefile must
+// define it.
 func TestDocsNamePathsThatExist(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(mk), -1) {
+		defined[m[1]] = true
+	}
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -27,6 +38,11 @@ func TestDocsNamePathsThatExist(t *testing.T) {
 				t.Errorf("%s names %s, which does not exist", doc, p)
 			}
 		}
+		for _, target := range docMakeTargets(string(b)) {
+			if !defined[target] {
+				t.Errorf("%s names make %s, which the Makefile does not define", doc, target)
+			}
+		}
 	}
 }
 
@@ -34,6 +50,8 @@ var (
 	backticked = regexp.MustCompile("`([^`\n]+)`")
 	treeEntry  = regexp.MustCompile(`^[│ ]*[├└]── (\S+)`)
 	runTarget  = regexp.MustCompile(`\./((?:cmd|examples)/[A-Za-z0-9_-]+)`)
+	makeRule   = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	makeLine   = regexp.MustCompile(`(?m)^make ([A-Za-z0-9_-]+)`)
 	pathDirs   = []string{"api/", "client/", "cmd/", "examples/", "internal/", "perfbench/", ".github/"}
 	pathExts   = []string{".go", ".md", ".json", ".s", ".sh"}
 )
@@ -75,4 +93,18 @@ func repoPath(tok string) (string, bool) {
 		return dir + base[:i], true
 	}
 	return tok, true
+}
+
+// docMakeTargets returns the make targets doc names, in order.
+func docMakeTargets(doc string) []string {
+	var targets []string
+	for _, m := range backticked.FindAllStringSubmatch(doc, -1) {
+		if words := strings.Fields(m[1]); len(words) > 1 && words[0] == "make" {
+			targets = append(targets, words[1])
+		}
+	}
+	for _, m := range makeLine.FindAllStringSubmatch(doc, -1) {
+		targets = append(targets, m[1])
+	}
+	return targets
 }

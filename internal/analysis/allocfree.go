@@ -10,7 +10,7 @@ import (
 
 // AllocFree screens functions annotated //gridlint:zeroalloc for
 // constructs that force (or routinely cause) heap allocation. The
-// serving hot path — obs.Counter/Gauge/Histogram recording, trace-ID
+// serving hot path — obs.Counter/Histogram recording, trace-ID
 // reads, per-batch shard accounting — promises zero allocations per
 // operation, and PR 5 pinned that promise with testing.AllocsPerRun.
 // Those runtime pins only fire when the benchmark runs; this analyzer

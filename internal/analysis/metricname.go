@@ -25,7 +25,6 @@ var MetricName = &Analyzer{
 // callback / the counter) between help and the labels.
 var metricRegMethods = map[string]int{
 	"Counter":        2,
-	"Gauge":          2,
 	"Histogram":      2,
 	"ValueHistogram": 2,
 	"GaugeFunc":      3,

@@ -9,8 +9,9 @@
 // and events are byte-identical across them (pinned by
 // TestBinaryDetectMatchesJSON and TestBinaryIngestMatchesJSON).
 //
-// The package exists so cmd/outaged, cmd/benchserve, and tests share
-// one handler implementation instead of re-wiring routes per binary.
+// The package exists so cmd/outaged, the smoke harness, perfbench, the
+// ratio gate and tests share one handler implementation instead of
+// re-wiring routes per binary.
 package httpserve
 
 import (

@@ -270,7 +270,7 @@ func TestOversizedJSONBodyRejected(t *testing.T) {
 
 // BenchmarkIngestJSON and BenchmarkIngestBinary measure the two HTTP
 // transports end to end against a parked monitor path (handler decode +
-// synchronous scoring), for the ingress section of cmd/benchserve.
+// synchronous scoring) over a loopback listener.
 func BenchmarkIngestJSON(b *testing.B) {
 	base, sample := benchServer(b)
 	body, err := json.Marshal(IngestRequest{Shard: "east", Sample: sample})

@@ -103,16 +103,6 @@ func (pr *Process) StepInto(out []float64) {
 	}
 }
 
-// Multipliers returns a T-by-n matrix (as nested slices) of load
-// multipliers for T steps.
-func (pr *Process) Multipliers(t int) [][]float64 {
-	out := make([][]float64, t)
-	for k := range out {
-		out[k] = pr.Step()
-	}
-	return out
-}
-
 // NoiseModel adds Gaussian measurement noise to voltage phasors. Sigma
 // values are absolute: per-unit for magnitude, radians for angle. IEEE
 // C37.118 total-vector-error budgets put realistic PMU noise well under

@@ -20,11 +20,10 @@ func TestNewProcessValidation(t *testing.T) {
 func TestProcessDeterministic(t *testing.T) {
 	a, _ := NewProcess(4, DefaultOU(24), 42)
 	b, _ := NewProcess(4, DefaultOU(24), 42)
-	ma := a.Multipliers(10)
-	mb := b.Multipliers(10)
-	for k := range ma {
-		for i := range ma[k] {
-			if ma[k][i] != mb[k][i] {
+	for k := 0; k < 10; k++ {
+		ma, mb := a.Step(), b.Step()
+		for i := range ma {
+			if ma[i] != mb[i] {
 				t.Fatal("same seed must give identical trajectories")
 			}
 		}
@@ -92,14 +91,6 @@ func TestProcessStaysPositive(t *testing.T) {
 				t.Fatalf("multiplier %v <= 0 at step %d", x, k)
 			}
 		}
-	}
-}
-
-func TestMultipliersShape(t *testing.T) {
-	pr, _ := NewProcess(5, DefaultOU(24), 1)
-	m := pr.Multipliers(24)
-	if len(m) != 24 || len(m[0]) != 5 {
-		t.Fatalf("Multipliers shape = %dx%d", len(m), len(m[0]))
 	}
 }
 

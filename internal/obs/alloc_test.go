@@ -15,10 +15,8 @@ import (
 func TestHotPathAllocations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("alloc_total", "x")
-	g := r.Gauge("alloc_depth", "x")
 	h := r.Histogram("alloc_seconds", "x")
 	var nilC *Counter
-	var nilG *Gauge
 	var nilH *Histogram
 	var nilT *Tracer
 	var nilSpan *Span
@@ -35,10 +33,6 @@ func TestHotPathAllocations(t *testing.T) {
 		{"counter inc disabled", 0, func() { nilC.Inc() }},
 		{"counter add enabled", 0, func() { c.Add(2) }},
 		{"counter add disabled", 0, func() { nilC.Add(2) }},
-		{"gauge set enabled", 0, func() { g.Set(3) }},
-		{"gauge set disabled", 0, func() { nilG.Set(3) }},
-		{"gauge add enabled", 0, func() { g.Add(-1) }},
-		{"gauge add disabled", 0, func() { nilG.Add(-1) }},
 		{"histogram observe enabled", 0, func() { h.Observe(123 * time.Microsecond) }},
 		{"histogram observe disabled", 0, func() { nilH.Observe(123 * time.Microsecond) }},
 		{"histogram observe value enabled", 0, func() { h.ObserveValue(0.5) }},

@@ -1,7 +1,8 @@
 // Package obs is the serving stack's stdlib-only telemetry layer:
-// a metrics registry (atomic counters, gauges, fixed-bucket latency
-// histograms with derived p50/p95/p99), Prometheus text exposition,
-// trace-ID propagation through context, and log/slog helpers.
+// a metrics registry (atomic counters, gauges computed at read time,
+// fixed-bucket latency histograms with derived p50/p95/p99),
+// Prometheus text exposition, trace-ID propagation through context,
+// and log/slog helpers.
 //
 // Design rules, in order:
 //
@@ -9,7 +10,7 @@
 //     recording a metric or span never changes routing, batching, or
 //     detector arithmetic, so outputs stay byte-identical with telemetry
 //     on or off (pinned by equivalence tests in internal/service).
-//   - Allocation-free on the hot path. Counter.Add, Gauge.Set, and
+//   - Allocation-free on the hot path. Counter.Add and
 //     Histogram.Observe are single atomic operations; every recording
 //     method is nil-safe, so a disabled metric (nil cell) costs one
 //     branch and zero allocations.
@@ -60,36 +61,6 @@ func (c *Counter) Load() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. Like Counter, nil gauges are
-// inert.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-//
-//gridlint:zeroalloc
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds delta (negative to decrease).
-//
-//gridlint:zeroalloc
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Load returns the current value (0 on a nil gauge).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // LatencyBuckets are the fixed upper bounds (seconds) every latency
@@ -264,7 +235,6 @@ func (k Kind) String() string {
 type series struct {
 	labels  []string // alternating key, value
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -313,16 +283,6 @@ func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...string
 		return
 	}
 	r.register(name, help, KindCounter, &series{labels: labels, counter: c})
-}
-
-// Gauge registers a gauge series and returns its cell.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(name, help, KindGauge, &series{labels: labels, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at read time —
@@ -417,18 +377,6 @@ func labelsEqual(a, b []string) bool {
 	return true
 }
 
-// Series is one time series in a Snapshot.
-type Series struct {
-	Name   string
-	Kind   Kind
-	Labels []string // alternating key, value
-	// Value is the counter or gauge reading; for histograms it is the
-	// sum of observations in seconds.
-	Value float64
-	// Hist carries bucket detail and derived quantiles for histograms.
-	Hist *HistSnapshot
-}
-
 // HistSnapshot is a point-in-time copy of one histogram.
 type HistSnapshot struct {
 	Bounds []float64 // finite upper bounds, seconds
@@ -438,36 +386,6 @@ type HistSnapshot struct {
 	P50    float64
 	P95    float64
 	P99    float64
-}
-
-// Snapshot copies every registered series into plain values, in
-// registration order — the in-process view behind the same atomics GET
-// /metrics renders.
-func (r *Registry) Snapshot() []Series {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Series
-	for _, f := range r.families {
-		for _, s := range f.series {
-			sv := Series{Name: f.name, Kind: f.kind, Labels: s.labels}
-			switch {
-			case s.counter != nil:
-				sv.Value = float64(s.counter.Load())
-			case s.gauge != nil:
-				sv.Value = float64(s.gauge.Load())
-			case s.gaugeFn != nil:
-				sv.Value = s.gaugeFn()
-			case s.hist != nil:
-				sv.Hist = s.hist.snapshot()
-				sv.Value = sv.Hist.Sum
-			}
-			out = append(out, sv)
-		}
-	}
-	return out
 }
 
 // find returns the series with the exact name and label pairs, or nil.
@@ -501,11 +419,8 @@ func (r *Registry) CounterValue(name string, labels ...string) uint64 {
 
 // GaugeValue reads one gauge series by exact name and label pairs.
 func (r *Registry) GaugeValue(name string, labels ...string) float64 {
-	if s := r.find(name, labels); s != nil {
-		if s.gaugeFn != nil {
-			return s.gaugeFn()
-		}
-		return float64(s.gauge.Load())
+	if s := r.find(name, labels); s != nil && s.gaugeFn != nil {
+		return s.gaugeFn()
 	}
 	return 0
 }
@@ -537,8 +452,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(float64(s.counter.Load())))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(float64(s.gauge.Load())))
 			case s.gaugeFn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(s.gaugeFn()))
 			case s.hist != nil:

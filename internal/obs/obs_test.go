@@ -24,12 +24,6 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("CounterValue for absent labels = %d, want 0", got)
 	}
 
-	g := r.Gauge("test_depth", "a gauge")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Load(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
 	r.GaugeFunc("test_fn", "a computed gauge", func() float64 { return 1.5 })
 	if got := r.GaugeValue("test_fn"); got != 1.5 {
 		t.Fatalf("GaugeValue = %v, want 1.5", got)
@@ -41,20 +35,14 @@ func TestCounterGauge(t *testing.T) {
 func TestNilCellsAreInert(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "nil registry returns nil cells")
-	g := r.Gauge("x_depth", "")
 	h := r.Histogram("x_seconds", "")
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(time.Millisecond)
 	r.GaugeFunc("x_fn", "", func() float64 { return 1 })
 	r.AttachCounter("x_attached", "", c)
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Load() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 || r.GaugeValue("x_fn") != 0 {
 		t.Fatal("nil cells recorded something")
-	}
-	if r.Snapshot() != nil {
-		t.Fatal("nil registry produced a snapshot")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -149,8 +137,7 @@ func TestPrometheusExposition(t *testing.T) {
 	c := r.Counter("req_total", "requests", "shard", "east")
 	c.Add(3)
 	r.Counter("req_total", "requests", "shard", "west").Inc()
-	g := r.Gauge("depth", "queue \"depth\"\nwith newline")
-	g.Set(2)
+	r.GaugeFunc("depth", "queue \"depth\"\nwith newline", func() float64 { return 2 })
 	h := r.Histogram("lat_seconds", "latency", "shard", "east", "stage", "detect")
 	h.Observe(30 * time.Microsecond)
 	h.Observe(30 * time.Microsecond)
@@ -212,7 +199,7 @@ func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ok_total", "fine")
 	mustPanic("duplicate registration", func() { r.Counter("ok_total", "fine") })
-	mustPanic("kind mismatch", func() { r.Gauge("ok_total", "fine") })
+	mustPanic("kind mismatch", func() { r.GaugeFunc("ok_total", "fine", func() float64 { return 0 }) })
 	mustPanic("camelCase name", func() { r.Counter("badName", "x") })
 	mustPanic("empty name", func() { r.Counter("", "x") })
 	mustPanic("odd labels", func() { r.Counter("odd_total", "x", "shard") })
