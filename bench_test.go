@@ -185,7 +185,7 @@ func BenchmarkAblationProximity(b *testing.B) {
 // current GOMAXPROCS.
 func BenchmarkPipelineTrainIEEE30(b *testing.B) {
 	g := cases.IEEE30()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func BenchmarkPipelineFig10MonteCarlo(b *testing.B) {
 // generation excluded) on the 30-bus system.
 func BenchmarkTrainDetectorIEEE30(b *testing.B) {
 	g := cases.IEEE30()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func BenchmarkTrainDetectorIEEE30(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := detect.Train(d, nw, detect.Config{}); err != nil {
+		if _, err := detect.TrainContext(context.Background(), d, nw, detect.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,7 +302,7 @@ func loadDetectFixture(b *testing.B, name string) detectFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func loadDetectFixture(b *testing.B, name string) detectFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := detect.Train(d, nw, detect.Config{})
+	det, err := detect.TrainContext(context.Background(), d, nw, detect.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func loadDetectFixture(b *testing.B, name string) detectFixture {
 // BenchmarkMLRTrainIEEE14 measures baseline training.
 func BenchmarkMLRTrainIEEE14(b *testing.B) {
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func BenchmarkACPowerFlowIEEE118(b *testing.B) {
 func BenchmarkDatasetGenerateIEEE14AC(b *testing.B) {
 	g := cases.IEEE14()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.Generate(g, dataset.GenConfig{Steps: 10, Seed: 1}); err != nil {
+		if _, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 10, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,7 +86,7 @@ func run(out string, reps int) error {
 	if err != nil {
 		return err
 	}
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(ctx, g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func run(out string, reps int) error {
 		}
 	}
 
-	scaling, err := scalingLadder(reps)
+	scaling, err := scalingLadder(ctx, reps)
 	if err != nil {
 		return err
 	}
@@ -184,7 +184,7 @@ func loop(fn func() error) func() (time.Duration, error) {
 // time is unmeasured. Flat start, because the built-in grids store their
 // solved state and a warm start from the exact solution converges
 // before any factorization runs, measuring nothing.
-func scalingLadder(reps int) ([]scalingRow, error) {
+func scalingLadder(ctx context.Context, reps int) ([]scalingRow, error) {
 	var rows []scalingRow
 	for _, name := range []string{"ieee14", "ieee30", "ieee57", "ieee118", "synth300", "synth1000"} {
 		g, err := cases.Load(name)
@@ -217,7 +217,7 @@ func scalingLadder(reps int) ([]scalingRow, error) {
 		}
 		var d *dataset.Data
 		if err := add("dataset/generate-dc", once(func() (err error) {
-			d, err = dataset.Generate(g, dataset.GenConfig{Steps: 40, Seed: 1, UseDC: true, Workers: 1})
+			d, err = dataset.GenerateContext(ctx, g, dataset.GenConfig{Steps: 40, Seed: 1, UseDC: true, Workers: 1})
 			return err
 		})); err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ func scalingLadder(reps int) ([]scalingRow, error) {
 		}
 		var det *detect.Detector
 		if err := add("detect/train", once(func() (err error) {
-			det, err = detect.Train(d, nw, detect.Config{Workers: 1})
+			det, err = detect.TrainContext(ctx, d, nw, detect.Config{Workers: 1})
 			return err
 		})); err != nil {
 			return nil, err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pmuoutage"
+	"pmuoutage/api"
 	"pmuoutage/client"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/service"
@@ -105,12 +106,12 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	t.Run("unknown shard 404", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "nope", Samples: good})
+		resp := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{Shard: "nope", Samples: good})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		var e httpserve.ErrorResponse
+		var e api.ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestErrorMapping(t *testing.T) {
 	})
 	t.Run("bad sample 400", func(t *testing.T) {
 		bad := []pmuoutage.Sample{{Vm: []float64{1}, Va: []float64{0}}}
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: bad})
+		resp := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{Shard: "east", Samples: bad})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
@@ -140,7 +141,7 @@ func TestErrorMapping(t *testing.T) {
 		if err := svc.Kill("west"); err != nil {
 			t.Fatal(err)
 		}
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "west", Samples: good})
+		resp := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{Shard: "west", Samples: good})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("killed shard status = %d", resp.StatusCode)
@@ -148,14 +149,14 @@ func TestErrorMapping(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("retryable 503 without Retry-After header")
 		}
-		var e httpserve.ErrorResponse
+		var e api.ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatal(err)
 		}
 		if !e.Retryable {
 			t.Fatalf("error body = %+v", e)
 		}
-		resp2 := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: good})
+		resp2 := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{Shard: "east", Samples: good})
 		defer func() { _ = resp2.Body.Close() }()
 		if resp2.StatusCode != http.StatusOK {
 			t.Fatalf("surviving shard status = %d", resp2.StatusCode)
@@ -175,11 +176,11 @@ func TestIngestShardsStatsHealth(t *testing.T) {
 
 	var confirmed *pmuoutage.Event
 	for _, smp := range samples {
-		resp := postJSON(t, ts.URL+"/v1/ingest", httpserve.IngestRequest{Shard: "east", Sample: smp})
+		resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Shard: "east", Sample: smp})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest status = %d", resp.StatusCode)
 		}
-		var out httpserve.IngestResponse
+		var out api.IngestResponse
 		err := json.NewDecoder(resp.Body).Decode(&out)
 		_ = resp.Body.Close()
 		if err != nil {
@@ -293,7 +294,7 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 
 	t.Run("missing artifact 400", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: filepath.Join(t.TempDir(), "nope.json")})
+		resp := postJSON(t, ts.URL+"/v1/reload", api.ReloadRequest{Shard: "east", Path: filepath.Join(t.TempDir(), "nope.json")})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
@@ -304,14 +305,14 @@ func TestReloadEndpoint(t *testing.T) {
 		if err := os.WriteFile(bad, []byte("not a model"), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: bad})
+		resp := postJSON(t, ts.URL+"/v1/reload", api.ReloadRequest{Shard: "east", Path: bad})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
 	})
 	t.Run("unknown shard 404", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "nope"})
+		resp := postJSON(t, ts.URL+"/v1/reload", api.ReloadRequest{Shard: "nope"})
 		defer func() { _ = resp.Body.Close() }()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("status = %d", resp.StatusCode)

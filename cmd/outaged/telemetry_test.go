@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"pmuoutage/internal/httpserve"
+	"pmuoutage/api"
 	"pmuoutage/internal/obs"
 )
 
@@ -33,7 +33,7 @@ func TestTraceIDOnErrorsAndMetrics(t *testing.T) {
 	if got := resp.Header.Get(obs.TraceHeader); got != "0123456789abcdef" {
 		t.Fatalf("header echo = %q", got)
 	}
-	var e httpserve.ErrorResponse
+	var e api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -107,7 +108,7 @@ func run(dataPath, pattern string, k, clusters int, trainFrac float64, seed int6
 		if err != nil {
 			return err
 		}
-		if det, err = detect.Train(train, nw, detect.Config{}); err != nil {
+		if det, err = detect.TrainContext(context.TODO(), train, nw, detect.Config{}); err != nil {
 			return err
 		}
 		if saveModel != "" {

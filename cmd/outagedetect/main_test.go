@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func writeDataset(t *testing.T) string {
 	t.Helper()
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 10, Seed: 2, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 10, Seed: 2, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +46,7 @@ func run(caseName string, steps int, seed int64, useDC bool, sigmaVm, sigmaVa fl
 	if err != nil {
 		return err
 	}
-	d, err := dataset.Generate(g, dataset.GenConfig{
+	d, err := dataset.GenerateContext(context.TODO(), g, dataset.GenConfig{
 		Steps: steps, Seed: seed, UseDC: useDC,
 		SigmaVm: sigmaVm, SigmaVa: sigmaVa,
 	})

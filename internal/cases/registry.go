@@ -71,13 +71,3 @@ var paperNames = []string{"ieee14", "ieee30", "ieee57", "ieee118"}
 // PaperNames returns the names of the paper's evaluation set, the four
 // IEEE systems, smallest first.
 func PaperNames() []string { return slices.Clone(paperNames) }
-
-// All returns copies of the paper's evaluation set, in PaperNames
-// order.
-func All() []*grid.Grid {
-	out := make([]*grid.Grid, len(paperNames))
-	for i, name := range paperNames {
-		out[i] = registry[name]()
-	}
-	return out
-}

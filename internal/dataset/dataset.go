@@ -69,9 +69,6 @@ func (s *Sample) N() int { return len(s.Vm) }
 // Complete reports whether the sample has no missing measurements.
 func (s *Sample) Complete() bool { return s.Mask == nil || !s.Mask.AnyMissing() }
 
-// Missing reports whether bus i's measurement is missing.
-func (s *Sample) Missing(i int) bool { return s.Mask != nil && s.Mask[i] }
-
 // Vector returns the sample as a flat feature vector for the channel.
 // Missing entries are still present numerically; consumers that care
 // must consult the mask (the detector's whole point is to pick rows
@@ -132,18 +129,6 @@ type Scenario []grid.Line
 
 // Normal reports whether the scenario has no outages.
 func (sc Scenario) Normal() bool { return len(sc) == 0 }
-
-// Involves reports whether the scenario outages any line of bus i in g —
-// the paper's "case F involving node i".
-func (sc Scenario) Involves(g *grid.Grid, i int) bool {
-	for _, e := range sc {
-		a, b := g.Endpoints(e)
-		if a == i || b == i {
-			return true
-		}
-	}
-	return false
-}
 
 // Key returns a canonical string for map keys and logs.
 func (sc Scenario) Key() string {

@@ -15,7 +15,8 @@ import (
 // GenConfig controls data generation.
 type GenConfig struct {
 	// Steps is the number of time samples T per scenario. The paper uses
-	// a 24-hour window; Steps divides that day.
+	// a 24-hour window; Steps divides that day, and the load process is
+	// loadgen.DefaultOU(Steps).
 	Steps int
 	// Seed makes the whole pipeline deterministic.
 	Seed int64
@@ -23,32 +24,24 @@ type GenConfig struct {
 	// non-positive values select the loadgen defaults.
 	SigmaVm float64 //gridlint:unit pu
 	SigmaVa float64 //gridlint:unit rad
-	// OU overrides the load process; zero value selects DefaultOU(Steps).
-	OU loadgen.OUParams
 	// UseDC switches to the linear DC power flow — an order of magnitude
 	// faster, used by quick tests and large sweeps. Magnitudes are then
 	// flat 1.0 plus noise, so detection must use the angle channel.
 	UseDC bool
-	// LossFrac is the dispatch margin for system losses (default 2%).
-	LossFrac float64
-	// MaxIter caps Newton iterations per solve (default 30).
-	MaxIter int
-	// Workers bounds the scenario-level parallelism of Generate
+	// Workers bounds the scenario-level parallelism of GenerateContext
 	// (0 = GOMAXPROCS). Results are byte-identical for every worker
 	// count: each scenario derives its own RNG seeds from Seed and the
 	// scenario itself, so no random stream is shared across scenarios.
 	Workers int
 }
 
+// lossFrac is the dispatch margin for system losses: each step's
+// generation covers its load plus 2%.
+const lossFrac = 0.02
+
 func (c GenConfig) withDefaults() GenConfig {
 	if c.Steps <= 0 {
 		c.Steps = 24
-	}
-	if c.OU == (loadgen.OUParams{}) {
-		c.OU = loadgen.DefaultOU(c.Steps)
-	}
-	if c.LossFrac <= 0 {
-		c.LossFrac = 0.02
 	}
 	return c
 }
@@ -57,16 +50,11 @@ func (c GenConfig) withDefaults() GenConfig {
 // removal islands the grid or the power flow fails to converge.
 var ErrInvalidScenario = errors.New("dataset: scenario islanded or did not converge")
 
-// GenerateScenario produces the sample set for one scenario on grid g.
-// It returns ErrInvalidScenario (wrapped) for islanding/non-convergence.
-func GenerateScenario(g *grid.Grid, sc Scenario, cfg GenConfig) (*Set, error) {
-	return GenerateScenarioContext(context.Background(), g, sc, cfg)
-}
-
-// GenerateScenarioContext is GenerateScenario with cancellation: the
-// per-step loop stops at the first context error. Each step of an AC
-// scenario warm-starts from the last, so there is no Workers option at
-// this level.
+// GenerateScenarioContext produces the sample set for one scenario on
+// grid g. It returns ErrInvalidScenario (wrapped) for islanding or
+// non-convergence, and stops at the first context error between steps.
+// Each step of an AC scenario warm-starts from the last, so there is no
+// Workers option at this level.
 //
 // Each step scales the loads by the load process's multipliers and
 // re-dispatches generation by powerflow.DispatchScale. A DC scenario
@@ -88,7 +76,7 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 	for _, e := range sc {
 		seed = seed*1000003 + int64(e) + 1
 	}
-	proc, err := loadgen.NewProcess(g.N(), cfg.OU, seed)
+	proc, err := loadgen.NewProcess(g.N(), loadgen.DefaultOU(cfg.Steps), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +95,7 @@ func GenerateScenarioContext(ctx context.Context, g *grid.Grid, sc Scenario, cfg
 
 // stepLoads writes into pd the active loads of work scaled by one
 // step's multipliers and returns the step's generator scale.
-func stepLoads(work *grid.Grid, mult, pd []float64, lossFrac float64) float64 {
+func stepLoads(work *grid.Grid, mult, pd []float64) float64 {
 	var load float64
 	for i := range pd {
 		pd[i] = work.Buses[i].Pd * mult[i]
@@ -155,7 +143,7 @@ func generateDC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig
 			return err
 		}
 		proc.StepInto(w.mult)
-		scale := stepLoads(work, w.mult, w.pd, cfg.LossFrac)
+		scale := stepLoads(work, w.mult, w.pd)
 		pt := w.p[t*n : (t+1)*n]
 		for i, b := range work.Buses {
 			pg := b.Pg
@@ -191,7 +179,7 @@ func generateAC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig
 			return err
 		}
 		mult := proc.Step()
-		scale := stepLoads(work, mult, pd, cfg.LossFrac)
+		scale := stepLoads(work, mult, pd)
 		step := warm.Clone()
 		for i := range step.Buses {
 			b := &step.Buses[i]
@@ -201,11 +189,11 @@ func generateAC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig
 				b.Pg *= scale
 			}
 		}
-		sol, err := powerflow.SolveAC(step, powerflow.Options{MaxIter: cfg.MaxIter})
+		sol, err := powerflow.SolveAC(step, powerflow.Options{})
 		if err != nil {
 			// One retry from flat start; warm starts can stray after
 			// a big topology change.
-			sol, err = powerflow.SolveAC(step, powerflow.Options{FlatStart: true, MaxIter: cfg.MaxIter})
+			sol, err = powerflow.SolveAC(step, powerflow.Options{FlatStart: true})
 			if err != nil {
 				return fmt.Errorf("%w: %s step %d: %v", ErrInvalidScenario, sc.Key(), t, err)
 			}
@@ -221,18 +209,14 @@ func generateAC(ctx context.Context, work *grid.Grid, sc Scenario, cfg GenConfig
 	return nil
 }
 
-// Generate runs the full §V-A pipeline: the normal-operation set plus one
-// set per valid single-line outage. Lines whose removal islands the grid
-// or whose power flow diverges are skipped (E <= |E| in the paper).
-func Generate(g *grid.Grid, cfg GenConfig) (*Data, error) {
-	return GenerateContext(context.Background(), g, cfg)
-}
-
-// GenerateContext is Generate with cancellation and bounded parallelism:
-// the per-scenario simulations fan out over cfg.Workers workers. Every
-// scenario seeds its own load process and noise model from (Seed,
-// scenario), so the assembled Data is byte-identical whatever the worker
-// count — including the sequential Workers = 1 order.
+// GenerateContext runs the full §V-A pipeline: the normal-operation set
+// plus one set per valid single-line outage. Lines whose removal
+// islands the grid or whose power flow diverges are skipped (E <= |E|
+// in the paper). The per-scenario simulations fan out over cfg.Workers
+// workers. Every scenario seeds its own load process and noise model
+// from (Seed, scenario), so the assembled Data is byte-identical
+// whatever the worker count — including the sequential Workers = 1
+// order.
 func GenerateContext(ctx context.Context, g *grid.Grid, cfg GenConfig) (*Data, error) {
 	cfg = cfg.withDefaults()
 	normal, err := GenerateScenarioContext(ctx, g, nil, cfg)

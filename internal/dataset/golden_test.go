@@ -1,6 +1,7 @@
 package dataset_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -36,7 +37,7 @@ func TestDCGenerateGoldenFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := dataset.Generate(g, dataset.GenConfig{Steps: tc.steps, Seed: 7, UseDC: true, Workers: 1})
+			d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: tc.steps, Seed: 7, UseDC: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,8 @@ import (
 // fingerprint hashes every float of the generated data bit-exactly, in
 // sequential order: the normal set, each outage set ascending by line,
 // then the valid-line list. The golden constants below were produced by
-// the pre-parallel (PR 1) sequential Generate, so these tests pin the
-// refactor to the historical output, not just to itself.
+// the first, sequential generator, so these tests pin later changes
+// to the historical output, not just to itself.
 func fingerprint(d *Data) string {
 	h := sha256.New()
 	add := func(set *Set) {
@@ -63,7 +63,7 @@ func TestGenerateGoldenFingerprint(t *testing.T) {
 		for _, workers := range []int{0, 1, 8} {
 			cfg := tc.cfg
 			cfg.Workers = workers
-			d, err := Generate(cases.IEEE14(), cfg)
+			d, err := GenerateContext(context.Background(), cases.IEEE14(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,12 +79,12 @@ func TestGenerateWorkersEquivalence(t *testing.T) {
 	g := cases.IEEE14()
 	cfg := smallConfig()
 	cfg.Workers = 1
-	seq, err := Generate(g, cfg)
+	seq, err := GenerateContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parl, err := Generate(g, cfg)
+	parl, err := GenerateContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDCScenarioAllocs(t *testing.T) {
 	g := cases.IEEE30()
 	cfg := GenConfig{Steps: 40, Seed: 1, UseDC: true}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := GenerateScenario(g, Scenario{3}, cfg); err != nil {
+		if _, err := GenerateScenarioContext(context.Background(), g, Scenario{3}, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -95,7 +96,7 @@ func TestAblationGoldenFingerprint(t *testing.T) {
 		for _, ac := range ablationConfigs {
 			key := name + "/" + ac.name
 			t.Run(key, func(t *testing.T) {
-				det, err := Train(d, nw, ac.cfg)
+				det, err := TrainContext(context.Background(), d, nw, ac.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"testing"
 
 	"pmuoutage/internal/cases"
@@ -18,7 +19,7 @@ func gridFixture(t *testing.T, name string) (*dataset.Data, *pmunet.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestDetectAllocsCeiling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d, nw := gridFixture(t, tc.name)
 			g := d.G
-			det, err := Train(d, nw, Config{})
+			det, err := TrainContext(context.Background(), d, nw, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

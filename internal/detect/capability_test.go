@@ -2,6 +2,7 @@ package detect
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,7 +74,7 @@ func TestUnionProbMonotone(t *testing.T) {
 func ieee14Data(t *testing.T, steps int) *dataset.Data {
 	t.Helper()
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: steps, Seed: 7})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: steps, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func ieee14Data(t *testing.T, steps int) *dataset.Data {
 
 func TestFitEllipsesAllNodes(t *testing.T) {
 	d := ieee14Data(t, 10)
-	ells, err := FitEllipses(d.Normal, 1.1, false)
+	ells, err := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestFitEllipsesAllNodes(t *testing.T) {
 }
 
 func TestFitEllipsesNeedsSamples(t *testing.T) {
-	if _, err := FitEllipses(&dataset.Set{}, 1.1, false); err == nil {
+	if _, err := FitEllipsesContext(context.Background(), &dataset.Set{}, 1.1, false, 1); err == nil {
 		t.Fatal("expected error for empty set")
 	}
 }
@@ -111,7 +112,7 @@ func TestCaseCapabilityEndpointsHigh(t *testing.T) {
 	// better than a node with no electrical stress... in a small grid
 	// nearly everyone sees it, so assert endpoints are near 1.
 	d := ieee14Data(t, 12)
-	ells, err := FitEllipses(d.Normal, 1.1, false)
+	ells, err := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCaseCapabilityEndpointsHigh(t *testing.T) {
 
 func TestCaseCapabilityEmptySets(t *testing.T) {
 	d := ieee14Data(t, 4)
-	ells, _ := FitEllipses(d.Normal, 1.1, false)
+	ells, _ := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
 	if CaseCapability(ells[0], &dataset.Set{}, d.Normal, 0) != 0 {
 		t.Fatal("empty outage set must give 0")
 	}
@@ -160,7 +161,7 @@ func TestLearnCapabilitiesShapeAndRange(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			d := in.data(t)
-			caps, err := LearnCapabilities(d, 1.1, false)
+			caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func TestLearnCapabilitiesShapeAndRange(t *testing.T) {
 func dcData(build func() *grid.Grid) func(t *testing.T) *dataset.Data {
 	return func(t *testing.T) *dataset.Data {
 		t.Helper()
-		d, err := dataset.Generate(build(), dataset.GenConfig{Steps: 10, Seed: 7, UseDC: true})
+		d, err := dataset.GenerateContext(context.Background(), build(), dataset.GenConfig{Steps: 10, Seed: 7, UseDC: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func dcData(build func() *grid.Grid) func(t *testing.T) *dataset.Data {
 
 // TestCapabilityMatrixFromModel: the Eq. (6)–(7) matrix rebuilt from a
 // decoded model's case rows, as TrainPatch rebuilds it, is bit for bit
-// the one LearnCapabilities builds from the training data.
+// the one LearnCapabilitiesContext builds from the training data.
 func TestCapabilityMatrixFromModel(t *testing.T) {
 	for _, build := range []func() *grid.Grid{cases.IEEE14, cases.IEEE30} {
 		d := dcData(build)(t)
@@ -205,7 +206,7 @@ func TestCapabilityMatrixFromModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			det, err := Train(d, nw, Config{})
+			det, err := TrainContext(context.Background(), d, nw, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +222,7 @@ func TestCapabilityMatrixFromModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			caps, err := LearnCapabilities(d, dm.Config.EllipseMargin, dm.Config.UseMVEE)
+			caps, err := LearnCapabilitiesContext(context.Background(), d, dm.Config.EllipseMargin, dm.Config.UseMVEE, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +246,7 @@ func TestLearnCapabilitiesSelfDetection(t *testing.T) {
 	// highest detection accuracy in p_i" (§IV-B): check node i itself
 	// scores highly for its own failures.
 	d := ieee14Data(t, 12)
-	caps, err := LearnCapabilities(d, 1.1, false)
+	caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

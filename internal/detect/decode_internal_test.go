@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,13 +18,13 @@ import (
 // outage gate, the proximity-rule candidate set, or the line filter.
 func TestDecodeStagesUnderMissingOutageData(t *testing.T) {
 	g := cases.IEEE14()
-	train, _ := dataset.Generate(g, dataset.GenConfig{Steps: 30, Seed: 11})
+	train, _ := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 30, Seed: 11})
 	nw, _ := pmunet.Build(g, 3)
-	det, err := Train(train, nw, Config{})
+	det, err := TrainContext(context.Background(), train, nw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, _ := dataset.Generate(g, dataset.GenConfig{Steps: 5, Seed: 999})
+	test, _ := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 5, Seed: 999})
 	var nSamp, gate, bothEnds, hit, hitGivenEnds int
 	for _, e := range test.ValidLines {
 		a, b := g.Endpoints(e)
@@ -84,7 +85,7 @@ func TestDecodeLinesMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, name := range []string{"ieee14", "ieee30"} {
 		d, nw := gridFixture(t, name)
-		det, err := Train(d, nw, Config{})
+		det, err := TrainContext(context.Background(), d, nw, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,15 +157,10 @@ type Detector struct {
 	gateSlots []atomic.Pointer[subspace.Restricted]
 }
 
-// Train learns the detector from generated data and a PMU network.
-func Train(d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
-	return TrainContext(context.Background(), d, nw, cfg)
-}
-
-// TrainContext is Train with cancellation and bounded parallelism: the
-// per-line subspace SVDs (four lines per task), the per-node
-// intersection subspaces, and the Eq. 5 capability rows each fan out
-// over cfg.Workers workers.
+// TrainContext learns the detector from generated data and a PMU
+// network, stopping at the first context error. The per-line subspace
+// SVDs (four lines per task), the per-node intersection subspaces, and
+// the Eq. 5 capability rows each fan out over cfg.Workers workers.
 func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg Config) (*Detector, error) {
 	cfg = cfg.withDefaults()
 	if d.G != nw.G {
@@ -1174,13 +1169,12 @@ func (det *Detector) Grid() *grid.Grid { return det.g }
 // Network returns the detector's PMU network.
 func (det *Detector) Network() *pmunet.Network { return det.nw }
 
-// DetectionGroups exposes the per-cluster groups (read-only use).
-func (det *Detector) DetectionGroups() []Group { return det.groups }
-
 // ValidLines returns the lines with learned outage subspaces.
 func (det *Detector) ValidLines() []grid.Line {
 	return append([]grid.Line(nil), det.validLines...)
 }
 
 // NoOutageThreshold returns the calibrated deviation-energy threshold.
+// TestDetectThresholdBoundary probes Eq. 9's boundary with it, and
+// TestTrainGoldenFingerprint pins its bits.
 func (det *Detector) NoOutageThreshold() float64 { return det.noOutageThresh }

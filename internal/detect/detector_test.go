@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -18,7 +19,7 @@ import (
 func trainIEEE14(t *testing.T, cfg Config) (*Detector, *dataset.Data) {
 	t.Helper()
 	g := cases.IEEE14()
-	train, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 11})
+	train, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +27,11 @@ func trainIEEE14(t *testing.T, cfg Config) (*Detector, *dataset.Data) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Train(train, nw, cfg)
+	det, err := TrainContext(context.Background(), train, nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, err := dataset.Generate(g, dataset.GenConfig{Steps: 6, Seed: 999})
+	test, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 6, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +41,15 @@ func trainIEEE14(t *testing.T, cfg Config) (*Detector, *dataset.Data) {
 func TestTrainValidation(t *testing.T) {
 	g := cases.IEEE14()
 	nw, _ := pmunet.Build(g, 3)
-	if _, err := Train(&dataset.Data{G: g, Normal: &dataset.Set{}}, nw, Config{}); err == nil {
+	if _, err := TrainContext(context.Background(), &dataset.Data{G: g, Normal: &dataset.Set{}}, nw, Config{}); err == nil {
 		t.Fatal("expected error for empty normal set")
 	}
 	other, _ := pmunet.Build(cases.IEEE30(), 3)
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 3, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 3, Seed: 1, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(d, other, Config{}); err == nil {
+	if _, err := TrainContext(context.Background(), d, other, Config{}); err == nil {
 		t.Fatal("expected grid mismatch error")
 	}
 }
@@ -230,7 +231,7 @@ func TestDetectAccessors(t *testing.T) {
 	if det.Network().NumClusters() != 3 {
 		t.Fatal("Network accessor wrong")
 	}
-	if len(det.DetectionGroups()) != 3 {
+	if len(det.groups) != 3 {
 		t.Fatal("group accessor wrong")
 	}
 	if len(det.ValidLines()) == 0 {
@@ -243,12 +244,12 @@ func TestDetectAccessors(t *testing.T) {
 
 func TestBuildGroupsMixZeroNeedsLoadings(t *testing.T) {
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 6, Seed: 2, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 6, Seed: 2, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw, _ := pmunet.Build(g, 3)
-	caps, err := LearnCapabilities(d, 1.1, false)
+	caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -15,16 +16,16 @@ import (
 // still ranks among the closest few when scored over all available rows.
 func TestLineSignatureDiscrimination(t *testing.T) {
 	g := cases.IEEE14()
-	train, err := dataset.Generate(g, dataset.GenConfig{Steps: 30, Seed: 11})
+	train, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 30, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw, _ := pmunet.Build(g, 3)
-	det, err := Train(train, nw, Config{})
+	det, err := TrainContext(context.Background(), train, nw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, err := dataset.Generate(g, dataset.GenConfig{Steps: 5, Seed: 999})
+	test, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 5, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +96,16 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 // two lowest scaled proximities most of the time.
 func TestScoredNodesMatchOutageLocation(t *testing.T) {
 	g := cases.IEEE14()
-	train, err := dataset.Generate(g, dataset.GenConfig{Steps: 30, Seed: 11})
+	train, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 30, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw, _ := pmunet.Build(g, 3)
-	det, err := Train(train, nw, Config{})
+	det, err := TrainContext(context.Background(), train, nw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, err := dataset.Generate(g, dataset.GenConfig{Steps: 4, Seed: 321})
+	test, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 4, Seed: 321})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func trainFixture(t testing.TB, workers int) (*Detector, *dataset.Data) {
 	t.Helper()
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func trainFixture(t testing.TB, workers int) (*Detector, *dataset.Data) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Train(d, nw, Config{Workers: workers})
+	det, err := TrainContext(context.Background(), d, nw, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func hashResult(h io.Writer, r *Result) {
 
 func TestTrainContextCancelled(t *testing.T) {
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: 8, Seed: 1, UseDC: true})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 8, Seed: 1, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}

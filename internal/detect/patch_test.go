@@ -24,7 +24,7 @@ func patchFixture(t testing.TB) (base *Model, d *dataset.Data, refreshed map[gri
 	_, base, d = snapshotFixture(t)
 	refreshed = map[grid.Line]*dataset.Set{}
 	for _, e := range []grid.Line{d.ValidLines[1], d.ValidLines[4]} {
-		set, err := dataset.GenerateScenario(d.G, dataset.Scenario{e},
+		set, err := dataset.GenerateScenarioContext(context.Background(), d.G, dataset.Scenario{e},
 			dataset.GenConfig{Steps: 20, Seed: 77, UseDC: true})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestPatchEquivalentToFullRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Train(swapped, nw, base.Config)
+	full, err := TrainContext(context.Background(), swapped, nw, base.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,7 +41,7 @@ func TestPlanSlotsMatchFreshPlans(t *testing.T) {
 	})
 	t.Run("ieee118", func(t *testing.T) {
 		d, nw := gridFixture(t, "ieee118")
-		det, err := Train(d, nw, Config{})
+		det, err := TrainContext(context.Background(), d, nw, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,6 +110,8 @@ func (e *Ellipse) Quad(x, y float64) float64 {
 func (e *Ellipse) Contains(x, y float64) bool { return e.Quad(x, y) <= 1 }
 
 // Axes returns the semi-axis lengths (major, minor) of the ellipse.
+// TestAxesOrdered, TestAxesCircle, TestMVEETighterThanCovarianceFit and
+// TestMVEEKnownSquare probe the shapes Fit and FitMVEE return with it.
 func (e *Ellipse) Axes() (float64, float64) {
 	// Eigenvalues of A; semi-axes are 1/sqrt(lambda).
 	tr := e.A[0] + e.A[2]

@@ -56,9 +56,9 @@ type Config struct {
 	UseDC bool
 	// Clusters overrides the PDC cluster count; 0 derives max(3, N/10).
 	Clusters int
-	// Detector/baseline overrides (zero values = package defaults).
+	// Detect overrides the detector configuration (zero value = package
+	// defaults); the MLR baseline always trains with mlr's defaults.
 	Detect detect.Config
-	MLR    mlr.Config
 	// Workers bounds the parallelism of a run (0 = GOMAXPROCS): figure
 	// rows — one per (system, sweep point) — fan out over workers, and
 	// the same count is handed down to data generation and training.
@@ -180,7 +180,7 @@ func (c Config) prepare(ctx context.Context, system string, needMLR bool) (*bund
 	}
 	b := &bundle{g: g, nw: nw, train: train, test: test, det: det}
 	if needMLR {
-		clf, err := mlr.Train(train, c.MLR)
+		clf, err := mlr.Train(train, mlr.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -112,12 +113,15 @@ func MultiOutage(ctx context.Context, cfg Config) ([]Row, error) {
 				return nil, err
 			}
 			sc := dataset.Scenario{p.e1, p.e2}
-			set, err := dataset.GenerateScenario(b.g, sc, dataset.GenConfig{
+			set, err := dataset.GenerateScenarioContext(ctx, b.g, sc, dataset.GenConfig{
 				Steps: cfg.TestSteps / 4, Seed: cfg.Seed + 31337 + int64(p.e1)*997 + int64(p.e2),
 				UseDC: cfg.UseDC,
 			})
-			if err != nil {
+			if errors.Is(err, dataset.ErrInvalidScenario) {
 				continue // islanding double outage: skip like §V-A
+			}
+			if err != nil {
+				return nil, err
 			}
 			truth := []grid.Line{p.e1, p.e2}
 			mask := pmunet.NoneMissing(b.g.N())

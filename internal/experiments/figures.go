@@ -30,7 +30,7 @@ func Fig4(ctx context.Context, cfg Config) ([]Row, error) {
 		c := cfg
 		c.Detect.Groups.Mix = mix
 		if mix == 0 { //gridlint:ignore floatcmp compares against the exact literal 0 from the sweep list above
-			// Mix = 0 (zero value) means "default" to detect.Train,
+			// Mix = 0 (zero value) means "default" to detect.TrainContext,
 			// so the pure naive choice is requested with -1.
 			c.Detect.Groups.Mix = -1
 		}

@@ -285,23 +285,6 @@ func (g *Grid) HopDistances(src int) []int {
 	return dist
 }
 
-// FindLine returns the branch index connecting internal buses i and j
-// (either direction), preferring in-service branches, or -1 if none.
-func (g *Grid) FindLine(i, j int) Line {
-	best := Line(-1)
-	for e, br := range g.Branches {
-		if (br.From == i && br.To == j) || (br.From == j && br.To == i) {
-			if br.Status {
-				return Line(e)
-			}
-			if best < 0 {
-				best = Line(e)
-			}
-		}
-	}
-	return best
-}
-
 // Endpoints returns the internal bus indices of line e.
 func (g *Grid) Endpoints(e Line) (int, int) {
 	br := g.Branches[e]
@@ -318,7 +301,8 @@ func (g *Grid) TotalLoad() float64 {
 }
 
 // Validate performs structural sanity checks and returns the first
-// problem found, or nil.
+// problem found, or nil. The cases tests (TestAllCasesValidate and the
+// CDF and synthetic-grid tests) run it on every grid they build.
 func (g *Grid) Validate() error {
 	if g.N() == 0 {
 		return fmt.Errorf("grid %q: no buses", g.Name)

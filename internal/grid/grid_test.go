@@ -142,25 +142,6 @@ func TestHopDistances(t *testing.T) {
 	}
 }
 
-func TestFindLineEndpoints(t *testing.T) {
-	g := ring(4)
-	e := g.FindLine(1, 2)
-	if e < 0 {
-		t.Fatal("line not found")
-	}
-	a, b := g.Endpoints(e)
-	if !(a == 1 && b == 2) && !(a == 2 && b == 1) {
-		t.Fatalf("Endpoints = (%d,%d)", a, b)
-	}
-	if g.FindLine(0, 2) != -1 {
-		t.Fatal("nonexistent line must be -1")
-	}
-	// Reverse direction lookup.
-	if g.FindLine(2, 1) != e {
-		t.Fatal("FindLine must be symmetric")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	g := ring(4)
 	if err := g.Validate(); err != nil {

@@ -114,7 +114,7 @@ func (b *Backend) boot(ctx context.Context, addr string) error {
 func (b *Backend) System(ctx context.Context) (*pmuoutage.System, error) {
 	for {
 		sys, err := b.Svc.System(Shard)
-		if err == nil || !service.Retryable(err) {
+		if err == nil || !httpserve.CodeOf(err).Retryable() {
 			return sys, err
 		}
 		if !sleepCtx(ctx, 20*time.Millisecond) {

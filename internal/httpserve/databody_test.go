@@ -71,7 +71,7 @@ func TestNonFiniteSampleBadRequest(t *testing.T) {
 		}
 	}
 	t.Run("detect 1e200", func(t *testing.T) {
-		body, err := json.Marshal(DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{withAngle(normal, 1e200)}})
+		body, err := json.Marshal(api.DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{withAngle(normal, 1e200)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +80,12 @@ func TestNonFiniteSampleBadRequest(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), 1e200} {
 		t.Run(fmt.Sprint("ingest frame ", v), func(t *testing.T) {
 			for seq := uint32(1); seq <= 4; seq++ {
-				wantBadSample(t, serve(h, "/v1/ingest?shard=east", FrameContentType, encodeFrame(t, seq, withAngle(normal, v))))
+				wantBadSample(t, serve(h, "/v1/ingest?shard=east", api.FrameContentType, encodeFrame(t, seq, withAngle(normal, v))))
 			}
 		})
 		t.Run(fmt.Sprint("detect frames ", v), func(t *testing.T) {
 			body := encodeFrames(t, []pmuoutage.Sample{normal, withAngle(normal, v)})
-			wantBadSample(t, serve(h, "/v1/detect?shard=east", FrameContentType, body))
+			wantBadSample(t, serve(h, "/v1/detect?shard=east", api.FrameContentType, body))
 		})
 	}
 }
@@ -96,11 +96,11 @@ func TestNonFiniteSampleBadRequest(t *testing.T) {
 // answer 5xx, and every 200 body must decode into its response type.
 func FuzzDataPlaneBodies(f *testing.F) {
 	h, normal := dataPlane(f)
-	valid, err := json.Marshal(DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{normal}})
+	valid, err := json.Marshal(api.DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{normal}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	huge, err := json.Marshal(DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{withAngle(normal, 1e200)}})
+	huge, err := json.Marshal(api.DetectRequest{Shard: "east", Samples: []pmuoutage.Sample{withAngle(normal, 1e200)}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -118,12 +118,12 @@ func FuzzDataPlaneBodies(f *testing.F) {
 		f.Add(uint8(2), body)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
-		target, contentType, out := "/v1/detect", "application/json", any(new(DetectResponse))
+		target, contentType, out := "/v1/detect", "application/json", any(new(api.DetectResponse))
 		switch kind % 3 {
 		case 1:
-			target, contentType, out = "/v1/ingest?shard=east", FrameContentType, new(IngestResponse)
+			target, contentType, out = "/v1/ingest?shard=east", api.FrameContentType, new(api.IngestResponse)
 		case 2:
-			target, contentType = "/v1/detect?shard=east", FrameContentType
+			target, contentType = "/v1/detect?shard=east", api.FrameContentType
 		}
 		rec := serve(h, target, contentType, body)
 		if rec.Code >= 500 {

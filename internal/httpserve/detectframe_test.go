@@ -88,7 +88,7 @@ func TestBinaryDetectMatchesJSON(t *testing.T) {
 			}
 			outages, requests := 0, 0
 			for i, batch := range bodies {
-				js, err := json.Marshal(DetectRequest{Shard: "east", Samples: batch})
+				js, err := json.Marshal(api.DetectRequest{Shard: "east", Samples: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,9 +101,9 @@ func TestBinaryDetectMatchesJSON(t *testing.T) {
 					name, base, target, contentType string
 					body                            []byte
 				}{
-					{"binary to the backend", primary.URL, "/v1/detect?shard=east", FrameContentType, bin},
+					{"binary to the backend", primary.URL, "/v1/detect?shard=east", api.FrameContentType, bin},
 					{"JSON through the router", routed.URL, "/v1/detect", "application/json", js},
-					{"binary through the router", routed.URL, "/v1/detect?shard=east", FrameContentType, bin},
+					{"binary through the router", routed.URL, "/v1/detect?shard=east", api.FrameContentType, bin},
 				} {
 					status, got := post(t, c.base, c.target, c.contentType, c.body)
 					if status != http.StatusOK || !bytes.Equal(got, want) {
@@ -111,7 +111,7 @@ func TestBinaryDetectMatchesJSON(t *testing.T) {
 					}
 				}
 				requests += 2
-				var resp DetectResponse
+				var resp api.DetectResponse
 				if err := json.Unmarshal(want, &resp); err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func TestOversizedFrameBodyRejected(t *testing.T) {
 	}
 	defer svc.Close()
 	req := httptest.NewRequest(http.MethodPost, "/v1/detect?shard=east", io.LimitReader(spaces{}, api.MaxBodyBytes+1))
-	req.Header.Set("Content-Type", FrameContentType)
+	req.Header.Set("Content-Type", api.FrameContentType)
 	rec := httptest.NewRecorder()
 	New(svc, time.Second, nil).Routes().ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {

@@ -210,31 +210,8 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// The wire types are shared with every other transport participant
-// through the public api package — the aliases below keep this
-// package's identifiers working while guaranteeing there is exactly one
-// definition of each body.
-type (
-	// DetectRequest is the JSON body of POST /v1/detect.
-	DetectRequest = api.DetectRequest
-	// DetectResponse is its reply: one report per sample, in order.
-	DetectResponse = api.DetectResponse
-	// IngestRequest is the JSON body of POST /v1/ingest.
-	IngestRequest = api.IngestRequest
-	// IngestResponse carries the confirmed event, if the sample
-	// triggered one. Binary-mode ingest answers with the same shape.
-	IngestResponse = api.IngestResponse
-	// ReloadRequest is the body of POST /v1/reload.
-	ReloadRequest = api.ReloadRequest
-	// ReloadResponse reports the shard's new incarnation after the swap.
-	ReloadResponse = api.ReloadResult
-	// ErrorResponse is the uniform error body, carrying the stable
-	// machine-readable code clients branch on.
-	ErrorResponse = api.ErrorEnvelope
-)
-
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	var req DetectRequest
+	var req api.DetectRequest
 	var err error
 	if isFrameBody(r) {
 		req.Shard = r.URL.Query().Get("shard")
@@ -254,7 +231,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	encStart := time.Now()
-	writeJSON(w, http.StatusOK, DetectResponse{Shard: req.Shard, Reports: reports})
+	writeJSON(w, http.StatusOK, api.DetectResponse{Shard: req.Shard, Reports: reports})
 	s.svc.Tracer().RecordSpan(r.Context(), stageEncode, s.svc.Counters(req.Shard).StageSeconds(service.StageEncode), encStart, time.Now())
 }
 
@@ -263,7 +240,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.handleIngestFrame(w, r)
 		return
 	}
-	var req IngestRequest
+	var req api.IngestRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
@@ -276,7 +253,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.svc.Counters(req.Shard).Frames(service.IngestJSON).Inc()
-	writeJSON(w, http.StatusOK, IngestResponse{Shard: req.Shard, Event: ev})
+	writeJSON(w, http.StatusOK, api.IngestResponse{Shard: req.Shard, Event: ev})
 }
 
 // handleIngestFrame is the binary ingest mode: the body's first wire
@@ -304,7 +281,7 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.svc.Counters(shard).Frames(service.IngestBinary).Inc()
-	writeJSON(w, http.StatusOK, IngestResponse{Shard: shard, Event: ev})
+	writeJSON(w, http.StatusOK, api.IngestResponse{Shard: shard, Event: ev})
 }
 
 // frameSamples decodes a binary detect body into one sample per frame.
@@ -447,7 +424,7 @@ func (fr *frameReader) release() {
 func (s *Server) SetModelSource(f ModelFetcher) { s.models = f }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req ReloadRequest
+	var req api.ReloadRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
@@ -481,7 +458,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, st := range s.svc.Shards() {
 		if st.Name == req.Shard {
-			writeJSON(w, http.StatusOK, ReloadResponse{Shard: st.Name, Generation: st.Generation, Model: st.Model})
+			writeJSON(w, http.StatusOK, api.ReloadResult{Shard: st.Name, Generation: st.Generation, Model: st.Model})
 			return
 		}
 	}
@@ -491,7 +468,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // resolveModel turns a reload request into the model to swap in: nil
 // (retrain from the shard's options), a file artifact, or a registry
 // artifact pulled by fingerprint.
-func (s *Server) resolveModel(ctx context.Context, req ReloadRequest) (*pmuoutage.Model, error) {
+func (s *Server) resolveModel(ctx context.Context, req api.ReloadRequest) (*pmuoutage.Model, error) {
 	switch {
 	case req.Path != "" && req.Fingerprint != "":
 		return nil, fmt.Errorf("%w: reload names both path and fingerprint; pick one", ErrBadRequest)
@@ -553,8 +530,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // ErrBadRequest wraps malformed request bodies (unparseable JSON,
-// corrupt frames) so statusOf maps them to 400 without conflating them
-// with facade sample validation.
+// corrupt frames) so CodeOf maps them to bad_request without
+// conflating them with facade sample validation.
 var ErrBadRequest = errors.New("bad request")
 
 // decodeJSON decodes one request body of at most api.MaxBodyBytes —
@@ -620,25 +597,18 @@ func CodeOf(err error) api.Code {
 	}
 }
 
-// statusOf maps the typed error taxonomy onto HTTP statuses.
-func statusOf(err error) int {
-	return CodeOf(err).HTTPStatus()
-}
-
+// writeError logs a failed request and answers it with the error
+// envelope of CodeOf(err).
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	retry := service.Retryable(err)
-	if retry {
-		w.Header().Set("Retry-After", "1")
-	}
+	code := CodeOf(err)
 	if lg := s.logger; lg != nil {
 		lg.LogAttrs(r.Context(), slog.LevelWarn, "request failed",
 			slog.String(obs.AttrTraceID, obs.TraceID(r.Context())),
 			slog.String("path", r.URL.Path),
-			slog.Bool("retryable", retry),
+			slog.Bool("retryable", code.Retryable()),
 			slog.String("cause", err.Error()))
 	}
-	code := CodeOf(err)
-	writeJSON(w, code.HTTPStatus(), ErrorResponse{Code: code, Error: err.Error(), Retryable: retry, TraceID: obs.TraceID(r.Context())})
+	api.WriteError(w, code, err.Error(), obs.TraceID(r.Context()))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

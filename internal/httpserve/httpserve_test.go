@@ -92,7 +92,7 @@ func post(t *testing.T, base, target, contentType string, body []byte) (int, []b
 // raw response.
 func postIngestJSON(t *testing.T, base, shard string, s pmuoutage.Sample) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(IngestRequest{Shard: shard, Sample: s})
+	body, err := json.Marshal(api.IngestRequest{Shard: shard, Sample: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func encodeFrame(tb testing.TB, seq uint32, s pmuoutage.Sample) []byte {
 
 func postFrameBytes(t *testing.T, base, shard string, enc []byte) (int, []byte) {
 	t.Helper()
-	return post(t, base, "/v1/ingest?shard="+shard, FrameContentType, enc)
+	return post(t, base, "/v1/ingest?shard="+shard, api.FrameContentType, enc)
 }
 
 // TestBinaryIngestMatchesJSON pins the transport-equivalence contract:
@@ -162,7 +162,7 @@ func TestBinaryIngestMatchesJSON(t *testing.T) {
 		if !bytes.Equal(jsBody, binBody) {
 			t.Fatalf("sample %d responses diverge:\njson:   %s\nbinary: %s", i, jsBody, binBody)
 		}
-		var out IngestResponse
+		var out api.IngestResponse
 		if err := json.Unmarshal(binBody, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestBinaryIngestErrors(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Fatalf("status = %d: %s", status, body)
 		}
-		var e ErrorResponse
+		var e api.ErrorEnvelope
 		if err := json.Unmarshal(body, &e); err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestOversizedJSONBodyRejected(t *testing.T) {
 // synchronous scoring) over a loopback listener.
 func BenchmarkIngestJSON(b *testing.B) {
 	base, sample := benchServer(b)
-	body, err := json.Marshal(IngestRequest{Shard: "east", Sample: sample})
+	body, err := json.Marshal(api.IngestRequest{Shard: "east", Sample: sample})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(base+"/v1/ingest?shard=east", FrameContentType, bytes.NewReader(enc))
+		resp, err := http.Post(base+"/v1/ingest?shard=east", api.FrameContentType, bytes.NewReader(enc))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,14 +2,19 @@ package httpserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pmuoutage"
 	"pmuoutage/api"
+	"pmuoutage/internal/registry"
+	"pmuoutage/internal/service"
 )
 
 // postReload posts one reload body and decodes the response.
@@ -110,4 +115,42 @@ func TestReloadByPatch(t *testing.T) {
 			t.Fatalf("error envelope %s, want code %s", body, api.CodeBadPatch)
 		}
 	})
+}
+
+// TestReloadRegistryUnreachable: a reload by fingerprint while the
+// registry cannot be reached answers 503 unavailable, retryable, with
+// Retry-After: 1, the envelope every retryable code carries.
+func TestReloadRegistryUnreachable(t *testing.T) {
+	m, err := pmuoutage.TrainModel(trainOpts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(context.Background(), service.Config{Shards: []service.ShardSpec{{Name: "east", Model: m}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	reg, err := registry.NewClient(gone.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := New(svc, 30*time.Second, nil)
+	hs.SetModelSource(reg)
+	body, err := json.Marshal(api.ReloadRequest{Shard: "east", Fingerprint: m.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	hs.Routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", bytes.NewReader(body)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503: %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+	if env, ok := api.DecodeError(rec.Body.Bytes()); !ok || env.Code != api.CodeUnavailable || !env.Retryable {
+		t.Errorf("error envelope = %+v (decoded %v), want code unavailable, retryable", env, ok)
+	}
 }

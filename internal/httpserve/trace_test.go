@@ -14,7 +14,7 @@ import (
 	"pmuoutage/internal/service"
 )
 
-func postDetect(t *testing.T, base string, req DetectRequest) (*http.Response, []byte) {
+func postDetect(t *testing.T, base string, req api.DetectRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestTracingByteIdentity(t *testing.T) {
 	sys := waitShardReady(t, svcOn, "east")
 	samples := outageTrace(t, sys, 6)
 
-	req := DetectRequest{Shard: "east", Samples: samples}
+	req := api.DetectRequest{Shard: "east", Samples: samples}
 	respOff, bodyOff := postDetect(t, tsOff.URL, req)
 	respOn, bodyOn := postDetect(t, tsOn.URL, req)
 	if respOff.StatusCode != http.StatusOK || respOn.StatusCode != http.StatusOK {
@@ -92,7 +92,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
 	})
 	sys := waitShardReady(t, svc, "east")
-	resp, body := postDetect(t, ts.URL, DetectRequest{Shard: "east", Samples: outageTrace(t, sys, 4)})
+	resp, body := postDetect(t, ts.URL, api.DetectRequest{Shard: "east", Samples: outageTrace(t, sys, 4)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("detect: %d %s", resp.StatusCode, body)
 	}

@@ -16,11 +16,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("id"); id != "" {
 		t, ok := tr.TraceByID(id)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, api.ErrorEnvelope{
-				Code:    api.CodeNotFound,
-				Error:   "trace not retained (dropped by tail sampling, evicted, or never seen)",
-				TraceID: obs.TraceID(r.Context()),
-			})
+			api.WriteError(w, api.CodeNotFound, "trace not retained (dropped by tail sampling, evicted, or never seen)", obs.TraceID(r.Context()))
 			return
 		}
 		writeJSON(w, http.StatusOK, t)

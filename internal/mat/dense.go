@@ -241,7 +241,8 @@ func (m *Dense) SelectCols(idx []int) *Dense {
 }
 
 // Equalf reports whether m and b have the same shape and all elements
-// within tol of each other.
+// within tol of each other. It is the matrix oracle of the mat and
+// subspace tests.
 func (m *Dense) Equalf(b *Dense, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
 		return false

@@ -21,7 +21,7 @@ func TestOrthonormalizeDropsDependent(t *testing.T) {
 	a := NewDense(4, 3)
 	v := []float64{1, 2, 3, 4}
 	a.SetCol(0, v)
-	a.SetCol(1, ScaleVec(2, v)) // dependent
+	a.SetCol(1, []float64{2, 4, 6, 8}) // 2v, dependent
 	a.SetCol(2, []float64{0, 1, 0, 0})
 	q := Orthonormalize(a)
 	if q.Cols() != 2 {

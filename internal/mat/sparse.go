@@ -79,10 +79,13 @@ func NewSparse(r, c int, trips []Triplet) *Sparse {
 	return s
 }
 
-// NNZ returns the number of stored entries.
+// NNZ returns the number of stored entries. TestNewSparseAssembly
+// probes NewSparse's duplicate summing with it.
 func (s *Sparse) NNZ() int { return len(s.vals) }
 
 // At returns the element at row i, column j (zero when not stored).
+// TestSparseRoundTripsAndOps and TestSparseLUIllConditioned read
+// entries with it.
 func (s *Sparse) At(i, j int) float64 {
 	if i < 0 || i >= s.rows || j < 0 || j >= s.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, s.rows, s.cols))
@@ -94,9 +97,6 @@ func (s *Sparse) At(i, j int) float64 {
 	}
 	return 0
 }
-
-// ToDense expands the matrix to dense form.
-func (s *Sparse) ToDense() *Dense { return s.DenseInto(nil) }
 
 // DenseInto expands the matrix to dense form in d's storage, every
 // entry overwritten, and returns d; when d is nil or of another shape

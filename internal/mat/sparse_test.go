@@ -40,8 +40,8 @@ func TestNewSparseAssembly(t *testing.T) {
 		0, 0, 0,
 		-1, 4, 0,
 	})
-	if !s.ToDense().Equalf(want, 0) {
-		t.Fatalf("assembled %v, want %v", s.ToDense(), want)
+	if !s.DenseInto(nil).Equalf(want, 0) {
+		t.Fatalf("assembled %v, want %v", s.DenseInto(nil), want)
 	}
 	if got := s.At(0, 2); got != 1.5 {
 		t.Fatalf("At(0,2) = %v, want 1.5", got)
@@ -58,7 +58,7 @@ func TestNewSparseAssembly(t *testing.T) {
 
 // TestSparseRoundTripsAndOps assembles random triplets (duplicates
 // included) and checks the CSR matrix against a dense accumulation of
-// the same triplets in input order, through ToDense and At: equality,
+// the same triplets in input order, through DenseInto and At: equality,
 // since duplicates sum in input order.
 func TestSparseRoundTripsAndOps(t *testing.T) {
 	f := func(seed int64) bool {
@@ -72,7 +72,7 @@ func TestSparseRoundTripsAndOps(t *testing.T) {
 		for _, tr := range trips {
 			want.Add(tr.Row, tr.Col, tr.Val)
 		}
-		if !s.ToDense().Equalf(want, 0) {
+		if !s.DenseInto(nil).Equalf(want, 0) {
 			return false
 		}
 		for i := 0; i < r; i++ {
@@ -96,11 +96,11 @@ func TestDenseIntoReuses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewSparse(4, 5, randSparseTrips(rng, 4, 5, 0.3))
 	d := randDense(rng, 4, 5)
-	if got := s.DenseInto(d); got != d || !d.Equalf(s.ToDense(), 0) {
+	if got := s.DenseInto(d); got != d || !d.Equalf(s.DenseInto(nil), 0) {
 		t.Fatal("DenseInto into a 4x5 matrix: not in place, or stale entries kept")
 	}
 	for _, d := range []*Dense{nil, NewDense(5, 4)} {
-		if got := s.DenseInto(d); got == d || !got.Equalf(s.ToDense(), 0) {
+		if got := s.DenseInto(d); got == d || !got.Equalf(s.DenseInto(nil), 0) {
 			t.Fatalf("DenseInto into %v: want a new 4x5 matrix", d)
 		}
 	}

@@ -49,7 +49,7 @@ func TestSparseLUMatchesLU(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		xd, err := Solve(s.ToDense(), b)
+		xd, err := Solve(s.DenseInto(nil), b)
 		if err != nil {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestSparseLULaplacianLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Sub(b, a.ToDense().MulVec(x))
+	r := Sub(b, a.DenseInto(nil).MulVec(x))
 	if Norm2(r) > 1e-12*Norm2(b) {
 		t.Fatalf("relative residual %v", Norm2(r)/Norm2(b))
 	}
@@ -367,7 +367,7 @@ func TestSparseLUUnsymmetricPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Solve(a.ToDense(), b)
+	want, err := Solve(a.DenseInto(nil), b)
 	if err != nil {
 		t.Fatal(err)
 	}

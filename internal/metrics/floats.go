@@ -20,7 +20,9 @@ func NearZero(x, eps float64) bool {
 // NearEqual reports whether a and b agree to within eps, measured
 // relative to the larger magnitude but never tighter than eps itself
 // (hybrid absolute/relative: |a-b| <= eps * max(1, |a|, |b|)). NaN
-// compares unequal to everything, matching IEEE semantics.
+// compares unequal to everything, matching IEEE semantics. gridlint's
+// floatcmp message names it as the remedy, and
+// TestDetectThresholdBoundary checks Eq. 9's quadratic energy with it.
 func NearEqual(a, b, eps float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false

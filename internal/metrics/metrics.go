@@ -30,15 +30,6 @@ func Eval(f, fhat []grid.Line) (ia, fa float64) {
 	}
 }
 
-// Correct reports the paper's §V-B correctness criterion for one outage
-// sample: the detection is correct if F̂ is a non-empty subset of F.
-func Correct(f, fhat []grid.Line) bool {
-	if len(fhat) == 0 {
-		return false
-	}
-	return intersect(f, fhat) == len(fhat)
-}
-
 func intersect(a, b []grid.Line) int {
 	in := map[grid.Line]bool{}
 	for _, e := range a {

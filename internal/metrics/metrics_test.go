@@ -69,18 +69,6 @@ func TestEvalDuplicatesInDetection(t *testing.T) {
 	}
 }
 
-func TestCorrect(t *testing.T) {
-	if !Correct(lines(1, 2), lines(1)) {
-		t.Fatal("subset detection must be correct")
-	}
-	if Correct(lines(1, 2), lines(1, 9)) {
-		t.Fatal("superset with wrong line is not correct")
-	}
-	if Correct(lines(1), nil) {
-		t.Fatal("empty detection is not correct")
-	}
-}
-
 func TestAccumulator(t *testing.T) {
 	var a Accumulator
 	if a.IA() != 0 || a.FA() != 0 || a.N() != 0 {

@@ -18,18 +18,8 @@ import (
 
 // Config tunes training.
 type Config struct {
-	// Channel selects the feature series (default Angle, matching the
-	// subspace detector so the comparison is apples-to-apples).
-	Channel dataset.Channel
 	// Epochs of full-batch gradient descent (default 300).
 	Epochs int
-	// LearningRate for gradient descent (default 2.0 — features are
-	// standardised, so large steps are stable).
-	LearningRate float64
-	// L2 regularisation strength (default 1e-3).
-	L2 float64
-	// Seed for weight initialisation.
-	Seed int64
 	// NormalMargin is the confidence rule for declaring an outage: the
 	// winning outage class must beat the normal class's probability by
 	// this factor, otherwise the sample is classified normal (default 1.5).
@@ -39,15 +29,20 @@ type Config struct {
 	NormalMargin float64
 }
 
+// Training constants. The features are the angle channel, as the
+// subspace detector's default, so the comparison is apples-to-apples;
+// they are standardised, so large gradient steps are stable. seed
+// initialises the weights.
+const (
+	channel      = dataset.Angle
+	learningRate = 2.0
+	l2           = 1e-3 // L2 regularisation strength
+	seed         = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Epochs <= 0 {
 		c.Epochs = 300
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 2
-	}
-	if c.L2 <= 0 {
-		c.L2 = 1e-3
 	}
 	if c.NormalMargin <= 0 {
 		c.NormalMargin = 1.5
@@ -72,20 +67,20 @@ func Train(d *dataset.Data, cfg Config) (*Classifier, error) {
 	if d.Normal.T() == 0 {
 		return nil, fmt.Errorf("mlr: no normal training samples")
 	}
-	dim := cfg.Channel.Dim(d.G.N())
+	dim := channel.Dim(d.G.N())
 
 	var xs [][]float64
 	var ys []int
 	classes := []dataset.Scenario{nil}
 	for _, s := range d.Normal.Samples {
-		xs = append(xs, s.Vector(cfg.Channel))
+		xs = append(xs, s.Vector(channel))
 		ys = append(ys, 0)
 	}
 	for _, e := range d.ValidLines {
 		cls := len(classes)
 		classes = append(classes, dataset.Scenario{e})
 		for _, s := range d.Outages[e].Samples {
-			xs = append(xs, s.Vector(cfg.Channel))
+			xs = append(xs, s.Vector(channel))
 			ys = append(ys, cls)
 		}
 	}
@@ -126,7 +121,7 @@ func Train(d *dataset.Data, cfg Config) (*Classifier, error) {
 	}
 
 	k := len(classes)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	rng := rand.New(rand.NewSource(seed))
 	w := make([][]float64, k)
 	for c := range w {
 		w[c] = make([]float64, dim+1)
@@ -169,8 +164,8 @@ func Train(d *dataset.Data, cfg Config) (*Classifier, error) {
 			wc := w[c]
 			gc := grad[c]
 			for j := 0; j <= dim; j++ {
-				g := gc[j]*nInv + cfg.L2*wc[j]
-				wc[j] -= cfg.LearningRate * g
+				g := gc[j]*nInv + l2*wc[j]
+				wc[j] -= learningRate * g
 			}
 		}
 	}
@@ -211,8 +206,8 @@ func (c *Classifier) Classify(s dataset.Sample) []grid.Line {
 
 // ClassifyWithProb also returns the winning class probability.
 func (c *Classifier) ClassifyWithProb(s dataset.Sample) ([]grid.Line, float64) {
-	x := s.Vector(c.cfg.Channel)
-	m := s.MaskFor(c.cfg.Channel)
+	x := s.Vector(channel)
+	m := s.MaskFor(channel)
 	z := make([]float64, c.dim)
 	for j := 0; j < c.dim; j++ {
 		v := x[j]
@@ -247,6 +242,3 @@ func (c *Classifier) ClassifyWithProb(s dataset.Sample) ([]grid.Line, float64) {
 	copy(out, sc)
 	return out, bestP
 }
-
-// Classes returns the number of classes (1 + valid lines).
-func (c *Classifier) Classes() int { return len(c.classes) }

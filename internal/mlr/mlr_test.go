@@ -1,6 +1,7 @@
 package mlr
 
 import (
+	"context"
 	"testing"
 
 	"pmuoutage/internal/cases"
@@ -12,7 +13,7 @@ import (
 func trainData(t *testing.T, steps int, seed int64) *dataset.Data {
 	t.Helper()
 	g := cases.IEEE14()
-	d, err := dataset.Generate(g, dataset.GenConfig{Steps: steps, Seed: seed})
+	d, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: steps, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +35,8 @@ func TestClassifierCompleteDataAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Classes() != len(train.ValidLines)+1 {
-		t.Fatalf("classes = %d, want %d", c.Classes(), len(train.ValidLines)+1)
+	if len(c.classes) != len(train.ValidLines)+1 {
+		t.Fatalf("classes = %d, want %d", len(c.classes), len(train.ValidLines)+1)
 	}
 	var acc metrics.Accumulator
 	for _, e := range test.ValidLines {
@@ -108,16 +109,5 @@ func TestClassifyWithProbSane(t *testing.T) {
 	_, p := c.ClassifyWithProb(train.Normal.Samples[0])
 	if p <= 0 || p > 1 {
 		t.Fatalf("probability %v out of range", p)
-	}
-}
-
-func TestChannelConfig(t *testing.T) {
-	train := trainData(t, 10, 11)
-	c, err := Train(train, Config{Channel: dataset.Stacked, Epochs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Classify(train.Normal.Samples[0]); len(got) != 0 {
-		t.Logf("stacked-channel classify = %v (training-sample sanity only)", got)
 	}
 }

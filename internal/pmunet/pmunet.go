@@ -207,20 +207,6 @@ func (nw *Network) OutageLocationMask(e grid.Line) Mask {
 	return m
 }
 
-// OutageNeighborhoodMask extends OutageLocationMask to the endpoints'
-// 1-hop neighbourhood (§III-B's "immediate neighborhood" pattern).
-func (nw *Network) OutageNeighborhoodMask(e grid.Line) Mask {
-	m := nw.OutageLocationMask(e)
-	a, b := nw.G.Endpoints(e)
-	for _, v := range nw.G.Neighbors(a) {
-		m[v] = true
-	}
-	for _, v := range nw.G.Neighbors(b) {
-		m[v] = true
-	}
-	return m
-}
-
 // RandomMask returns the Figure 6 (middle/bottom) pattern: k distinct
 // buses missing uniformly at random, optionally excluding a set of buses
 // (e.g. the outage endpoints, for the uncorrelated-missing study).
@@ -255,22 +241,6 @@ func (nw *Network) ClusterMask(c int) Mask {
 		m[v] = true
 	}
 	return m
-}
-
-// Union merges masks (a measurement is missing if missing in any).
-func Union(ms ...Mask) Mask {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := ms[0].Clone()
-	for _, m := range ms[1:] {
-		for i, b := range m {
-			if b {
-				out[i] = true
-			}
-		}
-	}
-	return out
 }
 
 func gAdj(g *grid.Grid, v int) []int { return g.Neighbors(v) }

@@ -139,22 +139,6 @@ func TestOutageLocationMask(t *testing.T) {
 	}
 }
 
-func TestOutageNeighborhoodMask(t *testing.T) {
-	g := cases.IEEE14()
-	nw, _ := Build(g, 3)
-	e := grid.Line(0)
-	a, b := g.Endpoints(e)
-	m := nw.OutageNeighborhoodMask(e)
-	for _, v := range append(g.Neighbors(a), g.Neighbors(b)...) {
-		if !m[v] {
-			t.Errorf("neighbor %d not masked", v)
-		}
-	}
-	if !m[a] || !m[b] {
-		t.Fatal("endpoints must be masked")
-	}
-}
-
 func TestRandomMaskRespectsExclusionsAndCount(t *testing.T) {
 	g := cases.IEEE30()
 	nw, _ := Build(g, 4)
@@ -194,22 +178,6 @@ func TestClusterMask(t *testing.T) {
 		if !m[v] {
 			t.Fatalf("cluster member %d not masked", v)
 		}
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := Mask{true, false, false}
-	b := Mask{false, false, true}
-	u := Union(a, b)
-	if !u[0] || u[1] || !u[2] {
-		t.Fatalf("Union = %v", u)
-	}
-	if Union() != nil {
-		t.Fatal("empty union must be nil")
-	}
-	// Inputs untouched.
-	if a[2] {
-		t.Fatal("Union mutated input")
 	}
 }
 
@@ -267,16 +235,6 @@ func TestSampleMaskMatchesReliability(t *testing.T) {
 	frac := float64(missing) / float64(total)
 	if math.Abs(frac-0.05) > 0.01 {
 		t.Fatalf("empirical missing fraction = %.4f, want ~0.05", frac)
-	}
-}
-
-func TestPatternProbability(t *testing.T) {
-	rel := Reliability{RPMU: 0.9, RLink: 1}
-	m := Mask{false, true, false}
-	p := PatternProbability(m, rel)
-	want := 0.9 * 0.1 * 0.9
-	if math.Abs(p-want) > 1e-12 {
-		t.Fatalf("p = %v, want %v", p, want)
 	}
 }
 

@@ -31,7 +31,9 @@ func (r Reliability) Validate() error {
 // DeviceAvailability returns q = r_PMU * r_PMU→PDC.
 func (r Reliability) DeviceAvailability() float64 { return r.RPMU * r.RLink }
 
-// SystemReliability returns r = q^L per Eq. (14) for L devices.
+// SystemReliability returns r = q^L per Eq. (14) for L devices. It is
+// the round-trip oracle of FromSystemReliability in
+// TestFromSystemReliabilityRoundTrip.
 func (r Reliability) SystemReliability(l int) float64 {
 	return math.Pow(r.DeviceAvailability(), float64(l))
 }
@@ -60,21 +62,6 @@ func (nw *Network) SampleMask(rel Reliability, rng *rand.Rand) Mask {
 		}
 	}
 	return m
-}
-
-// PatternProbability returns p_l(r) of Eq. (15) for a specific pattern:
-// the product over devices of q (working) or 1-q (missing).
-func PatternProbability(m Mask, rel Reliability) float64 {
-	q := rel.DeviceAvailability()
-	p := 1.0
-	for _, missing := range m {
-		if missing {
-			p *= 1 - q
-		} else {
-			p *= q
-		}
-	}
-	return p
 }
 
 // MCStats is the outcome of a sharded Monte Carlo estimate of the

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"slices"
 	"sync"
 
@@ -38,22 +37,17 @@ func useSparse(n int) bool { return n >= SparseBusThreshold }
 
 // Options configures the AC solver.
 type Options struct {
-	Tol     float64 //gridlint:unit pu // max power mismatch in p.u.; default 1e-8
-	MaxIter int     // iteration cap; default 30
 	// FlatStart forces the initial guess to Vm=1, Va=0 instead of the
 	// voltages stored in the grid (which allow warm starts).
 	FlatStart bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 30
-	}
-	return o
-}
+// The Newton iteration stops once the largest power mismatch is under
+// tol, and fails with ErrNoConvergence after maxIter iterations.
+const (
+	tol     = 1e-8 //gridlint:unit pu
+	maxIter = 30
+)
 
 // Solution holds a converged power-flow state.
 type Solution struct {
@@ -61,11 +55,6 @@ type Solution struct {
 	Va         []float64 //gridlint:unit rad // voltage angle per bus (radians)
 	Iterations int
 	Mismatch   float64 //gridlint:unit pu // final max power mismatch
-}
-
-// Phasor returns the complex voltage at bus i.
-func (s *Solution) Phasor(i int) complex128 {
-	return cmplx.Rect(s.Vm[i], s.Va[i])
 }
 
 // SolveAC runs Newton–Raphson on the grid's AC power-flow equations.
@@ -78,7 +67,6 @@ func SolveAC(g *grid.Grid, opts Options) (*Solution, error) {
 // solveAC is SolveAC with the linear solve named by sparse instead of
 // picked by size.
 func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
-	opts = opts.withDefaults()
 	st, err := newACState(g, opts)
 	if err != nil {
 		return nil, err
@@ -90,13 +78,13 @@ func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
 	}
 	f := make([]float64, dim)
 	ls := linearSolver{sparse: sparse}
-	for iter := 0; iter <= opts.MaxIter; iter++ {
+	for iter := 0; iter <= maxIter; iter++ {
 		st.calc()
 		mx := st.mismatch(f)
-		if mx < opts.Tol {
+		if mx < tol {
 			return &Solution{Vm: st.vm, Va: st.va, Iterations: iter, Mismatch: mx}, nil
 		}
-		if iter == opts.MaxIter {
+		if iter == maxIter {
 			break
 		}
 		err := ls.factor(st.jacobian())
@@ -117,7 +105,7 @@ func solveAC(g *grid.Grid, opts Options, sparse bool) (*Solution, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter)
+	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, maxIter)
 }
 
 // linearSolver factors and solves the linear systems of one power
@@ -445,14 +433,8 @@ type DCFactor struct {
 	ls  linearSolver
 }
 
-// NewDCFactor stamps B′ from g's in-service branches and factors it:
-// by dense LU below SparseBusThreshold buses, by mat.SparseLU at or
-// above. A singular B′, as an islanded grid gives, is an error
-// wrapping mat.ErrSingular.
-func NewDCFactor(g *grid.Grid) (*DCFactor, error) {
-	return newDCFactor(g, useSparse(g.N()))
-}
-
+// newDCFactor returns a new factor of g's B′, the linear solve named
+// by sparse instead of picked by size.
 func newDCFactor(g *grid.Grid, sparse bool) (*DCFactor, error) {
 	f := new(DCFactor)
 	if err := f.refactor(g, sparse); err != nil {
@@ -461,11 +443,14 @@ func newDCFactor(g *grid.Grid, sparse bool) (*DCFactor, error) {
 	return f, nil
 }
 
-// Refactor replaces f's factor with NewDCFactor(g)'s, eliminating in
-// f's dense storage when g has f's bus count, so a caller that factors
-// one topology after another, as DC data generation does per outage,
-// allocates no dense B′ each time. The zero DCFactor is ready for it.
-// After an error f holds no factor, and every solve is refused until a
+// Refactor stamps B′ from g's in-service branches and factors it in
+// place of f's factor: by dense LU below SparseBusThreshold buses, by
+// mat.SparseLU at or above. It eliminates in f's dense storage when g
+// has f's bus count, so a caller that factors one topology after
+// another, as DC data generation does per outage, allocates no dense
+// B′ each time. The zero DCFactor is ready for it. A singular B′, as
+// an islanded grid gives, is an error wrapping mat.ErrSingular; after
+// an error f holds no factor, and every solve is refused until a
 // Refactor succeeds.
 func (f *DCFactor) Refactor(g *grid.Grid) error {
 	return f.refactor(g, useSparse(g.N()))

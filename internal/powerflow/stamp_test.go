@@ -273,7 +273,7 @@ func TestDCFactorRefactor(t *testing.T) {
 		if err := f.Refactor(g); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewDCFactor(g)
+		fresh, err := newDCFactor(g, useSparse(g.N()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,10 +56,11 @@ func TestSubspaceImputeExactOnLowRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New sample in the same column space: combination of basis columns.
-	truth := mat.AddVec(
-		mat.ScaleVec(1.3, basis.Col(0)),
-		mat.ScaleVec(-0.7, basis.Col(1)),
-	)
+	b0, b1 := basis.Col(0), basis.Col(1)
+	truth := make([]float64, d)
+	for i := range truth {
+		truth[i] = 1.3*b0[i] - 0.7*b1[i]
+	}
 	sample := append([]float64(nil), truth...)
 	missing := make([]bool, d)
 	missing[3], missing[7] = true, true

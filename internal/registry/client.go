@@ -3,7 +3,6 @@ package registry
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -77,7 +76,7 @@ func (c *Client) Model(ctx context.Context, fingerprint string) (*pmuoutage.Mode
 		c.notModified.Add(1)
 		return cached, nil
 	case resp.StatusCode == http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes+1))
+		data, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes+1))
 		if err != nil {
 			return nil, fmt.Errorf("%w: reading artifact: %v", ErrFetch, err)
 		}
@@ -108,61 +107,6 @@ func (c *Client) store(fingerprint string, m *pmuoutage.Model) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cache[fingerprint] = m
-}
-
-// Publish uploads the model and returns the registry's metadata reply.
-func (c *Client) Publish(ctx context.Context, m *pmuoutage.Model) (api.ModelInfo, error) {
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		return api.ModelInfo{}, fmt.Errorf("%w: %v", ErrBadArtifact, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/models", &buf)
-	if err != nil {
-		return api.ModelInfo{}, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return api.ModelInfo{}, fmt.Errorf("%w: %v", ErrFetch, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return api.ModelInfo{}, fmt.Errorf("%w: reading reply: %v", ErrFetch, err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return api.ModelInfo{}, fmt.Errorf("%w: publish answered HTTP %d: %s", ErrFetch, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var info api.ModelInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return api.ModelInfo{}, fmt.Errorf("%w: decoding publish reply: %v", ErrFetch, err)
-	}
-	return info, nil
-}
-
-// List fetches every artifact's metadata, publish order, oldest first.
-func (c *Client) List(ctx context.Context) (api.ModelList, error) {
-	var out api.ModelList
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/models", nil)
-	if err != nil {
-		return out, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return out, fmt.Errorf("%w: %v", ErrFetch, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return out, fmt.Errorf("%w: reading reply: %v", ErrFetch, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("%w: list answered HTTP %d", ErrFetch, resp.StatusCode)
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return out, fmt.Errorf("%w: decoding list: %v", ErrFetch, err)
-	}
-	return out, nil
 }
 
 // Stats reports how many pulls transferred the artifact body and how

@@ -3,7 +3,9 @@ package registry
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"pmuoutage"
+	"pmuoutage/api"
 )
 
 // testModel trains one small model per process and shares it — training
@@ -46,25 +49,42 @@ func testServer(t *testing.T, dir string) (*Store, *httptest.Server) {
 	return store, ts
 }
 
-// TestPublishGetRoundTrip: a published artifact comes back byte-exact
-// under its fingerprint, and the list reports it.
+// publish POSTs body to the registry's /v1/models and returns the
+// response status and body.
+func publish(t *testing.T, base string, body io.Reader) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/models", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestPublishGetRoundTrip: an artifact POSTed to /v1/models is stored
+// byte-exact under its fingerprint, the reply and GET /v1/models
+// report it, and publishing it again is a no-op.
 func TestPublishGetRoundTrip(t *testing.T) {
 	m := testModel(t)
 	store, ts := testServer(t, "")
-	c, err := NewClient(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.Publish(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Fingerprint != m.Fingerprint() || info.Case != "ieee14" || info.Bytes <= 0 {
-		t.Fatalf("publish info = %+v", info)
-	}
 	var want bytes.Buffer
 	if err := m.Encode(&want); err != nil {
 		t.Fatal(err)
+	}
+	status, body := publish(t, ts.URL, bytes.NewReader(want.Bytes()))
+	if status != http.StatusCreated {
+		t.Fatalf("publish status = %d, want 201: %s", status, body)
+	}
+	var info api.ModelInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Fingerprint != m.Fingerprint() || info.Case != "ieee14" || info.Bytes != int64(want.Len()) {
+		t.Fatalf("publish info = %+v", info)
 	}
 	data, _, err := store.Get(m.Fingerprint())
 	if err != nil {
@@ -73,16 +93,21 @@ func TestPublishGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, want.Bytes()) {
 		t.Fatal("stored bytes differ from the encoded artifact")
 	}
-	list, err := c.List(context.Background())
+	resp, err := http.Get(ts.URL + "/v1/models")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list api.ModelList
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
 	if len(list.Models) != 1 || list.Models[0].Fingerprint != m.Fingerprint() {
 		t.Fatalf("list = %+v", list)
 	}
 	// Publishing the same content again is a no-op, not a duplicate.
-	if _, err := c.Publish(context.Background(), m); err != nil {
-		t.Fatal(err)
+	if status, body := publish(t, ts.URL, bytes.NewReader(want.Bytes())); status != http.StatusCreated {
+		t.Fatalf("repeat publish status = %d, want 201: %s", status, body)
 	}
 	if store.Len() != 1 {
 		t.Fatalf("store holds %d artifacts after duplicate publish, want 1", store.Len())
@@ -189,6 +214,31 @@ func TestPublishRejectsGarbage(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatal("garbage entered the store")
+	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestPublishOversizedTooLarge: a publish body one byte past
+// api.MaxBodyBytes is refused whole with 413 too_large, the answer the
+// router and the daemons give an oversized body, and stores nothing.
+func TestPublishOversizedTooLarge(t *testing.T) {
+	store, ts := testServer(t, "")
+	status, body := publish(t, ts.URL, io.LimitReader(zeros{}, api.MaxBodyBytes+1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %s", status, body)
+	}
+	if env, ok := api.DecodeError(body); !ok || env.Code != api.CodeTooLarge || env.Retryable {
+		t.Fatalf("error envelope = %+v (decoded %v), want code too_large, not retryable", env, ok)
+	}
+	if store.Len() != 0 {
+		t.Fatal("an oversized body entered the store")
 	}
 }
 

@@ -12,11 +12,6 @@ import (
 	"pmuoutage/internal/obs"
 )
 
-// maxArtifactBytes bounds a published artifact body (the IEEE test
-// cases encode to well under a megabyte; 64 MiB leaves room for large
-// grids without letting a bad client exhaust memory).
-const maxArtifactBytes = 64 << 20
-
 // Server serves a Store over HTTP:
 //
 //	GET  /healthz                   liveness
@@ -74,14 +69,17 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
+// handlePublish stores one artifact body of at most api.MaxBodyBytes,
+// the serving tier's bound on every request body; a larger one is
+// refused whole with too_large, as the router and the daemons refuse it.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		s.writeError(w, r, api.CodeBadRequest, err)
 		return
 	}
-	if len(data) > maxArtifactBytes {
-		s.writeError(w, r, api.CodeBadRequest, errTooLarge)
+	if len(data) > api.MaxBodyBytes {
+		s.writeError(w, r, api.CodeTooLarge, errTooLarge)
 		return
 	}
 	info, err := s.store.PublishBytes(data)
@@ -128,13 +126,7 @@ func matchesETag(header, etag string) bool {
 
 // writeError emits the shared error envelope with the code's status.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code api.Code, err error) {
-	env := api.ErrorEnvelope{
-		Code:      code,
-		Error:     err.Error(),
-		Retryable: code.Retryable(),
-		TraceID:   r.Header.Get(obs.TraceHeader),
-	}
-	writeJSON(w, code.HTTPStatus(), env)
+	api.WriteError(w, code, err.Error(), r.Header.Get(obs.TraceHeader))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -87,13 +87,6 @@ func (b *Backend) snapshot() (lastErr string, shards []api.ShardStatus) {
 	return b.lastErr, b.shards
 }
 
-// URL returns the backend's base URL.
-func (b *Backend) URL() string { return b.url }
-
-// Client returns the backend's raw-mode client (control-plane calls:
-// reload, promote).
-func (b *Backend) Client() *client.Client { return b.cli }
-
 // Status snapshots the backend for GET /v1/backends.
 func (b *Backend) Status() api.BackendStatus {
 	lastErr, shards := b.snapshot()
@@ -131,14 +124,6 @@ func NewPool(name string, urls []string, maxInFlight int, hc *http.Client) (*Poo
 		p.backends = append(p.backends, b)
 	}
 	return p, nil
-}
-
-// Backends returns the pool's members in configuration order.
-func (p *Pool) Backends() []*Backend {
-	if p == nil {
-		return nil
-	}
-	return p.backends
 }
 
 // Statuses snapshots every backend.

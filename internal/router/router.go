@@ -289,8 +289,9 @@ func (r *Router) Close() {
 	r.differ.DrainShadow()
 }
 
-// Differ exposes the canary evaluation (tests and the promote path
-// drain and read it).
+// Differ exposes the canary evaluation. TestShadowByteIdentical,
+// TestShadowTimeoutUnwedgesDrain and httpserve's
+// TestBinaryDetectMatchesJSON drain and read it.
 func (r *Router) Differ() *Differ { return r.differ }
 
 // Registry exposes the router's metrics registry (/metrics).
@@ -692,16 +693,7 @@ func relay(w http.ResponseWriter, raw *client.RawResponse) {
 }
 
 func (r *Router) writeError(w http.ResponseWriter, req *http.Request, code api.Code, err error) {
-	env := api.ErrorEnvelope{
-		Code:      code,
-		Error:     err.Error(),
-		Retryable: code.Retryable(),
-		TraceID:   obs.TraceID(req.Context()),
-	}
-	if code == api.CodeUnavailable || code == api.CodeOverloaded {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code.HTTPStatus(), env)
+	api.WriteError(w, code, err.Error(), obs.TraceID(req.Context()))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -65,11 +65,7 @@ func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if !found {
-		writeJSON(w, http.StatusNotFound, api.ErrorEnvelope{
-			Code:    api.CodeNotFound,
-			Error:   "trace not retained by the router or any backend",
-			TraceID: obs.TraceID(req.Context()),
-		})
+		api.WriteError(w, api.CodeNotFound, "trace not retained by the router or any backend", obs.TraceID(req.Context()))
 		return
 	}
 	// Re-derive the envelope over the merged span set: the trace now

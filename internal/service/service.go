@@ -18,8 +18,9 @@
 //
 // Errors are typed: ErrUnknownShard, ErrUnavailable, ErrOverloaded,
 // ErrClosed, and ErrConfig here plus the facade's ErrBadSample pass
-// through errors.Is, and Retryable tells transports which conditions
-// deserve a Retry-After. cmd/outaged is the JSON-over-HTTP front end.
+// through errors.Is; httpserve maps each onto its wire code, which
+// decides whether the answer carries Retry-After. cmd/outaged is the
+// JSON-over-HTTP front end.
 package service
 
 import (
@@ -55,13 +56,6 @@ var (
 	ErrClosed = errors.New("service: closed")
 )
 
-// Retryable reports whether err is a transient service condition the
-// caller should retry after a short backoff (the HTTP layer adds a
-// Retry-After header exactly when this is true).
-func Retryable(err error) bool {
-	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrOverloaded)
-}
-
 // ShardSpec names one shard and the system it serves — typically one
 // grid case or region per shard.
 type ShardSpec struct {
@@ -86,9 +80,9 @@ type Config struct {
 	// QueueDepth bounds the samples a shard may hold admitted-but-
 	// unanswered before it sheds load with ErrOverloaded (default 256).
 	QueueDepth int
-	// Confirm and Cooldown configure the per-shard streaming monitors
-	// (stream defaults when 0).
-	Confirm, Cooldown int
+	// Confirm configures the per-shard streaming monitors (the stream
+	// default when 0); their cooldown is always the stream default.
+	Confirm int
 	// RestartBackoff is the supervisor's initial delay before rebuilding
 	// a failed or killed shard; it doubles per consecutive failure up to
 	// MaxRestartBackoff. Defaults 100ms and 10s.
@@ -308,7 +302,8 @@ func (s *Service) ApplyPatch(ctx context.Context, shardName string, p *pmuoutage
 // Kill marks a ready shard failed: its queue drains with ErrUnavailable
 // and the supervisor rebuilds it after the restart backoff. Requests to
 // every other shard are unaffected. Killing a shard that is not ready
-// is a no-op.
+// is a no-op. It is the fault probe of TestKillAndRestart,
+// TestKillDrainsQueue and cmd/outaged's TestErrorMapping.
 func (s *Service) Kill(name string) error {
 	sh, err := s.shard(name)
 	if err != nil {

@@ -139,9 +139,6 @@ func TestUnknownShardAndEmptyBatch(t *testing.T) {
 	if _, err := svc.DetectBatch(context.Background(), "nope", nil); !errors.Is(err, ErrUnknownShard) {
 		t.Fatalf("unknown shard error = %v", err)
 	}
-	if Retryable(err) {
-		t.Fatal("construction error must not be retryable")
-	}
 	got, err := svc.DetectBatch(context.Background(), "east", nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty batch = %v, %v", got, err)
@@ -239,10 +236,10 @@ func TestKillAndRestart(t *testing.T) {
 	if err := svc.Kill("west"); err != nil {
 		t.Fatal(err)
 	}
-	// The dead shard fails fast with a retryable error (it may already
-	// be retraining under the 1ms test backoff — both are retryable).
-	if _, err := svc.DetectBatch(context.Background(), "west", samples); !Retryable(err) {
-		t.Fatalf("killed shard error = %v, want retryable", err)
+	// The dead shard fails fast with ErrUnavailable (it may already be
+	// retraining under the 1ms test backoff, which is unavailable too).
+	if _, err := svc.DetectBatch(context.Background(), "west", samples); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("killed shard error = %v, want ErrUnavailable", err)
 	}
 	// The surviving shard keeps answering.
 	if _, err := svc.DetectBatch(context.Background(), "east", samples); err != nil {
@@ -332,8 +329,8 @@ func TestQueueShedding(t *testing.T) {
 	<-entered // the one admitted request is now mid-batch, depth still 1
 
 	_, err = svc.DetectBatch(context.Background(), "east", samples)
-	if !errors.Is(err, ErrOverloaded) || !Retryable(err) {
-		t.Fatalf("over-bound request error = %v, want retryable ErrOverloaded", err)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-bound request error = %v, want ErrOverloaded", err)
 	}
 	if svc.Stats()["east"].Shed != 1 {
 		t.Fatalf("shed count = %d, want 1", svc.Stats()["east"].Shed)
@@ -468,8 +465,8 @@ func TestKillDrainsQueue(t *testing.T) {
 	}
 	select {
 	case err := <-queued:
-		if !Retryable(err) {
-			t.Fatalf("queued request error = %v, want retryable", err)
+		if !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("queued request error = %v, want ErrUnavailable", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("queued request still waiting after the kill")
@@ -527,8 +524,8 @@ func TestIngestConfirmsOutage(t *testing.T) {
 	if err := svc.Kill("east"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Ingest(context.Background(), "east", outage[0]); !Retryable(err) {
-		t.Fatalf("ingest on killed shard = %v, want retryable", err)
+	if _, err := svc.Ingest(context.Background(), "east", outage[0]); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("ingest on killed shard = %v, want ErrUnavailable", err)
 	}
 }
 

