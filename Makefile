@@ -8,11 +8,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Cross-architecture vet: the subspace package's rank-one residual pass
-# and the mat package's lane kernels (the four-lane Jacobi SVD in AVX,
-# the eight-lane LU solve and the LU row update in SSE2) are assembly
-# on amd64 and Go elsewhere, and no test here runs the Go build of
-# them, so vet the tree for arm64 to keep that path compiling.
+# Cross-architecture vet: the subspace package's scoring passes (in
+# AVX) and the mat package's lane kernels (the four-lane Jacobi SVD in
+# AVX, the eight-lane LU solve and the LU row update in SSE2) are
+# assembly on amd64 and Go elsewhere, and no test here builds the
+# other architectures' files, so vet the tree for arm64 to keep that
+# path compiling.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -45,6 +46,8 @@ race:
 # per-pair ratio passes its bound. The rows, path a / path b:
 #   LeadingQuad / four FactorSVD calls, 118x40 matrices         <= 0.42
 #   LU.SolveMany / 40 LU.Solve calls, an order-117 factor       <= 0.45
+#   Packed.EnergiesTo / one mat.Norm2 per member, 52 rank-one
+#     members and the zero subspace on 28 of 118 rows           <= 0.70
 #   binary frame / JSON body decode, 8 normal and 8 outage
 #     ieee30 samples                                            <= 0.03
 #   traced (every trace kept) / untraced binary /v1/ingest of
@@ -69,8 +72,9 @@ gate:
 # bodies against an ieee14 service: no panic, no 5xx, every 200 body
 # decodes), and the
 # proximity rule on raw float64 score bits, NaN payloads included,
-# against its stable-sort oracle, the packed residual kernel on raw
-# float64 vector bits against its portable Go pass, and the lane
+# against its stable-sort oracle, the scoring lanes (coefficients,
+# residual rows, rank-one norm pass) on raw float64 bits against their
+# Go loops, and the lane
 # kernels on raw float64 matrix bits against their one-problem paths:
 # each lane of the four-lane SVD against FactorSVD's leading vectors,
 # each right-hand side of the eight-lane solve against LU.Solve. Go fuzzes one target per

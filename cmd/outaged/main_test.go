@@ -199,7 +199,7 @@ func TestIngestShardsStatsHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []service.ShardStatus
+	var shards []api.ShardStatus
 	err = json.NewDecoder(resp.Body).Decode(&shards)
 	_ = resp.Body.Close()
 	if err != nil {
@@ -213,7 +213,7 @@ func TestIngestShardsStatsHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]service.ShardSnapshot
+	var stats map[string]api.ShardSnapshot
 	err = json.NewDecoder(resp.Body).Decode(&stats)
 	_ = resp.Body.Close()
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"pmuoutage/internal/mat"
 	"pmuoutage/internal/obs"
 	"pmuoutage/internal/service"
+	"pmuoutage/internal/subspace"
 	"pmuoutage/internal/wire"
 )
 
@@ -43,6 +44,8 @@ type gateRow struct {
 // bound is never raised. The rows:
 //
 //   - the lane kernels against their one-problem paths (internal/mat);
+//   - the scoring lanes against one scalar norm chain per member
+//     (internal/subspace);
 //   - binary wire frames against JSON bodies, decoding the same ieee30
 //     samples;
 //   - binary /v1/ingest of those samples with a tracer that keeps
@@ -51,6 +54,7 @@ type gateRow struct {
 //     on an outage sample and on a normal one.
 func TestGate(t *testing.T) {
 	rows := laneRows(t)
+	rows = append(rows, scoringRows(t)...)
 	rows = append(rows, servingRows(t)...)
 	rows = append(rows, darkBusRows(t)...)
 	for _, r := range rows {
@@ -130,6 +134,44 @@ func laneRows(t *testing.T) []gateRow {
 			},
 		},
 	}
+}
+
+// scoringRows are the scoring lanes against a path that stays scalar:
+// one Packed.EnergiesTo over a pack sized like an ieee118 cluster plan
+// (52 rank-one members and the zero subspace on 28 of 118 rows)
+// against one mat.Norm2 over the same 28 rows per rank-one member, the
+// norm steps each member's energy takes, without forming a residual.
+func scoringRows(t *testing.T) []gateRow {
+	const d, rows, ones = 118, 28, 52
+	rng := rand.New(rand.NewSource(2))
+	subs := make([]*subspace.Subspace, ones, ones+1)
+	for k := range subs {
+		subs[k] = subspace.FromBasis(mat.Orthonormalize(gaussDense(rng, d, 1)))
+	}
+	subs = append(subs, subspace.Zero(d))
+	p, err := subspace.Pack(rng.Perm(d)[:rows], subs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, rows)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	n := mat.Norm2(x)
+	dst, scratch := make([]float64, p.Len()), make([]float64, p.ScratchLen())
+	return []gateRow{{
+		name: "Packed.EnergiesTo / 52 mat.Norm2 calls, 28 rows", bound: 0.70, reps: 64,
+		a: func() {
+			if err := p.EnergiesTo(dst, scratch, x, n*n); err != nil {
+				t.Fatal(err)
+			}
+		},
+		b: func() {
+			for k := range ones {
+				dst[k] = mat.Norm2(x)
+			}
+		},
+	}}
 }
 
 // gaussDense is an r×c matrix of standard normal draws.

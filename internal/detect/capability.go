@@ -83,11 +83,11 @@ type Capabilities struct {
 	P [][]float64
 }
 
-// FitEllipsesContext fits Ω_k for every node from the normal-operation
+// fitEllipses fits Ω_k for every node from the normal-operation
 // training set (Eq. 4), one fit per worker slot; each node's (vm, va)
 // scratch is private to its item. useMVEE selects the minimum-volume
 // enclosing ellipse instead of the default covariance-scaled fit.
-func FitEllipsesContext(ctx context.Context, normal *dataset.Set, margin float64, useMVEE bool, workers int) ([]*ellipse.Ellipse, error) {
+func fitEllipses(ctx context.Context, normal *dataset.Set, margin float64, useMVEE bool, workers int) ([]*ellipse.Ellipse, error) {
 	if normal.T() < 2 {
 		return nil, fmt.Errorf("detect: need at least 2 normal samples, got %d", normal.T())
 	}
@@ -173,15 +173,15 @@ func capabilityMatrix(lines [][]int, rows [][]float64) [][]float64 {
 	return p
 }
 
-// LearnCapabilitiesContext builds the full capability structure from
+// learnCapabilities builds the full capability structure from
 // training data: ellipses from the normal set, the Eq. (5) row of every
 // valid line, then for every node pair (i, k) the union capability
 // p_{i,k} over all training cases involving node i (Eqs. 6–7). The
 // ellipse fits and the per-case rows of Eq. (5) each fan out over
 // workers. Every row is index-exclusive, so the tables are
 // byte-identical for any worker count.
-func LearnCapabilitiesContext(ctx context.Context, d *dataset.Data, margin float64, useMVEE bool, workers int) (*Capabilities, error) {
-	ells, err := FitEllipsesContext(ctx, d.Normal, margin, useMVEE, workers)
+func learnCapabilities(ctx context.Context, d *dataset.Data, margin float64, useMVEE bool, workers int) (*Capabilities, error) {
+	ells, err := fitEllipses(ctx, d.Normal, margin, useMVEE, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func ieee14Data(t *testing.T, steps int) *dataset.Data {
 
 func TestFitEllipsesAllNodes(t *testing.T) {
 	d := ieee14Data(t, 10)
-	ells, err := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
+	ells, err := fitEllipses(context.Background(), d.Normal, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFitEllipsesAllNodes(t *testing.T) {
 }
 
 func TestFitEllipsesNeedsSamples(t *testing.T) {
-	if _, err := FitEllipsesContext(context.Background(), &dataset.Set{}, 1.1, false, 1); err == nil {
+	if _, err := fitEllipses(context.Background(), &dataset.Set{}, 1.1, false, 1); err == nil {
 		t.Fatal("expected error for empty set")
 	}
 }
@@ -112,7 +112,7 @@ func TestCaseCapabilityEndpointsHigh(t *testing.T) {
 	// better than a node with no electrical stress... in a small grid
 	// nearly everyone sees it, so assert endpoints are near 1.
 	d := ieee14Data(t, 12)
-	ells, err := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
+	ells, err := fitEllipses(context.Background(), d.Normal, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCaseCapabilityEndpointsHigh(t *testing.T) {
 
 func TestCaseCapabilityEmptySets(t *testing.T) {
 	d := ieee14Data(t, 4)
-	ells, _ := FitEllipsesContext(context.Background(), d.Normal, 1.1, false, 1)
+	ells, _ := fitEllipses(context.Background(), d.Normal, 1.1, false, 1)
 	if CaseCapability(ells[0], &dataset.Set{}, d.Normal, 0) != 0 {
 		t.Fatal("empty outage set must give 0")
 	}
@@ -161,7 +161,7 @@ func TestLearnCapabilitiesShapeAndRange(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			d := in.data(t)
-			caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
+			caps, err := learnCapabilities(context.Background(), d, 1.1, false, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func dcData(build func() *grid.Grid) func(t *testing.T) *dataset.Data {
 
 // TestCapabilityMatrixFromModel: the Eq. (6)–(7) matrix rebuilt from a
 // decoded model's case rows, as TrainPatch rebuilds it, is bit for bit
-// the one LearnCapabilitiesContext builds from the training data.
+// the one learnCapabilities builds from the training data.
 func TestCapabilityMatrixFromModel(t *testing.T) {
 	for _, build := range []func() *grid.Grid{cases.IEEE14, cases.IEEE30} {
 		d := dcData(build)(t)
@@ -222,7 +222,7 @@ func TestCapabilityMatrixFromModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			caps, err := LearnCapabilitiesContext(context.Background(), d, dm.Config.EllipseMargin, dm.Config.UseMVEE, 1)
+			caps, err := learnCapabilities(context.Background(), d, dm.Config.EllipseMargin, dm.Config.UseMVEE, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestLearnCapabilitiesSelfDetection(t *testing.T) {
 	// highest detection accuracy in p_i" (§IV-B): check node i itself
 	// scores highly for its own failures.
 	d := ieee14Data(t, 12)
-	caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
+	caps, err := learnCapabilities(context.Background(), d, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func TrainContext(ctx context.Context, d *dataset.Data, nw *pmunet.Network, cfg 
 	}
 
 	// Capabilities and detection groups.
-	caps, err := LearnCapabilitiesContext(ctx, d, cfg.EllipseMargin, cfg.UseMVEE, cfg.Workers)
+	caps, err := learnCapabilities(ctx, d, cfg.EllipseMargin, cfg.UseMVEE, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -381,11 +381,18 @@ func deviationMatrix(set *dataset.Set, mean []float64, ch dataset.Channel) *mat.
 // deviation returns the sample's channel vector minus the
 // normal-operation mean, and the feature-level availability mask when
 // the sample has a measurement missing (nil otherwise). The deviation's
-// one allocation holds as much again past its end: deviationEnergy's S⁰
-// residual.
+// one allocation holds as much again past its end for deviationEnergy's
+// S⁰ residual, and, when a measurement is missing, as much again for
+// the available features it gathers. With one feature per bus the
+// feature mask is the sample's own.
 func (det *Detector) deviation(s dataset.Sample) ([]float64, pmunet.Mask) {
 	dim := len(det.mean)
-	dev := make([]float64, dim, 2*dim)
+	complete := s.Complete()
+	spare := 2 * dim
+	if !complete {
+		spare = 3 * dim
+	}
+	dev := make([]float64, dim, spare)
 	switch n := s.N(); det.cfg.Channel {
 	case dataset.Magnitude:
 		subTo(dev, s.Vm, det.mean)
@@ -395,10 +402,13 @@ func (det *Detector) deviation(s dataset.Sample) ([]float64, pmunet.Mask) {
 		subTo(dev[:n], s.Vm, det.mean[:n])
 		subTo(dev[n:], s.Va, det.mean[n:])
 	}
-	if s.Complete() {
+	switch {
+	case complete:
 		return dev, nil
+	case det.cfg.Channel == dataset.Stacked:
+		return dev, s.MaskFor(det.cfg.Channel)
 	}
-	return dev, s.MaskFor(det.cfg.Channel)
+	return dev, s.Mask
 }
 
 // subTo stores x − mean into dst.
@@ -410,27 +420,36 @@ func subTo(dst, x, mean []float64) {
 
 // deviationEnergy is the mean squared S⁰-filtered deviation over the
 // available features: the part of the deviation that ordinary load
-// variation cannot explain. The residual goes into dev's spare
-// capacity, which deviation sizes for it.
+// variation cannot explain. The residual, and the available features
+// when featMask is not nil, go into dev's spare capacity, which
+// deviation sizes for them.
 func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float64 {
 	xd, normal := dev, det.fullNormal
-	if featMask.AnyMissing() {
-		xd = make([]float64, 0, len(dev))
+	if featMask != nil {
+		dim := len(dev)
+		xd = dev[2*dim : 3*dim]
+		n, first := 0, -1
 		for i, x := range dev {
-			if !featMask[i] {
-				xd = append(xd, x)
+			if featMask[i] {
+				if first < 0 {
+					first = i
+				}
+				continue
 			}
+			xd[n] = x
+			n++
 		}
-		if len(xd) == 0 {
+		if n == 0 {
 			return 0
 		}
+		xd = xd[:n]
 		var err error
-		if normal, err = det.gateNormal(featMask, len(dev)-len(xd)); err != nil {
+		if normal, err = det.gateNormal(featMask, dim-n, first); err != nil {
 			return 0
 		}
 	}
 	r0 := dev[len(dev) : len(dev)+len(xd)]
-	if _, err := normal.ResidualTo(r0, xd); err != nil {
+	if err := normal.ResidualTo(r0, xd); err != nil {
 		return 0
 	}
 	var e float64
@@ -441,16 +460,17 @@ func (det *Detector) deviationEnergy(dev []float64, featMask pmunet.Mask) float6
 }
 
 // gateNormal is S⁰ restricted to the features featMask leaves, missing
-// of them dark. A bus has len(featMask)/N features, so missing·N equals
-// len(featMask) exactly when one bus is dark; the first dark feature is
-// then that bus, and the factor comes from its gate slot, built on first
-// use. Any other mask restricts S⁰ for this sample alone.
-func (det *Detector) gateNormal(featMask pmunet.Mask, missing int) (*subspace.Restricted, error) {
+// of them dark, the first at index first. A bus has len(featMask)/N
+// features, so missing·N equals len(featMask) exactly when one bus is
+// dark; the first dark feature is then that bus, and the factor comes
+// from its gate slot, built on first use. Any other mask restricts S⁰
+// for this sample alone.
+func (det *Detector) gateNormal(featMask pmunet.Mask, missing, first int) (*subspace.Restricted, error) {
 	restrict := func() (*subspace.Restricted, error) { return det.normalSub.Restrict(featMask.Available()) }
 	if missing*det.g.N() != len(featMask) {
 		return restrict()
 	}
-	return loadOrBuild(&det.gateSlots[slices.Index(featMask, true)], restrict)
+	return loadOrBuild(&det.gateSlots[first], restrict)
 }
 
 // loadOrBuild returns the slot's value, building and storing it first
@@ -848,11 +868,12 @@ func (det *Detector) scoreCluster(cs *clusterScore, c int, dev, prox, xd, r0, sc
 	}
 	xe := mat.Norm2(xd)
 	cs.xe = metrics.PositiveFloor(xe*xe, math.SmallestNonzeroFloat64)
-	var err error
-	if cs.p0, err = cs.normal.ResidualTo(r0, xd); err != nil {
+	if err := cs.normal.ResidualTo(r0, xd); err != nil {
 		return err
 	}
-	if err := cs.subs.EnergiesTo(prox[:cs.subs.Len()], scratch, r0); err != nil {
+	n0 := mat.Norm2(r0)
+	cs.p0 = n0 * n0
+	if err := cs.subs.EnergiesTo(prox[:cs.subs.Len()], scratch, r0, cs.p0); err != nil {
 		return err
 	}
 	if !det.cfg.UseRegressorProximity {
@@ -860,6 +881,7 @@ func (det *Detector) scoreCluster(cs *clusterScore, c int, dev, prox, xd, r0, sc
 	}
 	// Ablation: the literal regressor formulation replaces every
 	// proximity to a subspace of rank above zero.
+	var err error
 	for slot, k := range det.clusterLines[c] {
 		if s := det.lineSubs[k]; s.Rank() > 0 {
 			if cs.lineProx[slot], err = det.prox(s, cs.group, r0); err != nil {

@@ -249,7 +249,7 @@ func TestBuildGroupsMixZeroNeedsLoadings(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, _ := pmunet.Build(g, 3)
-	caps, err := LearnCapabilitiesContext(context.Background(), d, 1.1, false, 1)
+	caps, err := learnCapabilities(context.Background(), d, 1.1, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

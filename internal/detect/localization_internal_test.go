@@ -8,6 +8,7 @@ import (
 	"pmuoutage/internal/cases"
 	"pmuoutage/internal/dataset"
 	"pmuoutage/internal/grid"
+	"pmuoutage/internal/mat"
 	"pmuoutage/internal/pmunet"
 )
 
@@ -49,7 +50,7 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 				t.Fatal(err)
 			}
 			r0, res := make([]float64, len(avail)), make([]float64, len(avail))
-			if _, err := normal.ResidualTo(r0, xd); err != nil {
+			if err := normal.ResidualTo(r0, xd); err != nil {
 				t.Fatal(err)
 			}
 			type ls struct {
@@ -62,11 +63,10 @@ func TestLineSignatureDiscrimination(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := r.ResidualTo(res, r0)
-				if err != nil {
+				if err := r.ResidualTo(res, r0); err != nil {
 					t.Fatal(err)
 				}
-				scores = append(scores, ls{f, p})
+				scores = append(scores, ls{f, mat.Norm2(res)})
 			}
 			sort.Slice(scores, func(a, b int) bool { return scores[a].p < scores[b].p })
 			n++

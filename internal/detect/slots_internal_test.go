@@ -95,7 +95,7 @@ func checkSlots(t *testing.T, det *Detector, masks []pmunet.Mask) {
 				continue // the gate reads no factor for these
 			}
 			feat := (&dataset.Sample{Vm: make([]float64, len(m)), Mask: m}).MaskFor(det.cfg.Channel)
-			got, err := det.gateNormal(feat, feat.MissingCount())
+			got, err := det.gateNormal(feat, feat.MissingCount(), slices.Index(feat, true))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,13 +25,13 @@ func quadRotate(xp, xq []float64, c, s *[4]float64)
 //go:noescape
 func quadRotateMask(xp, xq []float64, c, s *[4]float64, mask *[4]uint64)
 
-// cpuid and xgetbv are the CPUID and XGETBV instructions, for hasAVX.
+// cpuid and xgetbv are the CPUID and XGETBV instructions, for probeAVX.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// hasAVX reports whether the CPU has AVX and the operating system
+// probeAVX reports whether the CPU has AVX and the operating system
 // saves the YMM registers' upper halves (XCR0 bits 1 and 2).
-func hasAVX() bool {
+func probeAVX() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
 		return false
 	}
@@ -43,8 +43,18 @@ func hasAVX() bool {
 	return xcr0&6 == 6
 }
 
+// hasAVX is probeAVX's answer, taken once when the package loads.
+var hasAVX = probeAVX()
+
+// HasAVX reports whether the CPU has AVX and the operating system
+// saves the YMM registers' upper halves: whether AVX kernels may run.
+// It is the module's one CPUID probe. A package with AVX kernels sets
+// its own switch from it, as useAVX is set here, so that its tests can
+// turn the kernels off.
+func HasAVX() bool { return hasAVX }
+
 // useAVX selects the four-lane kernels. Only tests change it.
-var useAVX = hasAVX()
+var useAVX = hasAVX
 
 // leadingQuad runs FactorSVD's sweeps on four matrices of one shape in
 // lockstep and reads each one's Leading(k) off its converged columns.

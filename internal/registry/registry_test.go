@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -239,6 +240,51 @@ func TestPublishOversizedTooLarge(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatal("an oversized body entered the store")
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestPublishDeclaredOversizedUnread: a publish whose Content-Length
+// declares one byte past api.MaxBodyBytes is refused with 413 too_large
+// before its body is read: no byte is read and the handler allocates
+// under 1 MiB (buffering the body to the bound would allocate about
+// 375 MB).
+func TestPublishDeclaredOversizedUnread(t *testing.T) {
+	store, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(store, nil).Routes()
+	body := &countingReader{r: io.LimitReader(zeros{}, api.MaxBodyBytes+1)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/models", body)
+	req.ContentLength = api.MaxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if env, ok := api.DecodeError(rec.Body.Bytes()); !ok || env.Code != api.CodeTooLarge {
+		t.Fatalf("error envelope = %+v (decoded %v), want code too_large", env, ok)
+	}
+	if body.n != 0 {
+		t.Errorf("read %d body bytes before refusing the declared length", body.n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing a declared oversized publish allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 

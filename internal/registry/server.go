@@ -71,8 +71,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handlePublish stores one artifact body of at most api.MaxBodyBytes,
 // the serving tier's bound on every request body; a larger one is
-// refused whole with too_large, as the router and the daemons refuse it.
+// refused whole with too_large, as the router and the daemons refuse it,
+// and one whose Content-Length declares it larger before any byte is
+// read.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > api.MaxBodyBytes {
+		s.writeError(w, r, api.CodeTooLarge, errTooLarge)
+		return
+	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		s.writeError(w, r, api.CodeBadRequest, err)

@@ -703,11 +703,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // readBody reads a proxied request body, rejecting — never silently
-// truncating — anything over the 64 MiB bound: one byte past the limit
-// proves the body is oversized, and forwarding a truncated payload
+// truncating — anything over the 64 MiB bound: a declared length past
+// it before reading a byte, and otherwise one byte past the limit,
+// which proves the body is oversized. Forwarding a truncated payload
 // would surface as a confusing decode error on the backend (or worse,
 // silently dropped trailing data).
 func readBody(req *http.Request) ([]byte, error) {
+	if req.ContentLength > api.MaxBodyBytes {
+		return nil, fmt.Errorf("%w: declared body of %d bytes exceeds %d", ErrBodyTooLarge, req.ContentLength, api.MaxBodyBytes)
+	}
 	data, err := io.ReadAll(io.LimitReader(req.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -664,6 +665,41 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 	if code := bodyCode(err); code != api.CodeTooLarge {
 		t.Fatalf("bodyCode = %q, want too_large", code)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestDeclaredOversizeBodyUnread: a body whose Content-Length declares
+// one byte past the 64 MiB bound is rejected with too_large before it
+// is read: no byte is read and readBody allocates under 1 MiB
+// (buffering the body to the bound would allocate about 375 MB).
+func TestDeclaredOversizeBodyUnread(t *testing.T) {
+	body := &countingReader{r: endlessZeros{}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/detect", body)
+	req.ContentLength = api.MaxBodyBytes + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readBody(req)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("readBody(declared oversized) = %v, want ErrBodyTooLarge", err)
+	}
+	if body.n != 0 {
+		t.Errorf("read %d body bytes before refusing the declared length", body.n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing a declared oversized body allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 

@@ -323,15 +323,11 @@ func (s *Service) Ready() bool {
 	return false
 }
 
-// ShardStatus is one shard's public state snapshot. The definition
-// lives in the shared api package (it is the GET /v1/shards wire
-// element); the alias keeps service-level callers working.
-type ShardStatus = api.ShardStatus
-
-// Shards snapshots every shard's status in configuration order.
-func (s *Service) Shards() []ShardStatus {
+// Shards snapshots every shard's status in configuration order: the
+// GET /v1/shards wire value.
+func (s *Service) Shards() []api.ShardStatus {
 	shards := s.allShards()
-	out := make([]ShardStatus, len(shards))
+	out := make([]api.ShardStatus, len(shards))
 	for i, sh := range shards {
 		out[i] = sh.status()
 	}
@@ -379,7 +375,7 @@ func (s *Service) Counters(name string) *ShardCounters {
 
 // Stats snapshots the per-shard counters (requests, batch sizes, queue
 // depth, shed count, latency).
-func (s *Service) Stats() map[string]ShardSnapshot {
+func (s *Service) Stats() map[string]api.ShardSnapshot {
 	out := s.stats.snapshot()
 	for name, snap := range out {
 		if sh := s.peek(name); sh != nil {

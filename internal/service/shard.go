@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pmuoutage"
+	"pmuoutage/api"
 	"pmuoutage/internal/obs"
 )
 
@@ -508,10 +509,10 @@ func (sh *shard) availErrLocked() error {
 }
 
 // status snapshots the shard for listings.
-func (sh *shard) status() ShardStatus {
+func (sh *shard) status() api.ShardStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := ShardStatus{
+	st := api.ShardStatus{
 		Name:       sh.spec.Name,
 		Case:       sh.spec.Opts.Case,
 		State:      sh.state.String(),

@@ -143,10 +143,10 @@ func (s *Stats) shard(name string) *ShardCounters {
 }
 
 // snapshot copies every cell into plain values.
-func (s *Stats) snapshot() map[string]ShardSnapshot {
+func (s *Stats) snapshot() map[string]api.ShardSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]ShardSnapshot, len(s.shards))
+	out := make(map[string]api.ShardSnapshot, len(s.shards))
 	for name, c := range s.shards {
 		out[name] = c.snapshot()
 	}
@@ -188,15 +188,11 @@ func (c *ShardCounters) StageSeconds(st Stage) *obs.Histogram {
 	return c.stage[st]
 }
 
-// ShardSnapshot is a point-in-time copy of one shard's counters, shaped
-// for JSON. Latency fields derive from the detect-stage histogram —
-// the same cells /metrics renders. The definition lives in the shared
-// api package (it is the GET /v1/stats wire value); the alias keeps
-// service-level callers working.
-type ShardSnapshot = api.ShardSnapshot
-
-func (c *ShardCounters) snapshot() ShardSnapshot {
-	snap := ShardSnapshot{
+// snapshot is a point-in-time copy of the shard's counters, the GET
+// /v1/stats wire value. Latency fields derive from the detect-stage
+// histogram — the same cells /metrics renders.
+func (c *ShardCounters) snapshot() api.ShardSnapshot {
+	snap := api.ShardSnapshot{
 		Requests:     c.Requests.Load(),
 		Ingests:      c.Ingests.Load(),
 		Samples:      c.Samples.Load(),

@@ -21,7 +21,8 @@ func randSubspace(rng *rand.Rand, d, k int) *Subspace {
 }
 
 // restrictedEnergies is the oracle EnergiesTo must reproduce: each
-// member restricted on its own and measured by ResidualTo.
+// member restricted on its own, its residual by ResidualTo and its
+// energy the square of mat.Norm2.
 func restrictedEnergies(t testing.TB, group []int, subs []*Subspace, x []float64) []float64 {
 	t.Helper()
 	out := make([]float64, len(subs))
@@ -31,18 +32,36 @@ func restrictedEnergies(t testing.TB, group []int, subs []*Subspace, x []float64
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[k], err = r.ResidualTo(res, x); err != nil {
+		if err := r.ResidualTo(res, x); err != nil {
 			t.Fatal(err)
 		}
+		n := mat.Norm2(res)
+		out[k] = n * n
 	}
 	return out
 }
 
+// energiesOf runs EnergiesTo on x with its energy ‖x‖² from mat.Norm2.
+func energiesOf(t testing.TB, p *Packed, x []float64) (dst, scratch []float64) {
+	t.Helper()
+	dst, scratch = make([]float64, p.Len()), make([]float64, p.ScratchLen())
+	n := mat.Norm2(x)
+	if err := p.EnergiesTo(dst, scratch, x, n*n); err != nil {
+		t.Fatal(err)
+	}
+	return dst, scratch
+}
+
 // TestPackedMatchesResidualTo: every member's packed energy keeps the
-// bits of Restrict(group) + ResidualTo, for members of ranks 0, 1, 2, 3
-// and one past stackRank in random order, random groups, and vectors
-// mixing exact zeros, ordinary values and entries near 1e±300.
-func TestPackedMatchesResidualTo(t *testing.T) {
+// bits of Restrict(group), ResidualTo and mat.Norm2, for members of
+// ranks 0, 1, 2, 3 and one past stackRank in random order, random
+// groups, and vectors mixing exact zeros, ordinary values and entries
+// near 1e±300.
+func TestPackedMatchesResidualTo(t *testing.T) { checkPackedMatchesResidualTo(t) }
+
+// checkPackedMatchesResidualTo is TestPackedMatchesResidualTo's check,
+// which the tests without AVX rerun.
+func checkPackedMatchesResidualTo(t *testing.T) {
 	const d = 24
 	ranks := []int{0, 1, 2, 3, stackRank + 1}
 	f := func(seed int64) bool {
@@ -68,10 +87,7 @@ func TestPackedMatchesResidualTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, p.Len())
-		if err := p.EnergiesTo(got, make([]float64, p.ScratchLen()), x); err != nil {
-			t.Fatal(err)
-		}
+		got, _ := energiesOf(t, p, x)
 		want := restrictedEnergies(t, group, subs, x)
 		for k := range want {
 			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
@@ -86,8 +102,8 @@ func TestPackedMatchesResidualTo(t *testing.T) {
 	}
 }
 
-// hostileValue draws an entry for the rank-one residual pass: NaN of
-// either sign with a random payload, quiet or signalling, ±Inf, ±0, a
+// hostileValue draws an entry for the scoring passes: NaN of either
+// sign with a random payload, quiet or signalling, ±Inf, ±0, a
 // subnormal, a value near 1e±300, or an ordinary value.
 func hostileValue(rng *rand.Rand) float64 {
 	sign := uint64(rng.Intn(2)) << 63
@@ -109,55 +125,104 @@ func hostileValue(rng *rand.Rand) float64 {
 	}
 }
 
-// onesPassState runs pass over p's rank-one slots from a fresh norm
-// state and returns their scales followed by their sums of squares.
-func onesPassState(pass func(scale, ssq, alpha, x, basis []float64, stride int), p *Packed, alpha, x []float64) []float64 {
-	state := make([]float64, 2*p.ones)
-	scale, ssq := state[:p.ones], state[p.ones:]
+// sameBits reports the first index where got and want differ in their
+// bits, or -1.
+func sameBits(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// rankOneState runs pass over the first ones slots of basis (rows of
+// stride) from a fresh norm state and returns their scales followed by
+// their sums of squares.
+func rankOneState(pass func(scale, ssq, alpha, x, basis []float64, stride int), ones int, alpha, x, basis []float64, stride int) []float64 {
+	state := make([]float64, 2*ones)
+	scale, ssq := state[:ones], state[ones:]
 	for k := range ssq {
 		ssq[k] = 1
 	}
-	pass(scale, ssq, alpha[:p.ones], x, p.basis, p.total)
+	pass(scale, ssq, alpha[:ones], x, basis, stride)
 	return state
 }
 
-// checkOnesPass holds the rank-one pass EnergiesTo takes (the SSE2
-// kernel on amd64) to onesPassGeneric bit for bit, in every rank-one
-// slot's scale and sum of squares: inside EnergiesTo, on the
-// coefficients it forms from x, and on its own over alpha when alpha is
-// not nil.
-func checkOnesPass(t testing.TB, p *Packed, x, alpha []float64) {
+// checkCoefficients holds coefficients (the AVX kernel where the CPU
+// has AVX) to coefficientsGo bit for bit: n coefficients of the quads
+// in pinv against x, whatever bits they hold.
+func checkCoefficients(t testing.TB, n int, pinv, x []float64) {
 	t.Helper()
-	scratch := make([]float64, p.ScratchLen())
-	if err := p.EnergiesTo(make([]float64, p.Len()), scratch, x); err != nil {
-		t.Fatal(err)
-	}
-	total, n := p.total, len(p.slots)
-	check := func(who string, alpha, got []float64) {
-		t.Helper()
-		want := onesPassState(onesPassGeneric, p, alpha, x)
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("%s: rank-one slot %d of %d, %d rows, x %v, alpha %v: scales and sums of squares %v, portable pass %v",
-					who, k%p.ones, p.ones, p.rows, x, alpha[:p.ones], got, want)
-			}
-		}
-	}
-	check("EnergiesTo", scratch[:total], slices.Concat(scratch[total:total+p.ones], scratch[total+n:total+n+p.ones]))
-	if alpha != nil {
-		check("onesPass", alpha, onesPassState(onesPass, p, alpha, x))
+	got, want := make([]float64, n), make([]float64, n)
+	coefficients(got, pinv, x)
+	coefficientsGo(want, pinv, x)
+	if i := sameBits(got, want); i >= 0 {
+		t.Fatalf("coefficient %d of %d over %d columns: %v, Go loop %v (x %v)", i, n, len(x), got[i], want[i], x)
 	}
 }
 
-// TestOnesPassMatchesGeneric: the rank-one residual pass keeps
-// onesPassGeneric's bits in every lane, on vectors and coefficients that
-// mix NaN of both signs and random payloads, ±Inf, ±0, subnormals,
-// 1e±300 and leading exact zeros. A zero residual while the scale is
-// still zero is the path the kernel's clamp reproduces; it needs an
-// exact zero in x against a zero coefficient. Members number 0–9 of
-// rank one with up to three of ranks 0, 2 and 3 mixed in, and groups
-// have 0, 1, or 28 or more rows.
-func TestOnesPassMatchesGeneric(t *testing.T) {
+// checkResidualRows holds residualRows to residualRowsGo bit for bit:
+// the residual rows of ud (len(x) rows of len(alpha) columns in quads)
+// against alpha, whatever bits they hold.
+func checkResidualRows(t testing.TB, x, ud, alpha []float64) {
+	t.Helper()
+	got, want := make([]float64, len(x)), make([]float64, len(x))
+	residualRows(got, x, ud, alpha)
+	residualRowsGo(want, x, ud, alpha)
+	if i := sameBits(got, want); i >= 0 {
+		t.Fatalf("residual row %d of %d, rank %d: %v, Go loop %v (x %v, alpha %v)", i, len(x), len(alpha), got[i], want[i], x, alpha)
+	}
+}
+
+// checkRankOne holds rankOne to rankOneGo bit for bit in every slot's
+// scale and sum of squares: the first ones slots of basis (len(x) rows
+// of stride) against alpha, ones a multiple of four, whatever bits they
+// hold.
+func checkRankOne(t testing.TB, ones int, alpha, x, basis []float64, stride int) {
+	t.Helper()
+	got := rankOneState(rankOne, ones, alpha, x, basis, stride)
+	want := rankOneState(rankOneGo, ones, alpha, x, basis, stride)
+	if i := sameBits(got, want); i >= 0 {
+		t.Fatalf("rank-one slot %d of %d over %d rows: scales and sums of squares %v, Go loop %v (x %v, alpha %v)",
+			i%ones, ones, len(x), got, want, x, alpha[:ones])
+	}
+}
+
+// checkPacked holds EnergiesTo's passes to the Go loops on p: the
+// coefficients and rank-one state it leaves in scratch against
+// coefficientsGo and rankOneGo on p's factors and x, and then, when
+// alpha is not nil, rankOne on p's basis and alpha.
+func checkPacked(t testing.TB, p *Packed, x, alpha []float64) {
+	t.Helper()
+	_, scratch := energiesOf(t, p, x)
+	n4 := roundQuad(len(p.slots))
+	want := make([]float64, p.stride)
+	coefficientsGo(want, p.pinv, x)
+	if i := sameBits(scratch[:p.stride], want); i >= 0 {
+		t.Fatalf("EnergiesTo: coefficient %d of %d over %d rows: %v, Go loop %v (x %v)", i, p.stride, p.rows, scratch[i], want[i], x)
+	}
+	state := rankOneState(rankOneGo, p.ones, want, x, p.basis, p.stride)
+	got := slices.Concat(scratch[p.stride:p.stride+p.ones], scratch[p.stride+n4:p.stride+n4+p.ones])
+	if i := sameBits(got, state); i >= 0 {
+		t.Fatalf("EnergiesTo: rank-one slot %d of %d over %d rows: scales and sums of squares %v, Go loop %v (x %v)",
+			i%p.ones, p.ones, p.rows, got, state, x)
+	}
+	if alpha != nil {
+		checkRankOne(t, roundQuad(p.ones), alpha, x, p.basis, p.stride)
+	}
+}
+
+// TestLanesMatchGo: the scoring passes keep their Go loops' bits in
+// every lane, on vectors, coefficients and factors that mix NaN of both
+// signs and random payloads, ±Inf, ±0, subnormals, 1e±300 and leading
+// exact zeros: through EnergiesTo on packed members (0–9 of rank one
+// with up to three of ranks 0, 2 and 3 mixed in, on groups of 0, 1, or
+// 28 or more rows), and on their own on raw factors of 0–9 and 117–118
+// rows, ranks 1–9 and 0–13 quads. A zero residual while the scale is
+// still zero is the path the rank-one kernel's clamp reproduces; it
+// needs an exact zero in x against a zero coefficient.
+func TestLanesMatchGo(t *testing.T) {
 	const d = 40
 	higher := []int{0, 2, 3}
 	f := func(seed int64) bool {
@@ -179,13 +244,31 @@ func TestOnesPassMatchesGeneric(t *testing.T) {
 		for i := rng.Intn(rows + 1); i < rows; i++ {
 			x[i] = hostileValue(rng)
 		}
-		alpha := make([]float64, p.total)
+		alpha := make([]float64, p.stride)
 		for k := range alpha {
 			if rng.Intn(3) > 0 {
 				alpha[k] = hostileValue(rng)
 			}
 		}
-		checkOnesPass(t, p, x, alpha)
+		checkPacked(t, p, x, alpha)
+
+		// The passes on their own, on raw factors.
+		rows = []int{rng.Intn(10), 117 + rng.Intn(2)}[rng.Intn(2)]
+		k, quads := 1+rng.Intn(9), rng.Intn(14)
+		stride := 4 * max(quads, 1)
+		hostile := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				if rng.Intn(4) > 0 {
+					v[i] = hostileValue(rng)
+				}
+			}
+			return v
+		}
+		x = hostile(rows)
+		checkCoefficients(t, 4*quads, hostile(4*quads*rows), x)
+		checkResidualRows(t, x, hostile(roundQuad(rows)*k), hostile(k))
+		checkRankOne(t, 4*quads, hostile(stride), x, hostile(rows*stride), stride)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -193,11 +276,13 @@ func TestOnesPassMatchesGeneric(t *testing.T) {
 	}
 }
 
-// FuzzPackedEnergies holds the rank-one residual pass to onesPassGeneric
-// bit for bit on inputs read from raw bytes: the members' ranks (0–3)
-// and the group's rows from the first bytes, then the vector's entries
-// as raw float64 bit patterns, NaN payloads included, and any words
-// left over as coefficients.
+// FuzzPackedEnergies holds the scoring passes to their Go loops bit for
+// bit on inputs read from raw bytes: the members' ranks (0–3) and the
+// group's rows from the first bytes, then the vector's entries as raw
+// float64 bit patterns, NaN payloads included, and any words left over
+// as coefficients and as the factors of the coefficient and residual
+// passes, so that a lane's wrong operand order shows where both are
+// NaN.
 func FuzzPackedEnergies(f *testing.F) {
 	const d = 40
 	words := func(vs ...float64) []byte {
@@ -213,6 +298,9 @@ func FuzzPackedEnergies(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 3}, []byte{0, 5, 10, 15, 20, 25, 30, 35, 1, 6, 11, 16, 21, 26, 31, 36, 2, 7, 12, 17, 22, 27, 32, 37, 3, 8, 13, 18},
 		words(0, 0, math.Float64frombits(0xfff0dead00000001), math.Inf(1), math.Copysign(0, -1), 4.9e-324, 1e300, -1e-300, 0.5))
 	f.Add([]byte{1, 1}, []byte{4}, words(0, 0, 0))
+	f.Add([]byte{1, 1, 1, 1, 1}, []byte{1, 2, 3, 4, 5, 6},
+		words(math.Float64frombits(0x7ff0000000000c01), math.Float64frombits(0xfff8000000000c02), 1, 2, 3, 4,
+			math.Float64frombits(0x7ff8000000000c03), math.Float64frombits(0xfff0000000000c04), -1))
 	f.Fuzz(func(t *testing.T, ranks, rows, raw []byte) {
 		if len(ranks) > 12 || len(rows) > d {
 			return
@@ -238,14 +326,26 @@ func FuzzPackedEnergies(f *testing.F) {
 				x[i] = word(i)
 			}
 		}
-		var alpha []float64
-		if n > len(x) {
-			alpha = make([]float64, p.total)
-			for k := range alpha {
-				alpha[k] = word(len(x) + k%(n-len(x)))
-			}
+		if n <= len(x) {
+			checkPacked(t, p, x, nil)
+			return
 		}
-		checkOnesPass(t, p, x, alpha)
+		// The words after x, cycled, fill the coefficients and the
+		// factors of the passes on their own.
+		next := len(x)
+		fill := func(v []float64) []float64 {
+			for i := range v {
+				v[i] = word(next)
+				if next++; next == n {
+					next = len(x)
+				}
+			}
+			return v
+		}
+		checkPacked(t, p, x, fill(make([]float64, p.stride)))
+		k := 1 + len(ranks)%9
+		checkCoefficients(t, roundQuad(k), fill(make([]float64, roundQuad(k)*len(x))), x)
+		checkResidualRows(t, x, fill(make([]float64, roundQuad(len(x))*k)), fill(make([]float64, k)))
 	})
 }
 
@@ -270,7 +370,7 @@ func TestPackedValidation(t *testing.T) {
 		{"short dst", dst[:1], scratch, make([]float64, 3)},
 		{"short scratch", dst, scratch[:p.ScratchLen()-1], make([]float64, 3)},
 	} {
-		if err := p.EnergiesTo(tc.dst, tc.scratch, tc.x); err == nil {
+		if err := p.EnergiesTo(tc.dst, tc.scratch, tc.x, 0); err == nil {
 			t.Errorf("%s: EnergiesTo accepted it", tc.name)
 		}
 	}
@@ -306,7 +406,7 @@ func TestPackedEnergiesAllocs(t *testing.T) {
 	}
 	dst, scratch := make([]float64, p.Len()), make([]float64, p.ScratchLen())
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.EnergiesTo(dst, scratch, x); err != nil {
+		if err := p.EnergiesTo(dst, scratch, x, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -315,11 +415,12 @@ func TestPackedEnergiesAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPackedEnergies times the packed kernel, its rank-one residual
-// pass alone in the form EnergiesTo takes (kernel) and in Go (portable),
-// and one ResidualTo per member, on two fixtures: 32 rank-one members on
-// 28 of 40 rows, and one sized like an ieee118 cluster plan, 52 rank-one
-// members and the zero subspace on 28 of 118 rows.
+// BenchmarkPackedEnergies times the packed kernel, its rank-one
+// residual pass alone as EnergiesTo takes it (the AVX kernel where the
+// CPU has AVX) and in Go, and one ResidualTo and mat.Norm2 per member,
+// on two fixtures: 32 rank-one members on 28 of 40 rows, and one sized
+// like an ieee118 cluster plan, 52 rank-one members and the zero
+// subspace on 28 of 118 rows.
 func BenchmarkPackedEnergies(b *testing.B) {
 	for _, fx := range []struct {
 		name          string
@@ -335,13 +436,10 @@ func BenchmarkPackedEnergies(b *testing.B) {
 			b.Fatal(err)
 		}
 		// The passes read the coefficients EnergiesTo leaves in scratch.
-		dst, scratch := make([]float64, p.Len()), make([]float64, p.ScratchLen())
-		if err := p.EnergiesTo(dst, scratch, x); err != nil {
-			b.Fatal(err)
-		}
+		dst, scratch := energiesOf(b, p, x)
 		b.Run(fx.name+"/packed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := p.EnergiesTo(dst, scratch, x); err != nil {
+				if err := p.EnergiesTo(dst, scratch, x, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,17 +448,18 @@ func BenchmarkPackedEnergies(b *testing.B) {
 			name string
 			run  func(scale, ssq, alpha, x, basis []float64, stride int)
 		}{
-			{"kernel", onesPass},
-			{"portable", onesPassGeneric},
+			{"rank-one", rankOne},
+			{"rank-one-go", rankOneGo},
 		} {
 			b.Run(fx.name+"/"+pass.name, func(b *testing.B) {
-				alpha, scale, ssq := scratch[:p.ones], make([]float64, p.ones), make([]float64, p.ones)
+				ones := roundQuad(p.ones)
+				alpha, scale, ssq := scratch[:ones], make([]float64, ones), make([]float64, ones)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for k := range scale {
 						scale[k], ssq[k] = 0, 1
 					}
-					pass.run(scale, ssq, alpha, x, p.basis, p.total)
+					pass.run(scale, ssq, alpha, x, p.basis, p.stride)
 				}
 			})
 		}
@@ -375,9 +474,10 @@ func BenchmarkPackedEnergies(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, r := range rs {
-					if _, err := r.ResidualTo(res, x); err != nil {
+					if err := r.ResidualTo(res, x); err != nil {
 						b.Fatal(err)
 					}
+					mat.Norm2(res)
 				}
 			}
 		})

@@ -178,20 +178,43 @@ func Intersection(minShare float64, subs ...*Subspace) (*Subspace, error) {
 	return &Subspace{basis: w.basis.Mul(svd.U.SelectCols(keep))}, nil
 }
 
+// The restricted factors are stored in quads of rows: rows 4b…4b+3 of
+// a matrix of c columns lie together, column by column, element (i, j)
+// at index quadAt(i, j, c), and zero rows fill the last quad. A column's
+// four rows of one quad fill one 256-bit register, which is how the
+// AVX lanes (packed_amd64.s) read them, and the Go loops read the same
+// layout.
+func quadAt(i, j, c int) int { return i&^3*c + 4*j + i&3 }
+
+// roundQuad is n rounded up to a multiple of four.
+func roundQuad(n int) int { return (n + 3) &^ 3 }
+
+// quadRows stores a matrix in quads of rows.
+func quadRows(a *mat.Dense) []float64 {
+	r, c := a.Dims()
+	out := make([]float64, roundQuad(r)*c)
+	for i := 0; i < r; i++ {
+		for j, v := range a.RawRow(i) {
+			out[quadAt(i, j, c)] = v
+		}
+	}
+	return out
+}
+
 // Restricted is a subspace's basis restricted to the rows of one
 // detection group, U_D, together with its pseudo-inverse (U_D)⁺: the
 // part of a restricted residual that depends only on the group, and the
 // only costly step. It is immutable and safe for concurrent use.
 type Restricted struct {
-	rows int
-	ud   *mat.Dense // nil for the zero subspace
-	pinv *mat.Dense
+	rows, rank int
+	pinv       []float64 // (U_D)⁺, rank×rows in quads of rows; nil for the zero subspace
+	ud         []float64 // U_D, rows×rank in quads of rows
 }
 
 // Restrict selects the group's rows of the basis and takes their
 // pseudo-inverse. group indexes features (not buses).
 func (s *Subspace) Restrict(group []int) (*Restricted, error) {
-	r := &Restricted{rows: len(group)}
+	r := &Restricted{rows: len(group), rank: s.Rank()}
 	if s.Rank() == 0 {
 		return r, nil
 	}
@@ -200,8 +223,8 @@ func (s *Subspace) Restrict(group []int) (*Restricted, error) {
 			return nil, fmt.Errorf("subspace: group index %d out of range %d", i, s.Dim())
 		}
 	}
-	r.ud = s.basis.SelectRows(group)
-	r.pinv = mat.PseudoInverse(r.ud)
+	ud := s.basis.SelectRows(group)
+	r.ud, r.pinv = quadRows(ud), quadRows(mat.PseudoInverse(ud))
 	return r, nil
 }
 
@@ -211,63 +234,63 @@ func (s *Subspace) Restrict(group []int) (*Restricted, error) {
 const stackRank = 8
 
 // ResidualTo writes the residual xd − U_D (U_D)⁺ xd of a vector indexed
-// like the group Restrict was given into dst, and returns its energy,
-// the squared mat.Norm2 of dst: the Eq. (9) proximity of xd. For the
-// zero subspace the residual is xd itself. dst must have len(xd)
-// elements and must not alias xd. Both products are summed in
-// Dense.MulVec's order and the norm is taken once, so the residual and
-// its energy keep the bits of the allocating MulVec formulation.
-func (r *Restricted) ResidualTo(dst, xd []float64) (float64, error) {
+// like the group Restrict was given into dst; the Eq. (9) proximity of
+// xd is its energy, the square of mat.Norm2(dst), which callers that use
+// it take. For the zero subspace the residual is xd itself. dst must
+// have len(xd) elements and must not alias xd. The coefficients
+// (coefficients) and each row's fit (residualRows) are summed in
+// Dense.MulVec's order, so the residual keeps the bits of the
+// allocating MulVec formulation.
+func (r *Restricted) ResidualTo(dst, xd []float64) error {
 	if len(xd) != r.rows || len(dst) != r.rows {
-		return 0, fmt.Errorf("subspace: restricted vector length %d into %d, group %d", len(xd), len(dst), r.rows)
+		return fmt.Errorf("subspace: restricted vector length %d into %d, group %d", len(xd), len(dst), r.rows)
 	}
-	if r.ud == nil {
+	if r.rank == 0 {
 		copy(dst, xd)
-	} else {
-		var buf [stackRank]float64
-		alpha := buf[:]
-		if k := r.pinv.Rows(); k <= stackRank {
-			alpha = alpha[:k]
-		} else {
-			alpha = make([]float64, k)
-		}
-		r.ud.MulVecTo(dst, r.pinv.MulVecTo(alpha, xd))
-		for i, x := range xd {
-			dst[i] = x - dst[i]
-		}
+		return nil
 	}
-	n := mat.Norm2(dst)
-	return n * n, nil
+	var buf [stackRank]float64
+	alpha := buf[:]
+	if k := roundQuad(r.rank); k <= stackRank {
+		alpha = alpha[:k]
+	} else {
+		alpha = make([]float64, k)
+	}
+	coefficients(alpha, r.pinv, xd)
+	residualRows(dst, xd, r.ud, alpha[:r.rank])
+	return nil
 }
 
 // Packed is several subspaces restricted to the rows of one detection
 // group and laid out for one pass over a vector: the members'
-// pseudo-inverse rows (U_D)⁺, one member after another, and their
-// restricted bases U_D, side by side row by row. Rank-one members come
-// first, then those of higher rank, each kind in member order; the
-// zero subspace has no rows or columns. EnergiesTo measures each
-// member's residual energy of the vector in that pass, bit for bit what
-// Restrict(group) and ResidualTo give. It is immutable and safe for
-// concurrent use.
+// pseudo-inverse rows (U_D)⁺, one member after another, in quads of
+// rows, and their restricted bases U_D, side by side row by row. Rank-one
+// members come first, then those of higher rank, each kind in member
+// order; the zero subspace has no rows or columns. EnergiesTo measures
+// each member's residual energy of the vector in that pass, bit for bit
+// what Restrict(group), ResidualTo and mat.Norm2 give. It is immutable
+// and safe for concurrent use.
 type Packed struct {
 	rows    int
 	members int
 	slots   []int     // the member packed in each slot
 	ranks   []int     // each slot's rank
 	ones    int       // the rank-one slots, which come first
-	total   int       // the sum of ranks
-	pinv    []float64 // total×rows, row-major: each slot's (U_D)⁺ rows in slot order
-	basis   []float64 // rows×total, row-major: row i holds each slot's row i of U_D
+	stride  int       // the sum of ranks rounded up to a multiple of four
+	pinv    []float64 // stride×rows in quads of rows: each slot's (U_D)⁺ rows in slot order, then zero rows
+	basis   []float64 // rows×stride, row-major: row i holds each slot's row i of U_D, then zeros
 	zero    bool      // some member is the zero subspace
 }
 
 // Pack restricts each subspace to the group's rows, as Restrict does,
 // and packs the restrictions. A rank-one member is restricted in closed
 // form, its pseudo-inverse by mat.PseudoInverseColumn; members of
-// higher rank go through Restrict. group indexes features (not buses).
+// higher rank through mat.PseudoInverse, as Restrict does. group
+// indexes features (not buses).
 func Pack(group []int, subs ...*Subspace) (*Packed, error) {
 	m := len(group)
 	p := &Packed{rows: m, members: len(subs)}
+	total := 0
 	for j, s := range subs {
 		if s.Rank() == 0 {
 			p.zero = true
@@ -281,7 +304,7 @@ func Pack(group []int, subs ...*Subspace) (*Packed, error) {
 		if s.Rank() == 1 {
 			p.slots = append(p.slots, j)
 		}
-		p.total += s.Rank()
+		total += s.Rank()
 	}
 	p.ones = len(p.slots)
 	for j, s := range subs {
@@ -290,30 +313,34 @@ func Pack(group []int, subs ...*Subspace) (*Packed, error) {
 		}
 	}
 	p.ranks = make([]int, len(p.slots))
-	buf := make([]float64, 2*p.total*m)
-	p.pinv, p.basis = buf[:p.total*m], buf[p.total*m:]
+	p.stride = roundQuad(total)
+	buf := make([]float64, 2*p.stride*m)
+	p.pinv, p.basis = buf[:p.stride*m], buf[p.stride*m:]
+	col := make([]float64, m)
 	o := 0
 	for slot, j := range p.slots {
 		s := subs[j]
 		k := s.Rank()
 		p.ranks[slot] = k
 		if k == 1 {
-			row := p.pinv[o*m : (o+1)*m]
 			for r, i := range group {
-				row[r] = s.basis.RawRow(i)[0]
-				p.basis[r*p.total+o] = row[r]
+				col[r] = s.basis.RawRow(i)[0]
+				p.basis[r*p.stride+o] = col[r]
 			}
-			mat.PseudoInverseColumn(row, row)
+			mat.PseudoInverseColumn(col, col)
+			for r, v := range col {
+				p.pinv[quadAt(o, r, m)] = v
+			}
 		} else {
-			f, err := s.Restrict(group)
-			if err != nil {
-				return nil, err
-			}
+			ud := s.basis.SelectRows(group)
+			pinv := mat.PseudoInverse(ud)
 			for t := 0; t < k; t++ {
-				copy(p.pinv[(o+t)*m:(o+t+1)*m], f.pinv.RawRow(t))
+				for r, v := range pinv.RawRow(t) {
+					p.pinv[quadAt(o+t, r, m)] = v
+				}
 			}
 			for r := 0; r < m; r++ {
-				copy(p.basis[r*p.total+o:r*p.total+o+k], f.ud.RawRow(r))
+				copy(p.basis[r*p.stride+o:r*p.stride+o+k], ud.RawRow(r))
 			}
 		}
 		o += k
@@ -326,8 +353,8 @@ func (p *Packed) Len() int { return p.members }
 
 // ScratchLen returns the scratch EnergiesTo needs: one least-squares
 // coefficient per basis column and a norm scale and sum of squares per
-// member of rank above zero.
-func (p *Packed) ScratchLen() int { return p.total + 2*len(p.slots) }
+// member of rank above zero, each run rounded up to a multiple of four.
+func (p *Packed) ScratchLen() int { return p.stride + 2*roundQuad(len(p.slots)) }
 
 // errPackedShape reports vectors that do not fit a Packed. It is a
 // sentinel so the kernel that returns it stays allocation-free.
@@ -335,68 +362,58 @@ var errPackedShape = errors.New("subspace: packed residual vectors do not match 
 
 // EnergiesTo writes into dst, member by member, the residual energy
 // ‖x − U_D (U_D)⁺ x‖² of a vector x indexed like the group; scratch
-// must hold at least ScratchLen values. One pass forms the least-squares
-// coefficients, four pinv rows at a time. onesPass then walks the
-// group's rows once for the rank-one members, forming each residual
-// there and taking that member's mat.Norm2 step on it, and a last walk
-// does the same for members of higher rank. Each member so sees the
-// products, sums and norm steps of ResidualTo in the same order, and
-// its energy keeps their bits. Zero-subspace members share ‖x‖².
-// EnergiesTo leaves the coefficients, then each slot's scale, then each
-// slot's sum of squares at the front of scratch.
+// must hold at least ScratchLen values. energy must be ‖x‖², the square
+// of mat.Norm2(x), which the caller holds: EnergiesTo writes it for
+// every zero-subspace member. coefficients forms the least-squares
+// coefficients, four pinv rows at a time. rankOne then walks the
+// group's rows once for the rank-one members, four at a time, forming
+// each residual there and taking that member's mat.Norm2 step on it,
+// and, when some member has a higher rank, a last walk does the same
+// for those. Each member so sees the products, sums and norm steps of
+// ResidualTo and mat.Norm2 in the same order, and its energy keeps
+// their bits. EnergiesTo leaves the coefficients, then each slot's
+// scale, then each slot's sum of squares at the front of scratch, each
+// run as long as ScratchLen counts it.
 //
 //gridlint:zeroalloc
-func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
-	m, total, n := p.rows, p.total, len(p.slots)
-	if len(x) != m || len(dst) != p.members || len(scratch) < total+2*n {
+func (p *Packed) EnergiesTo(dst, scratch, x []float64, energy float64) error {
+	m, n := p.rows, len(p.slots)
+	n4 := roundQuad(n)
+	if len(x) != m || len(dst) != p.members || len(scratch) < p.stride+2*n4 {
 		return errPackedShape
 	}
-	alpha, scale, ssq := scratch[:total], scratch[total:total+n], scratch[total+n:total+2*n]
-	t := 0
-	for ; t+4 <= total; t += 4 {
-		q0 := p.pinv[t*m : (t+1)*m]
-		q1 := p.pinv[(t+1)*m : (t+2)*m]
-		q2 := p.pinv[(t+2)*m : (t+3)*m]
-		q3 := p.pinv[(t+3)*m : (t+4)*m]
-		var s0, s1, s2, s3 float64
-		for j, v := range x {
-			s0 += q0[j] * v
-			s1 += q1[j] * v
-			s2 += q2[j] * v
-			s3 += q3[j] * v
-		}
-		alpha[t], alpha[t+1], alpha[t+2], alpha[t+3] = s0, s1, s2, s3
-	}
-	for ; t < total; t++ {
-		q := p.pinv[t*m : (t+1)*m]
-		var s float64
-		for j, v := range x {
-			s += q[j] * v
-		}
-		alpha[t] = s
-	}
+	alpha := scratch[:p.stride]
+	scale, ssq := scratch[p.stride:p.stride+n4], scratch[p.stride+n4:p.stride+2*n4]
+	coefficients(alpha, p.pinv, x)
 	for slot := range scale {
 		scale[slot], ssq[slot] = 0, 1
 	}
-	ones := p.ones
-	onesPass(scale[:ones], ssq[:ones], alpha[:ones], x, p.basis, total)
-	for i, v := range x {
-		row := p.basis[i*total : (i+1)*total]
-		o := ones
-		for slot := ones; slot < n; slot++ {
-			k := p.ranks[slot]
-			var s float64
-			for t, b := range row[o : o+k] {
-				s += b * alpha[o+t]
+	// The rank-one pass runs on whole quads of slots. The slots past the
+	// rank-one ones in the last quad read padding or the first columns of
+	// higher rank, and their state is reset below before any use.
+	ones := roundQuad(p.ones)
+	rankOne(scale[:ones], ssq[:ones], alpha[:ones], x, p.basis, p.stride)
+	if p.ones < n {
+		for slot := p.ones; slot < ones; slot++ {
+			scale[slot], ssq[slot] = 0, 1
+		}
+		for i, v := range x {
+			row := p.basis[i*p.stride : (i+1)*p.stride]
+			o := p.ones
+			for slot := p.ones; slot < n; slot++ {
+				k := p.ranks[slot]
+				var s float64
+				for t, b := range row[o : o+k] {
+					s += b * alpha[o+t]
+				}
+				o += k
+				normStep(&scale[slot], &ssq[slot], v-s)
 			}
-			o += k
-			normStep(&scale[slot], &ssq[slot], v-s)
 		}
 	}
 	if p.zero {
-		e := mat.Norm2(x)
 		for k := range dst {
-			dst[k] = e * e
+			dst[k] = energy
 		}
 	}
 	for slot, k := range p.slots {
@@ -409,13 +426,70 @@ func (p *Packed) EnergiesTo(dst, scratch, x []float64) error {
 	return nil
 }
 
-// onesPassGeneric is onesPass in Go: row by row, each rank-one slot's
-// normStep on its residual x[i] − basis[i*stride+slot]·alpha[slot].
-// scale, ssq and alpha hold one entry per rank-one slot, and basis holds
-// len(x) rows of stride entries, the rank-one slots first. It is the
-// pass where there is no assembly kernel and, everywhere, the kernel's
-// test oracle.
-func onesPassGeneric(scale, ssq, alpha, x, basis []float64, stride int) {
+// The Go loops below are the passes where the AVX kernels cannot run
+// and, everywhere, the kernels' test oracles. Which operand of a sum or
+// product comes first decides the NaN payload when both are NaN, and
+// the Go compiler picks that order per compiled body. Sums kept in
+// registers took it from register allocation: go1.24 put the product
+// first in some or all of four register accumulators once a body was
+// instrumented by the race detector or for fuzzing. Sums that load
+// their accumulator from memory, at a variable index, add into the
+// loaded value in every build probed (plain, -race, -cover and -fuzz),
+// so each loop sums that way, and go:noinline keeps one body for every
+// caller. The lanes reproduce that order.
+
+// coefficientsGo is coefficients in Go: alpha[t] = Σ_j q_t[j]·x[j],
+// summed from +0 in element order, for every row t of pinv, the four
+// rows of a quad side by side. pinv holds len(alpha)/4 quads of len(x)
+// columns (quadAt), and len(alpha) is a multiple of four.
+//
+//go:noinline
+func coefficientsGo(alpha, pinv, x []float64) {
+	m := len(x)
+	for t := 0; t < len(alpha); t += 4 {
+		q := pinv[t*m : (t+4)*m]
+		var s [4]float64
+		for j, v := range x {
+			w := q[4*j : 4*j+4 : 4*j+4]
+			for l := range s {
+				s[l] += w[l] * v
+			}
+		}
+		copy(alpha[t:t+4], s[:])
+	}
+}
+
+// residualRowsGo is residualRows in Go: dst[i] = x[i] − Σ_t u_i[t]·α[t]
+// for each row i of ud, the sum from +0 in column order, as
+// Dense.MulVecTo and ResidualTo's subtraction form it, the four rows of
+// a quad side by side. ud holds the len(x) rows of len(alpha) columns
+// in quads of rows (quadAt).
+//
+//go:noinline
+func residualRowsGo(dst, x, ud, alpha []float64) {
+	k := len(alpha)
+	for i := 0; i < len(x); i += 4 {
+		u := ud[i*k : (i+4)*k]
+		var s [4]float64
+		for t, a := range alpha {
+			w := u[4*t : 4*t+4 : 4*t+4]
+			for l := range s {
+				s[l] += w[l] * a
+			}
+		}
+		for l, v := range x[i:min(i+4, len(x))] {
+			dst[i+l] = v - s[l]
+		}
+	}
+}
+
+// rankOneGo is rankOne in Go: row by row, each rank-one slot's normStep
+// on its residual x[i] − basis[i*stride+slot]·alpha[slot]. scale, ssq
+// and alpha hold one entry per slot, and basis holds len(x) rows of
+// stride entries, the rank-one slots first.
+//
+//go:noinline
+func rankOneGo(scale, ssq, alpha, x, basis []float64, stride int) {
 	ones := len(scale)
 	for i, v := range x {
 		for slot, b := range basis[i*stride : i*stride+ones] {
