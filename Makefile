@@ -56,6 +56,9 @@ race:
 #     dark / the same sample complete                           <= 1.5
 #   ieee118 Detect of a normal sample with each bus dark in turn
 #     / the same sample complete                                <= 2.2
+#   ieee118 DetectBatchContext (Workers 2) of 4 outage and 4
+#     normal samples / the same 8 DetectContext calls, both in
+#     process CPU time, which sees work on the other core       <= 1.25
 # Ratios of paths timed side by side hold across machines;
 # nanoseconds do not. The test carries the gate build tag, so
 # go test ./... and make race skip it.

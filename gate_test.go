@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"syscall"
 	"testing"
 	"time"
 
@@ -33,6 +34,9 @@ type gateRow struct {
 	bound float64
 	reps  int
 	a, b  func()
+	// cpu times both paths in process CPU time, not wall time, for a
+	// row whose cost can land on another core.
+	cpu bool
 }
 
 // TestGate is the ratio gate (make gate): in one process it times
@@ -51,20 +55,31 @@ type gateRow struct {
 //   - binary /v1/ingest of those samples with a tracer that keeps
 //     every trace against the same without a tracer;
 //   - ieee118 Detect with a bus dark against the same sample complete,
-//     on an outage sample and on a normal one.
+//     on an outage sample and on a normal one;
+//   - an ieee118 DetectBatchContext of one replay-sized batch against
+//     the same samples scored one call at a time, in CPU time.
 func TestGate(t *testing.T) {
 	rows := laneRows(t)
 	rows = append(rows, scoringRows(t)...)
 	rows = append(rows, servingRows(t)...)
-	rows = append(rows, darkBusRows(t)...)
+	sys, err := pmuoutage.NewSystem(pmuoutage.Options{Case: "ieee118", TrainSteps: 20, Seed: 1, UseDC: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, darkBusRows(t, sys)...)
+	rows = append(rows, batchRows(t, sys)...)
 	for _, r := range rows {
 		r.a()
 		r.b()
+		clock := wallTime
+		if r.cpu {
+			clock = cpuTime
+		}
 		ratios := make([]float64, gatePairs)
 		as, bs := make([]time.Duration, gatePairs), make([]time.Duration, gatePairs)
 		for i := range ratios {
-			as[i] = timeReps(r.a, r.reps)
-			bs[i] = timeReps(r.b, r.reps)
+			as[i] = timeReps(r.a, r.reps, clock)
+			bs[i] = timeReps(r.b, r.reps, clock)
 			ratios[i] = as[i].Seconds() / bs[i].Seconds()
 		}
 		slices.Sort(ratios)
@@ -79,13 +94,29 @@ func TestGate(t *testing.T) {
 	}
 }
 
-// timeReps returns the wall time of reps runs of fn.
-func timeReps(fn func(), reps int) time.Duration {
-	start := time.Now()
+// timeReps returns the time clock reads across reps runs of fn.
+func timeReps(fn func(), reps int, clock func() time.Duration) time.Duration {
+	start := clock()
 	for i := 0; i < reps; i++ {
 		fn()
 	}
-	return time.Since(start)
+	return clock() - start
+}
+
+// gateStart anchors wallTime's monotonic readings.
+var gateStart = time.Now()
+
+// wallTime is the wall time since gateStart.
+func wallTime() time.Duration { return time.Since(gateStart) }
+
+// cpuTime is the CPU time the process has used so far, user and system,
+// on every thread.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // laneRows are the lane kernels against their one-problem paths: the
@@ -310,18 +341,14 @@ func ingestHandler(t *testing.T, shard string, m *pmuoutage.Model, tr *obs.Trace
 }
 
 // darkBusRows are the detector with one bus dark against the same
-// sample complete, on ieee118 (DC, 20 steps, seed 1) through the
+// sample complete, on sys (ieee118, DC, 20 steps, seed 1) through the
 // facade, with BenchmarkDetectSingleSample's picks: the first valid
 // line's outage sample that the energy gate flags, dark at the line's
 // from-bus (the Fig. 7 case), and the first normal sample it passes,
 // dark at each bus in turn. Each dark pattern's cluster plans and gate
 // restriction are built once and reused, so a repeated pattern costs
 // about what a complete sample does.
-func darkBusRows(t *testing.T) []gateRow {
-	sys, err := pmuoutage.NewSystem(pmuoutage.Options{Case: "ieee118", TrainSteps: 20, Seed: 1, UseDC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+func darkBusRows(t *testing.T, sys *pmuoutage.System) []gateRow {
 	flagged := func(s pmuoutage.Sample) bool {
 		r, err := sys.Detect(s)
 		if err != nil {
@@ -383,4 +410,63 @@ func darkBusRows(t *testing.T) []gateRow {
 			},
 		},
 	}
+}
+
+// batchRows are one replay-118-sized batch on sys (ieee118, Workers 2)
+// through DetectBatchContext against the same samples scored by one
+// DetectContext call each: 4 samples of the first valid line's outage
+// and the first 4 normal samples the detector passes, so that, as in
+// most replay-118 batches, the normal samples stop at the energy gate.
+// Both paths are timed in process CPU time. Such a call ends before
+// internal/par starts a helper, so it costs what the loop does; a pool
+// that hands its items to other goroutines spends the handoffs and
+// wake-ups on the other core, where wall time does not see them.
+func batchRows(t *testing.T, sys *pmuoutage.System) []gateRow {
+	ctx := context.Background()
+	batch, err := sys.SimulateOutage(sys.ValidLines()[:1], 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normals, err := sys.SimulateOutage(nil, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range normals {
+		r, err := sys.DetectContext(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Outage && len(batch) < 8 {
+			batch = append(batch, s)
+		}
+	}
+	reports, err := sys.DetectBatchContext(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := 0
+	for _, r := range reports {
+		if r.Outage {
+			flagged++
+		}
+	}
+	if len(batch) != 8 || flagged == 0 {
+		t.Fatalf("ieee118 batch: %d of %d samples flagged, want 8 samples, some flagged", flagged, len(batch))
+	}
+	t.Logf("ieee118 batch: %d of %d samples flagged", flagged, len(batch))
+	return []gateRow{{
+		name: "DetectBatchContext / 8 DetectContext calls, ieee118, CPU time", bound: 1.25, reps: 128, cpu: true,
+		a: func() {
+			if _, err := sys.DetectBatchContext(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		},
+		b: func() {
+			for _, s := range batch {
+				if _, err := sys.DetectContext(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}}
 }

@@ -1,7 +1,7 @@
-// Package par is the deterministic parallel-execution layer behind the
-// detector's offline pipeline: data generation fans out per scenario,
-// training fans out per line and per node, and the reliability sweep
-// shards its Monte Carlo trials (see DESIGN.md "Parallel execution").
+// Package par is the deterministic parallel-execution layer: data
+// generation fans out per scenario, training per line and per node, the
+// reliability sweep per Monte Carlo shard, and batch detection per
+// sample (see DESIGN.md "Deterministic parallel execution").
 //
 // The package is stdlib-only and deliberately small. Its one structural
 // guarantee is determinism: Map and ForEach assign results by input
@@ -11,12 +11,15 @@
 // sharing one stream. Worker counts therefore change wall-clock time,
 // never results.
 //
+// A call runs on its caller: the calling goroutine claims items and runs
+// them itself, and the other workers join only a call still running
+// spawnAfter after it began, so a short call never wakes another thread.
+//
 // Error semantics are "first error wins": the first failure is
-// returned, remaining unstarted items are skipped, and the shared
-// context is cancelled so in-flight items can stop early. A panicking item does not vanish into its worker
-// goroutine: the panic is captured, transported back, and re-raised on
-// the calling goroutine wrapped in a Panic value that records the item
-// index and original payload.
+// returned, remaining unclaimed items are skipped, and the shared
+// context is cancelled so in-flight items can stop early. A panic is
+// re-raised on the calling goroutine wrapped in a Panic value that
+// records the item index and original payload, at every worker count.
 package par
 
 import (
@@ -24,7 +27,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
+
+// spawnAfter is how long a call runs on its caller alone before the other
+// workers start: about three of a spawned helper's 59–83 µs start delays
+// (CHANGES.md), so a call shorter than that costs less CPU on the caller.
+const spawnAfter = 200 * time.Microsecond
 
 // Workers resolves a worker-count option: n itself when positive,
 // otherwise GOMAXPROCS (the "0 = use every core" convention shared by
@@ -43,7 +53,7 @@ type Panic struct {
 	Index int
 	// Value is the original panic payload.
 	Value any
-	// Stack is the worker goroutine's stack at recovery time.
+	// Stack is the panicking goroutine's stack at recovery time.
 	Stack []byte
 }
 
@@ -53,121 +63,110 @@ func (p Panic) String() string {
 }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most workers
-// goroutines (workers <= 0 selects GOMAXPROCS). The first error wins
-// and is returned; if ctx is cancelled first, the context's error is.
-// Scheduling stops at the first failure or cancellation; items already
-// running are left to finish (their fn sees the cancelled context). A
-// panic inside fn is re-raised on the caller's goroutine as a Panic
-// value carrying the item index and the worker's stack.
+// goroutines (workers <= 0 selects GOMAXPROCS), the caller's first; the
+// others join a call still running spawnAfter after it began. The first
+// error wins and is returned; if ctx is cancelled first, the context's
+// error is. Claiming stops at the first failure or cancellation; items
+// already running are left to finish (their fn sees the cancelled
+// context). A panic inside fn is re-raised on the caller's goroutine as
+// a Panic value carrying the item index and the panicking goroutine's
+// stack; of several, the lowest index wins.
 func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
-		return err // pre-cancelled: schedule nothing
+		return err // pre-cancelled: run nothing
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return forEachSeq(ctx, n, fn)
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		once     sync.Once
-		firstErr error
-		panics   []Panic
-	)
-	fail := func(err error) {
-		// First error wins; the errors that in-flight items return after
-		// they observe our own cancellation never displace it.
-		once.Do(func() {
-			firstErr = err
-			cancel() // stop scheduling; in-flight items observe wctx
-		})
-	}
-
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
+	c := &call{ctx: ctx, n: n, fn: fn}
+	if workers = min(Workers(workers), n); workers == 1 {
+		c.work()
+	} else {
+		c.ctx, c.cancel = context.WithCancel(ctx)
+		defer c.cancel()
+		var wg sync.WaitGroup
+		wg.Add(1) // the timer's goroutine: the first helper, which starts the rest
+		timer := time.AfterFunc(spawnAfter, func() {
 			defer wg.Done()
-			for i := range next {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							defer mu.Unlock()
-							panics = append(panics, Panic{Index: i, Value: r, Stack: stack()})
-							cancel()
-						}
-					}()
-					if err := fn(wctx, i); err != nil {
-						fail(err)
-					}
+			wg.Add(workers - 2)
+			for range workers - 2 {
+				go func() {
+					defer wg.Done()
+					c.work()
 				}()
 			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-wctx.Done():
-			break feed
+			c.work()
+		})
+		c.work()
+		if timer.Stop() {
+			wg.Done() // it never fired
 		}
+		wg.Wait()
 	}
-	close(next)
-	wg.Wait()
-	if len(panics) > 0 {
-		// Re-raise the lowest-indexed panic so the failure is stable
-		// across worker counts.
-		min := panics[0]
-		for _, p := range panics[1:] {
-			if p.Index < min.Index {
-				min = p
-			}
-		}
-		panic(min)
+	if c.panic != nil {
+		panic(*c.panic)
 	}
-	if firstErr != nil {
-		return firstErr
+	if c.err != nil {
+		return c.err
 	}
 	return ctx.Err()
 }
 
-// forEachSeq is the workers == 1 path: a plain loop on the calling
-// goroutine — same semantics, no goroutines, and the reference order the
-// equivalence tests compare parallel runs against.
-func forEachSeq(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := runItem(ctx, i, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+// call is the state one ForEach call's workers share.
+type call struct {
+	ctx    context.Context
+	cancel context.CancelFunc // nil when the caller runs alone
+	n      int
+	fn     func(ctx context.Context, i int) error
+	next   atomic.Int64 // the next unclaimed index
+
+	mu    sync.Mutex
+	err   error  // the first error
+	panic *Panic // the lowest-indexed panic
 }
 
-// runItem calls fn for one item, normalising any panic into the same
-// Panic wrapper the parallel path raises.
-func runItem(ctx context.Context, i int, fn func(ctx context.Context, i int) error) error {
+// work is the claim loop every worker runs: it claims the next index
+// and runs that item until none is left, an item it ran failed, or the
+// call's context is cancelled.
+func (c *call) work() {
+	for c.ctx.Err() == nil {
+		i := int(c.next.Add(1)) - 1
+		if i >= c.n || !c.run(i) {
+			return
+		}
+	}
+}
+
+// run runs item i, records its error or panic, and reports success.
+func (c *call) run(i int) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if p, ok := r.(Panic); ok {
-				panic(p)
-			}
-			panic(Panic{Index: i, Value: r, Stack: stack()})
+			c.fail(nil, &Panic{Index: i, Value: r, Stack: stack()})
 		}
 	}()
-	return fn(ctx, i)
+	if err := c.fn(c.ctx, i); err != nil {
+		c.fail(err, nil)
+		return false
+	}
+	return true
+}
+
+// fail records an item's error or panic and cancels the call's own
+// context, if it has one, so the other workers claim nothing more and
+// in-flight items can stop early. The first error wins; of several
+// panics, the lowest index does.
+func (c *call) fail(err error, p *Panic) {
+	if c.cancel != nil {
+		defer c.cancel()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
+	if p != nil && (c.panic == nil || p.Index < c.panic.Index) {
+		c.panic = p
+	}
 }
 
 // Map runs fn over [0, n) like ForEach and collects the results in input

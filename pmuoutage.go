@@ -363,8 +363,10 @@ func detectErr(err error) error {
 	return err
 }
 
-// DetectBatch classifies many samples over the worker pool configured by
-// Options.Workers and returns one report per sample, in input order.
+// DetectBatch classifies many samples on up to Options.Workers
+// goroutines, the caller's first (internal/par: the others join only a
+// call that outlasts its spawn delay, so a short batch runs on the
+// caller alone), and returns one report per sample, in input order.
 // The trained detector is read-only during detection, so the batch
 // result is identical to calling Detect in a loop.
 func (s *System) DetectBatch(samples []Sample) ([]*Report, error) {
@@ -372,7 +374,8 @@ func (s *System) DetectBatch(samples []Sample) ([]*Report, error) {
 }
 
 // DetectBatchContext is DetectBatch with cancellation: a cancelled
-// context aborts the remaining samples and returns the context error.
+// context stops the claiming of the remaining samples and returns the
+// context error.
 func (s *System) DetectBatchContext(ctx context.Context, samples []Sample) ([]*Report, error) {
 	return par.Map(ctx, s.opts.Workers, len(samples), func(ctx context.Context, i int) (*Report, error) {
 		return s.DetectContext(ctx, samples[i])
@@ -424,7 +427,7 @@ func (s *System) Evaluate(perCase int) (ia, fa float64, err error) {
 }
 
 // EvaluateContext is Evaluate with cancellation. The outage cases fan
-// out over the Options.Workers pool: each case simulates and scores its
+// out on up to Options.Workers goroutines: each case simulates and scores its
 // samples independently (its seed stream derives from the scenario, not
 // from shared state) and the per-case accumulators merge in line order,
 // so the result is identical for every worker count.
