@@ -70,17 +70,19 @@ gate:
 # must stop it), patch artifacts (re-stamped against the ieee14 base
 # they patch, so the shape checks and the patched model's validation
 # must stop them, and an applied patch must boot and detect), binary
-# wire frames, trace headers, and the data-plane request bodies
+# wire frames, trace headers, the data-plane request bodies
 # (/v1/detect JSON, binary /v1/ingest frames and binary /v1/detect
 # bodies against an ieee14 service: no panic, no 5xx, every 200 body
-# decodes), and the
-# proximity rule on raw float64 score bits, NaN payloads included,
-# against its stable-sort oracle, the scoring lanes (coefficients,
-# residual rows, rank-one norm pass) on raw float64 bits against their
-# Go loops, and the lane
-# kernels on raw float64 matrix bits against their one-problem paths:
-# each lane of the four-lane SVD against FactorSVD's leading vectors,
-# each right-hand side of the eight-lane solve against LU.Solve. Go fuzzes one target per
+# decodes), the router's own JSON bodies (/v1/reload and
+# /v1/canary/promote against two stub backends: no panic, no 5xx from
+# the router, and a body refused with 400 or 413 reaches no backend),
+# and the proximity rule on raw float64 score bits, NaN payloads
+# included, against its stable-sort oracle, the scoring lanes
+# (coefficients, residual rows, rank-one norm pass) on raw float64 bits
+# against their Go loops, and the lane kernels on raw float64 matrix
+# bits against their one-problem paths: each lane of the four-lane SVD
+# against FactorSVD's leading vectors, each right-hand side of the
+# eight-lane solve against LU.Solve. Go fuzzes one target per
 # invocation.
 # Not part of verify; CI runs it after verify.
 FUZZTIME ?= 10s
@@ -90,6 +92,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceParent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzDataPlaneBodies$$' -fuzztime=$(FUZZTIME) ./internal/httpserve
+	$(GO) test -run='^$$' -fuzz='^FuzzRouterBodies$$' -fuzztime=$(FUZZTIME) ./internal/router
 	$(GO) test -run='^$$' -fuzz='^FuzzProximityRule$$' -fuzztime=$(FUZZTIME) ./internal/detect
 	$(GO) test -run='^$$' -fuzz='^FuzzPackedEnergies$$' -fuzztime=$(FUZZTIME) ./internal/subspace
 	$(GO) test -run='^$$' -fuzz='^FuzzLeadingQuad$$' -fuzztime=$(FUZZTIME) ./internal/mat
@@ -111,7 +114,10 @@ bench:
 	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline.run.json
 
 # Regenerate the committed BENCH_pipeline.json: the same run as the
-# last step of bench, written over the tracked file.
+# last step of bench, written over the tracked file. One run records
+# the machine's speed at that moment (three runs minutes apart read
+# pmunet/montecarlo-100k at 19.9, 22.5 and 35.3 ms), so it does not
+# compare two commits; alternate several runs of each to do that.
 bench-pipeline:
 	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline.json
 

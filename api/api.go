@@ -16,12 +16,6 @@ package api
 
 import "pmuoutage"
 
-// MaxBodyBytes bounds every request body the serving tier reads. The
-// router refuses a larger proxied body and a backend a larger JSON or
-// frame body, all with CodeTooLarge, so a backend accepts anything
-// the router forwards.
-const MaxBodyBytes = 64 << 20
-
 // FrameContentType marks a binary POST /v1/detect or /v1/ingest body:
 // internal/wire frames back to back, one per sample (ingest reads the
 // first), with the shard named by the ?shard= query parameter. Both

@@ -1,9 +1,6 @@
 package api
 
-import (
-	"encoding/json"
-	"net/http"
-)
+import "encoding/json"
 
 // Code is the stable machine-readable classification of a serving-tier
 // error. Codes are part of the wire contract: clients and the router
@@ -104,24 +101,6 @@ func (c Code) HTTPStatus() int {
 	default:
 		return 500
 	}
-}
-
-// WriteError answers a failed request with code's error envelope,
-// carrying msg and traceID; it is the one writer every server of the
-// serving tier uses. The status is
-// code.HTTPStatus(), and a Retryable code sets both the envelope's
-// retryable flag and a Retry-After: 1 header, so the status, the flag,
-// the header and the client's retry branch cannot disagree.
-func WriteError(w http.ResponseWriter, code Code, msg, traceID string) {
-	env := ErrorEnvelope{Code: code, Error: msg, Retryable: code.Retryable(), TraceID: traceID}
-	if env.Retryable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code.HTTPStatus())
-	// The status is already committed; an encode error here only means
-	// the client went away.
-	_ = json.NewEncoder(w).Encode(env)
 }
 
 // DecodeError parses an error envelope from a non-2xx response body.

@@ -128,72 +128,36 @@ func (s *Server) Routes() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.svc.Metrics())
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
+	mux.Handle("GET /debug/traces", s.svc.Tracer())
 	return s.instrument(mux)
 }
 
-// instrument is the telemetry middleware: it resolves the request's
-// trace ID (a caller's X-Trace-Id is kept so traces span services, one
-// is minted otherwise), carries it on the context through every layer,
-// echoes it on the response — success or error — and records the
+// instrument is the telemetry middleware: the shared trace ingress
+// (obs.Ingress and obs.ServeRoot under the http root span), then the
 // per-route counter, error counter, latency histogram, and one
 // structured access line.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// Traceparent (trace ID + caller's span) wins over the plain
-		// X-Trace-Id; either way a caller-supplied ID is kept so
-		// traces span services, and one is minted otherwise.
-		var remoteParent uint64
-		id := r.Header.Get(obs.TraceHeader)
-		if tp, parent, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader)); ok {
-			id, remoteParent = tp, parent
-		}
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, id)
-		ctx := obs.WithTraceID(r.Context(), id)
-		ctx = obs.WithRemoteParent(ctx, remoteParent)
-		ctx, span := s.svc.Tracer().StartSpan(ctx, stageHTTP)
-		if span != nil {
-			span.SetAttr(labelPath, r.URL.Path)
-			w.Header().Set(obs.SpanHeader, span.ID())
-		}
+		ctx, span := s.svc.Tracer().StartSpan(obs.Ingress(w, r), stageHTTP)
 		r = r.WithContext(ctx)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		if sw.status >= 500 {
-			span.SetErrorString(http.StatusText(sw.status))
-		}
-		span.End()
+		status := obs.ServeRoot(span, next, w, r)
 		elapsed := time.Since(start)
 		path := r.URL.Path
 		s.httpReqs[path].Inc()
 		s.httpLat[path].Observe(elapsed)
-		if sw.status >= 400 {
+		if status >= 400 {
 			s.httpErrs[path].Inc()
 		}
-		if lg := s.logger; lg != nil && lg.Enabled(r.Context(), slog.LevelInfo) {
-			lg.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String(obs.AttrTraceID, id),
+		if lg := s.logger; lg != nil && lg.Enabled(ctx, slog.LevelInfo) {
+			lg.LogAttrs(ctx, slog.LevelInfo, "request",
+				slog.String(obs.AttrTraceID, obs.TraceID(ctx)),
 				slog.String("method", r.Method),
 				slog.String("path", path),
-				slog.Int("status", sw.status),
+				slog.Int("status", status),
 				slog.Duration("elapsed", elapsed))
 		}
 	})
-}
-
-// statusWriter captures the response status for metrics and logs.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // DebugMux serves the opt-in -debug-addr endpoints: pprof profiles and
@@ -217,7 +181,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		req.Shard = r.URL.Query().Get("shard")
 		req.Samples, err = s.frameSamples(w, r)
 	} else {
-		err = decodeJSON(w, r, &req)
+		err = api.DecodeJSON(w, r, &req)
 	}
 	if err != nil {
 		s.writeError(w, r, err)
@@ -231,7 +195,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	encStart := time.Now()
-	writeJSON(w, http.StatusOK, api.DetectResponse{Shard: req.Shard, Reports: reports})
+	api.WriteJSON(w, http.StatusOK, api.DetectResponse{Shard: req.Shard, Reports: reports})
 	s.svc.Tracer().RecordSpan(r.Context(), stageEncode, s.svc.Counters(req.Shard).StageSeconds(service.StageEncode), encStart, time.Now())
 }
 
@@ -241,7 +205,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.IngestRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := api.DecodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -253,7 +217,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.svc.Counters(req.Shard).Frames(service.IngestJSON).Inc()
-	writeJSON(w, http.StatusOK, api.IngestResponse{Shard: req.Shard, Event: ev})
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{Shard: req.Shard, Event: ev})
 }
 
 // handleIngestFrame is the binary ingest mode: the body's first wire
@@ -281,7 +245,7 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.svc.Counters(shard).Frames(service.IngestBinary).Inc()
-	writeJSON(w, http.StatusOK, api.IngestResponse{Shard: shard, Event: ev})
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{Shard: shard, Event: ev})
 }
 
 // frameSamples decodes a binary detect body into one sample per frame.
@@ -350,17 +314,14 @@ type frameReader struct {
 	timing *obs.Histogram // per-frame decode latency
 }
 
-// readFrames reads r's body, at most api.MaxBodyBytes, as the JSON
-// path does: a longer body fails with *http.MaxBytesError, 413
-// too_large. The caller releases the reader.
+// readFrames reads r's body into a pooled buffer with api.ReadBody, the
+// bound the JSON path decodes under. The caller releases the reader.
 func (s *Server) readFrames(w http.ResponseWriter, r *http.Request) (frameReader, error) {
 	buf := wire.GetBuffer()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)); err != nil {
+	var err error
+	if buf.B, err = api.ReadBody(w, r, buf.B); err != nil {
 		wire.PutBuffer(buf)
-		if errors.As(err, new(*http.MaxBytesError)) {
-			return frameReader{}, err
-		}
-		return frameReader{}, fmt.Errorf("%w: reading frames: %v", ErrBadRequest, err)
+		return frameReader{}, err
 	}
 	return frameReader{buf: buf, f: wire.GetFrame(), timing: s.frameDecode}, nil
 }
@@ -400,13 +361,13 @@ func (fr *frameReader) samples() ([]pmuoutage.Sample, error) {
 // decode decodes the frame at the read position into the reader's
 // pooled frame, valid until the next decode or release, and times it
 // on the frame-decode histogram. A malformed or truncated frame is
-// ErrBadRequest.
+// api.ErrBadRequest.
 func (fr *frameReader) decode() (*wire.Frame, error) {
 	start := time.Now()
 	n, err := wire.DecodeFrame(fr.buf.B[fr.off:], fr.f)
 	fr.timing.Observe(time.Since(start))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", api.ErrBadRequest, err)
 	}
 	fr.off += n
 	return fr.f, nil
@@ -425,7 +386,7 @@ func (s *Server) SetModelSource(f ModelFetcher) { s.models = f }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req api.ReloadRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := api.DecodeJSON(w, r, &req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -433,7 +394,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if req.PatchPath != "" {
 		if req.Path != "" || req.Fingerprint != "" {
-			s.writeError(w, r, fmt.Errorf("%w: reload names a patch alongside a model source; pick one", ErrBadRequest))
+			s.writeError(w, r, fmt.Errorf("%w: reload names a patch alongside a model source; pick one", api.ErrBadRequest))
 			return
 		}
 		p, err := LoadPatch(req.PatchPath)
@@ -458,7 +419,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, st := range s.svc.Shards() {
 		if st.Name == req.Shard {
-			writeJSON(w, http.StatusOK, api.ReloadResult{Shard: st.Name, Generation: st.Generation, Model: st.Model})
+			api.WriteJSON(w, http.StatusOK, api.ReloadResult{Shard: st.Name, Generation: st.Generation, Model: st.Model})
 			return
 		}
 	}
@@ -471,7 +432,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) resolveModel(ctx context.Context, req api.ReloadRequest) (*pmuoutage.Model, error) {
 	switch {
 	case req.Path != "" && req.Fingerprint != "":
-		return nil, fmt.Errorf("%w: reload names both path and fingerprint; pick one", ErrBadRequest)
+		return nil, fmt.Errorf("%w: reload names both path and fingerprint; pick one", api.ErrBadRequest)
 	case req.Path != "":
 		return LoadModel(req.Path)
 	case req.Fingerprint != "":
@@ -488,7 +449,7 @@ func (s *Server) resolveModel(ctx context.Context, req api.ReloadRequest) (*pmuo
 func LoadModel(path string) (*pmuoutage.Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", api.ErrBadRequest, err)
 	}
 	defer func() { _ = f.Close() }()
 	return pmuoutage.DecodeModel(f)
@@ -498,26 +459,26 @@ func LoadModel(path string) (*pmuoutage.Model, error) {
 func LoadPatch(path string) (*pmuoutage.Patch, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", api.ErrBadRequest, err)
 	}
 	defer func() { _ = f.Close() }()
 	return pmuoutage.DecodePatch(f)
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Shards())
+	api.WriteJSON(w, http.StatusOK, s.svc.Shards())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Stats())
+	api.WriteJSON(w, http.StatusOK, s.svc.Stats())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.svc.Ready() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no shard ready"})
+	api.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no shard ready"})
 }
 
 // requestCtx applies the server's per-request deadline on top of the
@@ -527,27 +488,6 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 		return r.Context(), func() {}
 	}
 	return context.WithTimeout(r.Context(), s.timeout)
-}
-
-// ErrBadRequest wraps malformed request bodies (unparseable JSON,
-// corrupt frames) so CodeOf maps them to bad_request without
-// conflating them with facade sample validation.
-var ErrBadRequest = errors.New("bad request")
-
-// decodeJSON decodes one request body of at most api.MaxBodyBytes —
-// the router's bound, so a backend accepts anything the router
-// forwards. Reading past the bound fails with *http.MaxBytesError,
-// which CodeOf maps to 413 too_large.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.As(err, new(*http.MaxBytesError)) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return nil
 }
 
 // CodeOf maps the typed error taxonomy onto the stable wire codes the
@@ -580,10 +520,6 @@ func CodeOf(err error) api.Code {
 		return api.CodeUnavailable
 	case errors.Is(err, service.ErrConfig):
 		return api.CodeConfig
-	case errors.Is(err, ErrBadRequest):
-		return api.CodeBadRequest
-	case errors.As(err, new(*http.MaxBytesError)):
-		return api.CodeTooLarge
 	case errors.Is(err, service.ErrOverloaded):
 		return api.CodeOverloaded
 	case errors.Is(err, service.ErrUnavailable):
@@ -593,7 +529,9 @@ func CodeOf(err error) api.Code {
 	case errors.Is(err, context.DeadlineExceeded):
 		return api.CodeDeadline
 	default:
-		return api.CodeInternal
+		// The request edge's own refusals (a body past the bound, an
+		// unparseable one), else internal.
+		return api.RequestCode(err)
 	}
 }
 
@@ -609,14 +547,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 			slog.String("cause", err.Error()))
 	}
 	api.WriteError(w, code, err.Error(), obs.TraceID(r.Context()))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// The response status is already committed; an encode error here
-	// only means the client went away.
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // CompareReports asserts the served reports are identical to the

@@ -268,6 +268,56 @@ func TestOversizedJSONBodyRejected(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestDeclaredOversizedBodyUnread: a body whose Content-Length declares
+// one byte past api.MaxBodyBytes is refused with 413 too_large before a
+// byte of it is read, on every route that reads a body, as the router
+// and the registry refuse it.
+func TestDeclaredOversizedBodyUnread(t *testing.T) {
+	svc, err := service.New(context.Background(), service.Config{Shards: []service.ShardSpec{{Name: "east", Opts: trainOpts(3)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := New(svc, time.Second, nil).Routes()
+	for _, c := range []struct{ name, target, contentType string }{
+		{"json detect", "/v1/detect", "application/json"},
+		{"frame detect", "/v1/detect?shard=east", api.FrameContentType},
+		{"json ingest", "/v1/ingest", "application/json"},
+		{"frame ingest", "/v1/ingest?shard=east", api.FrameContentType},
+		{"reload", "/v1/reload", "application/json"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := &countingReader{r: spaces{}}
+			req := httptest.NewRequest(http.MethodPost, c.target, body)
+			req.Header.Set("Content-Type", c.contentType)
+			req.ContentLength = api.MaxBodyBytes + 1
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body.Bytes())
+			}
+			if env, ok := api.DecodeError(rec.Body.Bytes()); !ok || env.Code != api.CodeTooLarge {
+				t.Fatalf("error envelope = %+v (decoded %v), want code too_large", env, ok)
+			}
+			if body.n != 0 {
+				t.Fatalf("read %d body bytes before refusing the declared length", body.n)
+			}
+		})
+	}
+}
+
 // BenchmarkIngestJSON and BenchmarkIngestBinary measure the two HTTP
 // transports end to end against a parked monitor path (handler decode +
 // synchronous scoring) over a loopback listener.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"time"
 
@@ -510,6 +511,27 @@ func (t *Tracer) TraceByID(id string) (api.Trace, bool) {
 		}
 	}
 	return api.Trace{}, false
+}
+
+// ServeHTTP serves the retained traces — mount it at GET
+// /debug/traces: the list, newest first, or the one trace ?id= names
+// (404 not_found when none is retained). A nil tracer serves an empty
+// list, so the endpoint's shape does not depend on configuration.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if id := r.URL.Query().Get("id"); id != "" {
+		tr, ok := t.TraceByID(id)
+		if !ok {
+			api.WriteError(w, api.CodeNotFound, "trace not retained (dropped by tail sampling, evicted, or never seen)", TraceID(r.Context()))
+			return
+		}
+		api.WriteJSON(w, http.StatusOK, tr)
+		return
+	}
+	traces := t.Traces()
+	if traces == nil {
+		traces = []api.Trace{}
+	}
+	api.WriteJSON(w, http.StatusOK, api.TraceList{Traces: traces})
 }
 
 // PendingLen reports the pending-trace table size (tests and the soak

@@ -1,9 +1,7 @@
 package registry
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -33,7 +31,7 @@ func NewServer(store *Store, logger *slog.Logger) *Server {
 func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /v1/models", s.handleList)
 	mux.HandleFunc("GET /v1/models/{fingerprint}", s.handleGet)
@@ -42,7 +40,7 @@ func (s *Server) Routes() http.Handler {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.store.List())
+	api.WriteJSON(w, http.StatusOK, s.store.List())
 }
 
 // handleGet serves one artifact. The ETag is the content fingerprint —
@@ -69,23 +67,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// handlePublish stores one artifact body of at most api.MaxBodyBytes,
-// the serving tier's bound on every request body; a larger one is
-// refused whole with too_large, as the router and the daemons refuse it,
-// and one whose Content-Length declares it larger before any byte is
-// read.
+// handlePublish stores one artifact body read with api.ReadBody, the
+// serving tier's one body bound: a larger body is refused whole with
+// too_large, as the router and the daemons refuse it.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	if r.ContentLength > api.MaxBodyBytes {
-		s.writeError(w, r, api.CodeTooLarge, errTooLarge)
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
+	data, err := api.ReadBody(w, r, nil)
 	if err != nil {
-		s.writeError(w, r, api.CodeBadRequest, err)
-		return
-	}
-	if len(data) > api.MaxBodyBytes {
-		s.writeError(w, r, api.CodeTooLarge, errTooLarge)
+		s.writeError(w, r, api.RequestCode(err), err)
 		return
 	}
 	info, err := s.store.PublishBytes(data)
@@ -104,11 +92,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			slog.String("case", info.Case),
 			slog.Int64("bytes", info.Bytes))
 	}
-	writeJSON(w, http.StatusCreated, info)
+	api.WriteJSON(w, http.StatusCreated, info)
 }
-
-// errTooLarge rejects oversized publish bodies.
-var errTooLarge = errors.New("registry: artifact exceeds size limit")
 
 // matchesETag implements the subset of If-None-Match the registry's
 // own client sends: "*" or a comma-separated list of (possibly weak)
@@ -133,10 +118,4 @@ func matchesETag(header, etag string) bool {
 // writeError emits the shared error envelope with the code's status.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code api.Code, err error) {
 	api.WriteError(w, code, err.Error(), r.Header.Get(obs.TraceHeader))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -17,10 +17,8 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -36,12 +34,6 @@ import (
 var (
 	// ErrConfig reports an invalid Config.
 	ErrConfig = errors.New("router: invalid config")
-	// ErrBadRequest reports a request the router itself rejects before
-	// proxying (conflicting reload sources, unreadable body).
-	ErrBadRequest = errors.New("router: bad request")
-	// ErrBodyTooLarge reports a request body over the router's 64 MiB
-	// bound — rejected with 413 Payload Too Large, never truncated.
-	ErrBodyTooLarge = errors.New("router: request body too large")
 	// ErrNoBackends reports that no healthy backend could take the
 	// request — every pool member is ejected or at its in-flight bound.
 	ErrNoBackends = errors.New("router: no backend available")
@@ -355,49 +347,11 @@ func (r *Router) Routes() http.Handler {
 	mux.HandleFunc("GET /debug/traces", r.handleTraces)
 	mux.HandleFunc("GET /healthz", r.handleHealth)
 	mux.Handle("GET /metrics", r.reg)
-	return r.traceMiddleware(mux)
-}
-
-// statusWriter observes the relayed status so the root span can record
-// server-class failures.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// traceMiddleware resolves each request's trace context (a caller's
-// Traceparent or X-Trace-Id is kept so traces span caller, router, and
-// backend; an ID is minted otherwise), opens the root route span, and
-// echoes trace and span IDs on the response. With no Tracer configured
-// the span calls are nil receivers — zero allocation, ID echo only.
-func (r *Router) traceMiddleware(next http.Handler) http.Handler {
+	// The shared trace ingress under the route root span: a caller's
+	// trace context is kept so traces span caller, router and backend.
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id, remoteParent, ok := obs.ParseTraceParent(req.Header.Get(obs.TraceParentHeader))
-		if !ok {
-			id = req.Header.Get(obs.TraceHeader)
-		}
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, id)
-		ctx := obs.WithTraceID(req.Context(), id)
-		ctx = obs.WithRemoteParent(ctx, remoteParent)
-		ctx, span := r.tracer.StartSpan(ctx, stageRoute)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if span != nil {
-			span.SetAttr("path", req.URL.Path)
-			w.Header().Set(obs.SpanHeader, span.ID())
-		}
-		next.ServeHTTP(sw, req.WithContext(ctx))
-		if sw.status >= http.StatusInternalServerError {
-			span.SetErrorString(http.StatusText(sw.status))
-		}
-		span.End()
+		ctx, span := r.tracer.StartSpan(obs.Ingress(w, req), stageRoute)
+		obs.ServeRoot(span, mux, w, req.WithContext(ctx))
 	})
 }
 
@@ -470,9 +424,9 @@ func (r *Router) forward(ctx context.Context, pool *Pool, pathAndQuery, contentT
 
 func (r *Router) handleDetect(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	body, err := readBody(req)
+	body, err := api.ReadBody(w, req, nil)
 	if err != nil {
-		r.writeError(w, req, bodyCode(err), err)
+		r.writeError(w, req, api.RequestCode(err), err)
 		return
 	}
 	r.proxied[routeDetect].Inc()
@@ -496,9 +450,9 @@ func (r *Router) handleDetect(w http.ResponseWriter, req *http.Request) {
 // verbatim, as handleDetect does.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	body, err := readBody(req)
+	body, err := api.ReadBody(w, req, nil)
 	if err != nil {
-		r.writeError(w, req, bodyCode(err), err)
+		r.writeError(w, req, api.RequestCode(err), err)
 		return
 	}
 	r.proxied[routeIngest].Inc()
@@ -517,8 +471,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // an ambiguous request is rejected once instead of fanning out.
 func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	var rr api.ReloadRequest
-	if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
-		r.writeError(w, req, api.CodeBadRequest, err)
+	if err := api.DecodeJSON(w, req, &rr); err != nil {
+		r.writeError(w, req, api.RequestCode(err), err)
 		return
 	}
 	sources := 0
@@ -529,7 +483,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	}
 	if sources > 1 {
 		r.writeError(w, req, api.CodeBadRequest,
-			fmt.Errorf("%w: reload names more than one of path, fingerprint, patch_path; pick one", ErrBadRequest))
+			fmt.Errorf("%w: reload names more than one of path, fingerprint, patch_path; pick one", api.ErrBadRequest))
 		return
 	}
 	out := api.FleetReload{}
@@ -559,11 +513,11 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 			slog.String("shard", rr.Shard),
 			slog.Int("backends", len(out.Results)))
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) handleBackends(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, api.FleetStatus{
+	api.WriteJSON(w, http.StatusOK, api.FleetStatus{
 		Primary: r.primary.Statuses(),
 		Canary:  r.canary.Statuses(),
 	})
@@ -571,7 +525,7 @@ func (r *Router) handleBackends(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleCanaryReport(w http.ResponseWriter, req *http.Request) {
 	r.differ.DrainShadow()
-	writeJSON(w, http.StatusOK, r.differ.Report())
+	api.WriteJSON(w, http.StatusOK, r.differ.Report())
 }
 
 // handlePromote reloads every primary backend onto the candidate
@@ -580,8 +534,8 @@ func (r *Router) handleCanaryReport(w http.ResponseWriter, req *http.Request) {
 // the failed gates.
 func (r *Router) handlePromote(w http.ResponseWriter, req *http.Request) {
 	var pr api.PromoteRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
-		r.writeError(w, req, api.CodeBadRequest, err)
+	if err := api.DecodeJSON(w, req, &pr); err != nil {
+		r.writeError(w, req, api.RequestCode(err), err)
 		return
 	}
 	fp := pr.Fingerprint
@@ -651,7 +605,7 @@ func (r *Router) handlePromote(w http.ResponseWriter, req *http.Request) {
 	if resp.Failed && okBackends == 0 {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, resp)
+	api.WriteJSON(w, status, resp)
 }
 
 // readyShards lists the shards the backend's last probe saw serving.
@@ -670,7 +624,7 @@ func readyShards(b *Backend) []string {
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 	for _, b := range r.primary.backends {
 		if b.healthy.Load() {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}
 	}
@@ -694,40 +648,6 @@ func relay(w http.ResponseWriter, raw *client.RawResponse) {
 
 func (r *Router) writeError(w http.ResponseWriter, req *http.Request, code api.Code, err error) {
 	api.WriteError(w, code, err.Error(), obs.TraceID(req.Context()))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// readBody reads a proxied request body, rejecting — never silently
-// truncating — anything over the 64 MiB bound: a declared length past
-// it before reading a byte, and otherwise one byte past the limit,
-// which proves the body is oversized. Forwarding a truncated payload
-// would surface as a confusing decode error on the backend (or worse,
-// silently dropped trailing data).
-func readBody(req *http.Request) ([]byte, error) {
-	if req.ContentLength > api.MaxBodyBytes {
-		return nil, fmt.Errorf("%w: declared body of %d bytes exceeds %d", ErrBodyTooLarge, req.ContentLength, api.MaxBodyBytes)
-	}
-	data, err := io.ReadAll(io.LimitReader(req.Body, api.MaxBodyBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
-	}
-	if len(data) > api.MaxBodyBytes {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, api.MaxBodyBytes)
-	}
-	return data, nil
-}
-
-// bodyCode maps a readBody failure onto its wire code.
-func bodyCode(err error) api.Code {
-	if errors.Is(err, ErrBodyTooLarge) {
-		return api.CodeTooLarge
-	}
-	return api.CodeBadRequest
 }
 
 // withQuery appends req's query string to path: binary detect and

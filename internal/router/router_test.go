@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,6 +41,13 @@ func (b *stubBackend) reloadLog() []api.ReloadRequest {
 	return append([]api.ReloadRequest(nil), b.reloads...)
 }
 
+// reloadCount is the number of reload calls the stub has seen.
+func (b *stubBackend) reloadCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.reloads)
+}
+
 // stubReports is the canned detect payload every healthy stub serves.
 func stubReports(energy float64) []byte {
 	body, err := json.Marshal(api.DetectResponse{
@@ -58,7 +64,7 @@ func stubReports(energy float64) []byte {
 	return body
 }
 
-func newStubBackend(t *testing.T, reply func() (int, []byte)) *stubBackend {
+func newStubBackend(t testing.TB, reply func() (int, []byte)) *stubBackend {
 	t.Helper()
 	b := &stubBackend{reply: reply}
 	mux := http.NewServeMux()
@@ -158,7 +164,7 @@ func newStubBackend(t *testing.T, reply func() (int, []byte)) *stubBackend {
 	return b
 }
 
-func newTestRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
+func newTestRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
 	t.Helper()
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = 10 * time.Millisecond
@@ -644,27 +650,45 @@ func TestShadowTimeoutUnwedgesDrain(t *testing.T) {
 	}
 }
 
-// endlessZeros is a body that never ends — the oversize-rejection probe.
-type endlessZeros struct{}
+// endless is a body that never ends, every byte the same: the
+// oversize-rejection probe.
+type endless byte
 
-func (endlessZeros) Read(p []byte) (int, error) {
+func (e endless) Read(p []byte) (int, error) {
 	for i := range p {
-		p[i] = 0
+		p[i] = byte(e)
 	}
 	return len(p), nil
 }
 
-// TestOversizeBodyRejected pins that a body past the 64 MiB bound is
-// rejected whole with the too_large code (413), never truncated and
-// forwarded.
-func TestOversizeBodyRejected(t *testing.T) {
-	req := httptest.NewRequest(http.MethodPost, "/v1/detect", endlessZeros{})
-	_, err := readBody(req)
-	if !errors.Is(err, ErrBodyTooLarge) {
-		t.Fatalf("readBody(oversized) = %v, want ErrBodyTooLarge", err)
+// serveRouter serves one request through rt's routes in process.
+func serveRouter(rt *Router, req *http.Request) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	rt.Routes().ServeHTTP(rec, req)
+	return rec
+}
+
+// wantRefused fails t unless rec is an error envelope of code.
+func wantRefused(t *testing.T, rec *httptest.ResponseRecorder, code api.Code) {
+	t.Helper()
+	if rec.Code != code.HTTPStatus() {
+		t.Fatalf("HTTP %d, want %d: %.200s", rec.Code, code.HTTPStatus(), rec.Body.Bytes())
 	}
-	if code := bodyCode(err); code != api.CodeTooLarge {
-		t.Fatalf("bodyCode = %q, want too_large", code)
+	if env, ok := api.DecodeError(rec.Body.Bytes()); !ok || env.Code != code {
+		t.Fatalf("error envelope = %+v (decoded %v), want code %s", env, ok, code)
+	}
+}
+
+// TestOversizeBodyRejected pins that a proxied body past the 64 MiB
+// bound is rejected whole with the too_large code (413), never
+// truncated and forwarded.
+func TestOversizeBodyRejected(t *testing.T) {
+	b := newStubBackend(t, nil)
+	rt, _ := newTestRouter(t, Config{Backends: []string{b.ts.URL}})
+	rec := serveRouter(rt, httptest.NewRequest(http.MethodPost, "/v1/detect", endless(0)))
+	wantRefused(t, rec, api.CodeTooLarge)
+	if n := b.detects.Load(); n != 0 {
+		t.Fatalf("backend saw %d detect calls, want none", n)
 	}
 }
 
@@ -680,27 +704,141 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestDeclaredOversizeBodyUnread: a body whose Content-Length declares
-// one byte past the 64 MiB bound is rejected with too_large before it
-// is read: no byte is read and readBody allocates under 1 MiB
-// (buffering the body to the bound would allocate about 375 MB).
+// TestDeclaredOversizeBodyUnread: a proxied body whose Content-Length
+// declares one byte past the 64 MiB bound is rejected with too_large
+// before it is read: no byte is read and the router allocates under 1
+// MiB serving it (buffering the body to the bound would allocate about
+// 375 MB).
 func TestDeclaredOversizeBodyUnread(t *testing.T) {
-	body := &countingReader{r: endlessZeros{}}
+	b := newStubBackend(t, nil)
+	rt, _ := newTestRouter(t, Config{Backends: []string{b.ts.URL}, ProbeEvery: time.Hour})
+	body := &countingReader{r: endless(0)}
 	req := httptest.NewRequest(http.MethodPost, "/v1/detect", body)
 	req.ContentLength = api.MaxBodyBytes + 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readBody(req)
+	rec := serveRouter(rt, req)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBodyTooLarge) {
-		t.Fatalf("readBody(declared oversized) = %v, want ErrBodyTooLarge", err)
-	}
+	wantRefused(t, rec, api.CodeTooLarge)
 	if body.n != 0 {
 		t.Errorf("read %d body bytes before refusing the declared length", body.n)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("refusing a declared oversized body allocated %d bytes, want under 1 MiB", alloc)
 	}
+	if n := b.detects.Load(); n != 0 {
+		t.Fatalf("backend saw %d detect calls, want none", n)
+	}
+}
+
+// TestControlBodiesRefused: the router decodes its own JSON bodies,
+// /v1/reload and /v1/canary/promote, as outaged decodes its bodies. A
+// misspelt field answers 400 bad_request; a body past api.MaxBodyBytes
+// answers 413 too_large, and one whose Content-Length declares that is
+// refused before a byte is read; no backend sees a call. A lenient
+// decode would send a reload naming "patch_pth" to every backend as a
+// full retrain, and promote the configured candidate on a misspelt
+// fingerprint.
+func TestControlBodiesRefused(t *testing.T) {
+	b := newStubBackend(t, nil)
+	rt, _ := newTestRouter(t, Config{Backends: []string{b.ts.URL}, Candidate: "cafe"})
+	// padded is a valid body whose string field holds MaxBodyBytes 'a's.
+	padded := func(prefix, suffix string) io.Reader {
+		return io.MultiReader(strings.NewReader(prefix), io.LimitReader(endless('a'), api.MaxBodyBytes), strings.NewReader(suffix))
+	}
+	for _, c := range []struct {
+		name, target string
+		body         func() io.Reader
+		declared     int64 // Content-Length to declare; 0 leaves it unknown
+		code         api.Code
+	}{
+		{"reload misspelt field", "/v1/reload", func() io.Reader {
+			return strings.NewReader(`{"shard":"east","patch_pth":"/tmp/x.patch"}`)
+		}, 0, api.CodeBadRequest},
+		{"reload oversized", "/v1/reload", func() io.Reader { return padded(`{"shard":"`, `"}`) }, 0, api.CodeTooLarge},
+		{"reload declared oversized", "/v1/reload", func() io.Reader {
+			return strings.NewReader(`{"shard":"east"}`)
+		}, api.MaxBodyBytes + 1, api.CodeTooLarge},
+		{"promote misspelt field", "/v1/canary/promote", func() io.Reader {
+			return strings.NewReader(`{"fingreprint":"beef","shards":["east"],"force":true}`)
+		}, 0, api.CodeBadRequest},
+		{"promote oversized", "/v1/canary/promote", func() io.Reader {
+			return padded(`{"fingerprint":"`, `","shards":["east"],"force":true}`)
+		}, 0, api.CodeTooLarge},
+		{"promote declared oversized", "/v1/canary/promote", func() io.Reader {
+			return strings.NewReader(`{"fingerprint":"beef","shards":["east"],"force":true}`)
+		}, api.MaxBodyBytes + 1, api.CodeTooLarge},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := &countingReader{r: c.body()}
+			req := httptest.NewRequest(http.MethodPost, c.target, body)
+			req.ContentLength = -1
+			if c.declared != 0 {
+				req.ContentLength = c.declared
+			}
+			wantRefused(t, serveRouter(rt, req), c.code)
+			if c.declared != 0 && body.n != 0 {
+				t.Errorf("read %d body bytes before refusing the declared length", body.n)
+			}
+			if calls := b.reloadLog(); len(calls) != 0 {
+				t.Fatalf("backend saw %d reload calls, want none: %.200v", len(calls), calls)
+			}
+		})
+	}
+}
+
+// FuzzRouterBodies sends /v1/reload bodies (promote false) and
+// /v1/canary/promote bodies (true) to a router over two stub backends.
+// Whatever the body, the router must not panic or answer 5xx itself,
+// and a body it refuses with 400 or 413 must reach no backend.
+func FuzzRouterBodies(f *testing.F) {
+	b1 := newStubBackend(f, nil)
+	b2 := newStubBackend(f, nil)
+	rt, _ := newTestRouter(f, Config{Backends: []string{b1.ts.URL, b2.ts.URL}})
+	// Promote without named shards reloads the ones the last probe
+	// listed; wait until both backends are listed.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(readyShards(rt.primary.backends[0])) == 0 || len(readyShards(rt.primary.backends[1])) == 0 {
+		if time.Now().After(deadline) {
+			f.Fatal("no probe listed the stub backends' shards")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, body := range []string{
+		`{"shard":"east","fingerprint":"cafe"}`,
+		`{"shard":"east","patch_path":"delta.patch.json"}`,
+		`{"shard":"east","path":"a.json","fingerprint":"cafe"}`,
+		`{"shard":"east","patch_pth":"/tmp/x.patch"}`,
+		`{}`,
+		`{"shard":`,
+	} {
+		f.Add(false, []byte(body))
+	}
+	for _, body := range []string{
+		`{"fingerprint":"cafe","shards":["east"],"force":true}`,
+		`{"fingerprint":"cafe","force":true}`,
+		`{"fingerprint":"cafe"}`,
+		`{"force":true}`,
+		`{"fingreprint":"cafe","force":true}`,
+		`[]`,
+	} {
+		f.Add(true, []byte(body))
+	}
+	calls := func() int { return b1.reloadCount() + b2.reloadCount() }
+	f.Fuzz(func(t *testing.T, promote bool, body []byte) {
+		target := "/v1/reload"
+		if promote {
+			target = "/v1/canary/promote"
+		}
+		before := calls()
+		rec := serveRouter(rt, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%s: HTTP %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+		if (rec.Code == http.StatusBadRequest || rec.Code == http.StatusRequestEntityTooLarge) && calls() != before {
+			t.Fatalf("%s: HTTP %d, yet backends saw %d reload calls", target, rec.Code, calls()-before)
+		}
+	})
 }
 
 // TestCallerTraceIDVerbatim: a caller X-Trace-Id that is not 16 hex

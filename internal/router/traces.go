@@ -12,23 +12,19 @@ import (
 // cumulative counters and ejection history plus primary-pool SLO
 // signals over the rolling window.
 func (r *Router) handleFleet(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.fleet.health(r.desperate.Load()))
+	api.WriteJSON(w, http.StatusOK, r.fleet.health(r.desperate.Load()))
 }
 
 // handleTraces serves the router's retained traces. The list form is
-// the router's own ring; the by-ID form additionally asks every backend
-// for its half of the trace and merges the spans, so one fetch shows
-// the full route→proxy→backend-stage tree. Backend misses are fine —
-// tail sampling decides independently per process, so the merged view
-// is "everything anyone retained".
+// the router's own ring, served by its tracer; the by-ID form
+// additionally asks every backend for its half of the trace and merges
+// the spans, so one fetch shows the full route→proxy→backend-stage
+// tree. Backend misses are fine — tail sampling decides independently
+// per process, so the merged view is "everything anyone retained".
 func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 	id := req.URL.Query().Get("id")
 	if id == "" {
-		traces := r.tracer.Traces()
-		if traces == nil {
-			traces = []api.Trace{}
-		}
-		writeJSON(w, http.StatusOK, api.TraceList{Traces: traces})
+		r.tracer.ServeHTTP(w, req)
 		return
 	}
 	tr, found := r.tracer.TraceByID(id)
@@ -81,5 +77,5 @@ func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	tr.StartUnixNS, tr.DurationNS = first, last-first
-	writeJSON(w, http.StatusOK, tr)
+	api.WriteJSON(w, http.StatusOK, tr)
 }

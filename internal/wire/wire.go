@@ -37,7 +37,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"sync"
 )
@@ -379,27 +378,6 @@ func PutFrame(f *Frame) {
 
 // Buffer is a pooled byte buffer for encoded frames.
 type Buffer struct{ B []byte }
-
-// ReadFrom appends r's bytes to B until EOF, implementing
-// io.ReaderFrom so transports can slurp request bodies into pooled
-// storage.
-func (b *Buffer) ReadFrom(r io.Reader) (int64, error) {
-	var total int64
-	for {
-		if len(b.B) == cap(b.B) {
-			b.B = append(b.B, 0)[:len(b.B)]
-		}
-		n, err := r.Read(b.B[len(b.B):cap(b.B)])
-		b.B = b.B[:len(b.B)+n]
-		total += int64(n)
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
 
 var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 4096)} }}
 

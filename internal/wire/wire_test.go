@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -275,19 +274,6 @@ func TestFrameReuseShrinks(t *testing.T) {
 	re, err := AppendFrame(nil, f)
 	if err != nil || !bytes.Equal(re, encSmall) {
 		t.Fatalf("reused frame re-encode mismatch (%v)", err)
-	}
-}
-
-func TestBufferReadFrom(t *testing.T) {
-	payload := bytes.Repeat([]byte("pmu-frame-bytes "), 600) // > initial 4 KiB capacity
-	b := GetBuffer()
-	defer PutBuffer(b)
-	n, err := b.ReadFrom(strings.NewReader(string(payload)))
-	if err != nil || n != int64(len(payload)) {
-		t.Fatalf("ReadFrom = %d, %v", n, err)
-	}
-	if !bytes.Equal(b.B, payload) {
-		t.Fatal("buffer contents mismatch")
 	}
 }
 
